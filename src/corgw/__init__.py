@@ -63,6 +63,7 @@ from .refined import (
 )
 from .torsion import (
     GroupAlgebraElement,
+    ProjectorElement,
     TorsionPoint,
     convolve,
     divide,
@@ -70,6 +71,7 @@ from .torsion import (
     order,
     rebase,
     theta,
+    theta_coordinates,
     unrefine,
 )
 

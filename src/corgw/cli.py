@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import diagrams as fd
 from . import lattice, polyfit, qseries, refined
-from .torsion import GroupAlgebraElement, TorsionPoint
+from .torsion import GroupAlgebraElement, ProjectorElement, TorsionPoint
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -70,7 +70,9 @@ def _parse_profile(text: str) -> fd.TangencyProfile:
     return fd.TangencyProfile(weights)
 
 
-def _emit_element(x: GroupAlgebraElement, args, extra: dict | None = None):
+def _emit_element(
+    x: GroupAlgebraElement | ProjectorElement, args, extra: dict | None = None
+):
     if _want_json(args):
         payload = x.to_json_dict()
         mass = x.total_mass
@@ -104,6 +106,9 @@ def cmd_local(args) -> int:
 
 
 def cmd_oracle_verify(args) -> int:
+    # An empty grid would agree vacuously.
+    if args.a_max < 1 or args.delta_max < 1:
+        raise ValueError("--a-max and --delta-max must be >= 1")
     grid = [
         (a, delta, w1, n)
         for a in range(1, args.a_max + 1)
@@ -136,7 +141,7 @@ def cmd_diagrams(args) -> int:
         print(len(found))
         return EXIT_OK
     if args.sum:
-        delta = args.delta if args.delta else 1
+        delta = 1 if args.delta is None else args.delta
         total = fd.invariant(args.g, args.a, profile, delta)
         _emit_element(total, args)
         return EXIT_OK
@@ -192,6 +197,8 @@ def cmd_polyfit(args) -> int:
         chamber = (mod, res)
     samples = [int(t) for t in args.samples.split(",")]
     k = args.holdout
+    if k < 1:
+        raise ValueError(f"--holdout must be >= 1, got {k}")
     if len(samples) <= k:
         raise ValueError("need more samples than holdout points")
     report = polyfit.polynomial_fit(

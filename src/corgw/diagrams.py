@@ -11,7 +11,8 @@ ordered levels, one vertex per level.
 The correlated invariant is the sum over all such diagrams of a
 multiplicity with values in the torsion group algebra: a division-average
 of the product of refined divisor sums of the floor labels, times a
-monomial in the edge weights.
+monomial in the edge weights.  Multiplicities and invariants lie in the
+span of the projectors and are carried in that basis.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterator, Union
 
-from .arith import sigma
 from .refined import bold_sigma
-from .torsion import GroupAlgebraElement
+from .torsion import ProjectorElement
 
 BOTTOM = "B"
 TOP = "T"
@@ -448,19 +448,13 @@ def _floor_core(delta: int, delta_d: int, floors: tuple[tuple[int, int], ...]):
     level delta_d and lifted to the ambient level delta by averaging over
     (delta/delta_d)-th roots.
     """
-    if delta_d == 1:
-        scalar = 1
-        for a_v, val in floors:
-            scalar *= a_v ** (val - 1) * sigma(a_v)
-        core = scalar * GroupAlgebraElement.unit(1)
-    else:
-        core = GroupAlgebraElement.unit(delta_d)
-        for a_v, val in floors:
-            core = core * (a_v ** (val - 1) * bold_sigma(delta_d, a_v))
+    core = ProjectorElement.unit(delta_d)
+    for a_v, val in floors:
+        core = core * (a_v ** (val - 1) * bold_sigma(delta_d, a_v))
     return core.rebase(delta).divide(delta // delta_d)
 
 
-def multiplicity(diagram: FloorDiagram, delta: int) -> GroupAlgebraElement:
+def multiplicity(diagram: FloorDiagram, delta: int) -> ProjectorElement:
     """Correlated multiplicity of a floor diagram at refinement level delta.
 
     The division-average (over delta/delta_D-th roots) of the product over
@@ -695,9 +689,9 @@ def enumerate_diagrams(
 @lru_cache(maxsize=None)
 def _invariant_cached(
     genus: int, degree: int, weights: tuple[int, ...], delta: int
-) -> GroupAlgebraElement:
+) -> ProjectorElement:
     profile = TangencyProfile(weights)
-    total = GroupAlgebraElement.zero(delta)
+    total = ProjectorElement.zero(delta)
     for diagram in enumerate_diagrams(genus, degree, profile):
         total = total + multiplicity(diagram, delta)
     return total
@@ -705,7 +699,7 @@ def _invariant_cached(
 
 def invariant(
     genus: int, degree: int, profile: TangencyProfile, delta: int
-) -> GroupAlgebraElement:
+) -> ProjectorElement:
     """Correlated count: sum of multiplicities over all floor diagrams."""
     if delta < 1 or profile.gcd_abs % delta:
         raise ValueError(

@@ -32,7 +32,7 @@ from .diagrams import (
     _floor_core,
     multiplicity,
 )
-from .torsion import GroupAlgebraElement, theta
+from .torsion import ProjectorElement, theta_coordinates
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def weightings(
 
 def gamma_coeffs(
     template: DiagramTemplate, delta: int
-) -> dict[int, GroupAlgebraElement]:
+) -> dict[int, ProjectorElement]:
     """Summation-by-parts coefficients for the gcd-stratified weighting sum.
 
     Solves, smallest divisors first, the triangular system requiring that
@@ -250,10 +250,10 @@ def gamma_coeffs(
     if delta < 1:
         raise ValueError(f"expected delta >= 1, got {delta}")
     floors = template.floor_info
-    gammas: dict[int, GroupAlgebraElement] = {}
+    gammas: dict[int, ProjectorElement] = {}
     for e in divisors(delta):
         phi = _floor_core(delta, e, floors)
-        acc = GroupAlgebraElement.zero(delta)
+        acc = ProjectorElement.zero(delta)
         for d in divisors(e):
             if d != e:
                 acc = acc + gammas[d]
@@ -263,7 +263,7 @@ def gamma_coeffs(
 
 def invariant_by_template(
     template: DiagramTemplate, profile: TangencyProfile, delta: int
-) -> GroupAlgebraElement:
+) -> ProjectorElement:
     """Per-template invariant via the gamma resummation.
 
     sum over d | delta of gamma_d times the weight-monomial sum over
@@ -276,7 +276,7 @@ def invariant_by_template(
         )
     omegas = weightings(template, profile)
     gammas = gamma_coeffs(template, delta)
-    total = GroupAlgebraElement.zero(delta)
+    total = ProjectorElement.zero(delta)
     for d in divisors(delta):
         s = 0
         for omega in omegas:
@@ -289,9 +289,9 @@ def invariant_by_template(
 
 def direct_sum_over_weightings(
     template: DiagramTemplate, profile: TangencyProfile, delta: int
-) -> GroupAlgebraElement:
+) -> ProjectorElement:
     """Reference route: sum of diagram multiplicities over all weightings."""
-    total = GroupAlgebraElement.zero(delta)
+    total = ProjectorElement.zero(delta)
     for omega in weightings(template, profile):
         total = total + multiplicity(template.with_weights(omega), delta)
     return total
@@ -373,30 +373,6 @@ def poly_degree(coeffs: Sequence[Fraction]) -> int:
         if c:
             deg = k
     return deg
-
-
-def theta_coordinates(x: GroupAlgebraElement) -> dict[int, Fraction]:
-    """Coordinates of x in the projector basis theta(delta, d), d | delta.
-
-    Solved largest divisor first from coefficients at points of exact
-    order; raises ValueError when x is not in the projector span.
-    """
-    delta = x.delta
-    coords: dict[int, Fraction] = {}
-    for d in sorted(divisors(delta), reverse=True):
-        # (delta/d, 0) has order exactly d.
-        val = x.coefficient(delta // d, 0)
-        for e in divisors(delta):
-            if e % d == 0 and e != d and coords.get(e):
-                val -= coords[e] * Fraction(1, e * e)
-        coords[d] = val * d * d
-    recon = GroupAlgebraElement.zero(delta)
-    for d, c in coords.items():
-        if c:
-            recon = recon + c * theta(delta, d)
-    if recon != x:
-        raise ValueError("element is not in the span of the projectors")
-    return coords
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,12 @@
 
 Series are exact and normalization-free: a series is just its list of
 coefficients for q^1 .. q^N, either plain integers (sigma_series) or
-group-algebra elements (GASeries).  Quasi-modularity of the invariant
-series is verified structurally: factorization_check rewrites the series
-as a sum over weight-stripped diagram templates of division-averaged
-products of the building-block series sum_a a^(k) bold_sigma(d, a) q^a,
-i.e. exhibits membership in the ring generated by the shifted Eisenstein
-blocks sum_a sigma_bar^d(a) q^a.
+group-algebra elements, in the projector basis (GASeries).
+Quasi-modularity of the invariant series is verified structurally:
+factorization_check rewrites the series as a sum over weight-stripped
+diagram templates of division-averaged products of the building-block
+series sum_a a^(k) bold_sigma(d, a) q^a, i.e. exhibits membership in the
+ring generated by the shifted Eisenstein blocks sum_a sigma_bar^d(a) q^a.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .diagrams import (
     invariant,
 )
 from .refined import bold_sigma, local_invariant
-from .torsion import GroupAlgebraElement
+from .torsion import GroupAlgebraElement, ProjectorElement
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class GASeries:
     """Truncated q-series with group-algebra coefficients for q^1..q^N."""
 
     delta: int
-    coeffs: tuple[GroupAlgebraElement, ...]
+    coeffs: tuple[ProjectorElement | GroupAlgebraElement, ...]
 
     def __post_init__(self) -> None:
         for c in self.coeffs:
@@ -44,10 +44,10 @@ class GASeries:
 
     @classmethod
     def zero(cls, delta: int, truncation: int) -> "GASeries":
-        z = GroupAlgebraElement.zero(delta)
+        z = ProjectorElement.zero(delta)
         return cls(delta, (z,) * truncation)
 
-    def coefficient(self, a: int) -> GroupAlgebraElement:
+    def coefficient(self, a: int) -> ProjectorElement | GroupAlgebraElement:
         """Coefficient of q^a, 1-indexed."""
         return self.coeffs[a - 1]
 
@@ -64,8 +64,8 @@ class GASeries:
         if self.delta != other.delta or self.truncation != other.truncation:
             raise ValueError("series shape mismatch")
         n = self.truncation
-        z = GroupAlgebraElement.zero(self.delta)
-        out = [z] * n
+        # Zeros of the coefficients' own type, projector or dense.
+        out = [c * 0 for c in self.coeffs]
         for i in range(1, n + 1):
             x = self.coeffs[i - 1]
             if not x:
@@ -209,8 +209,11 @@ def factorization_check(
     Groups diagrams by weight-carrying template, rebuilds each template's
     series as the division-averaged Cauchy product of its per-floor blocks
     scaled by the weight monomial, sums over templates, and requires exact
-    equality with the coefficient-by-coefficient diagram sum.
+    equality with the coefficient-by-coefficient diagram sum.  A
+    truncation below 1 would pass vacuously and is rejected.
     """
+    if truncation < 1:
+        raise ValueError(f"truncation must be >= 1, got {truncation}")
     if delta < 1 or profile.gcd_abs % delta:
         raise ValueError(
             f"delta={delta} must divide the profile gcd {profile.gcd_abs}"

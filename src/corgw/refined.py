@@ -3,8 +3,9 @@
 bold_sigma(delta, a) refines the divisor sum sigma(a) into an element of
 Q[(Z/delta)^2]: its coefficient at a torsion point records how many of the
 sigma(a) weighted covers of the curve land on that correlator.  Two
-independent closed forms exist for it; both are computed on every call and
-compared, so the pair acts as a built-in regression check.
+independent closed forms exist for it, both in the projector basis; both
+are computed on every call and their coordinates compared, so the pair
+acts as a built-in regression check.
 
 local_invariant packages the closed form of the genus-one, one-interior-
 point correlated count: a^(n-1) w1^2 bold_sigma(delta, a), optionally
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import divisors, factorize, sigma_bar, upsilon
-from .torsion import GroupAlgebraElement, TorsionPoint, theta
+from .torsion import GroupAlgebraElement, ProjectorElement, TorsionPoint
 
 
 class ConsistencyError(RuntimeError):
@@ -25,28 +26,28 @@ class ConsistencyError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def theta_delta_d(delta: int, d: int) -> GroupAlgebraElement:
+def theta_delta_d(delta: int, d: int) -> ProjectorElement:
     """Prime-by-prime difference of projectors attached to a divisor d of delta.
 
-    Convolution over primes p | delta of theta_{p^v(d)} minus, when the
+    Product over primes p | delta of theta_{p^v(d)} minus, when the
     valuation of d is below that of delta, theta_{p^(v(d)+1)}.  For d = delta
     this is just theta(delta, delta).
     """
     if delta % d:
         raise ValueError(f"theta_delta_d expects d | delta, got {d}, {delta}")
-    out = GroupAlgebraElement.unit(delta)
+    out = ProjectorElement.unit(delta)
     fd = factorize(d)
     for p, vdelta in factorize(delta).factors:
         vd = fd.valuation(p)
-        factor = theta(delta, p**vd)
+        factor = ProjectorElement.theta(delta, p**vd)
         if vd < vdelta:
-            factor = factor - theta(delta, p ** (vd + 1))
+            factor = factor - ProjectorElement.theta(delta, p ** (vd + 1))
         out = out * factor
     return out
 
 
 @lru_cache(maxsize=None)
-def bold_sigma(delta: int, a: int) -> GroupAlgebraElement:
+def bold_sigma(delta: int, a: int) -> ProjectorElement:
     """Correlated refinement of sigma(a) at torsion level delta.
 
     Computed two ways -- as sum over d | delta of sigma_bar^(delta/d)(a)
@@ -57,13 +58,15 @@ def bold_sigma(delta: int, a: int) -> GroupAlgebraElement:
     """
     if delta < 1 or a < 1:
         raise ValueError("bold_sigma expects positive arguments")
-    via_projectors = GroupAlgebraElement.zero(delta)
-    via_upsilon = GroupAlgebraElement.zero(delta)
+    via_projectors = ProjectorElement.zero(delta)
+    via_upsilon = ProjectorElement.zero(delta)
     for d in divisors(delta):
         via_projectors = via_projectors + sigma_bar(delta // d, a) * theta_delta_d(
             delta, d
         )
-        via_upsilon = via_upsilon + upsilon(delta, d, a) * theta(delta, delta // d)
+        via_upsilon = via_upsilon + upsilon(delta, d, a) * ProjectorElement.theta(
+            delta, delta // d
+        )
     if via_projectors != via_upsilon:
         raise ConsistencyError(
             f"bold_sigma routes disagree for delta={delta}, a={a}"
@@ -77,13 +80,16 @@ def local_invariant(
     n: int,
     delta: int,
     shift: TorsionPoint | None = None,
-) -> GroupAlgebraElement:
+) -> ProjectorElement | GroupAlgebraElement:
     """Full correlated count for a genus-one cover with one interior point.
 
     Equals a^(n-1) w1^2 bold_sigma(delta, a), translated by the optional
-    special-correlator shift.  Total mass is a^(n-1) sigma(a) w1^2, the
+    special-correlator shift (which leaves the projector span, so a
+    shifted count is dense).  Total mass is a^(n-1) sigma(a) w1^2, the
     unrefined count.
     """
+    if delta < 1:
+        raise ValueError(f"local_invariant expects delta >= 1, got {delta}")
     if a < 1 or w1 < 1:
         raise ValueError("local_invariant expects a >= 1 and w1 >= 1")
     if n < 2:

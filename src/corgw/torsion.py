@@ -8,6 +8,14 @@ averaging projectors theta(delta, d), the pushforward along
 multiplication by k, and its section dividing by k (averaging over k-th
 roots), which together drive every refined invariant downstream.
 
+Every quantity the refined invariants are built from lies in the span of
+the projectors, so it is carried as a :class:`ProjectorElement`: its
+coordinates in that basis, with closed-form operations in place of the
+dense convolution.  The dense :class:`GroupAlgebraElement` stays the
+reference implementation; both types share one read-only dense surface
+(coefficients, support, JSON, equality), so output does not depend on the
+representation.
+
 All values are immutable; operations return fresh elements.
 """
 
@@ -17,8 +25,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping
+
+from .arith import divisors
 
 
 @dataclass(frozen=True)
@@ -45,7 +55,53 @@ def order(p: TorsionPoint) -> int:
     return p.order
 
 
-class GroupAlgebraElement:
+def _check_level(x, y) -> None:
+    if x.delta != y.delta:
+        raise ValueError(f"ambient level mismatch: {x.delta} vs {y.delta}")
+
+
+class _DenseSurface:
+    """Read-only dense view shared by both element types.
+
+    Subclasses provide ``delta`` and ``_terms``, the map (u, v) -> nonzero
+    Fraction with reduced keys.  Equal dense maps mean equal elements,
+    whatever the representation.
+    """
+
+    __slots__ = ()
+
+    def coefficient(self, u: int, v: int) -> Fraction:
+        return self._terms.get((u % self.delta, v % self.delta), Fraction(0))
+
+    @property
+    def support(self) -> list[tuple[int, int]]:
+        return sorted(self._terms)
+
+    def items(self) -> Iterable[tuple[tuple[int, int], Fraction]]:
+        return self._terms.items()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _DenseSurface):
+            return NotImplemented
+        return self.delta == other.delta and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self.delta, frozenset(self._terms.items())))
+
+    def to_json_dict(self) -> dict:
+        return {
+            "delta": self.delta,
+            "terms": [
+                {"u": u, "v": v, "num": c.numerator, "den": c.denominator}
+                for (u, v), c in sorted(self._terms.items())
+            ],
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+
+
+class GroupAlgebraElement(_DenseSurface):
     """Finitely supported Q-valued function on (Z/delta)^2.
 
     Zero coefficients are never stored.  Instances are immutable; all
@@ -94,30 +150,12 @@ class GroupAlgebraElement:
 
     # -- inspection ---------------------------------------------------
 
-    def coefficient(self, u: int, v: int) -> Fraction:
-        return self._terms.get((u % self.delta, v % self.delta), Fraction(0))
-
-    @property
-    def support(self) -> list[tuple[int, int]]:
-        return sorted(self._terms)
-
-    def items(self) -> Iterable[tuple[tuple[int, int], Fraction]]:
-        return self._terms.items()
-
     @property
     def total_mass(self) -> Fraction:
         return sum(self._terms.values(), Fraction(0))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self.delta == other.delta and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.delta, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -127,16 +165,10 @@ class GroupAlgebraElement:
 
     # -- linear structure ----------------------------------------------
 
-    def _check_level(self, other: "GroupAlgebraElement") -> None:
-        if self.delta != other.delta:
-            raise ValueError(
-                f"ambient level mismatch: {self.delta} vs {other.delta}"
-            )
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        self._check_level(other)
+    def __add__(self, other: _DenseSurface) -> "GroupAlgebraElement":
+        _check_level(self, other)
         terms = dict(self._terms)
-        for k, c in other._terms.items():
+        for k, c in other.items():
             terms[k] = terms.get(k, Fraction(0)) + c
         return GroupAlgebraElement(self.delta, terms)
 
@@ -231,18 +263,6 @@ class GroupAlgebraElement:
 
     # -- serialization ---------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "terms": [
-                {"u": u, "v": v, "num": c.numerator, "den": c.denominator}
-                for (u, v), c in sorted(self._terms.items())
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "GroupAlgebraElement":
         return cls(
@@ -260,8 +280,7 @@ class GroupAlgebraElement:
 
 def convolve(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
     """Group-algebra product: (x*y)(t) = sum over t1 + t2 = t of x(t1) y(t2)."""
-    if x.delta != y.delta:
-        raise ValueError(f"ambient level mismatch: {x.delta} vs {y.delta}")
+    _check_level(x, y)
     d = x.delta
     terms: dict[tuple[int, int], Fraction] = {}
     for (u1, v1), c1 in x.items():
@@ -312,3 +331,224 @@ def unrefine(x: GroupAlgebraElement, new_delta: int) -> GroupAlgebraElement:
             f"unrefine expects new_delta | delta, got {new_delta}, {x.delta}"
         )
     return x.m_push(x.delta // new_delta).rebase(new_delta)
+
+
+class ProjectorElement(_DenseSurface):
+    """Element of the span of the projectors theta(delta, d), d | delta.
+
+    Stored as its coordinates d -> c_d in that basis; the projectors are
+    linearly independent, so the coordinates determine the element and
+    zero coordinates are never stored.  Every operation that stays in the
+    span is a closed form on O(tau(delta)^2) coordinates or fewer:
+    theta_d * theta_e = theta_lcm(d, e), m_push(k) sends theta_d to
+    theta_{d/gcd(d,k)}, rebase keeps theta_d, and divide(k) sends theta_d to
+    theta_{dk}.  translate leaves the span and returns a dense element.
+
+    The dense map, read by coefficient, support, items, ==, hash and JSON,
+    is built once on first use.
+    """
+
+    __slots__ = ("delta", "_coords", "_dense")
+
+    def __init__(
+        self, delta: int, coords: Mapping[int, Fraction | int] | None = None
+    ) -> None:
+        if delta < 1:
+            raise ValueError(f"delta must be >= 1, got {delta}")
+        clean: dict[int, Fraction] = {}
+        for d, c in (coords or {}).items():
+            if d < 1 or delta % d:
+                raise ValueError(
+                    f"projector index {d} does not divide delta={delta}"
+                )
+            c = Fraction(c)
+            if c:
+                clean[d] = c
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "_coords", clean)
+        object.__setattr__(self, "_dense", None)
+
+    def __setattr__(self, name, value):  # pragma: no cover - defensive
+        raise AttributeError("ProjectorElement is immutable")
+
+    @classmethod
+    def _from_sums(cls, delta: int, coords: dict[int, Fraction]):
+        """Trusted constructor for coordinates an operation just computed."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "delta", delta)
+        object.__setattr__(out, "_coords", {d: c for d, c in coords.items() if c})
+        object.__setattr__(out, "_dense", None)
+        return out
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def zero(cls, delta: int) -> "ProjectorElement":
+        return cls(delta)
+
+    @classmethod
+    def unit(cls, delta: int) -> "ProjectorElement":
+        return cls(delta, {1: 1})
+
+    @classmethod
+    def theta(cls, delta: int, d: int) -> "ProjectorElement":
+        """The projector theta(delta, d) itself; requires d | delta."""
+        return cls(delta, {d: 1})
+
+    # -- inspection ---------------------------------------------------
+
+    @property
+    def _terms(self) -> dict[tuple[int, int], Fraction]:
+        terms = self._dense
+        if terms is None:
+            terms = {}
+            if self._coords:
+                delta = self.delta
+                # Every support point is big-torsion, big the lcm of the
+                # indices; a point of order r carries the sum of c_d / d^2
+                # over the indices d with r | d.
+                big = lcm(*self._coords)
+                by_order = {
+                    r: sum(
+                        (c / (d * d) for d, c in self._coords.items() if d % r == 0),
+                        Fraction(0),
+                    )
+                    for r in divisors(big)
+                }
+                step = delta // big
+                for i in range(big):
+                    for j in range(big):
+                        u, v = i * step, j * step
+                        c = by_order[delta // gcd(u, v, delta)]
+                        if c:
+                            terms[(u, v)] = c
+            # Threads racing here build equal maps; either one may stay.
+            object.__setattr__(self, "_dense", terms)
+        return terms
+
+    @property
+    def total_mass(self) -> Fraction:
+        # Every projector has mass 1.
+        return sum(self._coords.values(), Fraction(0))
+
+    def __bool__(self) -> bool:
+        return bool(self._coords)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ProjectorElement):
+            return self.delta == other.delta and self._coords == other._coords
+        return super().__eq__(other)
+
+    __hash__ = _DenseSurface.__hash__
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{d}: {c}" for d, c in sorted(self._coords.items()))
+        return f"Theta[{self.delta}]{{{body}}}"
+
+    def to_dense(self) -> GroupAlgebraElement:
+        return GroupAlgebraElement(self.delta, self._terms)
+
+    # -- algebra ---------------------------------------------------------
+
+    def __add__(self, other: "ProjectorElement") -> "ProjectorElement":
+        if not isinstance(other, ProjectorElement):
+            return NotImplemented
+        _check_level(self, other)
+        coords = dict(self._coords)
+        for d, c in other._coords.items():
+            coords[d] = coords[d] + c if d in coords else c
+        return ProjectorElement._from_sums(self.delta, coords)
+
+    def __sub__(self, other: "ProjectorElement") -> "ProjectorElement":
+        return self + other * -1
+
+    def __mul__(self, other):
+        if isinstance(other, ProjectorElement):
+            _check_level(self, other)
+            coords: dict[int, Fraction] = {}
+            for d, c in self._coords.items():
+                for e, b in other._coords.items():
+                    m = lcm(d, e)
+                    coords[m] = coords[m] + c * b if m in coords else c * b
+            return ProjectorElement._from_sums(self.delta, coords)
+        if isinstance(other, (int, Fraction)):
+            return ProjectorElement._from_sums(
+                self.delta, {d: c * other for d, c in self._coords.items()}
+            )
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    # -- group-algebra operators ----------------------------------------
+
+    def translate(self, u0: int, v0: int) -> GroupAlgebraElement:
+        """Shift every support point; the result is dense."""
+        return self.to_dense().translate(u0, v0)
+
+    def m_push(self, k: int) -> "ProjectorElement":
+        """Pushforward along multiplication by k: theta_d -> theta_{d/gcd(d,k)}."""
+        if k < 1:
+            raise ValueError(f"m_push expects k >= 1, got {k}")
+        coords: dict[int, Fraction] = {}
+        for d, c in self._coords.items():
+            m = d // gcd(d, k)
+            coords[m] = coords[m] + c if m in coords else c
+        return ProjectorElement._from_sums(self.delta, coords)
+
+    def divide(self, k: int) -> "ProjectorElement":
+        """Average over k-th roots: theta_d -> theta_{dk}, which needs dk | delta."""
+        if k < 1:
+            raise ValueError(f"divide expects k >= 1, got {k}")
+        delta = self.delta
+        if delta % k:
+            raise ValueError(f"divide expects k | delta, got k={k}, delta={delta}")
+        for d in self._coords:
+            if delta % (d * k):
+                raise ValueError(
+                    f"the {k}-th roots of theta_{d} are not visible at level {delta}"
+                )
+        return ProjectorElement._from_sums(
+            delta, {d * k: c for d, c in self._coords.items()}
+        )
+
+    def rebase(self, new_delta: int) -> "ProjectorElement":
+        """Same element at another level: theta_d keeps its index.
+
+        Restricting to a divisor new_delta needs every index to divide it,
+        i.e. every support point to be new_delta-torsion.
+        """
+        d = self.delta
+        if new_delta < 1:
+            raise ValueError(f"rebase expects a positive level, got {new_delta}")
+        if new_delta == d:
+            return self
+        if d % new_delta and new_delta % d:
+            raise ValueError(f"incompatible levels: {d} and {new_delta}")
+        for e in self._coords:
+            if new_delta % e:
+                raise ValueError(f"theta_{e} is not {new_delta}-torsion")
+        return ProjectorElement._from_sums(new_delta, self._coords)
+
+
+def theta_coordinates(x: _DenseSurface) -> dict[int, Fraction]:
+    """Coordinates of x in the projector basis theta(delta, d), d | delta.
+
+    The one conversion from a dense element into the basis: solved
+    largest divisor first from coefficients at points of exact order;
+    raises ValueError when x is not in the projector span.
+    """
+    delta = x.delta
+    divs = divisors(delta)
+    if isinstance(x, ProjectorElement):
+        return {d: x._coords.get(d, Fraction(0)) for d in divs}
+    coords: dict[int, Fraction] = {}
+    for d in reversed(divs):
+        # (delta/d, 0) has order exactly d.
+        val = x.coefficient(delta // d, 0)
+        for e, c in coords.items():
+            if e % d == 0:
+                val -= c / (e * e)
+        coords[d] = val * d * d
+    if ProjectorElement(delta, coords) != x:
+        raise ValueError("element is not in the span of the projectors")
+    return coords

@@ -35,11 +35,10 @@ from corgw.polyfit import (
     invariant_by_template,
     poly_degree,
     polynomial_fit,
-    theta_coordinates,
 )
 from corgw.qseries import factorization_check
 from corgw.refined import bold_sigma, local_invariant
-from corgw.torsion import GroupAlgebraElement, theta, unrefine
+from corgw.torsion import GroupAlgebraElement, theta, theta_coordinates, unrefine
 
 
 def test_criterion_01_oracle_equivalence():

@@ -48,6 +48,12 @@ def test_local_precondition_exit_2():
     assert "error" in proc.stderr
 
 
+def test_local_delta_zero_exit_2(capsys):
+    assert main(["local", "--a", "3", "--w1", "2", "--n", "2",
+                 "--delta", "0"]) == 2
+    assert "delta" in capsys.readouterr().err
+
+
 def test_local_shift():
     proc = run_cli(
         ["local", "--a", "2", "--w1", "2", "--n", "2", "--delta", "2",
@@ -69,6 +75,14 @@ def test_oracle_verify_bad_flags():
     assert proc.returncode == 2
 
 
+def test_oracle_verify_empty_grid_exit_2(capsys):
+    for flags in (["--a-max", "-3", "--delta-max", "2"],
+                  ["--a-max", "2", "--delta-max", "0"]):
+        assert main(["oracle-verify", *flags]) == 2
+        err = capsys.readouterr()
+        assert "agree" not in err.out and "must be >= 1" in err.err
+
+
 def test_diagrams_count():
     proc = run_cli(["diagrams", "--g", "1", "--a", "1", "--profile", "3,-3",
                     "--count"])
@@ -85,6 +99,12 @@ def test_diagrams_sum_refined():
     # 2 w^3 theta(3,3) at w=3: nine points with coefficient 54/9 = 6
     assert payload["mass"] == "54/1"
     assert all(t["num"] == 6 and t["den"] == 1 for t in payload["terms"])
+
+
+def test_diagrams_sum_delta_zero_exit_2(capsys):
+    assert main(["diagrams", "--g", "1", "--a", "2", "--profile", "2,-2",
+                 "--sum", "--delta", "0"]) == 2
+    assert "delta" in capsys.readouterr().err
 
 
 def test_diagrams_list_and_empty():
@@ -127,6 +147,13 @@ def test_series_truncation_zero():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "a"
+
+
+def test_series_check_truncation_zero_exit_2(capsys):
+    assert main(["series", "--g", "1", "--profile", "2,-2", "--delta", "1",
+                 "--n-trunc", "0", "--check-factorization"]) == 2
+    err = capsys.readouterr().err
+    assert "truncation" in err and "exact match" not in err
 
 
 def test_series_threads_deterministic():
@@ -224,6 +251,23 @@ def test_polyfit_underdetermined_exit_3(tmp_path):
          "--samples", samples]
     )
     assert proc.returncode == 3
+
+
+def test_polyfit_holdout_below_one_exit_2(tmp_path, capsys):
+    chain = {
+        "levels": [{"kind": "floor", "a": 1}, {"kind": "flat"}],
+        "edges": [
+            {"lo": "B", "hi": 0},
+            {"lo": 0, "hi": 1},
+            {"lo": 1, "hi": "T"},
+        ],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain))
+    for k in ("0", "-1"):
+        assert main(["polyfit", "--template", str(path), "--delta", "1",
+                     "--samples", "1,2,3,4,5,6", "--holdout", k]) == 2
+        assert "--holdout" in capsys.readouterr().err
 
 
 def test_polyfit_malformed_template_exit_2(tmp_path):

@@ -25,11 +25,17 @@ from corgw.polyfit import (
     poly_degree,
     poly_eval,
     polynomial_fit,
-    theta_coordinates,
     weightings,
 )
 from corgw.refined import bold_sigma
-from corgw.torsion import GroupAlgebraElement, convolve, divide, rebase, theta
+from corgw.torsion import (
+    GroupAlgebraElement,
+    convolve,
+    divide,
+    rebase,
+    theta,
+    theta_coordinates,
+)
 
 
 def second_kind_template(a1=2, a2=2):

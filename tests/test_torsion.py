@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from corgw.torsion import (
     GroupAlgebraElement,
+    ProjectorElement,
     TorsionPoint,
     convolve,
     divide,
     m_push,
     rebase,
     theta,
+    theta_coordinates,
     unrefine,
 )
 
@@ -210,3 +212,112 @@ def test_mass_homomorphisms(data):
     assert convolve(x, y).total_mass == x.total_mass * y.total_mass
     k = data.draw(st.sampled_from([m for m in range(1, d + 1) if d % m == 0]))
     assert m_push(k, x).total_mass == x.total_mass
+
+
+# -- projector basis against the dense reference ---------------------------
+
+product_levels = st.sampled_from([1, 2, 3, 4, 6, 8, 12])
+projector_levels = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 18, 24])
+
+
+def level_divisors(delta):
+    return [d for d in range(1, delta + 1) if delta % d == 0]
+
+
+@st.composite
+def projector_elements(draw, levels=projector_levels, delta=None, torsion=None):
+    """Random element; with torsion set, supported on torsion-torsion points."""
+    d = delta if delta is not None else draw(levels)
+    divs = level_divisors(torsion or d)
+    idx = draw(st.lists(st.sampled_from(divs), max_size=4, unique=True))
+    return ProjectorElement(
+        d,
+        {
+            e: Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 5)))
+            for e in idx
+        },
+    )
+
+
+def assert_same(projector_op, dense_op):
+    """Both ops raise ValueError, or both agree, compared both ways."""
+    try:
+        want = dense_op()
+    except ValueError:
+        with pytest.raises(ValueError):
+            projector_op()
+        return
+    got = projector_op()
+    assert got == want and want == got
+    assert got.to_json() == want.to_json()
+
+
+def test_projector_basics():
+    assert ProjectorElement.theta(6, 2) == theta(6, 2)
+    assert ProjectorElement.unit(5) == GroupAlgebraElement.unit(5)
+    assert ProjectorElement.zero(4) == GroupAlgebraElement.zero(4)
+    assert not ProjectorElement(4, {2: 0})
+    with pytest.raises(ValueError):
+        ProjectorElement(6, {4: 1})
+    with pytest.raises(ValueError):
+        ProjectorElement(0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_projector_products_match_dense(data):
+    d = data.draw(product_levels)
+    x = data.draw(projector_elements(delta=d))
+    y = data.draw(projector_elements(delta=d))
+    k = data.draw(st.sampled_from([0, -2, 3, Fraction(2, 7)]))
+    assert_same(lambda: x * y, lambda: convolve(x.to_dense(), y.to_dense()))
+    assert_same(lambda: x + y, lambda: x.to_dense() + y.to_dense())
+    assert_same(lambda: x - y, lambda: x.to_dense() - y.to_dense())
+    assert_same(lambda: k * x, lambda: k * x.to_dense())
+    assert GroupAlgebraElement.zero(d) + x == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_projector_level_operators_match_dense(data):
+    x = data.draw(projector_elements())
+    dense = x.to_dense()
+    d = x.delta
+    divs = level_divisors(d)
+    k = data.draw(st.integers(1, 30))
+    assert_same(lambda: x.m_push(k), lambda: dense.m_push(k))
+    k = data.draw(st.sampled_from(divs + [5, 7]))
+    assert_same(lambda: x.divide(k), lambda: dense.divide(k))
+    k = data.draw(st.sampled_from(divs))
+    y = data.draw(projector_elements(delta=d, torsion=d // k))
+    assert y.divide(k) == y.to_dense().divide(k)
+    new = data.draw(st.sampled_from(divs + [2 * d, 3 * d, 5, 16]))
+    assert_same(lambda: x.rebase(new), lambda: dense.rebase(new))
+    new = data.draw(st.sampled_from(divs))
+    assert_same(lambda: unrefine(x, new), lambda: unrefine(dense, new))
+    u0, v0 = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    assert x.translate(u0, v0) == dense.translate(u0, v0)
+    assert x.total_mass == dense.total_mass
+    assert x.support == dense.support
+    assert bool(x) == bool(dense)
+    assert x.coefficient(u0, v0 - d) == dense.coefficient(u0, v0)
+    assert x.to_json() == dense.to_json()
+    assert len(x.items()) == len(dense.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_projector_dense_conversion(data):
+    x = data.draw(projector_elements())
+    y = data.draw(projector_elements(delta=x.delta))
+    dense = x.to_dense()
+    coords = theta_coordinates(dense)
+    assert coords == theta_coordinates(x)
+    assert ProjectorElement(x.delta, coords) == x
+    assert (x == y.to_dense()) == (x == y) == (y.to_dense() == x)
+    assert (x != y.to_dense()) == (x != y)
+    assert hash(x) == hash(dense)
+    if x.delta > 1:
+        off = dense + GroupAlgebraElement(x.delta, {(1, 0): 1})
+        with pytest.raises(ValueError):
+            theta_coordinates(off)
