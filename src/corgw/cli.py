@@ -136,14 +136,16 @@ def cmd_oracle_verify(args) -> int:
 
 def cmd_diagrams(args) -> int:
     profile = _parse_profile(args.profile)
-    found = fd.enumerate_diagrams(args.g, args.a, profile)
-    if args.count:
-        print(len(found))
-        return EXIT_OK
     if args.sum:
         delta = 1 if args.delta is None else args.delta
         total = fd.invariant(args.g, args.a, profile, delta)
         _emit_element(total, args)
+        return EXIT_OK
+    if args.delta is not None:
+        raise ValueError("--delta applies only with --sum")
+    found = fd.enumerate_diagrams(args.g, args.a, profile)
+    if args.count:
+        print(len(found))
         return EXIT_OK
     for diagram in found:
         print(diagram.to_json())

@@ -213,12 +213,6 @@ class FloorDiagram:
 
     # -- serialization ----------------------------------------------------
 
-    def sorted_edges(self) -> tuple[Edge, ...]:
-        n = len(self.levels)
-        return tuple(
-            sorted(self.edges, key=lambda e: (_pos(e.lo, n), _pos(e.hi, n), e.w))
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "levels": [
@@ -227,7 +221,7 @@ class FloorDiagram:
                 for lv in self.levels
             ],
             "edges": [
-                {"lo": e.lo, "hi": e.hi, "w": e.w} for e in self.sorted_edges()
+                {"lo": e.lo, "hi": e.hi, "w": e.w} for e in self.edges
             ],
         }
 
@@ -307,29 +301,55 @@ def _structural_check(diagram: FloorDiagram) -> None:
             raise ValueError(f"edge {e} must go strictly upward")
 
 
-def _simple_paths(adj, x, y) -> Iterator[frozenset]:
-    """Internal-vertex sets of all simple paths from x to y."""
-    stack = [(x, {x})]
-    path = []
+def _blocks(adj: dict) -> list[set]:
+    """Vertex sets of the biconnected blocks of a simple graph.
 
-    def dfs(v, visited):
-        if v == y:
-            yield frozenset(path)
-            return
-        for w in adj.get(v, ()):  # deterministic: adj built in sorted order
-            if w not in visited:
-                if w != y:
-                    path.append(w)
-                yield from dfs(w, visited | {w})
-                if w != y:
-                    path.pop()
-
-    yield from dfs(x, {x})
+    Iterative depth-first search with low points (Hopcroft-Tarjan), linear
+    in the size of the graph.  A bridge is a block of two vertices.
+    """
+    depth: dict = {}
+    low: dict = {}
+    blocks = []
+    for root in adj:
+        if root in depth:
+            continue
+        depth[root] = low[root] = 0
+        visited = [root]
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            v, parent, it = stack[-1]
+            for w in it:
+                if w not in depth:
+                    depth[w] = low[w] = depth[v] + 1
+                    visited.append(w)
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent:
+                    low[v] = min(low[v], depth[w])
+            else:
+                stack.pop()
+                if parent is None:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= depth[parent]:
+                    block = {parent}
+                    while True:
+                        u = visited.pop()
+                        block.add(u)
+                        if u == v:
+                            break
+                    blocks.append(block)
+    return blocks
 
 
 def _has_two_flat_cycle(diagram: FloorDiagram) -> bool:
-    """True when some simple cycle passes through two distinct flat vertices."""
-    flats = [("L", i) for i in diagram.flat_indices]
+    """True when some simple cycle passes through two distinct flat vertices.
+
+    Parallel edges are collapsed and every infinite end is its own univalent
+    vertex.  Two vertices lie on a common simple cycle exactly when they
+    share a block with at least three vertices (Whitney/Menger).
+    """
+    flats = {("L", i) for i in diagram.flat_indices}
     if len(flats) < 2:
         return False
     _, pairs = diagram._vertices_and_edges()
@@ -337,15 +357,9 @@ def _has_two_flat_cycle(diagram: FloorDiagram) -> bool:
     for a, b in pairs:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    adj = {v: sorted(ws) for v, ws in adj.items()}
-    for i in range(len(flats)):
-        for j in range(i + 1, len(flats)):
-            internals = list(_simple_paths(adj, flats[i], flats[j]))
-            for p in range(len(internals)):
-                for q in range(p + 1, len(internals)):
-                    if not (internals[p] & internals[q]):
-                        return True
-    return False
+    return any(
+        len(block) >= 3 and len(block & flats) >= 2 for block in _blocks(adj)
+    )
 
 
 def validate(
@@ -399,32 +413,17 @@ def validate(
 
     # Forest condition: delete flats (edges to them become stubs); every
     # remaining component must be acyclic with exactly one infinite end.
+    # A graph is a forest iff #edges = #vertices - #components.
     flats = set(diagram.flat_indices)
     verts, pairs = diagram._vertices_and_edges()
-    keep_verts = [v for v in verts if not (v[0] == "L" and v[1] in flats)]
-    keep = set(keep_verts)
-    keep_pairs = [(a, b) for a, b in pairs if a in keep and b in keep]
-    parent = {v: v for v in keep_verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in keep_pairs:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False, "forest: cycle avoiding all flats"
-        parent[ra] = rb
-    ends_per_root: dict = {}
-    for v in keep_verts:
-        r = find(v)
-        ends_per_root.setdefault(r, 0)
-        if v[0] in ("B", "T"):
-            ends_per_root[r] += 1
-    for r, cnt in ends_per_root.items():
-        if cnt != 1:
+    keep = [v for v in verts if not (v[0] == "L" and v[1] in flats)]
+    kept = set(keep)
+    keep_pairs = [(a, b) for a, b in pairs if a in kept and b in kept]
+    comps = _components(keep, keep_pairs)
+    if len(keep_pairs) != len(keep) - len(comps):
+        return False, "forest: cycle avoiding all flats"
+    for members in comps.values():
+        if sum(v[0] != "L" for v in members) != 1:
             return False, "forest: component without a unique infinite end"
 
     # Every cycle must carry exactly one flat vertex.  Cycles with none are
@@ -522,10 +521,27 @@ def _structures(genus: int, weights: tuple[int, ...]) -> tuple[FloorDiagram, ...
     Level-by-level transfer search: at each of the n + g - 1 levels place a
     flat vertex or a floor, threading the multiset of open upward edges
     (whose total weight always equals b).  Flats are tried before floors
-    and flow partitions descend, so discovery order is deterministic.  The
-    search tracks connected components of the partial graph and prunes any
-    branch whose first Betti number exceeds genus minus the floor count;
-    completed candidates still pass through validate, and duplicates are
+    and flow partitions descend, so discovery order is deterministic.
+
+    Let the deficit be genus - floors - b1, with b1 the first Betti number
+    of the partial graph; a floor lowers it by at least one, a flat keeps
+    it.  A branch failing one of these tests is cut at the level where it
+    fails:
+
+    - Betti number: a floor may not drive the deficit below 0.
+    - No floors left: once the deficit is 0 only flats follow, and flats
+      keep the weight multiset, so the floor that brings it to 0 emits
+      exactly the sinks still missing from the open multiset.  That one
+      partition is tried instead of every partition of its flow.
+    - Last level: the top level must bring the deficit to 0.  A flat fits
+      there only at deficit 0; a floor must close it exactly and emit the
+      missing sinks.
+    - Forest: with the flats deleted, a floor may take at most one edge
+      from each floor component (a second edge, parallel or not, closes a
+      flat-free cycle), and the merged component may carry at most one
+      infinite end.
+
+    Completed candidates still pass through validate, and duplicates are
     removed by canonical key.
     """
     profile = TangencyProfile(weights)
@@ -574,18 +590,36 @@ def _structures(genus: int, weights: tuple[int, ...]) -> tuple[FloorDiagram, ...
     def weight_multiset(open_cnt):
         return tuple(sorted(w for (w, _o), c in open_cnt.items() for _ in range(c)))
 
-    def search(level, open_cnt, comp_of, next_comp, b1, levels_acc, edges_acc, floors):
+    def missing_sinks(open_cnt):
+        """The sinks not yet in the open multiset, as a one-item list of
+        partitions; empty when the open weights are not a sub-multiset."""
+        rest = list(sinks)
+        for w in weight_multiset(open_cnt):
+            if w not in rest:
+                return []
+            rest.remove(w)
+        return [tuple(sorted(rest, reverse=True))]
+
+    # comp_of: level -> component of the partial graph.  floor_root: floor
+    # level -> component of the partial graph with the flats deleted, and
+    # ends: such a component -> number of infinite ends it carries so far.
+    def search(level, open_cnt, comp_of, next_comp, b1, floor_root, ends,
+               levels_acc, edges_acc, floors):
         if level == n_levels:
             if b1 == genus - floors and weight_multiset(open_cnt) == sinks:
                 emit(levels_acc, edges_acc, open_cnt)
             return
-        # With no floors left to place, flats cannot change the weight
-        # multiset, which must therefore already match the sinks.
-        if floors == genus and weight_multiset(open_cnt) != sinks:
-            return
+        # Genus still owed by floors and cycles.  Once it is 0 only flats
+        # follow, and the open weights are already the sinks.
+        deficit = genus - floors - b1
+        last = level == n_levels - 1
         # Flat vertex: pass one open edge through.  Consuming a flat-emitted
         # edge would create a flat-flat edge, impossible at this level count.
-        classes = sorted(open_cnt, key=lambda wo: (wo[0], _origin_key(wo[1])))
+        # A flat keeps the deficit, so the last level takes one only at 0.
+        if last and deficit:
+            classes = []
+        else:
+            classes = sorted(open_cnt, key=lambda wo: (wo[0], _origin_key(wo[1])))
         for wo in classes:
             w, origin = wo
             if isinstance(origin, int) and isinstance(levels_acc[origin], Flat):
@@ -603,59 +637,82 @@ def _structures(genus: int, weights: tuple[int, ...]) -> tuple[FloorDiagram, ...
                 comp2,
                 next_comp + (origin == BOTTOM),
                 b1,
+                floor_root,
+                ends,
                 levels_acc + [Flat()],
                 edges_acc + [Edge(origin, level, w)],
                 floors,
             )
         # Floor: consume a sub-multiset of open edges, re-emit its flow.
-        if floors < genus:
-            class_list = sorted(
-                open_cnt.items(), key=lambda kv: (kv[0][0], _origin_key(kv[0][1]))
-            )
-            for consumed in sub_multisets(class_list):
-                flow = sum(w * c for (w, _o), c in consumed)
-                in_edges = []
-                merged = set()
-                cycles = 0
-                for (w, origin), c in consumed:
-                    in_edges.extend([Edge(origin, level, w)] * c)
-                    if origin == BOTTOM:
-                        continue  # each end edge is a fresh component
-                    root = comp_of[origin]
-                    if root in merged:
-                        cycles += c
-                    else:
-                        merged.add(root)
-                        cycles += c - 1
-                b1_new = b1 + cycles
-                if b1_new > genus - (floors + 1):
-                    continue
-                base = dict(open_cnt)
-                for (wo, c) in consumed:
-                    base[wo] -= c
-                    if not base[wo]:
-                        del base[wo]
-                comp2 = {
-                    v: (next_comp if c in merged else c) for v, c in comp_of.items()
-                }
-                comp2[level] = next_comp
-                for parts in _partitions_desc(flow):
-                    nxt = dict(base)
-                    for p in parts:
-                        nxt[(p, level)] = nxt.get((p, level), 0) + 1
-                    search(
-                        level + 1,
-                        nxt,
-                        comp2,
-                        next_comp + 1,
-                        b1_new,
-                        levels_acc + [Floor(1)],
-                        edges_acc + in_edges,
-                        floors + 1,
-                    )
-        return
+        if not deficit:
+            return
+        class_list = sorted(
+            open_cnt.items(), key=lambda kv: (kv[0][0], _origin_key(kv[0][1]))
+        )
+        for consumed in sub_multisets(class_list):
+            flow = 0
+            merged = set()
+            cycles = 0
+            joined = set()
+            n_ends = 0
+            forest = True
+            for (w, origin), c in consumed:
+                flow += w * c
+                if origin == BOTTOM:
+                    n_ends += c
+                    continue  # each end edge is a fresh component
+                root = comp_of[origin]
+                if root in merged:
+                    cycles += c
+                else:
+                    merged.add(root)
+                    cycles += c - 1
+                if origin in floor_root:
+                    fc = floor_root[origin]
+                    if c > 1 or fc in joined:
+                        forest = False
+                        break
+                    joined.add(fc)
+                    n_ends += ends[fc]
+            left = deficit - 1 - cycles
+            if not forest or n_ends > 1 or left < 0 or (last and left):
+                continue
+            in_edges = [Edge(o, level, w) for (w, o), c in consumed for _ in range(c)]
+            base = dict(open_cnt)
+            for (wo, c) in consumed:
+                base[wo] -= c
+                if not base[wo]:
+                    del base[wo]
+            comp2 = {
+                v: (next_comp if c in merged else c) for v, c in comp_of.items()
+            }
+            comp2[level] = next_comp
+            root2 = {v: (level if r in joined else r) for v, r in floor_root.items()}
+            root2[level] = level
+            ends2 = {r: e for r, e in ends.items() if r not in joined}
+            ends2[level] = n_ends
+            if left:
+                partitions = _partitions_desc(flow)
+            else:
+                partitions = missing_sinks(base)
+            for parts in partitions:
+                nxt = dict(base)
+                for p in parts:
+                    nxt[(p, level)] = nxt.get((p, level), 0) + 1
+                search(
+                    level + 1,
+                    nxt,
+                    comp2,
+                    next_comp + 1,
+                    b1 + cycles,
+                    root2,
+                    ends2,
+                    levels_acc + [Floor(1)],
+                    edges_acc + in_edges,
+                    floors + 1,
+                )
 
-    search(0, init_open, {}, 0, 0, [], [], 0)
+    search(0, init_open, {}, 0, 0, {}, {}, [], [], 0)
     return tuple(results)
 
 

@@ -107,6 +107,13 @@ def test_diagrams_sum_delta_zero_exit_2(capsys):
     assert "delta" in capsys.readouterr().err
 
 
+def test_diagrams_delta_without_sum_exit_2(capsys):
+    for mode in (["--count"], ["--list"], []):
+        assert main(["diagrams", "--g", "1", "--a", "1", "--profile", "2,-2",
+                     *mode, "--delta", "2"]) == 2
+        assert "--delta" in capsys.readouterr().err
+
+
 def test_diagrams_list_and_empty():
     proc = run_cli(["diagrams", "--g", "1", "--a", "1", "--profile", "2,-2"])
     assert proc.returncode == 0

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -303,9 +304,10 @@ def _pos(endpoint, n):
     return endpoint
 
 
-def brute_force_diagrams(genus, degree, profile):
-    """All decorated level graphs passing validate, by exhaustive search
-    over level patterns, floor labels and per-slot edge weight multisets."""
+def brute_force_candidates(genus, degree, profile):
+    """Every decorated level graph with the right level count, class and
+    cross-flow, by exhaustive search over level patterns, floor labels and
+    per-slot edge weight multisets."""
     L = len(profile.weights) + genus - 1
     b = profile.b
     slots = [
@@ -336,7 +338,6 @@ def brute_force_diagrams(genus, degree, profile):
             out.extend(multisets_of(total, total))
         return out
 
-    found = set()
     budgets = [b] * (L + 1)
     assignment = {}
 
@@ -370,26 +371,31 @@ def brute_force_diagrams(genus, degree, profile):
             edges = tuple(
                 Edge(lo, hi, w) for (lo, hi), ws in edge_map.items() for w in ws
             )
-            d = FloorDiagram(pattern, edges)
-            ok, _ = validate(d, genus, degree, profile)
-            if ok:
-                found.add(canonical_key(d))
-    return found
+            yield FloorDiagram(pattern, edges)
 
 
-@pytest.mark.parametrize(
-    "genus,degree,weights",
-    [
-        (1, 1, (2, -2)),
-        (1, 2, (3, -3)),
-        (2, 1, (2, -2)),
-        (2, 2, (2, -2)),
-        (2, 3, (1, -1)),
-        (1, 2, (1, 1, -2)),
-        (1, 1, (2, -1, -1)),
-        (2, 1, (2, 1, -3)),
-    ],
-)
+def brute_force_diagrams(genus, degree, profile):
+    """Canonical keys of the brute-force candidates passing validate."""
+    return {
+        canonical_key(d)
+        for d in brute_force_candidates(genus, degree, profile)
+        if validate(d, genus, degree, profile)[0]
+    }
+
+
+BRUTE_FORCE_CASES = [
+    (1, 1, (2, -2)),
+    (1, 2, (3, -3)),
+    (2, 1, (2, -2)),
+    (2, 2, (2, -2)),
+    (2, 3, (1, -1)),
+    (1, 2, (1, 1, -2)),
+    (1, 1, (2, -1, -1)),
+    (2, 1, (2, 1, -3)),
+]
+
+
+@pytest.mark.parametrize("genus,degree,weights", BRUTE_FORCE_CASES)
 def test_enumeration_matches_brute_force(genus, degree, weights):
     profile = TangencyProfile(weights)
     fast = {canonical_key(d) for d in enumerate_diagrams(genus, degree, profile)}
@@ -406,6 +412,135 @@ def test_enumeration_is_deterministic():
     _structures.cache_clear()
     second = [d.to_json() for d in enumerate_diagrams(2, 3, p)]
     assert first == second
+
+
+# SHA-256 of the newline-joined to_json of _structures as the search without
+# early pruning produced it: pruning may drop dead branches, never change or
+# reorder the output.
+STRUCTURE_DIGESTS = {
+    (3, (2, 2, -2, -2)):
+        "ca5e712541fd2e60262aa3a178851eace4ce9f106b141a69e2dbf484b809a568",
+    (4, (4, -2, -2)):
+        "6998679fb8e24a82163c45c17295b888df277e4a3b70a9e4c083fcbc545a527e",
+    (6, (2, -2)):
+        "229b4ba4d1d13ed4ad93f58b29388f99250a5323ca1d0c75bde61e29a0ef3d60",
+}
+
+
+@pytest.mark.parametrize("genus,weights", sorted(STRUCTURE_DIGESTS))
+def test_structures_order_pinned(genus, weights):
+    from corgw.diagrams import _structures
+
+    found = _structures(genus, tuple(sorted(weights)))
+    text = "\n".join(d.to_json() for d in found)
+    assert hashlib.sha256(text.encode()).hexdigest() == STRUCTURE_DIGESTS[
+        (genus, weights)
+    ]
+
+
+# -- two-flat cycle test against path enumeration ---------------------------
+
+
+def _simple_paths(adj, x, y):
+    """Internal-vertex sets of all simple paths from x to y."""
+    path = []
+
+    def dfs(v, visited):
+        if v == y:
+            yield frozenset(path)
+            return
+        for w in adj.get(v, ()):
+            if w not in visited:
+                if w != y:
+                    path.append(w)
+                yield from dfs(w, visited | {w})
+                if w != y:
+                    path.pop()
+
+    yield from dfs(x, {x})
+
+
+def two_flat_cycle_by_paths(diagram):
+    """Reference for _has_two_flat_cycle: two flats share a simple cycle iff
+    two paths between them have disjoint interiors.  Exponential time."""
+    flats = [("L", i) for i in diagram.flat_indices]
+    _, pairs = diagram._vertices_and_edges()
+    adj = {}
+    for a, b in pairs:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    adj = {v: sorted(ws) for v, ws in adj.items()}
+    for i in range(len(flats)):
+        for j in range(i + 1, len(flats)):
+            internals = list(_simple_paths(adj, flats[i], flats[j]))
+            for p in range(len(internals)):
+                for q in range(p + 1, len(internals)):
+                    if not (internals[p] & internals[q]):
+                        return True
+    return False
+
+
+def _structure_candidates(genus, weights, monkeypatch):
+    """Every diagram the structure search hands to validate."""
+    from corgw import diagrams
+    from corgw.diagrams import _structures
+
+    built = []
+
+    def recording(diagram, *args):
+        built.append(diagram)
+        return validate(diagram, *args)
+
+    monkeypatch.setattr(diagrams, "validate", recording)
+    _structures.__wrapped__(genus, tuple(sorted(weights)))
+    monkeypatch.undo()
+    return built
+
+
+@pytest.mark.parametrize(
+    "genus,degree,weights", BRUTE_FORCE_CASES + [(3, 2, (2, 2, -2, -2))]
+)
+def test_two_flat_cycle_matches_path_oracle(genus, degree, weights, monkeypatch):
+    from corgw.diagrams import _has_two_flat_cycle
+
+    profile = TangencyProfile(weights)
+    built = _structure_candidates(genus, weights, monkeypatch)
+    if (genus, degree, weights) in BRUTE_FORCE_CASES:
+        built += list(brute_force_candidates(genus, degree, profile))
+    assert built
+    for d in built:
+        assert _has_two_flat_cycle(d) == two_flat_cycle_by_paths(d), d.to_json()
+
+
+def test_two_flat_cycle_hand_built():
+    from corgw.diagrams import _has_two_flat_cycle
+
+    def diagram(levels, edges):
+        return FloorDiagram(
+            tuple(Floor(1) if c == "F" else Flat() for c in levels),
+            tuple(Edge(lo, hi, w) for lo, hi, w in edges),
+        )
+
+    cases = [
+        # parallel floor-floor edges between two flat-capped floors
+        (diagram("-FF-", [(BOTTOM, 0, 2), (0, 1, 2), (1, 2, 1), (1, 2, 1),
+                          (2, 3, 2), (3, TOP, 2)]), False),
+        # a flat whose two in-edges both come from one floor
+        (diagram("F-F-", [(BOTTOM, 0, 2), (0, 1, 1), (0, 1, 1), (1, 2, 2),
+                          (2, 3, 2), (3, TOP, 2)]), False),
+        # parallel flat-flat edges collapse to one edge: no cycle
+        (diagram("F--F", [(BOTTOM, 0, 2), (0, 1, 2), (1, 2, 1), (1, 2, 1),
+                          (2, 3, 2), (3, TOP, 2)]), False),
+        # two one-flat cycles meeting at a cut floor: different blocks
+        (diagram("F-F-F", [(BOTTOM, 0, 2), (0, 1, 1), (0, 2, 1), (1, 2, 1),
+                           (2, 3, 1), (2, 4, 1), (3, 4, 1), (4, TOP, 2)]),
+         False),
+        # the pinned cycle of test_validate_rejects_pinned_cycle
+        (diagram("F--F", [(BOTTOM, 0, 2), (0, 1, 1), (0, 2, 1), (1, 3, 1),
+                          (2, 3, 1), (3, TOP, 2)]), True),
+    ]
+    for d, want in cases:
+        assert _has_two_flat_cycle(d) == two_flat_cycle_by_paths(d) == want
 
 
 def test_cross_flow_on_enumerated():
