@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import diagrams as fd
 from . import lattice, polyfit, qseries, refined
@@ -31,27 +29,6 @@ EXIT_VERIFY = 3
 
 class VerificationFailure(Exception):
     """A requested self-check did not pass."""
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("CORGW_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"bad CORGW_THREADS value {env!r}") from exc
-    return os.cpu_count() or 1
-
-
-def _pmap(fn, items, threads: int):
-    """Order-preserving map; results are identical for every thread count."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _want_json(args) -> bool:
@@ -116,14 +93,12 @@ def cmd_oracle_verify(args) -> int:
         for w1 in (delta, 2 * delta)
         for n in (2, 3)
     ]
-
-    def check(cell):
-        a, delta, w1, n = cell
-        lhs = refined.local_invariant(a, w1, n, delta)
-        rhs = lattice.oracle_local_invariant(a, w1, n, delta)
-        return cell, lhs == rhs
-
-    bad = [cell for cell, ok in _pmap(check, grid, _threads(args)) if not ok]
+    bad = [
+        (a, delta, w1, n)
+        for a, delta, w1, n in grid
+        if refined.local_invariant(a, w1, n, delta)
+        != lattice.oracle_local_invariant(a, w1, n, delta)
+    ]
     if bad:
         for a, delta, w1, n in bad:
             print(
@@ -173,13 +148,11 @@ def cmd_series(args) -> int:
             f"exact match to q^{report.truncation}",
             file=sys.stderr,
         )
-    threads = _threads(args)
-    coeffs = _pmap(
-        lambda a: fd.invariant(args.g, a, profile, args.delta),
-        range(1, args.n_trunc + 1),
-        threads,
+    coeffs = tuple(
+        fd.invariant(args.g, a, profile, args.delta)
+        for a in range(1, args.n_trunc + 1)
     )
-    series = qseries.GASeries(args.delta, tuple(coeffs))
+    series = qseries.GASeries(args.delta, coeffs)
     qseries.write_series_csv(series, sys.stdout)
     return EXIT_OK
 
@@ -218,9 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact correlated curve counts in P1-bundles over an "
         "elliptic curve.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap (env CORGW_THREADS; results do not "
-                        "depend on this)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("local", help="refined local invariant")

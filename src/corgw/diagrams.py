@@ -197,20 +197,6 @@ class FloorDiagram:
             pairs.append((lo, hi))
         return verts, pairs
 
-    def first_betti(self) -> int:
-        verts, pairs = self._vertices_and_edges()
-        comp = _components(verts, pairs)
-        return len(pairs) - len(verts) + len(comp)
-
-    @property
-    def genus(self) -> int:
-        """Graph genus with floors counted once: b1 + number of floors."""
-        return self.first_betti() + len(self.floor_indices)
-
-    def is_connected(self) -> bool:
-        verts, pairs = self._vertices_and_edges()
-        return len(_components(verts, pairs)) <= 1
-
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -370,10 +356,10 @@ def validate(
 ) -> tuple[bool, str | None]:
     """Check every diagram invariant; report the first violated clause.
 
-    Malformed structure (dangling edge references, bad weights) raises;
-    everything else returns (False, clause-name).
+    Malformed structure (dangling edge references, bad weights) already
+    raised in the FloorDiagram constructor; everything else returns
+    (False, clause-name).
     """
-    _structural_check(diagram)
     n_levels = len(diagram.levels)
 
     if n_levels != len(profile.weights) + genus - 1:
@@ -402,10 +388,14 @@ def validate(
         if crossing != b:
             return False, f"cross-flow at gap {gap}"
 
-    if not diagram.is_connected():
+    verts, pairs = diagram._vertices_and_edges()
+    n_comps = len(_components(verts, pairs))
+    if n_comps > 1:
         return False, "connectivity"
 
-    if diagram.genus != genus:
+    # Graph genus with floors counted once: first Betti number + #floors.
+    b1 = len(pairs) - len(verts) + n_comps
+    if b1 + len(diagram.floor_indices) != genus:
         return False, "genus"
 
     if diagram.degree != degree:
@@ -415,7 +405,6 @@ def validate(
     # remaining component must be acyclic with exactly one infinite end.
     # A graph is a forest iff #edges = #vertices - #components.
     flats = set(diagram.flat_indices)
-    verts, pairs = diagram._vertices_and_edges()
     keep = [v for v in verts if not (v[0] == "L" and v[1] in flats)]
     kept = set(keep)
     keep_pairs = [(a, b) for a, b in pairs if a in kept and b in kept]

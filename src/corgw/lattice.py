@@ -5,7 +5,8 @@ Z^2, enumerated here in Hermite normal form.  For each cover the image of
 the delta-torsion of the source curve is computed by direct enumeration
 (no Smith-form shortcut), so oracle_local_invariant recomputes the local
 correlated count by a route fully independent of the closed form in
-:mod:`corgw.refined`.
+:mod:`corgw.refined`.  The oracle sums the covers' integer weights per
+image point and rescales the counts by one exact Fraction at the end.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import sigma
 from .torsion import GroupAlgebraElement
 
 
@@ -58,8 +58,8 @@ def lattice_type(lat: Sublattice) -> tuple[int, int]:
     return k, lat.index // k
 
 
-def torsion_image(lat: Sublattice, delta: int) -> GroupAlgebraElement:
-    """0/1 indicator of the image of the cover's delta-torsion in (Z/delta)^2.
+def _image_points(lat: Sublattice, delta: int) -> set[tuple[int, int]]:
+    """Points of the image of the cover's delta-torsion in (Z/delta)^2.
 
     The image subgroup ((1/delta) Lat + Z^2) / Z^2 is enumerated directly
     from the delta^2 products of the two HNF generators; the Smith-form
@@ -78,7 +78,12 @@ def torsion_image(lat: Sublattice, delta: int) -> GroupAlgebraElement:
         raise AssertionError(
             f"torsion image size {len(pts)} != {expected} for {lat}, delta={delta}"
         )
-    return GroupAlgebraElement(delta, {p: Fraction(1) for p in pts})
+    return pts
+
+
+def torsion_image(lat: Sublattice, delta: int) -> GroupAlgebraElement:
+    """0/1 indicator of the image of the cover's delta-torsion in (Z/delta)^2."""
+    return GroupAlgebraElement(delta, dict.fromkeys(_image_points(lat, delta), 1))
 
 
 def oracle_local_invariant(
@@ -88,8 +93,10 @@ def oracle_local_invariant(
 
     a^(n-1) (w1/delta)^2 times the sum over index-a sublattices of
     gcd(k, delta) gcd(a/k, delta) times the torsion-image indicator.
-    Independent oracle for sigma.local_invariant; total mass is
-    a^(n-1) sigma(a) w1^2.
+    Each cover's image is enumerated point by point and its integer weight
+    added to a per-point count; the counts are rescaled exactly once at
+    the end.  Independent oracle for refined.local_invariant; total mass
+    is a^(n-1) sigma(a) w1^2.
     """
     if a < 1 or w1 < 1:
         raise ValueError("oracle expects a >= 1 and w1 >= 1")
@@ -97,13 +104,14 @@ def oracle_local_invariant(
         raise ValueError(f"oracle expects n >= 2, got {n}")
     if w1 % delta:
         raise ValueError(f"oracle expects delta | w1, got delta={delta}, w1={w1}")
-    out = GroupAlgebraElement.zero(delta)
+    counts: dict[tuple[int, int], int] = {}
     for lat in enumerate_sublattices(a):
         k, m = lattice_type(lat)
         weight = gcd(k, delta) * gcd(m, delta)
-        out = out + weight * torsion_image(lat, delta)
+        for p in _image_points(lat, delta):
+            counts[p] = counts.get(p, 0) + weight
     scale = a ** (n - 1) * Fraction(w1, delta) ** 2
-    return out * scale
+    return GroupAlgebraElement(delta, {p: c * scale for p, c in counts.items()})
 
 
 __all__ = [

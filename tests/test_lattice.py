@@ -1,8 +1,10 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 
+from corgw import lattice
 from corgw.arith import dedekind_psi, sigma
 from corgw.lattice import (
     Sublattice,
@@ -110,3 +112,45 @@ def test_oracle_preconditions():
         oracle_local_invariant(2, 3, 2, 2)
     with pytest.raises(ValueError):
         oracle_local_invariant(0, 2, 2, 1)
+
+
+@functools.cache
+def dense_cover_sum(a, delta):
+    """Running sum of one weighted dense torsion image per cover."""
+    out = GroupAlgebraElement.zero(delta)
+    for lat in enumerate_sublattices(a):
+        k, m = lattice_type(lat)
+        weight = math.gcd(k, delta) * math.gcd(m, delta)
+        out = out + weight * torsion_image(lat, delta)
+    return out
+
+
+def oracle_by_dense_sum(a, w1, n, delta):
+    """The oracle as it was first written: dense per-cover accumulation."""
+    return dense_cover_sum(a, delta) * (a ** (n - 1) * Fraction(w1, delta) ** 2)
+
+
+def test_oracle_matches_dense_sum():
+    for a in range(1, 17):
+        for delta in range(1, 13):
+            for w1 in (delta, 2 * delta):
+                for n in (2, 3):
+                    assert oracle_local_invariant(
+                        a, w1, n, delta
+                    ) == oracle_by_dense_sum(a, w1, n, delta), (a, delta, w1, n)
+
+
+def test_oracle_enumerates_every_cover(monkeypatch):
+    calls = []
+    image_points = lattice._image_points
+
+    def counting(lat, delta):
+        calls.append(lat)
+        return image_points(lat, delta)
+
+    monkeypatch.setattr(lattice, "_image_points", counting)
+    for a, delta in ((1, 1), (6, 4), (12, 6), (16, 8)):
+        calls.clear()
+        oracle_local_invariant(a, 2 * delta, 2, delta)
+        assert sorted(calls, key=lambda l: (l.d1, l.c)) == enumerate_sublattices(a)
+        assert len(calls) == sigma(a)
