@@ -17,9 +17,10 @@ import argparse
 import json
 import sys
 
-from . import diagrams as fd
-from . import lattice, polyfit, qseries, refined
 from .torsion import GroupAlgebraElement, ProjectorElement, TorsionPoint
+
+# The other layers are imported by the subcommands that use them, so a job
+# loads only what it needs.
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -39,12 +40,14 @@ def _want_json(args) -> bool:
     return not sys.stdout.isatty()
 
 
-def _parse_profile(text: str) -> fd.TangencyProfile:
+def _parse_profile(text: str):
+    from .diagrams import TangencyProfile
+
     try:
         weights = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad profile {text!r}") from exc
-    return fd.TangencyProfile(weights)
+    return TangencyProfile(weights)
 
 
 def _emit_element(
@@ -70,6 +73,8 @@ def _emit_element(
 
 
 def cmd_local(args) -> int:
+    from . import refined
+
     shift = None
     if args.shift:
         try:
@@ -83,6 +88,8 @@ def cmd_local(args) -> int:
 
 
 def cmd_oracle_verify(args) -> int:
+    from . import lattice, refined
+
     # An empty grid would agree vacuously.
     if args.a_max < 1 or args.delta_max < 1:
         raise ValueError("--a-max and --delta-max must be >= 1")
@@ -110,6 +117,8 @@ def cmd_oracle_verify(args) -> int:
 
 
 def cmd_diagrams(args) -> int:
+    from . import diagrams as fd
+
     profile = _parse_profile(args.profile)
     if args.sum:
         delta = 1 if args.delta is None else args.delta
@@ -128,6 +137,11 @@ def cmd_diagrams(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from . import diagrams as fd
+    from . import qseries
+
+    if args.n_trunc < 0:
+        raise ValueError(f"--n-trunc must be >= 0, got {args.n_trunc}")
     profile = _parse_profile(args.profile)
     if args.check_factorization:
         report = qseries.factorization_check(
@@ -158,6 +172,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_polyfit(args) -> int:
+    from . import polyfit
+
     try:
         with open(args.template) as fh:
             template = polyfit.DiagramTemplate.from_json(fh.read())

@@ -18,6 +18,7 @@ span of the projectors and are carried in that basis.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -151,12 +152,6 @@ class FloorDiagram:
 
     def valency(self, i: int) -> int:
         return sum((e.lo == i) + (e.hi == i) for e in self.edges)
-
-    def in_flow(self, i: int) -> int:
-        return sum(e.w for e in self.edges if e.hi == i)
-
-    def out_flow(self, i: int) -> int:
-        return sum(e.w for e in self.edges if e.lo == i)
 
     def delta_gcd(self, delta: int) -> int:
         g = delta
@@ -328,17 +323,19 @@ def _blocks(adj: dict) -> list[set]:
     return blocks
 
 
-def _has_two_flat_cycle(diagram: FloorDiagram) -> bool:
+def _has_two_flat_cycle(diagram: FloorDiagram, pairs=None) -> bool:
     """True when some simple cycle passes through two distinct flat vertices.
 
     Parallel edges are collapsed and every infinite end is its own univalent
     vertex.  Two vertices lie on a common simple cycle exactly when they
-    share a block with at least three vertices (Whitney/Menger).
+    share a block with at least three vertices (Whitney/Menger).  pairs is
+    the edge list of _vertices_and_edges, rebuilt when not given.
     """
     flats = {("L", i) for i in diagram.flat_indices}
     if len(flats) < 2:
         return False
-    _, pairs = diagram._vertices_and_edges()
+    if pairs is None:
+        _, pairs = diagram._vertices_and_edges()
     adj: dict = {}
     for a, b in pairs:
         adj.setdefault(a, set()).add(b)
@@ -365,26 +362,48 @@ def validate(
     if n_levels != len(profile.weights) + genus - 1:
         return False, "level-count"
 
+    # One pass over the edges: net flow and in/out degree per level, the
+    # induced profile, and a difference array whose running sum is the
+    # flow across each gap (gap g lies between levels g-1 and g).
+    net = [0] * n_levels
+    n_in = [0] * n_levels
+    n_out = [0] * n_levels
+    ends = []
+    cross = [0] * (n_levels + 2)
+    for e in diagram.edges:
+        if e.lo == BOTTOM:
+            ends.append(-e.w)
+            start = 0
+        else:
+            net[e.lo] -= e.w
+            n_out[e.lo] += 1
+            start = e.lo + 1
+        if e.hi == TOP:
+            ends.append(e.w)
+            stop = n_levels + 1
+        else:
+            net[e.hi] += e.w
+            n_in[e.hi] += 1
+            stop = e.hi + 1
+        cross[start] += e.w
+        cross[stop] -= e.w
+
     for i in range(n_levels):
-        if diagram.in_flow(i) != diagram.out_flow(i):
+        if net[i]:
             return False, f"balancing at level {i}"
 
-    for i in diagram.flat_indices:
-        n_in = sum(e.hi == i for e in diagram.edges)
-        n_out = sum(e.lo == i for e in diagram.edges)
-        if n_in != 1 or n_out != 1:
+    flats = diagram.flat_indices
+    for i in flats:
+        if n_in[i] != 1 or n_out[i] != 1:
             return False, f"flat bivalency at level {i}"
 
-    if diagram.profile() != tuple(sorted(profile.weights)):
+    if sorted(ends) != sorted(profile.weights):
         return False, "tangency profile"
 
     b = profile.b
+    crossing = 0
     for gap in range(n_levels + 1):
-        crossing = sum(
-            e.w
-            for e in diagram.edges
-            if _pos(e.lo, n_levels) < gap <= _pos(e.hi, n_levels)
-        )
+        crossing += cross[gap]
         if crossing != b:
             return False, f"cross-flow at gap {gap}"
 
@@ -395,7 +414,7 @@ def validate(
 
     # Graph genus with floors counted once: first Betti number + #floors.
     b1 = len(pairs) - len(verts) + n_comps
-    if b1 + len(diagram.floor_indices) != genus:
+    if b1 + n_levels - len(flats) != genus:
         return False, "genus"
 
     if diagram.degree != degree:
@@ -404,8 +423,8 @@ def validate(
     # Forest condition: delete flats (edges to them become stubs); every
     # remaining component must be acyclic with exactly one infinite end.
     # A graph is a forest iff #edges = #vertices - #components.
-    flats = set(diagram.flat_indices)
-    keep = [v for v in verts if not (v[0] == "L" and v[1] in flats)]
+    flat_set = set(flats)
+    keep = [v for v in verts if not (v[0] == "L" and v[1] in flat_set)]
     kept = set(keep)
     keep_pairs = [(a, b) for a, b in pairs if a in kept and b in kept]
     comps = _components(keep, keep_pairs)
@@ -419,7 +438,7 @@ def validate(
     # already excluded above; cycles through two or more flats have all
     # their fiber chains pinned by point constraints, leave no gluing
     # parameter, and contribute zero.
-    if _has_two_flat_cycle(diagram):
+    if _has_two_flat_cycle(diagram, pairs):
         return False, "cycle through two flat vertices"
 
     return True, None
@@ -473,19 +492,26 @@ def multiplicity(diagram: FloorDiagram, delta: int) -> ProjectorElement:
 # -- enumeration -----------------------------------------------------------
 
 
-def _partitions_desc(m: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of m into parts >= 1, decreasing-lex order."""
+def _partitions_desc(
+    m: int, cap: int | None = None, most: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Partitions of m into at most `most` parts >= 1, decreasing-lex order."""
     cap = m if cap is None else cap
+    most = m if most is None else most
     if m == 0:
         yield ()
         return
     for first in range(min(m, cap), 0, -1):
-        for rest in _partitions_desc(m - first, first):
+        if first * most < m:
+            return
+        for rest in _partitions_desc(m - first, first, most - 1):
             yield (first,) + rest
 
 
-def _origin_key(origin) -> int:
-    return -1 if origin == BOTTOM else origin
+def _class_key(item) -> tuple[int, int]:
+    """Sort key of an open edge class ((weight, origin), count)."""
+    (w, origin), _count = item
+    return w, -1 if origin == BOTTOM else origin
 
 
 def _compositions_asc(total: int, k: int):
@@ -503,205 +529,235 @@ def _compositions_asc(total: int, k: int):
             yield (first,) + rest
 
 
+def _without(open_cnt: dict, taken) -> dict:
+    """A copy of the open multiset less one edge of each class in taken."""
+    out = dict(open_cnt)
+    for wo in taken:
+        if out[wo] == 1:
+            del out[wo]
+        else:
+            out[wo] -= 1
+    return out
+
+
+def _with_parts(open_cnt: dict, parts, level: int) -> dict:
+    """A copy of the open multiset plus one edge from level per part."""
+    out = dict(open_cnt)
+    for p in parts:
+        out[(p, level)] = out.get((p, level), 0) + 1
+    return out
+
+
+_FLAT = Flat()
+_FLOOR = Floor(1)
+
+
 @lru_cache(maxsize=None)
 def _structures(genus: int, weights: tuple[int, ...]) -> tuple[FloorDiagram, ...]:
     """All diagram structures (floor labels stripped to 1) for a profile.
 
     Level-by-level transfer search: at each of the n + g - 1 levels place a
     flat vertex or a floor, threading the multiset of open upward edges
-    (whose total weight always equals b).  Flats are tried before floors
-    and flow partitions descend, so discovery order is deterministic.
+    (whose total weight always equals b).  Flats are tried before floors,
+    a floor's consumed sub-multisets come in a fixed order and its flow
+    partitions descend, so discovery order is deterministic.
 
     Let the deficit be genus - floors - b1, with b1 the first Betti number
     of the partial graph; a floor lowers it by at least one, a flat keeps
-    it.  A branch failing one of these tests is cut at the level where it
-    fails:
+    it.  Components are those of the partial graph, with each open edge
+    from BOTTOM a component of its own.  A branch failing one of these
+    tests is cut at the level where it fails:
 
     - Betti number: a floor may not drive the deficit below 0.
-    - No floors left: once the deficit is 0 only flats follow, and flats
-      keep the weight multiset, so the floor that brings it to 0 emits
-      exactly the sinks still missing from the open multiset.  That one
-      partition is tried instead of every partition of its flow.
     - Last level: the top level must bring the deficit to 0.  A flat fits
-      there only at deficit 0; a floor must close it exactly and emit the
-      missing sinks.
+      there only at deficit 0; a floor must close it exactly.
     - Forest: with the flats deleted, a floor may take at most one edge
       from each floor component (a second edge, parallel or not, closes a
       flat-free cycle), and the merged component may carry at most one
-      infinite end.
+      infinite end.  The consumed sub-multisets are built under these
+      tests, so no more than one edge is offered from BOTTOM or from any
+      floor-origin class.
+    - Edge count: with m open edges in C components and deficit d > 0, the
+      f >= 1 floors still to come take C - 1 + d edges in all (C - 1 + f
+      to join the components into one, d - f to close cycles) and emit at
+      least f, while m must end at #sinks; so m - C <= d + #sinks - 2.
+      That caps the parts a floor may emit when it leaves d > 0.
+    - Connectivity: once the deficit is 0 only flats follow, and a flat
+      never joins two components.  So the floor that brings it to 0 must
+      take an edge from every component, leaving none open from BOTTOM.
+    - Sinks: flats keep the open weights, so that floor emits exactly the
+      sinks still missing from the open multiset, one partition instead of
+      all of them.  Both closing tests run before its state is built.
+    - One infinite end per floor component: after the closing floor a floor
+      component ends with its end count plus its open floor-origin edges,
+      less those later flats take.  Its surplus, ends + open edges - 1,
+      must not be negative, and a flat there may take an edge only from a
+      component whose surplus is still positive.  Once the closing floor has
+      joined every component, counting vertices and edges shows that the
+      surpluses add up to the levels left, so that needs no test.
 
-    Completed candidates still pass through validate, and duplicates are
-    removed by canonical key.
+    Completed candidates still pass through validate, where only the
+    two-flat-cycle clause can still reject them.  Distinct branches differ
+    in the in-edges or the out-weights of the level where they part, so
+    they build distinct diagrams.
     """
     profile = TangencyProfile(weights)
     n_levels = len(profile.weights) + genus - 1
-    sinks = tuple(sorted(profile.sinks))
+    n_sinks = len(profile.sinks)
+    sink_count = Counter(profile.sinks)
     results: list[FloorDiagram] = []
-    seen: set[bytes] = set()
+    # The levels placed so far and the edges into them, as stacks.
+    levels: list[LevelNode] = []
+    edges: list[Edge] = []
 
-    # Open edge classes: (weight, origin) -> count.  Edges from BOTTOM share
-    # the origin tag but each is its own fresh component.
-    init_open: dict = {}
-    for w in profile.sources:
-        init_open[(w, BOTTOM)] = init_open.get((w, BOTTOM), 0) + 1
-
-    def emit(levels_acc, edges_acc, open_cnt):
-        tops = []
-        for (w, origin), cnt in sorted(
-            open_cnt.items(), key=lambda kv: (kv[0][0], _origin_key(kv[0][1]))
-        ):
-            tops.extend([Edge(origin, TOP, w)] * cnt)
-        diagram = FloorDiagram(tuple(levels_acc), tuple(edges_acc) + tuple(tops))
-        ok, _ = validate(diagram, genus, len(diagram.floor_indices), profile)
-        if not ok:
-            return
-        key = canonical_key(diagram)
-        if key not in seen:
-            seen.add(key)
+    def emit(open_cnt):
+        tops = [Edge(o, TOP, w) for (w, o), c in open_cnt.items() for _ in range(c)]
+        diagram = FloorDiagram(tuple(levels), tuple(edges + tops))
+        if validate(diagram, genus, len(diagram.floor_indices), profile)[0]:
             results.append(diagram)
 
-    def sub_multisets(classes):
-        """Non-empty sub-multisets of open classes, deterministic order."""
-
-        def rec(i):
-            if i == len(classes):
-                yield ()
-                return
-            (wo, avail) = classes[i]
-            for rest in rec(i + 1):
-                for take in range(avail + 1):
-                    yield ((wo, take),) + rest if take else rest
-
-        for choice in rec(0):
-            if choice:
-                yield choice
-
-    def weight_multiset(open_cnt):
-        return tuple(sorted(w for (w, _o), c in open_cnt.items() for _ in range(c)))
-
     def missing_sinks(open_cnt):
-        """The sinks not yet in the open multiset, as a one-item list of
-        partitions; empty when the open weights are not a sub-multiset."""
-        rest = list(sinks)
-        for w in weight_multiset(open_cnt):
-            if w not in rest:
-                return []
-            rest.remove(w)
-        return [tuple(sorted(rest, reverse=True))]
+        """The sinks not yet open; None when the open weights are not a
+        sub-multiset of the sinks."""
+        rest = sink_count.copy()
+        for (w, _o), c in open_cnt.items():
+            if rest[w] < c:
+                return None
+            rest[w] -= c
+        return list(rest.elements())
 
-    # comp_of: level -> component of the partial graph.  floor_root: floor
-    # level -> component of the partial graph with the flats deleted, and
-    # ends: such a component -> number of infinite ends it carries so far.
-    def search(level, open_cnt, comp_of, next_comp, b1, floor_root, ends,
-               levels_acc, edges_acc, floors):
-        if level == n_levels:
-            if b1 == genus - floors and weight_multiset(open_cnt) == sinks:
-                emit(levels_acc, edges_acc, open_cnt)
-            return
-        # Genus still owed by floors and cycles.  Once it is 0 only flats
-        # follow, and the open weights are already the sinks.
-        deficit = genus - floors - b1
+    # Open edge classes: (weight, origin) -> count.  comp_of: level -> its
+    # component.  floor_root: floor level -> its floor component (the
+    # partial graph with the flats deleted), and ends: floor component ->
+    # infinite ends it carries so far.  Components are named by a level;
+    # sets of them are bit masks.
+    def search(level, open_cnt, comp_of, deficit, floor_root, ends):
+        classes = sorted(open_cnt.items(), key=_class_key)
         last = level == n_levels - 1
         # Flat vertex: pass one open edge through.  Consuming a flat-emitted
         # edge would create a flat-flat edge, impossible at this level count.
-        # A flat keeps the deficit, so the last level takes one only at 0.
-        if last and deficit:
-            classes = []
-        else:
-            classes = sorted(open_cnt, key=lambda wo: (wo[0], _origin_key(wo[1])))
-        for wo in classes:
+        # The deficit here is positive, so the last level takes no flat.
+        for wo, _c in [] if last else classes:
             w, origin = wo
-            if isinstance(origin, int) and isinstance(levels_acc[origin], Flat):
+            if origin != BOTTOM and origin not in floor_root:
                 continue
-            nxt = dict(open_cnt)
-            nxt[wo] -= 1
-            if not nxt[wo]:
-                del nxt[wo]
-            nxt[(w, level)] = nxt.get((w, level), 0) + 1
             comp2 = dict(comp_of)
-            comp2[level] = next_comp if origin == BOTTOM else comp_of[origin]
-            search(
-                level + 1,
-                nxt,
-                comp2,
-                next_comp + (origin == BOTTOM),
-                b1,
-                floor_root,
-                ends,
-                levels_acc + [Flat()],
-                edges_acc + [Edge(origin, level, w)],
-                floors,
-            )
-        # Floor: consume a sub-multiset of open edges, re-emit its flow.
-        if not deficit:
-            return
-        class_list = sorted(
-            open_cnt.items(), key=lambda kv: (kv[0][0], _origin_key(kv[0][1]))
-        )
-        for consumed in sub_multisets(class_list):
-            flow = 0
-            merged = set()
-            cycles = 0
-            joined = set()
-            n_ends = 0
-            forest = True
-            for (w, origin), c in consumed:
-                flow += w * c
-                if origin == BOTTOM:
-                    n_ends += c
-                    continue  # each end edge is a fresh component
-                root = comp_of[origin]
-                if root in merged:
-                    cycles += c
-                else:
-                    merged.add(root)
-                    cycles += c - 1
-                if origin in floor_root:
-                    fc = floor_root[origin]
-                    if c > 1 or fc in joined:
-                        forest = False
-                        break
-                    joined.add(fc)
-                    n_ends += ends[fc]
-            left = deficit - 1 - cycles
-            if not forest or n_ends > 1 or left < 0 or (last and left):
-                continue
-            in_edges = [Edge(o, level, w) for (w, o), c in consumed for _ in range(c)]
-            base = dict(open_cnt)
-            for (wo, c) in consumed:
-                base[wo] -= c
-                if not base[wo]:
-                    del base[wo]
-            comp2 = {
-                v: (next_comp if c in merged else c) for v, c in comp_of.items()
-            }
-            comp2[level] = next_comp
-            root2 = {v: (level if r in joined else r) for v, r in floor_root.items()}
-            root2[level] = level
-            ends2 = {r: e for r, e in ends.items() if r not in joined}
-            ends2[level] = n_ends
-            if left:
-                partitions = _partitions_desc(flow)
-            else:
-                partitions = missing_sinks(base)
-            for parts in partitions:
-                nxt = dict(base)
-                for p in parts:
-                    nxt[(p, level)] = nxt.get((p, level), 0) + 1
-                search(
-                    level + 1,
-                    nxt,
-                    comp2,
-                    next_comp + 1,
-                    b1 + cycles,
-                    root2,
-                    ends2,
-                    levels_acc + [Floor(1)],
-                    edges_acc + in_edges,
-                    floors + 1,
-                )
+            comp2[level] = level if origin == BOTTOM else comp_of[origin]
+            nxt = _without(open_cnt, (wo,))
+            nxt[(w, level)] = 1
+            levels.append(_FLAT)
+            edges.append(Edge(origin, level, w))
+            search(level + 1, nxt, comp2, deficit, floor_root, ends)
+            levels.pop()
+            edges.pop()
 
-    search(0, init_open, {}, 0, 0, {}, {}, [], [], 0)
+        # Floor: consume a sub-multiset of open edges, re-emit its flow.
+        # Candidates are (classes taken, flow, merged components, joined
+        # floor components, cycles closed, infinite ends, components
+        # touched), grown from the last class so that they come in the order
+        # of a counter whose first class turns fastest.  Every test on the
+        # way only gets worse as edges are added.
+        choices = [((), 0, 0, 0, 0, 0, 0)]
+        for wo, _c in reversed(classes):
+            w, origin = wo
+            # comp is 0 for an edge from BOTTOM, its own fresh component.
+            if origin == BOTTOM:
+                comp, fc = 0, None
+            else:
+                comp, fc = 1 << comp_of[origin], floor_root.get(origin)
+            grown = []
+            for choice in choices:
+                grown.append(choice)
+                taken, flow, merged, joined, cycles, n_ends, touched = choice
+                if not comp:
+                    n_ends += 1
+                    touched += 1
+                elif merged & comp:
+                    cycles += 1
+                else:
+                    merged |= comp
+                    touched += 1
+                if fc is not None:
+                    if joined >> fc & 1:
+                        continue
+                    joined |= 1 << fc
+                    n_ends += ends[fc]
+                if n_ends > 1 or cycles >= deficit:
+                    continue
+                grown.append(
+                    ((wo,) + taken, flow + w, merged, joined, cycles, n_ends, touched)
+                )
+            choices = grown
+
+        n_comps = len(set(comp_of.values())) + sum(
+            c for (_w, o), c in classes if o == BOTTOM
+        )
+        n_open = sum(c for _wo, c in classes)
+        for taken, flow, merged, joined, cycles, n_ends, touched in choices[1:]:
+            left = deficit - 1 - cycles
+            if left and last:
+                continue
+            # The closing floor must take an edge from every component and
+            # leave only sinks open; both are tested before its state is built.
+            if not left and touched != n_comps:
+                continue
+            base = _without(open_cnt, taken)
+            parts = () if left else missing_sinks(base)
+            if parts is None:
+                continue
+            root2 = {v: level if joined >> r & 1 else r for v, r in floor_root.items()}
+            root2[level] = level
+            if not left:
+                surplus = {r: e - 1 for r, e in ends.items() if not joined >> r & 1}
+                surplus[level] = n_ends - 1 + len(parts)
+                for (_w, o), c in base.items():
+                    if o in root2:
+                        surplus[root2[o]] += c
+                if min(surplus.values()) < 0:
+                    continue
+            levels.append(_FLOOR)
+            edges.extend(Edge(o, level, w) for w, o in taken)
+            if left:
+                most = left + n_sinks - 1 - n_open + len(taken) + n_comps - touched
+                comp2 = {
+                    v: (level if merged >> c & 1 else c) for v, c in comp_of.items()
+                }
+                comp2[level] = level
+                ends2 = {r: e for r, e in ends.items() if not joined >> r & 1}
+                ends2[level] = n_ends
+                for parts in _partitions_desc(flow, None, most):
+                    nxt = _with_parts(base, parts, level)
+                    search(level + 1, nxt, comp2, left, root2, ends2)
+            else:
+                fill(level + 1, _with_parts(base, parts, level), root2, surplus)
+            levels.pop()
+            del edges[len(edges) - len(taken):]
+
+    # Deficit 0: only flats, each taking a floor-origin edge of a floor
+    # component with surplus left.
+    def fill(level, open_cnt, floor_root, surplus):
+        if level == n_levels:
+            emit(open_cnt)
+            return
+        for wo, _c in sorted(open_cnt.items(), key=_class_key):
+            w, origin = wo
+            fc = floor_root.get(origin)
+            if fc is None or not surplus[fc]:
+                continue
+            surplus2 = dict(surplus)
+            surplus2[fc] -= 1
+            nxt = _without(open_cnt, (wo,))
+            nxt[(w, level)] = 1
+            levels.append(_FLAT)
+            edges.append(Edge(origin, level, w))
+            fill(level + 1, nxt, floor_root, surplus2)
+            levels.pop()
+            edges.pop()
+
+    init_open: dict = {}
+    for w in profile.sources:
+        init_open[(w, BOTTOM)] = init_open.get((w, BOTTOM), 0) + 1
+    search(0, init_open, {}, genus, {}, {})
     return tuple(results)
 
 

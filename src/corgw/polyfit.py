@@ -428,6 +428,8 @@ def polynomial_fit(
     """
     if chamber is not None:
         mod, res = chamber
+        if mod < 1:
+            raise ValueError(f"chamber modulus must be >= 1, got {mod}")
         bad = [w for w in (*fit_ws, *holdout_ws) if w % mod != res]
         if bad:
             raise ValueError(f"samples {bad} lie outside chamber {chamber}")

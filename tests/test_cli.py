@@ -5,6 +5,17 @@ import sys
 from corgw.cli import main
 
 
+# Single-chain template: one floor, one flat.
+CHAIN_TEMPLATE = {
+    "levels": [{"kind": "floor", "a": 1}, {"kind": "flat"}],
+    "edges": [
+        {"lo": "B", "hi": 0},
+        {"lo": 0, "hi": 1},
+        {"lo": 1, "hi": "T"},
+    ],
+}
+
+
 def run_cli(args, **kw):
     proc = subprocess.run(
         [sys.executable, "-m", "corgw.cli", *args],
@@ -162,6 +173,13 @@ def test_series_check_truncation_zero_exit_2(capsys):
     assert "truncation" in err and "exact match" not in err
 
 
+def test_series_negative_truncation_exit_2(capsys):
+    assert main(["series", "--g", "1", "--profile", "2,-2", "--delta", "1",
+                 "--n-trunc", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--n-trunc" in captured.err and captured.out == ""
+
+
 def test_threads_flag_removed():
     proc = run_cli(
         ["--threads", "2", "series", "--g", "2", "--profile", "2,-2",
@@ -179,6 +197,18 @@ def test_cli_import_skips_thread_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_cli_import_loads_no_layer():
+    # Each subcommand imports the layers it needs when it runs.
+    layers = ["corgw.diagrams", "corgw.lattice", "corgw.polyfit", "corgw.qseries"]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, corgw.cli; print([m for m in {layers!r} if m in sys.modules])"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_polyfit_cli(tmp_path):
@@ -210,16 +240,8 @@ def test_polyfit_cli(tmp_path):
     assert payload["ok"] and payload["degree_bound"] == 9
 
     # single-chain template: exact monomial, trivial fit
-    chain = {
-        "levels": [{"kind": "floor", "a": 1}, {"kind": "flat"}],
-        "edges": [
-            {"lo": "B", "hi": 0},
-            {"lo": 0, "hi": 1},
-            {"lo": 1, "hi": "T"},
-        ],
-    }
     path2 = tmp_path / "chain.json"
-    path2.write_text(json.dumps(chain))
+    path2.write_text(json.dumps(CHAIN_TEMPLATE))
     proc = run_cli(
         ["polyfit", "--template", str(path2), "--delta", "1",
          "--samples", "1,2,3,4,5,6"]
@@ -259,20 +281,21 @@ def test_polyfit_underdetermined_exit_3(tmp_path):
 
 
 def test_polyfit_holdout_below_one_exit_2(tmp_path, capsys):
-    chain = {
-        "levels": [{"kind": "floor", "a": 1}, {"kind": "flat"}],
-        "edges": [
-            {"lo": "B", "hi": 0},
-            {"lo": 0, "hi": 1},
-            {"lo": 1, "hi": "T"},
-        ],
-    }
     path = tmp_path / "chain.json"
-    path.write_text(json.dumps(chain))
+    path.write_text(json.dumps(CHAIN_TEMPLATE))
     for k in ("0", "-1"):
         assert main(["polyfit", "--template", str(path), "--delta", "1",
                      "--samples", "1,2,3,4,5,6", "--holdout", k]) == 2
         assert "--holdout" in capsys.readouterr().err
+
+
+def test_polyfit_chamber_modulus_below_one_exit_2(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN_TEMPLATE))
+    for chamber in ("0:5", "-2:0"):
+        assert main(["polyfit", "--template", str(path), "--delta", "1",
+                     f"--chamber={chamber}", "--samples", "1,2,3,4,5,6"]) == 2
+        assert "chamber modulus" in capsys.readouterr().err
 
 
 def test_polyfit_malformed_template_exit_2(tmp_path):

@@ -424,10 +424,18 @@ STRUCTURE_DIGESTS = {
         "6998679fb8e24a82163c45c17295b888df277e4a3b70a9e4c083fcbc545a527e",
     (6, (2, -2)):
         "229b4ba4d1d13ed4ad93f58b29388f99250a5323ca1d0c75bde61e29a0ef3d60",
+    (3, (3, 3, -3, -3)):
+        "79495b3fda26b19f39156c86058810dfb73698491177bf64f9112fb533d8f31e",
+    (3, (2, 2, 2, -6)):
+        "e0d1e5b401173b86da70db31ed436ad3335d3023f3cb35b43e9675910ee65660",
+    (4, (2, 2, -4)):
+        "6c6a44f118715674047dcab465a859292524ed6ff6442dfcb8c3ec33dcf4cb41",
+    (2, (3, 3, -2, -2, -2)):
+        "d73df9a8f654a8ed026391a228790fa67e3a8721c76b71fd2fbf37a2326af4f1",
 }
 
 
-@pytest.mark.parametrize("genus,weights", sorted(STRUCTURE_DIGESTS))
+@pytest.mark.parametrize("genus,weights", list(STRUCTURE_DIGESTS))
 def test_structures_order_pinned(genus, weights):
     from corgw.diagrams import _structures
 
@@ -510,6 +518,21 @@ def test_two_flat_cycle_matches_path_oracle(genus, degree, weights, monkeypatch)
     assert built
     for d in built:
         assert _has_two_flat_cycle(d) == two_flat_cycle_by_paths(d), d.to_json()
+
+
+@pytest.mark.parametrize(
+    "genus,weights",
+    list(STRUCTURE_DIGESTS) + [(g, w) for g, _a, w in BRUTE_FORCE_CASES],
+)
+def test_search_hands_validate_only_two_flat_cycles(genus, weights, monkeypatch):
+    # The search cuts every other clause as it goes; a cycle through two
+    # flats is the one test left to validate.
+    profile = TangencyProfile(weights)
+    built = _structure_candidates(genus, weights, monkeypatch)
+    assert built
+    for d in built:
+        ok, why = validate(d, genus, len(d.floor_indices), profile)
+        assert ok or why == "cycle through two flat vertices", (why, d.to_json())
 
 
 def test_two_flat_cycle_hand_built():
