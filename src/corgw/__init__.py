@@ -32,8 +32,6 @@ _EXPORTS = {
         "Floor",
         "FloorDiagram",
         "TangencyProfile",
-        "bivalent_contribution",
-        "canonical_key",
         "enumerate_diagrams",
         "invariant",
         "multiplicity",
@@ -58,9 +56,6 @@ _EXPORTS = {
         "GASeries",
         "factorization_check",
         "invariant_series",
-        "local_series",
-        "q_derivative",
-        "sigma_series",
     ),
     "refined": (
         "ConsistencyError",
@@ -74,10 +69,6 @@ _EXPORTS = {
         "ProjectorElement",
         "TorsionPoint",
         "convolve",
-        "divide",
-        "m_push",
-        "order",
-        "rebase",
         "theta",
         "theta_coordinates",
         "unrefine",

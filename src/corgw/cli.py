@@ -137,7 +137,6 @@ def cmd_diagrams(args) -> int:
 
 
 def cmd_series(args) -> int:
-    from . import diagrams as fd
     from . import qseries
 
     if args.n_trunc < 0:
@@ -162,11 +161,7 @@ def cmd_series(args) -> int:
             f"exact match to q^{report.truncation}",
             file=sys.stderr,
         )
-    coeffs = tuple(
-        fd.invariant(args.g, a, profile, args.delta)
-        for a in range(1, args.n_trunc + 1)
-    )
-    series = qseries.GASeries(args.delta, coeffs)
+    series = qseries.invariant_series(args.g, profile, args.delta, args.n_trunc)
     qseries.write_series_csv(series, sys.stdout)
     return EXIT_OK
 

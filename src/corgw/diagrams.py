@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Iterator, Union
@@ -95,6 +94,21 @@ class TangencyProfile:
         for w in self.weights:
             g = gcd(g, abs(w))
         return g
+
+
+def _levels_to_json(levels) -> list[dict]:
+    """JSON form of a level sequence, shared by diagrams and templates."""
+    return [
+        {"kind": "floor", "a": lv.a_v} if isinstance(lv, Floor) else
+        {"kind": "flat"}
+        for lv in levels
+    ]
+
+
+def _levels_from_json(data: list[dict]) -> tuple[LevelNode, ...]:
+    return tuple(
+        Floor(lv["a"]) if lv["kind"] == "floor" else Flat() for lv in data
+    )
 
 
 def _pos(endpoint: Endpoint, n_levels: int) -> int:
@@ -176,6 +190,16 @@ class FloorDiagram:
             if not (e.lo in flats or e.hi in flats)
         )
 
+    @property
+    def weight_monomial(self) -> int:
+        """Product of w_e over bounded edges, times w_e^2 over open edges."""
+        out = 1
+        for e in self.bounded_edges:
+            out *= e.w
+        for e in self.open_edges:
+            out *= e.w * e.w
+        return out
+
     # -- graph structure ------------------------------------------------
 
     def _vertices_and_edges(self):
@@ -196,11 +220,7 @@ class FloorDiagram:
 
     def to_json_dict(self) -> dict:
         return {
-            "levels": [
-                {"kind": "floor", "a": lv.a_v} if isinstance(lv, Floor) else
-                {"kind": "flat"}
-                for lv in self.levels
-            ],
+            "levels": _levels_to_json(self.levels),
             "edges": [
                 {"lo": e.lo, "hi": e.hi, "w": e.w} for e in self.edges
             ],
@@ -211,21 +231,12 @@ class FloorDiagram:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FloorDiagram":
-        levels = tuple(
-            Floor(lv["a"]) if lv["kind"] == "floor" else Flat()
-            for lv in data["levels"]
-        )
         edges = tuple(Edge(e["lo"], e["hi"], e["w"]) for e in data["edges"])
-        return cls(levels, edges)
+        return cls(_levels_from_json(data["levels"]), edges)
 
     @classmethod
     def from_json(cls, text: str) -> "FloorDiagram":
         return cls.from_json_dict(json.loads(text))
-
-
-def canonical_key(diagram: FloorDiagram) -> bytes:
-    """Injective key on diagrams: level sequence plus sorted edge list."""
-    return diagram.to_json().encode()
 
 
 def _components(verts, pairs) -> dict:
@@ -245,18 +256,6 @@ def _components(verts, pairs) -> dict:
     for v in verts:
         groups.setdefault(find(v), []).append(v)
     return groups
-
-
-def bivalent_contribution(w: int, marked: bool) -> Fraction:
-    """Count attached to a bivalent fiber vertex: 1 if marked, 1/w if not.
-
-    Exposed for documentation and tests only; unmarked bivalent vertices are
-    never materialized because their 1/w cancels against the weight factors
-    of the two edges they would subdivide.
-    """
-    if w < 1:
-        raise ValueError(f"expected w >= 1, got {w}")
-    return Fraction(1) if marked else Fraction(1, w)
 
 
 # -- validation ----------------------------------------------------------
@@ -480,13 +479,7 @@ def multiplicity(diagram: FloorDiagram, delta: int) -> ProjectorElement:
     floors = tuple(
         sorted((diagram.levels[i].a_v, diagram.valency(i)) for i in diagram.floor_indices)
     )
-    core = _floor_core(delta, delta_d, floors)
-    scale = 1
-    for e in diagram.bounded_edges:
-        scale *= e.w
-    for e in diagram.open_edges:
-        scale *= e.w * e.w
-    return core * scale
+    return _floor_core(delta, delta_d, floors) * diagram.weight_monomial
 
 
 # -- enumeration -----------------------------------------------------------

@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from itertools import permutations
+from typing import Sequence
 
 from .arith import divisors
 from .diagrams import (
@@ -29,7 +30,10 @@ from .diagrams import (
     Floor,
     FloorDiagram,
     TangencyProfile,
+    _compositions_asc,
     _floor_core,
+    _levels_from_json,
+    _levels_to_json,
     multiplicity,
 )
 from .torsion import ProjectorElement, theta_coordinates
@@ -98,11 +102,7 @@ class DiagramTemplate:
 
     def to_json_dict(self) -> dict:
         return {
-            "levels": [
-                {"kind": "floor", "a": lv.a_v} if isinstance(lv, Floor) else
-                {"kind": "flat"}
-                for lv in self.levels
-            ],
+            "levels": _levels_to_json(self.levels),
             "edges": [{"lo": lo, "hi": hi} for lo, hi in self.edges],
         }
 
@@ -111,12 +111,8 @@ class DiagramTemplate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiagramTemplate":
-        levels = tuple(
-            Floor(lv["a"]) if lv["kind"] == "floor" else Flat()
-            for lv in data["levels"]
-        )
         edges = tuple((e["lo"], e["hi"]) for e in data["edges"])
-        return cls(levels, edges)
+        return cls(_levels_from_json(data["levels"]), edges)
 
     @classmethod
     def from_json(cls, text: str) -> "DiagramTemplate":
@@ -145,34 +141,6 @@ def adjacency_matrix(template: DiagramTemplate) -> list[list[int]]:
     return mat
 
 
-def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Ordered k-tuples of positive integers summing to total, lex-decreasing."""
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    if k == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(total - k + 1, 0, -1):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
-
-
-def _multiset_assignments(values: tuple[int, ...], slots: int) -> Iterator[tuple[int, ...]]:
-    """Distinct orderings of a multiset over the given number of slots."""
-    if len(values) != slots:
-        return
-    seen = set()
-    from itertools import permutations
-
-    for perm in permutations(values):
-        if perm not in seen:
-            seen.add(perm)
-            yield perm
-
-
 def weightings(
     template: DiagramTemplate, profile: TangencyProfile
 ) -> list[tuple[int, ...]]:
@@ -181,7 +149,7 @@ def weightings(
     The vector is indexed by template.edges.  End weights realize the
     profile multisets on the source and sink edges; bounded weights are
     propagated level by level, each level's outgoing flow enumerated as a
-    lex-decreasing composition of its incoming flow.
+    composition of its incoming flow.
     """
     n = len(template.levels)
     bottom_cols = [j for j, (lo, _hi) in enumerate(template.edges) if lo == BOTTOM]
@@ -220,15 +188,15 @@ def weightings(
             if rest == 0:
                 propagate(level + 1, omega)
             return
-        for parts in _compositions(rest, len(cols)):
+        for parts in _compositions_asc(rest, len(cols)):
             for j, w in zip(cols, parts):
                 omega[j] = w
             propagate(level + 1, omega)
         for j in cols:
             omega[j] = 0
 
-    for src in _multiset_assignments(profile.sources, len(bottom_cols)):
-        for snk in _multiset_assignments(profile.sinks, len(top_cols)):
+    for src in set(permutations(profile.sources)):
+        for snk in set(permutations(profile.sinks)):
             omega = [0] * len(template.edges)
             for j, w in zip(bottom_cols, src):
                 omega[j] = w

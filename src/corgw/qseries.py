@@ -1,8 +1,7 @@
 """Truncated generating series in the curve-class direction.
 
-Series are exact and normalization-free: a series is just its list of
-coefficients for q^1 .. q^N, either plain integers (sigma_series) or
-group-algebra elements, in the projector basis (GASeries).
+Series are exact and normalization-free: a series (GASeries) is just its
+list of group-algebra coefficients for q^1 .. q^N, in the projector basis.
 Quasi-modularity of the invariant series is verified structurally:
 factorization_check rewrites the series as a sum over weight-stripped
 diagram templates of division-averaged products of the building-block
@@ -15,14 +14,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .arith import sigma_bar
-from .diagrams import (
-    FloorDiagram,
-    TangencyProfile,
-    enumerate_diagrams,
-    invariant,
-)
-from .refined import bold_sigma, local_invariant
+from .diagrams import FloorDiagram, TangencyProfile, _structures, invariant
+from .refined import bold_sigma
 from .torsion import GroupAlgebraElement, ProjectorElement
 
 
@@ -84,36 +77,6 @@ class GASeries:
         return GASeries(self.delta, tuple(c * k for c in self.coeffs))
 
 
-def sigma_series(d: int, truncation: int) -> list[int]:
-    """Coefficients sigma_bar^d(a) for a = 1..N; index 0 is unused."""
-    if d < 1:
-        raise ValueError(f"expected d >= 1, got {d}")
-    return [0] + [sigma_bar(d, a) for a in range(1, truncation + 1)]
-
-
-def q_derivative(series):
-    """q d/dq: multiply the coefficient of q^a by a."""
-    if isinstance(series, GASeries):
-        return GASeries(
-            series.delta,
-            tuple((a + 1) * c for a, c in enumerate(series.coeffs)),
-        )
-    return [0] + [a * series[a] for a in range(1, len(series))]
-
-
-def local_series(n: int, w1: int, delta: int, truncation: int) -> GASeries:
-    """Series of local correlated counts: coefficient at q^a is
-    local_invariant(a, w1, n, delta)."""
-    if w1 % delta:
-        raise ValueError(f"expected delta | w1, got delta={delta}, w1={w1}")
-    return GASeries(
-        delta,
-        tuple(
-            local_invariant(a, w1, n, delta) for a in range(1, truncation + 1)
-        ),
-    )
-
-
 def invariant_series(
     genus: int, profile: TangencyProfile, delta: int, truncation: int
 ) -> GASeries:
@@ -144,43 +107,22 @@ class FactorizationReport:
     mismatch_at: int | None = None
 
 
-def _strip_labels(diagram: FloorDiagram) -> FloorDiagram:
-    """Canonical all-ones representative of the weight-labeled template."""
-    from .diagrams import Flat, Floor
-
-    levels = tuple(
-        Floor(1) if isinstance(lv, Floor) else Flat() for lv in diagram.levels
-    )
-    return FloorDiagram(levels, diagram.edges)
-
-
 def templates_for(genus: int, profile: TangencyProfile) -> list[FloorDiagram]:
-    """Weight-carrying templates: diagrams with floor labels stripped to 1.
+    """Weight-carrying templates: the cached diagram structures, floor
+    labels all 1, stably sorted by floor count.
 
     A template with F floors is valid for every labeling with a_V >= 1, so
-    the all-ones diagrams at class F, F = 1..genus, list each exactly once.
+    each labelled diagram of the profile comes from exactly one template.
     """
-    seen = set()
-    out = []
-    for n_floors in range(1, genus + 1):
-        for diagram in enumerate_diagrams(genus, n_floors, profile):
-            rep = _strip_labels(diagram)
-            key = rep.to_json()
-            if key not in seen:
-                seen.add(key)
-                out.append(rep)
-    return out
+    structures = _structures(genus, tuple(sorted(profile.weights)))
+    return sorted(structures, key=lambda s: len(s.floor_indices))
 
 
 def _template_series(
     rep: FloorDiagram, delta: int, truncation: int
 ) -> tuple[GASeries, TemplateReport]:
     delta_t = rep.delta_gcd(delta)
-    w_mon = 1
-    for e in rep.bounded_edges:
-        w_mon *= e.w
-    for e in rep.open_edges:
-        w_mon *= e.w * e.w
+    w_mon = rep.weight_monomial
     prod: GASeries | None = None
     for i in rep.floor_indices:
         val = rep.valency(i)
@@ -257,9 +199,6 @@ def write_series_csv(series: GASeries, fh) -> None:
 
 __all__ = [
     "GASeries",
-    "sigma_series",
-    "q_derivative",
-    "local_series",
     "invariant_series",
     "factorization_check",
     "FactorizationReport",

@@ -51,10 +51,6 @@ class TorsionPoint:
         return self.delta // gcd(self.u, self.v, self.delta)
 
 
-def order(p: TorsionPoint) -> int:
-    return p.order
-
-
 def _check_level(x, y) -> None:
     if x.delta != y.delta:
         raise ValueError(f"ambient level mismatch: {x.delta} vs {y.delta}")
@@ -122,10 +118,9 @@ class GroupAlgebraElement(_DenseSurface):
         if terms:
             for (u, v), c in terms.items():
                 c = Fraction(c)
-                if c:
-                    clean[(u % delta, v % delta)] = (
-                        clean.get((u % delta, v % delta), Fraction(0)) + c
-                    )
+                clean[(u % delta, v % delta)] = (
+                    clean.get((u % delta, v % delta), Fraction(0)) + c
+                )
         object.__setattr__(self, "delta", delta)
         object.__setattr__(
             self, "_terms", {k: c for k, c in clean.items() if c}
@@ -290,18 +285,6 @@ def convolve(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElem
     return GroupAlgebraElement(d, terms)
 
 
-def m_push(k: int, x: GroupAlgebraElement) -> GroupAlgebraElement:
-    return x.m_push(k)
-
-
-def divide(k: int, x: GroupAlgebraElement) -> GroupAlgebraElement:
-    return x.divide(k)
-
-
-def rebase(x: GroupAlgebraElement, new_delta: int) -> GroupAlgebraElement:
-    return x.rebase(new_delta)
-
-
 @lru_cache(maxsize=None)
 def theta(delta: int, d: int) -> GroupAlgebraElement:
     """Averaging projector: mass 1/d^2 on each point of order dividing d.
@@ -422,7 +405,6 @@ class ProjectorElement(_DenseSurface):
                         c = by_order[delta // gcd(u, v, delta)]
                         if c:
                             terms[(u, v)] = c
-            # Threads racing here build equal maps; either one may stay.
             object.__setattr__(self, "_dense", terms)
         return terms
 

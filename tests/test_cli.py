@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from corgw.cli import main
 
@@ -155,6 +158,32 @@ def test_series_csv_and_factorization():
     assert lines[0].startswith("a,")
     assert len(lines) == 13
     assert "exact match" in proc.stderr
+
+
+# SHA-256 of the `series --check-factorization --n-trunc 4` stderr (one
+# line per template plus the summary line), recorded when the templates were
+# still rebuilt from the labelled diagrams of each floor count.
+TEMPLATE_STDERR_DIGESTS = {
+    (3, "2,-2", 2):
+        "61c289d87c80994945d0ce5b79875c33cf6248e78008b49ab0594535a650e544",
+    (2, "2,2,-2,-2", 2):
+        "7869fa4609498c44fff40cb63d9a7706d5c2f53b9ecd308c849a564cdf34746b",
+    (3, "3,3,-3,-3", 3):
+        "fb7327ded129dbaeac32c9c54cd12f34ddf1d4abaf6be76e91d4f2c389f42905",
+    (3, "6,-6", 6):
+        "7860248b032220ae07a807b4d3f9ff3d8bca3c4b73caaa4943039ef84f1b4bdf",
+}
+
+
+@pytest.mark.parametrize("genus,profile,delta", list(TEMPLATE_STDERR_DIGESTS))
+def test_check_factorization_stderr_pinned(genus, profile, delta):
+    proc = run_cli(
+        ["series", "--g", str(genus), "--profile", profile, "--delta",
+         str(delta), "--n-trunc", "4", "--check-factorization"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stderr.encode()).hexdigest()
+    assert digest == TEMPLATE_STDERR_DIGESTS[(genus, profile, delta)]
 
 
 def test_series_truncation_zero():

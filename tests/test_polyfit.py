@@ -31,8 +31,6 @@ from corgw.refined import bold_sigma
 from corgw.torsion import (
     GroupAlgebraElement,
     convolve,
-    divide,
-    rebase,
     theta,
     theta_coordinates,
 )
@@ -154,7 +152,7 @@ def test_gamma_coeffs_prime_and_identity():
             core = GroupAlgebraElement.unit(e)
             for a_v, val in t.floor_info:
                 core = convolve(core, a_v ** (val - 1) * bold_sigma(e, a_v))
-            lifted = divide(delta // e, rebase(core, delta))
+            lifted = core.rebase(delta).divide(delta // e)
             assert acc == lifted
 
 
@@ -168,7 +166,7 @@ def test_gamma_defining_identity_delta12():
         core = GroupAlgebraElement.unit(e)
         for a_v, val in t.floor_info:
             core = convolve(core, a_v ** (val - 1) * bold_sigma(e, a_v))
-        assert acc == divide(12 // e, rebase(core, 12))
+        assert acc == core.rebase(12).divide(12 // e)
 
 
 def test_route_equivalence():

@@ -9,39 +9,11 @@ from corgw.qseries import (
     GASeries,
     factorization_check,
     invariant_series,
-    local_series,
-    q_derivative,
-    sigma_series,
     templates_for,
     write_series_csv,
 )
-from corgw.refined import bold_sigma
+from corgw.refined import bold_sigma, local_invariant
 from corgw.torsion import GroupAlgebraElement, theta
-
-
-def test_sigma_series_examples():
-    s1 = sigma_series(1, 6)
-    assert s1[1:] == [1, 3, 4, 7, 6, 12]
-    s2 = sigma_series(2, 6)
-    assert s2[1:] == [0, 1, 0, 3, 0, 4]
-    for d in (2, 3, 5):
-        s = sigma_series(d, 30)
-        for a in range(1, 31):
-            assert s[a] == (s1[a // d] if a % d == 0 and a // d <= 6 else s[a])
-            if a % d == 0:
-                assert s[a] == sigma(a // d)
-
-
-def test_q_derivative():
-    s = sigma_series(1, 8)
-    d = q_derivative(s)
-    assert d[1] == s[1]
-    assert all(d[a] == a * s[a] for a in range(1, 9))
-    z = [0] * 9
-    assert q_derivative(z) == z
-    # n-1 applications give a^(n-1) sigma_bar
-    dd = q_derivative(q_derivative(s))
-    assert all(dd[a] == a * a * sigma(a) for a in range(1, 9))
 
 
 def test_local_series_zero_coefficient_identity():
@@ -49,27 +21,23 @@ def test_local_series_zero_coefficient_identity():
     # combination of shifted sigma series, after n-1 derivatives
     n_trunc = 24
     for (n, w1, delta) in ((2, 2, 2), (3, 6, 3), (2, 12, 4), (4, 6, 6)):
-        ls = local_series(n, w1, delta, n_trunc)
         combo = [0] * (n_trunc + 1)
         for d in divisors(delta):
-            s = sigma_series(d, n_trunc)
             for a in range(1, n_trunc + 1):
-                combo[a] += jordan2(d) * s[a]
-        for _ in range(n - 1):
-            combo = q_derivative(combo)
+                combo[a] += jordan2(d) * sigma_bar(d, a)
         for a in range(1, n_trunc + 1):
-            got = ls.coefficient(a).coefficient(0, 0)
+            combo[a] *= a ** (n - 1)
+        for a in range(1, n_trunc + 1):
+            got = local_invariant(a, w1, n, delta).coefficient(0, 0)
             assert got == Fraction(w1 * w1, delta * delta) * combo[a]
 
 
 def test_local_series_unrefined_and_mass():
     n_trunc = 15
-    ls = local_series(3, 4, 1, n_trunc)
     for a in range(1, n_trunc + 1):
-        assert ls.coefficient(a) == a * a * sigma(a) * 16 * GroupAlgebraElement.unit(1)
-    ls2 = local_series(2, 6, 3, n_trunc)
+        assert local_invariant(a, 4, 3, 1) == a * a * sigma(a) * 16 * GroupAlgebraElement.unit(1)
     for a in range(1, n_trunc + 1):
-        assert ls2.coefficient(a).total_mass == a * sigma(a) * 36
+        assert local_invariant(a, 6, 2, 3).total_mass == a * sigma(a) * 36
 
 
 def test_invariant_series_matches_pointwise():
@@ -117,7 +85,7 @@ def test_templates_for_counts():
 
 
 def test_csv_output():
-    s = local_series(2, 2, 2, 3)
+    s = GASeries(2, tuple(local_invariant(a, 2, 2, 2) for a in range(1, 4)))
     buf = io.StringIO()
     write_series_csv(s, buf)
     lines = buf.getvalue().strip().splitlines()

@@ -10,9 +10,6 @@ from corgw.torsion import (
     ProjectorElement,
     TorsionPoint,
     convolve,
-    divide,
-    m_push,
-    rebase,
     theta,
     theta_coordinates,
     unrefine,
@@ -98,9 +95,9 @@ def test_convolve_against_brute_force():
 
 def test_m_push_examples():
     x = GroupAlgebraElement(4, {(1, 2): Fraction(1, 3), (3, 3): 1})
-    assert m_push(1, x) == x
-    assert m_push(2, theta(2, 2)) == theta(2, 1)
-    assert m_push(4, x) == x.total_mass * GroupAlgebraElement.unit(4)
+    assert x.m_push(1) == x
+    assert theta(2, 2).m_push(2) == theta(2, 1)
+    assert x.m_push(4) == x.total_mass * GroupAlgebraElement.unit(4)
 
 
 def test_m_push_on_projectors():
@@ -108,51 +105,51 @@ def test_m_push_on_projectors():
         divs = [d for d in range(1, delta + 1) if delta % d == 0]
         for d in divs:
             for k in range(1, 13):
-                assert m_push(k, theta(delta, d)) == theta(
+                assert theta(delta, d).m_push(k) == theta(
                     delta, d // math.gcd(d, k)
                 )
 
 
 def test_divide_examples():
     x = GroupAlgebraElement(6, {(0, 0): 1, (3, 3): Fraction(1, 2)})
-    assert divide(1, x) == x
-    assert divide(2, theta(2, 1)) == theta(2, 2)
+    assert x.divide(1) == x
+    assert theta(2, 1).divide(2) == theta(2, 2)
     for delta in (2, 4, 6, 12):
         divs = [d for d in range(1, delta + 1) if delta % d == 0]
         for d in divs:
             for k in divs:
                 if (k * d) and delta % (k * d) == 0:
-                    assert divide(k, theta(delta, d)) == theta(delta, k * d)
+                    assert theta(delta, d).divide(k) == theta(delta, k * d)
     with pytest.raises(ValueError):
-        divide(4, theta(6, 1))
+        theta(6, 1).divide(4)
     with pytest.raises(ValueError):
         # (1, 0) has no square root visible at level 2
-        divide(2, GroupAlgebraElement(2, {(1, 0): 1}))
+        GroupAlgebraElement(2, {(1, 0): 1}).divide(2)
 
 
 def test_mass_conservation_and_section():
     x = GroupAlgebraElement(12, {(0, 0): Fraction(2, 3), (6, 6): 5, (4, 8): -1})
     for k in (1, 2, 3, 5, 12):
-        assert m_push(k, x).total_mass == x.total_mass
+        assert x.m_push(k).total_mass == x.total_mass
     # section identity on elements whose support is divisible by k
     z = GroupAlgebraElement(12, {(4, 8): 3, (0, 4): Fraction(1, 7)})
-    assert divide(4, z).total_mass == z.total_mass
-    assert m_push(4, divide(4, z)) == z
-    assert m_push(2, divide(2, z)) == z
+    assert z.divide(4).total_mass == z.total_mass
+    assert z.divide(4).m_push(4) == z
+    assert z.divide(2).m_push(2) == z
 
 
 def test_rebase():
-    assert rebase(theta(2, 2), 4) == theta(4, 2)
+    assert theta(2, 2).rebase(4) == theta(4, 2)
     x = GroupAlgebraElement(6, {(2, 4): Fraction(5, 3)})
-    assert rebase(x, 6) == x
-    up = rebase(x, 12)
+    assert x.rebase(6) == x
+    up = x.rebase(12)
     assert up == GroupAlgebraElement(12, {(4, 8): Fraction(5, 3)})
-    assert rebase(up, 6) == x
+    assert up.rebase(6) == x
     with pytest.raises(ValueError):
         # a point of order 4 is not 2-torsion
-        rebase(GroupAlgebraElement(4, {(1, 0): 1}), 2)
+        GroupAlgebraElement(4, {(1, 0): 1}).rebase(2)
     with pytest.raises(ValueError):
-        rebase(x, 4)
+        x.rebase(4)
 
 
 def test_unrefine():
@@ -211,7 +208,7 @@ def test_mass_homomorphisms(data):
     y = data.draw(elements(delta=d))
     assert convolve(x, y).total_mass == x.total_mass * y.total_mass
     k = data.draw(st.sampled_from([m for m in range(1, d + 1) if d % m == 0]))
-    assert m_push(k, x).total_mass == x.total_mass
+    assert x.m_push(k).total_mass == x.total_mass
 
 
 # -- projector basis against the dense reference ---------------------------
