@@ -16,6 +16,20 @@ from corgw.refined import bold_sigma, local_invariant
 from corgw.torsion import GroupAlgebraElement, theta
 
 
+def test_sigma_series_examples():
+    # coefficient lists [0, sigma_bar(d, 1), ..., sigma_bar(d, n)]
+    s1 = [0] + [sigma_bar(1, a) for a in range(1, 7)]
+    assert s1[1:] == [1, 3, 4, 7, 6, 12]
+    s2 = [0] + [sigma_bar(2, a) for a in range(1, 7)]
+    assert s2[1:] == [0, 1, 0, 3, 0, 4]
+    for d in (2, 3, 5):
+        s = [0] + [sigma_bar(d, a) for a in range(1, 31)]
+        for a in range(1, 31):
+            assert s[a] == (s1[a // d] if a % d == 0 and a // d <= 6 else s[a])
+            if a % d == 0:
+                assert s[a] == sigma(a // d)
+
+
 def test_local_series_zero_coefficient_identity():
     # the (0,0)-coefficient series is (w1/delta)^2 times the J2-weighted
     # combination of shifted sigma series, after n-1 derivatives
