@@ -172,7 +172,7 @@ def cmd_polyfit(args) -> int:
     try:
         with open(args.template) as fh:
             template = polyfit.DiagramTemplate.from_json(fh.read())
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot load template: {exc}") from exc
     chamber = None
     if args.chamber:
@@ -181,7 +181,10 @@ def cmd_polyfit(args) -> int:
         except ValueError as exc:
             raise ValueError(f"bad chamber {args.chamber!r}") from exc
         chamber = (mod, res)
-    samples = [int(t) for t in args.samples.split(",")]
+    try:
+        samples = [int(t) for t in args.samples.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad samples {args.samples!r}") from exc
     k = args.holdout
     if k < 1:
         raise ValueError(f"--holdout must be >= 1, got {k}")
@@ -194,6 +197,12 @@ def cmd_polyfit(args) -> int:
     if not report.ok:
         raise VerificationFailure("polynomial fit failed holdout validation")
     return EXIT_OK
+
+
+def _add_format_flags(p: argparse.ArgumentParser) -> None:
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--table", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--shift", type=str, default=None, help="u,v correlator shift")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--table", action="store_true")
+    _add_format_flags(p)
     p.set_defaults(func=cmd_local)
 
     p = sub.add_parser("oracle-verify", help="closed form vs sublattice oracle")
@@ -228,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--list", action="store_true")
     mode.add_argument("--count", action="store_true")
     mode.add_argument("--sum", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--table", action="store_true")
+    _add_format_flags(p)
     p.set_defaults(func=cmd_diagrams)
 
     p = sub.add_parser("series", help="invariant series CSV")

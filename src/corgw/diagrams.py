@@ -546,7 +546,9 @@ _FLOOR = Floor(1)
 
 
 @lru_cache(maxsize=None)
-def _structures(genus: int, weights: tuple[int, ...]) -> tuple[FloorDiagram, ...]:
+def _structures(
+    genus: int, weights: tuple[int, ...], max_floors: int | None = None
+) -> tuple[FloorDiagram, ...]:
     """All diagram structures (floor labels stripped to 1) for a profile.
 
     Level-by-level transfer search: at each of the n + g - 1 levels place a
@@ -564,6 +566,10 @@ def _structures(genus: int, weights: tuple[int, ...]) -> tuple[FloorDiagram, ...
     - Betti number: a floor may not drive the deficit below 0.
     - Last level: the top level must bring the deficit to 0.  A flat fits
       there only at deficit 0; a floor must close it exactly.
+    - Floor cap: at most max_floors floors (None means the genus, which no
+      structure exceeds).  The max_floors-th floor must therefore close the
+      deficit exactly, as on the last level.  The capped output is the full
+      output less the structures with more floors, in the same order.
     - Forest: with the flats deleted, a floor may take at most one edge
       from each floor component (a second edge, parallel or not, closes a
       flat-free cycle), and the merged component may carry at most one
@@ -597,6 +603,7 @@ def _structures(genus: int, weights: tuple[int, ...]) -> tuple[FloorDiagram, ...
     profile = TangencyProfile(weights)
     n_levels = len(profile.weights) + genus - 1
     n_sinks = len(profile.sinks)
+    cap = genus if max_floors is None else max_floors
     sink_count = Counter(profile.sinks)
     results: list[FloorDiagram] = []
     # The levels placed so far and the edges into them, as stacks.
@@ -688,7 +695,8 @@ def _structures(genus: int, weights: tuple[int, ...]) -> tuple[FloorDiagram, ...
         n_open = sum(c for _wo, c in classes)
         for taken, flow, merged, joined, cycles, n_ends, touched in choices[1:]:
             left = deficit - 1 - cycles
-            if left and last:
+            # floor_root holds one key per floor placed so far.
+            if left and (last or len(floor_root) + 1 >= cap):
                 continue
             # The closing floor must take an edge from every component and
             # leave only sinks open; both are tested before its state is built.
@@ -759,17 +767,27 @@ def enumerate_diagrams(
 ) -> list[FloorDiagram]:
     """Every valid floor diagram for the given genus, class and profile.
 
-    Structures (floor labels stripped) are searched once per genus and
-    profile; floor labels then run over the compositions of the class,
-    which touches no validity clause.  Output order is deterministic:
-    structure discovery order, then labels ascending lexicographically.
+    Structures (floor labels stripped) are searched once per genus, profile
+    and floor cap: every floor label is >= 1, so a class below the genus
+    caps the floors at the class, and from the genus on the cap is dropped
+    and the full search is shared with qseries.templates_for.  Floor labels
+    then run over the compositions of the class, which touches no validity
+    clause.  Output order is deterministic: structure discovery order, then
+    labels ascending lexicographically.
     """
     if genus < 1:
         raise ValueError(f"expected genus >= 1, got {genus}")
     if degree < 1:
         raise ValueError(f"expected degree >= 1, got {degree}")
+    weights = tuple(sorted(profile.weights))
+    # Called without a cap from the genus on, so the cache entry is the one
+    # qseries.templates_for fills.
+    if degree < genus:
+        structures = _structures(genus, weights, degree)
+    else:
+        structures = _structures(genus, weights)
     out: list[FloorDiagram] = []
-    for struct in _structures(genus, tuple(sorted(profile.weights))):
+    for struct in structures:
         idx = struct.floor_indices
         if len(idx) > degree:
             continue

@@ -337,6 +337,34 @@ def test_polyfit_malformed_template_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_polyfit_wrong_shape_template_exit_2(tmp_path, capsys):
+    for i, text in enumerate(("[]", '{"levels": 5, "edges": []}')):
+        path = tmp_path / f"shape{i}.json"
+        path.write_text(text)
+        assert main(["polyfit", "--template", str(path), "--delta", "1",
+                     "--samples", "1,2,3"]) == 2
+        assert "cannot load template" in capsys.readouterr().err
+
+
+def test_polyfit_bad_samples_exit_2(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN_TEMPLATE))
+    assert main(["polyfit", "--template", str(path), "--delta", "1",
+                 "--samples", "2,4,x"]) == 2
+    assert "bad samples '2,4,x'" in capsys.readouterr().err
+
+
+def test_json_and_table_exclusive(capsys):
+    for argv in (
+        ["diagrams", "--g", "1", "--a", "1", "--profile", "2,-2", "--sum"],
+        ["local", "--a", "2", "--w1", "2", "--n", "2", "--delta", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--json", "--table"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+
 def test_main_in_process():
     assert main(["diagrams", "--g", "1", "--a", "1", "--profile", "2,-2",
                  "--count"]) == 0

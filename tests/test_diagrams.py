@@ -437,6 +437,57 @@ def test_structures_order_pinned(genus, weights):
     ]
 
 
+@pytest.mark.parametrize(
+    "genus,weights",
+    list(STRUCTURE_DIGESTS) + [(g, w) for g, _a, w in BRUTE_FORCE_CASES],
+)
+def test_floor_cap_equals_filtering(genus, weights):
+    from corgw.diagrams import _structures
+
+    weights = tuple(sorted(weights))
+    full = _structures(genus, weights)
+    for cap in range(1, genus + 1):
+        assert _structures(genus, weights, cap) == tuple(
+            s for s in full if len(s.floor_indices) <= cap
+        ), cap
+
+
+def test_floor_cap_cuts_search(monkeypatch):
+    from corgw.diagrams import _structures
+
+    # Every structure of (10; 2, -2) has more than two floors: the cut is
+    # in the search, so no candidate reaches validate.
+    assert _structures(10, (-2, 2), 2) == ()
+    assert _structure_candidates(10, (2, -2), monkeypatch, 2) == []
+
+
+# SHA-256 of the newline-joined to_json of enumerate_diagrams below the
+# genus, as the search without a floor cap produced it.
+CAPPED_ENUMERATION_DIGESTS = {
+    (3, 2, (2, 2, -2, -2)): (
+        22, "b60da57d8f8750664eccebe809ff2e13b288db735b79be35810c78df7f92111d"),
+    (4, 3, (2, 2, -4)): (
+        220, "dc0f1f2d183151ae948207ea549605b1cd4c7a21acf56a5b3cab0be86b76b455"),
+    (3, 2, (2, 2, 2, -6)): (
+        60, "a0fda5630530927810192cbd6105c8891ad667d2e59ab9a7a0b378f15f7e9028"),
+    (3, 2, (3, 3, -3, -3)): (
+        42, "b176b51bc70bd8964c86bf62f97269698c09c4ef2e3fb63ec209d9bb0b9d5f1f"),
+    (5, 3, (2, -2)): (
+        2, "fd4b0af4f6e7ba0b6f3c551a0eb9dc770289e6bf40466b98adb1074e676b7fd8"),
+    (4, 2, (4, -2, -2)): (
+        0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("genus,degree,weights", list(CAPPED_ENUMERATION_DIGESTS))
+def test_enumeration_below_genus_pinned(genus, degree, weights):
+    found = enumerate_diagrams(genus, degree, TangencyProfile(weights))
+    text = "\n".join(d.to_json() for d in found)
+    count, digest = CAPPED_ENUMERATION_DIGESTS[(genus, degree, weights)]
+    assert len(found) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # -- two-flat cycle test against path enumeration ---------------------------
 
 
@@ -479,7 +530,7 @@ def two_flat_cycle_by_paths(diagram):
     return False
 
 
-def _structure_candidates(genus, weights, monkeypatch):
+def _structure_candidates(genus, weights, monkeypatch, *max_floors):
     """Every diagram the structure search hands to validate."""
     from corgw import diagrams
     from corgw.diagrams import _structures
@@ -491,7 +542,7 @@ def _structure_candidates(genus, weights, monkeypatch):
         return validate(diagram, *args)
 
     monkeypatch.setattr(diagrams, "validate", recording)
-    _structures.__wrapped__(genus, tuple(sorted(weights)))
+    _structures.__wrapped__(genus, tuple(sorted(weights)), *max_floors)
     monkeypatch.undo()
     return built
 
