@@ -46,7 +46,6 @@ _EXPORTS = {
     ),
     "polyfit": (
         "DiagramTemplate",
-        "adjacency_matrix",
         "gamma_coeffs",
         "invariant_by_template",
         "polynomial_fit",

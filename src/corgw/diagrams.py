@@ -21,7 +21,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Iterator, Union
 
 from .refined import bold_sigma
@@ -40,8 +40,8 @@ class Floor:
     a_v: int
 
     def __post_init__(self) -> None:
-        if self.a_v < 1:
-            raise ValueError(f"floor label must be >= 1, got {self.a_v}")
+        if type(self.a_v) is not int or self.a_v < 1:
+            raise ValueError(f"floor label must be an integer >= 1, got {self.a_v!r}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,13 @@ class TangencyProfile:
             g = gcd(g, abs(w))
         return g
 
+    def check_delta(self, delta: int) -> None:
+        """Raise unless the torsion level delta >= 1 divides the profile gcd."""
+        if delta < 1 or self.gcd_abs % delta:
+            raise ValueError(
+                f"delta={delta} must divide the profile gcd {self.gcd_abs}"
+            )
+
 
 def _levels_to_json(levels) -> list[dict]:
     """JSON form of a level sequence, shared by diagrams and templates."""
@@ -105,10 +112,16 @@ def _levels_to_json(levels) -> list[dict]:
     ]
 
 
+def _level_from_json(lv: dict) -> LevelNode:
+    if lv["kind"] == "floor":
+        return Floor(lv["a"])
+    if lv["kind"] == "flat":
+        return Flat()
+    raise ValueError(f"unknown level kind {lv['kind']!r}")
+
+
 def _levels_from_json(data: list[dict]) -> tuple[LevelNode, ...]:
-    return tuple(
-        Floor(lv["a"]) if lv["kind"] == "floor" else Flat() for lv in data
-    )
+    return tuple(_level_from_json(lv) for lv in data)
 
 
 def _pos(endpoint: Endpoint, n_levels: int) -> int:
@@ -164,8 +177,15 @@ class FloorDiagram:
                 out.append(e.w)
         return tuple(sorted(out))
 
-    def valency(self, i: int) -> int:
-        return sum((e.lo == i) + (e.hi == i) for e in self.edges)
+    @property
+    def floor_info(self) -> tuple[tuple[int, int], ...]:
+        """Sorted multiset of (label, valency) over the floors."""
+        val = [0] * len(self.levels)
+        for e in self.edges:
+            for end in (e.lo, e.hi):
+                if isinstance(end, int):
+                    val[end] += 1
+        return tuple(sorted((self.levels[i].a_v, val[i]) for i in self.floor_indices))
 
     def delta_gcd(self, delta: int) -> int:
         g = delta
@@ -181,24 +201,20 @@ class FloorDiagram:
         )
 
     @property
-    def open_edges(self) -> tuple[Edge, ...]:
-        """Edges, bounded or not, with no flat endpoint."""
+    def edge_exponents(self) -> tuple[int, ...]:
+        """Exponent of each edge weight in the weight monomial: one if the
+        edge is bounded, plus two if it has no flat endpoint."""
         flats = set(self.flat_indices)
         return tuple(
-            e
+            (isinstance(e.lo, int) and isinstance(e.hi, int))
+            + 2 * (e.lo not in flats and e.hi not in flats)
             for e in self.edges
-            if not (e.lo in flats or e.hi in flats)
         )
 
     @property
     def weight_monomial(self) -> int:
-        """Product of w_e over bounded edges, times w_e^2 over open edges."""
-        out = 1
-        for e in self.bounded_edges:
-            out *= e.w
-        for e in self.open_edges:
-            out *= e.w * e.w
-        return out
+        """Product of w_e ** k_e over the edges, k_e from edge_exponents."""
+        return prod(e.w ** k for e, k in zip(self.edges, self.edge_exponents))
 
     # -- graph structure ------------------------------------------------
 
@@ -268,7 +284,7 @@ def _structural_check(diagram: FloorDiagram) -> None:
         raise ValueError("diagram has no levels")
     for e in diagram.edges:
         for end in (e.lo, e.hi):
-            if isinstance(end, int):
+            if type(end) is int:
                 if not 0 <= end < n:
                     raise ValueError(f"edge endpoint {end} out of range")
             elif end not in (BOTTOM, TOP):
@@ -476,10 +492,7 @@ def multiplicity(diagram: FloorDiagram, delta: int) -> ProjectorElement:
                 f"profile weight {w} not divisible by delta={delta}"
             )
     delta_d = diagram.delta_gcd(delta)
-    floors = tuple(
-        sorted((diagram.levels[i].a_v, diagram.valency(i)) for i in diagram.floor_indices)
-    )
-    return _floor_core(delta, delta_d, floors) * diagram.weight_monomial
+    return _floor_core(delta, delta_d, diagram.floor_info) * diagram.weight_monomial
 
 
 # -- enumeration -----------------------------------------------------------
@@ -814,8 +827,5 @@ def invariant(
     genus: int, degree: int, profile: TangencyProfile, delta: int
 ) -> ProjectorElement:
     """Correlated count: sum of multiplicities over all floor diagrams."""
-    if delta < 1 or profile.gcd_abs % delta:
-        raise ValueError(
-            f"delta={delta} must divide the profile gcd {profile.gcd_abs}"
-        )
+    profile.check_delta(delta)
     return _invariant_cached(genus, degree, tuple(sorted(profile.weights)), delta)

@@ -1,50 +1,70 @@
 """Piecewise-polynomial structure of the invariants in the tangency orders.
 
-A diagram template fixes everything about a floor diagram except its edge
-weights; the admissible weightings are the positive lattice points of the
-flow polytope cut out by the signed incidence matrix.  Summing the weight
-monomial over weightings restricted to gcd classes, with group-algebra
-coefficients obtained from a Moebius-style triangular system, rebuilds the
-per-template invariant and exposes it as a polynomial in the tangency
-order on each divisibility chamber.  Polynomial identification is exact
-Newton interpolation over rationals with held-out validation points.
+A diagram template is a floor diagram with its edge weights erased.  It is
+held as its unit-weight diagram, so its edges come in the diagram's
+canonical order and column j of a weighting is edge j.  The admissible
+weightings are the positive lattice points of the flow polytope cut out by
+the signed incidence matrix; once the end weights are fixed, the polytope
+has the dimension of the first Betti number of the levels joined by the
+bounded edges.  Summing the weight monomial over weightings restricted to
+gcd classes, with group-algebra coefficients obtained from a Moebius-style
+triangular system, rebuilds the per-template invariant and exposes it as a
+polynomial in the tangency order on each divisibility chamber.  Polynomial
+identification is exact Newton interpolation over rationals with held-out
+validation points.
 
-The fit operates on the two-end profile family (w, -w); richer profile
-grids would need the full chamber complex, which is out of scope.
+The fit operates on the two-end profile family (w, -w): a template must
+weight to a valid floor diagram of that family.  Richer profile grids would
+need the full chamber complex, which is out of scope.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from typing import Sequence
+from math import prod
+from typing import Iterator, Sequence
 
 from .arith import divisors
 from .diagrams import (
     BOTTOM,
     TOP,
     Edge,
-    Flat,
-    Floor,
     FloorDiagram,
     TangencyProfile,
+    _components,
     _compositions_asc,
     _floor_core,
     _levels_from_json,
     _levels_to_json,
     multiplicity,
+    validate,
 )
 from .torsion import ProjectorElement, theta_coordinates
 
 
 @dataclass(frozen=True)
 class DiagramTemplate:
-    """Floor diagram with edge weights erased; orientation and labels kept."""
+    """Floor diagram with edge weights erased; orientation and labels kept.
+
+    Construction builds the unit-weight diagram, which checks the endpoints
+    and orientation (ValueError otherwise), and stores the edges in its
+    canonical order.  That diagram also supplies the floor multiset and the
+    exponent of each edge weight in the weight monomial.
+    """
 
     levels: tuple
     edges: tuple[tuple, ...]  # (lo, hi) pairs in the diagram's endpoint syntax
+    unit: FloorDiagram = field(init=False, repr=False, compare=False)
+    exponents: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        unit = self.with_weights((1,) * len(self.edges))
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "edges", tuple((e.lo, e.hi) for e in unit.edges))
+        object.__setattr__(self, "exponents", unit.edge_exponents)
 
     @classmethod
     def from_diagram(cls, diagram: FloorDiagram) -> "DiagramTemplate":
@@ -58,47 +78,13 @@ class DiagramTemplate:
             tuple(Edge(lo, hi, w) for (lo, hi), w in zip(self.edges, omega)),
         )
 
-    @property
-    def floor_info(self) -> tuple[tuple[int, int], ...]:
-        """Sorted multiset of (label, valency) over the floors."""
-        out = []
-        for i, lv in enumerate(self.levels):
-            if isinstance(lv, Floor):
-                val = sum((lo == i) + (hi == i) for lo, hi in self.edges)
-                out.append((lv.a_v, val))
-        return tuple(sorted(out))
-
-    @property
-    def bounded_columns(self) -> tuple[int, ...]:
-        return tuple(
-            j
-            for j, (lo, hi) in enumerate(self.edges)
-            if isinstance(lo, int) and isinstance(hi, int)
-        )
-
-    @property
-    def open_columns(self) -> tuple[int, ...]:
-        """Edge columns with no flat endpoint (weight squared in f)."""
-        flats = {i for i, lv in enumerate(self.levels) if isinstance(lv, Flat)}
-        return tuple(
-            j
-            for j, (lo, hi) in enumerate(self.edges)
-            if not (lo in flats or hi in flats)
-        )
-
     def monomial(self, omega: Sequence[int]) -> int:
-        """f(omega): product of weights over bounded columns, squared over
-        flat-free columns."""
-        out = 1
-        for j in self.bounded_columns:
-            out *= omega[j]
-        for j in self.open_columns:
-            out *= omega[j] * omega[j]
-        return out
+        """f(omega): the weight monomial of the diagram weighted by omega."""
+        return prod(w ** k for w, k in zip(omega, self.exponents))
 
     @property
     def monomial_degree(self) -> int:
-        return len(self.bounded_columns) + 2 * len(self.open_columns)
+        return sum(self.exponents)
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,28 +105,6 @@ class DiagramTemplate:
         return cls.from_json_dict(json.loads(text))
 
 
-def adjacency_matrix(template: DiagramTemplate) -> list[list[int]]:
-    """Signed incidence matrix: rows vertices (levels, then one infinite
-    vertex per end edge), columns edges; +1 where an edge ends, -1 where it
-    starts.  A @ omega is the divergence at every vertex."""
-    n = len(template.levels)
-    ends = [
-        ("end", j)
-        for j, (lo, hi) in enumerate(template.edges)
-        for side in (lo, hi)
-        if side in (BOTTOM, TOP)
-    ]
-    rows = [("level", i) for i in range(n)] + ends
-    index = {r: k for k, r in enumerate(rows)}
-    mat = [[0] * len(template.edges) for _ in rows]
-    for j, (lo, hi) in enumerate(template.edges):
-        lo_row = index[("level", lo)] if isinstance(lo, int) else index[("end", j)]
-        hi_row = index[("level", hi)] if isinstance(hi, int) else index[("end", j)]
-        mat[lo_row][j] -= 1
-        mat[hi_row][j] += 1
-    return mat
-
-
 def weightings(
     template: DiagramTemplate, profile: TangencyProfile
 ) -> list[tuple[int, ...]]:
@@ -151,34 +115,34 @@ def weightings(
     propagated level by level, each level's outgoing flow enumerated as a
     composition of its incoming flow.
     """
+    return list(_iter_weightings(template, profile))
+
+
+def _iter_weightings(
+    template: DiagramTemplate, profile: TangencyProfile
+) -> Iterator[tuple[int, ...]]:
+    """The weightings of weightings(), generated one at a time."""
     n = len(template.levels)
-    bottom_cols = [j for j, (lo, _hi) in enumerate(template.edges) if lo == BOTTOM]
-    top_cols = [j for j, (_lo, hi) in enumerate(template.edges) if hi == TOP]
+    bottom_cols, top_cols = [], []
+    # Per level: the edges into it, its bounded out-edges, its edges to TOP.
+    in_cols, out_bounded, out_top = ([[] for _ in range(n)] for _ in range(3))
+    for j, (lo, hi) in enumerate(template.edges):
+        if lo == BOTTOM:
+            bottom_cols.append(j)
+        else:
+            (out_top if hi == TOP else out_bounded)[lo].append(j)
+        if hi == TOP:
+            top_cols.append(j)
+        else:
+            in_cols[hi].append(j)
     if len(bottom_cols) != len(profile.sources) or len(top_cols) != len(
         profile.sinks
     ):
-        return []
-    out_bounded = {
-        i: [
-            j
-            for j, (lo, hi) in enumerate(template.edges)
-            if lo == i and isinstance(hi, int)
-        ]
-        for i in range(n)
-    }
-    in_cols = {
-        i: [j for j, (_lo, hi) in enumerate(template.edges) if hi == i]
-        for i in range(n)
-    }
-    out_top = {
-        i: [j for j, (lo, hi) in enumerate(template.edges) if lo == i and hi == TOP]
-        for i in range(n)
-    }
-    results: list[tuple[int, ...]] = []
+        return
 
     def propagate(level: int, omega: list):
         if level == n:
-            results.append(tuple(omega))
+            yield tuple(omega)
             return
         inflow = sum(omega[j] for j in in_cols[level])
         fixed_out = sum(omega[j] for j in out_top[level])
@@ -186,12 +150,12 @@ def weightings(
         cols = out_bounded[level]
         if not cols:
             if rest == 0:
-                propagate(level + 1, omega)
+                yield from propagate(level + 1, omega)
             return
         for parts in _compositions_asc(rest, len(cols)):
             for j, w in zip(cols, parts):
                 omega[j] = w
-            propagate(level + 1, omega)
+            yield from propagate(level + 1, omega)
         for j in cols:
             omega[j] = 0
 
@@ -202,8 +166,7 @@ def weightings(
                 omega[j] = w
             for j, w in zip(top_cols, snk):
                 omega[j] = w
-            propagate(0, omega)
-    return results
+            yield from propagate(0, omega)
 
 
 def gamma_coeffs(
@@ -217,7 +180,7 @@ def gamma_coeffs(
     """
     if delta < 1:
         raise ValueError(f"expected delta >= 1, got {delta}")
-    floors = template.floor_info
+    floors = template.unit.floor_info
     gammas: dict[int, ProjectorElement] = {}
     for e in divisors(delta):
         phi = _floor_core(delta, e, floors)
@@ -238,10 +201,7 @@ def invariant_by_template(
     weightings whose coordinates are all divisible by d.  Equals the direct
     sum of multiplicities over the same weightings.
     """
-    if delta < 1 or profile.gcd_abs % delta:
-        raise ValueError(
-            f"delta={delta} must divide the profile gcd {profile.gcd_abs}"
-        )
+    profile.check_delta(delta)
     omegas = weightings(template, profile)
     gammas = gamma_coeffs(template, delta)
     total = ProjectorElement.zero(delta)
@@ -266,32 +226,33 @@ def direct_sum_over_weightings(
 
 
 def flow_degrees_of_freedom(template: DiagramTemplate) -> int:
-    """Dimension of the space of flows once the end weights are fixed:
-    bounded columns minus the rank of the level rows of the incidence
-    matrix restricted to them."""
-    cols = template.bounded_columns
+    """Dimension of the space of flows once the end weights are fixed.
+
+    That is the bounded edge count less the rank of the level rows of the
+    incidence matrix restricted to them.  An oriented incidence matrix of a
+    graph with n vertices and c components has rank n - c, so this is the
+    first Betti number of the levels joined by the bounded edges.
+    """
+    bounded = template.unit.bounded_edges
     n = len(template.levels)
-    full = adjacency_matrix(template)
-    rows = [[Fraction(full[i][j]) for j in cols] for i in range(n)]
-    rank = 0
-    for col in range(len(cols)):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        inv = Fraction(1) / pr[col]
-        rows[rank] = [x * inv for x in pr]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return len(cols) - rank
+    comps = _components(range(n), [(e.lo, e.hi) for e in bounded])
+    return len(bounded) - n + len(comps)
+
+
+def _check_shape(template: DiagramTemplate, samples: Sequence[int]) -> None:
+    """Raise unless the template, weighted at the first sample w that admits
+    a weighting of (w, -w), is a valid floor diagram of its genus."""
+    for w in samples:
+        profile = TangencyProfile((w, -w))
+        omega = next(_iter_weightings(template, profile), None)
+        if omega is not None:
+            diagram = template.with_weights(omega)
+            genus = len(template.levels) - 1
+            ok, clause = validate(diagram, genus, diagram.degree, profile)
+            if not ok:
+                raise ValueError(f"template is not a floor diagram: {clause}")
+            return
+    raise ValueError(f"template admits no weighting at samples {list(samples)}")
 
 
 # -- exact polynomial helpers ----------------------------------------------
@@ -392,15 +353,22 @@ def polynomial_fit(
     Interpolates each projector coordinate of w -> invariant on the fit
     points of the two-end profile (w, -w), checks the interpolant's degree
     against the structural bound (monomial degree plus flow dimension), and
-    validates it exactly on the held-out points.
+    validates it exactly on the held-out points.  Samples must be >= 1, and
+    the template, weighted at the first sample that admits a weighting, must
+    be a valid floor diagram; otherwise the fit would pass vacuously.
     """
+    samples = (*fit_ws, *holdout_ws)
+    bad = [w for w in samples if w < 1]
+    if bad:
+        raise ValueError(f"samples must be >= 1, got {bad}")
     if chamber is not None:
         mod, res = chamber
         if mod < 1:
             raise ValueError(f"chamber modulus must be >= 1, got {mod}")
-        bad = [w for w in (*fit_ws, *holdout_ws) if w % mod != res]
+        bad = [w for w in samples if w % mod != res]
         if bad:
             raise ValueError(f"samples {bad} lie outside chamber {chamber}")
+    _check_shape(template, samples)
     bound = template.monomial_degree + flow_degrees_of_freedom(template)
 
     def coords_at(w: int) -> dict[int, Fraction]:

@@ -124,8 +124,8 @@ def _template_series(
     delta_t = rep.delta_gcd(delta)
     w_mon = rep.weight_monomial
     prod: GASeries | None = None
-    for i in rep.floor_indices:
-        val = rep.valency(i)
+    # Template floors carry label 1; each block runs over the label a.
+    for _a_v, val in rep.floor_info:
         block = GASeries(
             delta_t,
             tuple(
@@ -156,10 +156,7 @@ def factorization_check(
     """
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
-    if delta < 1 or profile.gcd_abs % delta:
-        raise ValueError(
-            f"delta={delta} must divide the profile gcd {profile.gcd_abs}"
-        )
+    profile.check_delta(delta)
     lhs = GASeries.zero(delta, truncation)
     reports = []
     for rep in templates_for(genus, profile):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -344,6 +345,102 @@ def test_polyfit_wrong_shape_template_exit_2(tmp_path, capsys):
         assert main(["polyfit", "--template", str(path), "--delta", "1",
                      "--samples", "1,2,3"]) == 2
         assert "cannot load template" in capsys.readouterr().err
+
+
+# SHA-256 of the `polyfit` stdout for the benchmark templates at the
+# criterion-9 arguments, recorded before templates were built on the
+# unit-weight diagram.  Both templates fit to the same polynomials.
+POLYFIT_STDOUT_DIGESTS = {
+    "second_kind_low":
+        "adc8314fbe539928cd52c07e19ea95bfc351db6bc08b25ae4f3e67e4e5ff5216",
+    "second_kind_high":
+        "adc8314fbe539928cd52c07e19ea95bfc351db6bc08b25ae4f3e67e4e5ff5216",
+}
+
+
+@pytest.mark.parametrize("name", list(POLYFIT_STDOUT_DIGESTS))
+def test_polyfit_stdout_pinned(name):
+    path = Path(__file__).parents[1] / "perfbench" / "templates" / f"{name}.json"
+    proc = run_cli(
+        ["polyfit", "--template", str(path), "--delta", "2", "--chamber",
+         "2:0", "--samples", "2,4,6,8,10,12,14,16,18,20,22,24"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == POLYFIT_STDOUT_DIGESTS[name]
+
+
+def _chain_with(levels=None, edges=None):
+    return {
+        "levels": CHAIN_TEMPLATE["levels"] if levels is None else levels,
+        "edges": CHAIN_TEMPLATE["edges"] if edges is None else edges,
+    }
+
+
+BAD_TEMPLATES = {
+    "edge to level 7": (
+        _chain_with(edges=[{"lo": "B", "hi": 7}, {"lo": 0, "hi": "T"}]),
+        "edge endpoint 7 out of range",
+    ),
+    "endpoint Q": (
+        _chain_with(edges=[{"lo": "B", "hi": 0}, {"lo": 0, "hi": "Q"}]),
+        "bad endpoint 'Q'",
+    ),
+    "bool endpoint": (
+        _chain_with(edges=[{"lo": "B", "hi": 0}, {"lo": 0, "hi": True},
+                           {"lo": 1, "hi": "T"}]),
+        "bad endpoint True",
+    ),
+    "downward edge": (
+        _chain_with(edges=[{"lo": "B", "hi": 0}, {"lo": 1, "hi": 0},
+                           {"lo": 1, "hi": "T"}]),
+        "must go strictly upward",
+    ),
+    "unknown kind": (
+        _chain_with(levels=[{"kind": "floor", "a": 1}, {"kind": "bogus"}]),
+        "unknown level kind 'bogus'",
+    ),
+    "float label": (
+        _chain_with(levels=[{"kind": "floor", "a": 2.5}, {"kind": "flat"}]),
+        "floor label must be an integer >= 1, got 2.5",
+    ),
+    "bool label": (
+        _chain_with(levels=[{"kind": "floor", "a": True}, {"kind": "flat"}]),
+        "floor label must be an integer >= 1, got True",
+    ),
+    "two ends from B": (
+        _chain_with(edges=[{"lo": "B", "hi": 0}, {"lo": "B", "hi": 0},
+                           {"lo": 0, "hi": 1}, {"lo": 1, "hi": "T"}]),
+        "admits no weighting",
+    ),
+    "flat with two in-edges": (
+        _chain_with(edges=[{"lo": "B", "hi": 0}, {"lo": 0, "hi": 1},
+                           {"lo": 0, "hi": 1}, {"lo": 1, "hi": "T"}]),
+        "flat bivalency at level 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TEMPLATES))
+def test_polyfit_bad_template_exit_2(case, tmp_path, capsys):
+    template, message = BAD_TEMPLATES[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(template))
+    assert main(["polyfit", "--template", str(path), "--delta", "1",
+                 "--samples", "1,2,3,4,5,6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_polyfit_negative_samples_exit_2(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN_TEMPLATE))
+    assert main(["polyfit", "--template", str(path), "--delta", "2",
+                 "--samples=-2,-4,-6,-8,-10,-12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "samples must be >= 1" in captured.err
 
 
 def test_polyfit_bad_samples_exit_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -16,7 +17,6 @@ from corgw.diagrams import (
 )
 from corgw.polyfit import (
     DiagramTemplate,
-    adjacency_matrix,
     direct_sum_over_weightings,
     flow_degrees_of_freedom,
     gamma_coeffs,
@@ -34,6 +34,62 @@ from corgw.torsion import (
     theta,
     theta_coordinates,
 )
+from test_diagrams import BRUTE_FORCE_CASES, STRUCTURE_DIGESTS
+
+
+def adjacency_matrix(template: DiagramTemplate) -> list[list[int]]:
+    """Signed incidence matrix: rows vertices (levels, then one infinite
+    vertex per end edge), columns edges; +1 where an edge ends, -1 where it
+    starts.  A @ omega is the divergence at every vertex."""
+    n = len(template.levels)
+    ends = [
+        ("end", j)
+        for j, (lo, hi) in enumerate(template.edges)
+        for side in (lo, hi)
+        if side in (BOTTOM, TOP)
+    ]
+    rows = [("level", i) for i in range(n)] + ends
+    index = {r: k for k, r in enumerate(rows)}
+    mat = [[0] * len(template.edges) for _ in rows]
+    for j, (lo, hi) in enumerate(template.edges):
+        lo_row = index[("level", lo)] if isinstance(lo, int) else index[("end", j)]
+        hi_row = index[("level", hi)] if isinstance(hi, int) else index[("end", j)]
+        mat[lo_row][j] -= 1
+        mat[hi_row][j] += 1
+    return mat
+
+
+def rank_flow_dimension(template: DiagramTemplate) -> int:
+    """Reference flow dimension: bounded columns minus the rank of the level
+    rows of the incidence matrix restricted to them, by exact Gaussian
+    elimination."""
+    cols = [
+        j
+        for j, (lo, hi) in enumerate(template.edges)
+        if isinstance(lo, int) and isinstance(hi, int)
+    ]
+    n = len(template.levels)
+    full = adjacency_matrix(template)
+    rows = [[Fraction(full[i][j]) for j in cols] for i in range(n)]
+    rank = 0
+    for col in range(len(cols)):
+        pivot = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pr = rows[rank]
+        inv = Fraction(1) / pr[col]
+        rows[rank] = [x * inv for x in pr]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return len(cols) - rank
 
 
 def second_kind_template(a1=2, a2=2):
@@ -139,7 +195,7 @@ def test_gamma_coeffs_prime_and_identity():
         phi1 = gam[1]
         # gamma_1 is the floor product at level 1 averaged to level delta
         scal = 1
-        for a_v, val in t.floor_info:
+        for a_v, val in t.unit.floor_info:
             from corgw.arith import sigma
 
             scal *= a_v ** (val - 1) * sigma(a_v)
@@ -150,7 +206,7 @@ def test_gamma_coeffs_prime_and_identity():
             for d in divisors(e):
                 acc = acc + gam[d]
             core = GroupAlgebraElement.unit(e)
-            for a_v, val in t.floor_info:
+            for a_v, val in t.unit.floor_info:
                 core = convolve(core, a_v ** (val - 1) * bold_sigma(e, a_v))
             lifted = core.rebase(delta).divide(delta // e)
             assert acc == lifted
@@ -164,7 +220,7 @@ def test_gamma_defining_identity_delta12():
         for d in divisors(e):
             acc = acc + gam[d]
         core = GroupAlgebraElement.unit(e)
-        for a_v, val in t.floor_info:
+        for a_v, val in t.unit.floor_info:
             core = convolve(core, a_v ** (val - 1) * bold_sigma(e, a_v))
         assert acc == core.rebase(12).divide(12 // e)
 
@@ -221,6 +277,78 @@ def test_theta_coordinates():
 def test_flow_degrees_of_freedom():
     assert flow_degrees_of_freedom(second_kind_template()) == 1
     assert flow_degrees_of_freedom(chain_template()) == 0
+
+
+@pytest.mark.parametrize(
+    "genus,weights",
+    list(STRUCTURE_DIGESTS) + [(g, w) for g, _a, w in BRUTE_FORCE_CASES],
+)
+def test_flow_dimension_is_incidence_corank(genus, weights):
+    # The Betti number of the bounded subgraph equals the Gaussian-elimination
+    # corank of the incidence matrix on every template of the profile.
+    from corgw.diagrams import _structures
+
+    for struct in _structures(genus, tuple(sorted(weights))):
+        t = DiagramTemplate.from_diagram(struct)
+        assert flow_degrees_of_freedom(t) == rank_flow_dimension(t), t.to_json()
+
+
+def test_template_edges_held_in_canonical_order():
+    t = second_kind_template(2, 2)
+    shuffled = DiagramTemplate(t.levels, tuple(reversed(t.edges)))
+    assert shuffled == t and shuffled.edges == t.edges
+    assert shuffled.edges == tuple((e.lo, e.hi) for e in t.unit.edges)
+    fit = list(range(2, 21, 2))
+    reports = [
+        json.dumps(polynomial_fit(x, 2, fit, [22, 24], (2, 0)).to_json_dict())
+        for x in (t, shuffled)
+    ]
+    assert reports[0] == reports[1]
+
+
+def test_template_shares_diagram_weight_monomial():
+    t = second_kind_template(1, 3)
+    omega = (4, 3, 1, 2, 1, 4)
+    assert t.monomial(omega) == t.with_weights(omega).weight_monomial
+    assert t.monomial_degree == sum(t.exponents) == 8
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [((BOTTOM, 7), (0, TOP)), ((BOTTOM, 0), (0, "Q")), ((BOTTOM, 0), (0, TOP), (1, 0))],
+)
+def test_template_rejects_bad_edges(edges):
+    with pytest.raises(ValueError):
+        DiagramTemplate((Floor(1), Flat()), edges)
+
+
+def test_polynomial_fit_rejects_samples_below_one():
+    t = chain_template()
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        polynomial_fit(t, 1, [-1, -2, -3, -4, -5], [-6, -7])
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        polynomial_fit(t, 1, [0, 1, 2, 3], [4])
+
+
+def test_polynomial_fit_rejects_template_without_weighting():
+    # Two ends from BOTTOM: no weighting induces the two-end profile (w, -w).
+    t = DiagramTemplate(
+        (Floor(1), Flat()),
+        ((BOTTOM, 0), (BOTTOM, 0), (0, 1), (1, TOP)),
+    )
+    with pytest.raises(ValueError, match="admits no weighting"):
+        polynomial_fit(t, 1, [1, 2, 3, 4, 5], [6, 7])
+
+
+def test_polynomial_fit_rejects_non_diagram_shape():
+    # The flat has two in-edges: weightings exist, but it is no floor diagram.
+    t = DiagramTemplate(
+        (Floor(1), Flat()),
+        ((BOTTOM, 0), (0, 1), (0, 1), (1, TOP)),
+    )
+    assert weightings(t, TangencyProfile((2, -2)))
+    with pytest.raises(ValueError, match="flat bivalency at level 1"):
+        polynomial_fit(t, 1, [1, 2, 3, 4, 5], [6, 7])
 
 
 def test_polynomial_fit_chain():
