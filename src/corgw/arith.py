@@ -140,8 +140,10 @@ def upsilon(delta: int, d: int, a: int) -> int:
     """
     if delta < 1 or a < 1:
         raise ValueError("upsilon expects positive arguments")
-    if delta % d:
-        raise ValueError(f"upsilon expects d | delta, got d={d}, delta={delta}")
+    if d < 1 or delta % d:
+        raise ValueError(
+            f"upsilon expects a positive d | delta, got d={d}, delta={delta}"
+        )
     fd = factorize(d)
     fdelta = factorize(delta)
     fa = factorize(a)
@@ -199,8 +201,10 @@ def s_delta_order(delta: int, r: int, a: int) -> int:
     """
     if delta < 1 or a < 1:
         raise ValueError("s_delta_order expects positive arguments")
-    if delta % r:
-        raise ValueError(f"s_delta_order expects r | delta, got r={r}, delta={delta}")
+    if r < 1 or delta % r:
+        raise ValueError(
+            f"s_delta_order expects a positive r | delta, got r={r}, delta={delta}"
+        )
     fdelta = factorize(delta)
     fr = factorize(r)
     fa = factorize(a)

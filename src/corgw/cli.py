@@ -50,15 +50,11 @@ def _parse_profile(text: str):
     return TangencyProfile(weights)
 
 
-def _emit_element(
-    x: GroupAlgebraElement | ProjectorElement, args, extra: dict | None = None
-):
+def _emit_element(x: GroupAlgebraElement | ProjectorElement, args):
     if _want_json(args):
         payload = x.to_json_dict()
         mass = x.total_mass
         payload["mass"] = f"{mass.numerator}/{mass.denominator}"
-        if extra:
-            payload.update(extra)
         print(json.dumps(payload))
         return
     print(f"ambient torsion level delta = {x.delta}")
@@ -266,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -30,6 +30,9 @@ from .torsion import ProjectorElement
 BOTTOM = "B"
 TOP = "T"
 
+# Most levels a diagram may have: the searches recurse once per level.
+MAX_LEVELS = 500
+
 Endpoint = Union[int, str]
 
 
@@ -277,11 +280,17 @@ def _components(verts, pairs) -> dict:
 # -- validation ----------------------------------------------------------
 
 
+def _check_level_count(n_levels: int) -> None:
+    if n_levels > MAX_LEVELS:
+        raise ValueError(f"{n_levels} levels exceed the bound of {MAX_LEVELS}")
+
+
 def _structural_check(diagram: FloorDiagram) -> None:
-    """Raise on malformed input (bad references, non-positive data)."""
+    """Raise on malformed input (bad references, bad data, too many levels)."""
     n = len(diagram.levels)
     if n == 0:
         raise ValueError("diagram has no levels")
+    _check_level_count(n)
     for e in diagram.edges:
         for end in (e.lo, e.hi):
             if type(end) is int:
@@ -370,38 +379,33 @@ def validate(
 
     Malformed structure (dangling edge references, bad weights) already
     raised in the FloorDiagram constructor; everything else returns
-    (False, clause-name).
+    (False, clause-name).  The clauses, in order: level-count, balancing
+    at level i, flat bivalency at level i, tangency profile, connectivity,
+    genus, class, the two forest clauses and cycle through two flat
+    vertices.
     """
     n_levels = len(diagram.levels)
 
     if n_levels != len(profile.weights) + genus - 1:
         return False, "level-count"
 
-    # One pass over the edges: net flow and in/out degree per level, the
-    # induced profile, and a difference array whose running sum is the
-    # flow across each gap (gap g lies between levels g-1 and g).
+    # One pass over the edges: net flow and in/out degree per level, and
+    # the induced profile.
     net = [0] * n_levels
     n_in = [0] * n_levels
     n_out = [0] * n_levels
     ends = []
-    cross = [0] * (n_levels + 2)
     for e in diagram.edges:
         if e.lo == BOTTOM:
             ends.append(-e.w)
-            start = 0
         else:
             net[e.lo] -= e.w
             n_out[e.lo] += 1
-            start = e.lo + 1
         if e.hi == TOP:
             ends.append(e.w)
-            stop = n_levels + 1
         else:
             net[e.hi] += e.w
             n_in[e.hi] += 1
-            stop = e.hi + 1
-        cross[start] += e.w
-        cross[stop] -= e.w
 
     for i in range(n_levels):
         if net[i]:
@@ -415,12 +419,7 @@ def validate(
     if sorted(ends) != sorted(profile.weights):
         return False, "tangency profile"
 
-    b = profile.b
-    crossing = 0
-    for gap in range(n_levels + 1):
-        crossing += cross[gap]
-        if crossing != b:
-            return False, f"cross-flow at gap {gap}"
+    # No cross-flow clause: balancing and the profile fix every gap's flow at b.
 
     verts, pairs = diagram._vertices_and_edges()
     n_comps = len(_components(verts, pairs))
@@ -564,9 +563,10 @@ def _structures(
 ) -> tuple[FloorDiagram, ...]:
     """All diagram structures (floor labels stripped to 1) for a profile.
 
-    Level-by-level transfer search: at each of the n + g - 1 levels place a
-    flat vertex or a floor, threading the multiset of open upward edges
-    (whose total weight always equals b).  Flats are tried before floors,
+    Level-by-level transfer search: at each of the n + g - 1 levels (more
+    than MAX_LEVELS raise ValueError) place a flat vertex or a floor,
+    threading the multiset of open upward edges (whose total weight always
+    equals b).  Flats are tried before floors,
     a floor's consumed sub-multisets come in a fixed order and its flow
     partitions descend, so discovery order is deterministic.
 
@@ -615,6 +615,7 @@ def _structures(
     """
     profile = TangencyProfile(weights)
     n_levels = len(profile.weights) + genus - 1
+    _check_level_count(n_levels)
     n_sinks = len(profile.sinks)
     cap = genus if max_floors is None else max_floors
     sink_count = Counter(profile.sinks)
@@ -781,29 +782,21 @@ def enumerate_diagrams(
     """Every valid floor diagram for the given genus, class and profile.
 
     Structures (floor labels stripped) are searched once per genus, profile
-    and floor cap: every floor label is >= 1, so a class below the genus
-    caps the floors at the class, and from the genus on the cap is dropped
-    and the full search is shared with qseries.templates_for.  Floor labels
-    then run over the compositions of the class, which touches no validity
-    clause.  Output order is deterministic: structure discovery order, then
-    labels ascending lexicographically.
+    and floor cap min(class, genus): every floor label is >= 1, and no
+    structure has more floors than the genus.  From the genus on the cap is
+    the genus, so the search is the cache entry qseries.templates_for
+    fills.  Floor labels then run over the compositions of the class, which
+    touches no validity clause.  Output order is deterministic: structure
+    discovery order, then labels ascending lexicographically.
     """
     if genus < 1:
         raise ValueError(f"expected genus >= 1, got {genus}")
     if degree < 1:
         raise ValueError(f"expected degree >= 1, got {degree}")
     weights = tuple(sorted(profile.weights))
-    # Called without a cap from the genus on, so the cache entry is the one
-    # qseries.templates_for fills.
-    if degree < genus:
-        structures = _structures(genus, weights, degree)
-    else:
-        structures = _structures(genus, weights)
     out: list[FloorDiagram] = []
-    for struct in structures:
+    for struct in _structures(genus, weights, min(degree, genus)):
         idx = struct.floor_indices
-        if len(idx) > degree:
-            continue
         for labels in _compositions_asc(degree, len(idx)):
             levels = list(struct.levels)
             for i, a_v in zip(idx, labels):

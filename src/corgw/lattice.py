@@ -102,8 +102,10 @@ def oracle_local_invariant(
         raise ValueError("oracle expects a >= 1 and w1 >= 1")
     if n < 2:
         raise ValueError(f"oracle expects n >= 2, got {n}")
-    if w1 % delta:
-        raise ValueError(f"oracle expects delta | w1, got delta={delta}, w1={w1}")
+    if delta < 1 or w1 % delta:
+        raise ValueError(
+            f"oracle expects a positive delta | w1, got delta={delta}, w1={w1}"
+        )
     counts: dict[tuple[int, int], int] = {}
     for lat in enumerate_sublattices(a):
         k, m = lattice_type(lat)

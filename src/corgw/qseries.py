@@ -35,22 +35,9 @@ class GASeries:
     def truncation(self) -> int:
         return len(self.coeffs)
 
-    @classmethod
-    def zero(cls, delta: int, truncation: int) -> "GASeries":
-        z = ProjectorElement.zero(delta)
-        return cls(delta, (z,) * truncation)
-
     def coefficient(self, a: int) -> ProjectorElement | GroupAlgebraElement:
         """Coefficient of q^a, 1-indexed."""
         return self.coeffs[a - 1]
-
-    def __add__(self, other: "GASeries") -> "GASeries":
-        if self.delta != other.delta or self.truncation != other.truncation:
-            raise ValueError("series shape mismatch")
-        return GASeries(
-            self.delta,
-            tuple(x + y for x, y in zip(self.coeffs, other.coeffs)),
-        )
 
     def cauchy(self, other: "GASeries") -> "GASeries":
         """Cauchy product; both factors start at q^1, truncation preserved."""
@@ -68,13 +55,6 @@ class GASeries:
                 if y:
                     out[i + j - 1] = out[i + j - 1] + x * y
         return GASeries(self.delta, tuple(out))
-
-    def map_coefficients(self, fn) -> "GASeries":
-        mapped = tuple(fn(c) for c in self.coeffs)
-        return GASeries(mapped[0].delta if mapped else self.delta, mapped)
-
-    def scale(self, k) -> "GASeries":
-        return GASeries(self.delta, tuple(c * k for c in self.coeffs))
 
 
 def invariant_series(
@@ -99,28 +79,29 @@ class TemplateReport:
 @dataclass(frozen=True)
 class FactorizationReport:
     ok: bool
-    genus: int
-    profile: tuple[int, ...]
-    delta: int
     truncation: int
     templates: tuple[TemplateReport, ...]
     mismatch_at: int | None = None
 
 
 def templates_for(genus: int, profile: TangencyProfile) -> list[FloorDiagram]:
-    """Weight-carrying templates: the cached diagram structures, floor
-    labels all 1, stably sorted by floor count.
+    """Weight-carrying templates: the diagram structures of the profile,
+    floor labels all 1, stably sorted by floor count.
 
-    A template with F floors is valid for every labeling with a_V >= 1, so
-    each labelled diagram of the profile comes from exactly one template.
+    The search runs with the floor cap at the genus, which no structure
+    exceeds, so it is the cache entry enumerate_diagrams reads from the
+    class on.  A template with F floors is valid for every labeling with
+    a_V >= 1, so each labelled diagram of the profile comes from exactly
+    one template.
     """
-    structures = _structures(genus, tuple(sorted(profile.weights)))
+    structures = _structures(genus, tuple(sorted(profile.weights)), genus)
     return sorted(structures, key=lambda s: len(s.floor_indices))
 
 
 def _template_series(
     rep: FloorDiagram, delta: int, truncation: int
-) -> tuple[GASeries, TemplateReport]:
+) -> tuple[tuple[ProjectorElement, ...], TemplateReport]:
+    """The template's q^1..q^N coefficients at level delta, and its report."""
     delta_t = rep.delta_gcd(delta)
     w_mon = rep.weight_monomial
     prod: GASeries | None = None
@@ -135,10 +116,10 @@ def _template_series(
         )
         prod = block if prod is None else prod.cauchy(block)
     assert prod is not None
-    lifted = prod.map_coefficients(
-        lambda c: c.rebase(delta).divide(delta // delta_t)
+    lifted = tuple(
+        c.rebase(delta).divide(delta // delta_t) * w_mon for c in prod.coeffs
     )
-    return lifted.scale(w_mon), TemplateReport(
+    return lifted, TemplateReport(
         template=rep.to_json_dict(), weight_monomial=w_mon, delta_gcd=delta_t
     )
 
@@ -157,23 +138,18 @@ def factorization_check(
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     profile.check_delta(delta)
-    lhs = GASeries.zero(delta, truncation)
+    lhs = [ProjectorElement.zero(delta)] * truncation
     reports = []
     for rep in templates_for(genus, profile):
-        series, report = _template_series(rep, delta, truncation)
-        lhs = lhs + series
+        coeffs, report = _template_series(rep, delta, truncation)
+        lhs = [x + y for x, y in zip(lhs, coeffs)]
         reports.append(report)
     rhs = invariant_series(genus, profile, delta, truncation)
-    mismatch = None
-    for a in range(1, truncation + 1):
-        if lhs.coefficient(a) != rhs.coefficient(a):
-            mismatch = a
-            break
+    mismatch = next(
+        (a for a, (x, y) in enumerate(zip(lhs, rhs.coeffs), 1) if x != y), None
+    )
     return FactorizationReport(
         ok=mismatch is None,
-        genus=genus,
-        profile=tuple(profile.weights),
-        delta=delta,
         truncation=truncation,
         templates=tuple(reports),
         mismatch_at=mismatch,

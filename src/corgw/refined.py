@@ -33,8 +33,10 @@ def theta_delta_d(delta: int, d: int) -> ProjectorElement:
     valuation of d is below that of delta, theta_{p^(v(d)+1)}.  For d = delta
     this is just theta(delta, delta).
     """
-    if delta % d:
-        raise ValueError(f"theta_delta_d expects d | delta, got {d}, {delta}")
+    if d < 1 or delta % d:
+        raise ValueError(
+            f"theta_delta_d expects a positive d | delta, got {d}, {delta}"
+        )
     out = ProjectorElement.unit(delta)
     fd = factorize(d)
     for p, vdelta in factorize(delta).factors:
@@ -114,8 +116,8 @@ def coefficient_by_order(delta: int, a: int, r: int) -> Fraction:
     Well defined because coefficients only depend on the order; agrees with
     arith.s_delta_order(delta, r, a).
     """
-    if delta % r:
-        raise ValueError(f"expected r | delta, got r={r}, delta={delta}")
+    if r < 1 or delta % r:
+        raise ValueError(f"expected a positive r | delta, got r={r}, delta={delta}")
     x = bold_sigma(delta, a)
     # (delta/r, 0) has order exactly r.
     return delta * delta * x.coefficient(delta // r, 0)

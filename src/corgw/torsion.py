@@ -294,8 +294,10 @@ def theta(delta: int, d: int) -> GroupAlgebraElement:
     """
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
-    if delta % d:
-        raise ValueError(f"theta expects d | delta, got d={d}, delta={delta}")
+    if d < 1 or delta % d:
+        raise ValueError(
+            f"theta expects a positive d | delta, got d={d}, delta={delta}"
+        )
     step = delta // d
     c = Fraction(1, d * d)
     return GroupAlgebraElement(
@@ -309,9 +311,9 @@ def unrefine(x: GroupAlgebraElement, new_delta: int) -> GroupAlgebraElement:
     This is the coarsening that relates refinements at nested levels:
     unrefine(bold_sigma(delta, a), delta') = bold_sigma(delta', a).
     """
-    if x.delta % new_delta:
+    if new_delta < 1 or x.delta % new_delta:
         raise ValueError(
-            f"unrefine expects new_delta | delta, got {new_delta}, {x.delta}"
+            f"unrefine expects a positive new_delta | delta, got {new_delta}, {x.delta}"
         )
     return x.m_push(x.delta // new_delta).rebase(new_delta)
 

@@ -418,6 +418,15 @@ BAD_TEMPLATES = {
                            {"lo": 0, "hi": 1}, {"lo": 1, "hi": "T"}]),
         "flat bivalency at level 1",
     ),
+    "1100-level chain": (
+        _chain_with(
+            levels=[{"kind": "floor", "a": 1}] + [{"kind": "flat"}] * 1099,
+            edges=[{"lo": "B", "hi": 0}]
+            + [{"lo": i, "hi": i + 1} for i in range(1099)]
+            + [{"lo": 1099, "hi": "T"}],
+        ),
+        "1100 levels exceed the bound of 500",
+    ),
 }
 
 
@@ -449,6 +458,54 @@ def test_polyfit_bad_samples_exit_2(tmp_path, capsys):
     assert main(["polyfit", "--template", str(path), "--delta", "1",
                  "--samples", "2,4,x"]) == 2
     assert "bad samples '2,4,x'" in capsys.readouterr().err
+
+
+DEEP_PROFILE = ",".join(["1"] * 990 + ["-990"])
+
+# argv (with {chain} for the chain template path) -> message on stderr.
+BAD_ARGUMENTS = {
+    "profile 2,x": (
+        ["diagrams", "--g", "1", "--a", "1", "--profile", "2,x", "--count"],
+        "bad profile '2,x'"),
+    "deep profile count": (
+        ["diagrams", "--g", "1", "--a", "1", "--profile", DEEP_PROFILE,
+         "--count"], "991 levels exceed the bound of 500"),
+    "deep profile sum": (
+        ["diagrams", "--g", "1", "--a", "1", "--profile", DEEP_PROFILE,
+         "--sum"], "991 levels exceed the bound of 500"),
+    "shift 1,x": (
+        ["local", "--a", "2", "--w1", "2", "--n", "2", "--delta", "2",
+         "--shift", "1,x"], "bad shift '1,x'"),
+    "chamber 2": (
+        ["polyfit", "--template", "{chain}", "--delta", "1", "--chamber", "2",
+         "--samples", "1,2,3,4,5,6"], "bad chamber '2'"),
+    "samples not above holdout": (
+        ["polyfit", "--template", "{chain}", "--delta", "1", "--samples",
+         "2,4", "--holdout", "2"], "need more samples than holdout points"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ARGUMENTS))
+def test_bad_arguments_exit_2(case, tmp_path, capsys):
+    argv, message = BAD_ARGUMENTS[case]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN_TEMPLATE))
+    assert main([a.format(chain=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
+def test_unexpected_exception_exit_1(monkeypatch, capsys):
+    from corgw import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_local", broken)
+    assert main(["local", "--a", "2", "--w1", "2", "--n", "2",
+                 "--delta", "2"]) == 1
+    assert capsys.readouterr().err == "internal error: RuntimeError('boom')\n"
 
 
 def test_json_and_table_exclusive(capsys):

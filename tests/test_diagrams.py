@@ -2,6 +2,8 @@ import hashlib
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corgw.arith import sigma
 from corgw.diagrams import (
@@ -145,6 +147,52 @@ def test_validate_malformed_raises():
         FloorDiagram((Floor(1),), (Edge(BOTTOM, 0, 0),))
     with pytest.raises(ValueError):
         Floor(0)
+
+
+def _hand_built(levels, edges):
+    """Diagram from a level string ("F" floor of label 1, "-" flat) and
+    (lo, hi, w) triples."""
+    return FloorDiagram(
+        tuple(Floor(1) if c == "F" else Flat() for c in levels),
+        tuple(Edge(lo, hi, w) for lo, hi, w in edges),
+    )
+
+
+CHAIN = [(BOTTOM, 0, 2), (0, 1, 2), (1, TOP, 2)]
+
+# clause -> (levels, edges, genus, degree, profile): the first clause each
+# hand-built diagram violates.
+VALIDATE_CLAUSES = {
+    "level-count": ("F-", CHAIN, 2, 1, (2, -2)),
+    "balancing at level 0": (
+        "F-", [(BOTTOM, 0, 2), (0, 1, 1), (1, TOP, 1)], 1, 1, (2, -2)),
+    "flat bivalency at level 1": (
+        "F-", [(BOTTOM, 0, 2), (0, 1, 1), (0, 1, 1), (1, TOP, 2)], 1, 1, (2, -2)),
+    "tangency profile": (
+        "F-", [(BOTTOM, 0, 3), (0, 1, 3), (1, TOP, 3)], 1, 1, (2, -2)),
+    "connectivity": (
+        "-F--F", [(BOTTOM, 0, 2), (0, 1, 2), (1, TOP, 2), (BOTTOM, 2, 2),
+                  (2, 3, 2), (3, 4, 2), (4, TOP, 2)], 2, 2, (2, 2, -2, -2)),
+    "genus": ("--", CHAIN, 1, 1, (2, -2)),
+    "class": ("F-", CHAIN, 1, 2, (2, -2)),
+    "forest: cycle avoiding all flats": (
+        "-FF-", [(BOTTOM, 0, 2), (0, 1, 2), (1, 2, 1), (1, 2, 1), (2, 3, 2),
+                 (3, TOP, 2)], 3, 2, (2, -2)),
+    # the floor carries both the end from BOTTOM and a direct end to TOP
+    "forest: component without a unique infinite end": (
+        "F--", [(BOTTOM, 0, 2), (0, TOP, 1), (0, 1, 1), (1, 2, 1), (2, TOP, 1)],
+        1, 1, (1, 1, -2)),
+    "cycle through two flat vertices": (
+        "F--F", [(BOTTOM, 0, 2), (0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1),
+                 (3, TOP, 2)], 3, 2, (2, -2)),
+}
+
+
+@pytest.mark.parametrize("clause", list(VALIDATE_CLAUSES))
+def test_validate_reports_each_clause(clause):
+    levels, edges, genus, degree, weights = VALIDATE_CLAUSES[clause]
+    d = _hand_built(levels, edges)
+    assert validate(d, genus, degree, TangencyProfile(weights)) == (False, clause)
 
 
 def test_multiplicity_examples():
@@ -617,6 +665,44 @@ def test_cross_flow_on_enumerated():
                 e.w for e in d.edges if _pos(e.lo, n) < gap <= _pos(e.hi, n)
             )
             assert crossing == p.b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_balancing_and_profile_fix_cross_flow(data):
+    # Why validate has no cross-flow clause: once every level is balanced
+    # and the ends match the profile, b crosses every gap.
+    n = data.draw(st.integers(1, 5), label="levels")
+    kinds = data.draw(st.text("F-", min_size=n, max_size=n), label="kinds")
+    spans = data.draw(st.lists(
+        st.tuples(st.integers(-1, n), st.integers(-1, n), st.integers(1, 3)),
+        max_size=8), label="edges")
+
+    def at(p):
+        return BOTTOM if p < 0 else TOP if p == n else p
+
+    edges = [(at(min(p, q)), at(max(p, q)), w) for p, q, w in spans if p != q]
+    net = [0] * n
+    for lo, hi, w in edges:
+        if lo != BOTTOM:
+            net[lo] -= w
+        if hi != TOP:
+            net[hi] += w
+    # Close every level with an end: surplus to TOP, deficit from BOTTOM.
+    edges += [(i, TOP, f) if f > 0 else (BOTTOM, i, -f)
+              for i, f in enumerate(net) if f]
+    d = _hand_built(kinds, edges)
+    ends = d.profile()
+    if not ends:
+        return
+    profile = TangencyProfile(ends)
+    ok, why = validate(d, n - len(ends) + 1, d.degree, profile)
+    assert ok or not why.startswith(("level-count", "balancing", "tangency"))
+    for gap in range(n + 1):
+        crossing = sum(
+            e.w for e in d.edges if _pos(e.lo, n) < gap <= _pos(e.hi, n)
+        )
+        assert crossing == profile.b
 
 
 def test_invariant_order_dependence():

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from corgw.arith import divisors, s_delta, s_delta_order, sigma, sigma_bar
+from corgw.arith import divisors, s_delta, s_delta_order, sigma, sigma_bar, upsilon
+from corgw.lattice import oracle_local_invariant
 from corgw.refined import (
     bold_sigma,
     coefficient_by_order,
@@ -156,3 +157,28 @@ def test_route_agreement_grid():
     for delta in range(1, 25):
         for a in range(1, 101):
             bold_sigma(delta, a)
+
+
+# A divisor argument below 1 raises ValueError: never a wrong value (theta
+# as zero, coefficient_by_order as the order-2 value), never a
+# ZeroDivisionError.
+@pytest.mark.parametrize("call", [
+    lambda: theta(6, -1),
+    lambda: theta(6, -2),
+    lambda: theta(6, 0),
+    lambda: unrefine(theta(4, 2), 0),
+    lambda: theta_delta_d(4, 0),
+    lambda: upsilon(4, 0, 3),
+    lambda: s_delta_order(4, 0, 3),
+    lambda: coefficient_by_order(4, 3, -2),
+    lambda: coefficient_by_order(4, 3, 0),
+    lambda: oracle_local_invariant(2, 2, 2, 0),
+], ids=[
+    "theta(6,-1)", "theta(6,-2)", "theta(6,0)", "unrefine(x,0)",
+    "theta_delta_d(4,0)", "upsilon(4,0,3)", "s_delta_order(4,0,3)",
+    "coefficient_by_order(4,3,-2)", "coefficient_by_order(4,3,0)",
+    "oracle_local_invariant(2,2,2,0)",
+])
+def test_non_positive_divisor_raises(call):
+    with pytest.raises(ValueError):
+        call()
