@@ -123,11 +123,10 @@ def cmd_diagrams(args) -> int:
         return EXIT_OK
     if args.delta is not None:
         raise ValueError("--delta applies only with --sum")
-    found = fd.enumerate_diagrams(args.g, args.a, profile)
     if args.count:
-        print(len(found))
+        print(fd.count_diagrams(args.g, args.a, profile))
         return EXIT_OK
-    for diagram in found:
+    for diagram in fd.enumerate_diagrams(args.g, args.a, profile):
         print(diagram.to_json())
     return EXIT_OK
 
@@ -201,6 +200,13 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
     fmt.add_argument("--table", action="store_true")
 
 
+# argparse reads a value such as -2,2 as an option, so it needs the = form.
+_PROFILE_HELP = (
+    "comma-separated tangency orders summing to 0, e.g. 2,-2; "
+    "write a profile starting with a minus sign as --profile=-2,2"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corgw",
@@ -214,7 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w1", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--shift", type=str, default=None, help="u,v correlator shift")
+    p.add_argument(
+        "--shift", type=str, default=None,
+        help="u,v correlator shift; write one starting with a minus sign "
+        "as --shift=-1,0",
+    )
     _add_format_flags(p)
     p.set_defaults(func=cmd_local)
 
@@ -226,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagrams", help="floor diagram enumeration")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--profile", type=str, required=True)
+    p.add_argument("--profile", type=str, required=True, help=_PROFILE_HELP)
     p.add_argument("--delta", type=int, default=None)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--list", action="store_true")
@@ -237,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="invariant series CSV")
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--profile", type=str, required=True)
+    p.add_argument("--profile", type=str, required=True, help=_PROFILE_HELP)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--n-trunc", "--N", dest="n_trunc", type=int, required=True)
     p.add_argument("--check-factorization", action="store_true")

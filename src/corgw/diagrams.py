@@ -13,6 +13,13 @@ multiplicity with values in the torsion group algebra: a division-average
 of the product of refined divisor sums of the floor labels, times a
 monomial in the edge weights.  Multiplicities and invariants lie in the
 span of the projectors and are carried in that basis.
+
+A multiplicity depends only on delta_D (the gcd of delta and the edge
+weights), the multiset of (label, valency) over the floors, and the integer
+weight monomial W.  So invariant tallies the labelled diagrams as integers
+by that class and runs the algebra once per class; multiplicity stays the
+per-diagram definition, and count_diagrams counts the labellings per
+structure without building them.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import comb, gcd, prod
 from typing import Iterator, Union
 
 from .refined import bold_sigma
@@ -181,14 +188,20 @@ class FloorDiagram:
         return tuple(sorted(out))
 
     @property
-    def floor_info(self) -> tuple[tuple[int, int], ...]:
-        """Sorted multiset of (label, valency) over the floors."""
+    def floor_valencies(self) -> tuple[int, ...]:
+        """Valency of each floor, in level order."""
         val = [0] * len(self.levels)
         for e in self.edges:
             for end in (e.lo, e.hi):
                 if isinstance(end, int):
                     val[end] += 1
-        return tuple(sorted((self.levels[i].a_v, val[i]) for i in self.floor_indices))
+        return tuple(val[i] for i in self.floor_indices)
+
+    @property
+    def floor_info(self) -> tuple[tuple[int, int], ...]:
+        """Sorted multiset of (label, valency) over the floors."""
+        labels = (self.levels[i].a_v for i in self.floor_indices)
+        return _floor_multiset(labels, self.floor_valencies)
 
     def delta_gcd(self, delta: int) -> int:
         g = delta
@@ -475,13 +488,31 @@ def _floor_core(delta: int, delta_d: int, floors: tuple[tuple[int, int], ...]):
     return core.rebase(delta).divide(delta // delta_d)
 
 
+def _floor_multiset(labels, valencies) -> tuple[tuple[int, int], ...]:
+    """Sorted multiset of the (label, valency) pairs zip(labels, valencies)."""
+    return tuple(sorted(zip(labels, valencies)))
+
+
+def _multiplicity_data(
+    diagram: FloorDiagram, delta: int
+) -> tuple[int, tuple[int, ...], int]:
+    """All a multiplicity reads of a diagram besides its floor labels:
+    delta_D, the floor valencies in level order and the weight monomial W.
+
+    The multiplicity is _floor_core(delta, delta_D, floor multiset) * W, so
+    diagrams with equal delta_D and floor multiset form one class.
+    """
+    return diagram.delta_gcd(delta), diagram.floor_valencies, diagram.weight_monomial
+
+
 def multiplicity(diagram: FloorDiagram, delta: int) -> ProjectorElement:
     """Correlated multiplicity of a floor diagram at refinement level delta.
 
     The division-average (over delta/delta_D-th roots) of the product over
     floors of a_V^(valency-1) bold_sigma(delta_D, a_V), scaled by the weight
     monomial: bounded edges contribute w_e, and edges without a flat
-    endpoint contribute w_e^2 on top.
+    endpoint contribute w_e^2 on top.  This is the per-diagram definition;
+    invariant sums the same products once per multiplicity class.
     """
     if delta < 1:
         raise ValueError(f"expected delta >= 1, got {delta}")
@@ -490,8 +521,8 @@ def multiplicity(diagram: FloorDiagram, delta: int) -> ProjectorElement:
             raise ValueError(
                 f"profile weight {w} not divisible by delta={delta}"
             )
-    delta_d = diagram.delta_gcd(delta)
-    return _floor_core(delta, delta_d, diagram.floor_info) * diagram.weight_monomial
+    delta_d, _valencies, w_mon = _multiplicity_data(diagram, delta)
+    return _floor_core(delta, delta_d, diagram.floor_info) * w_mon
 
 
 # -- enumeration -----------------------------------------------------------
@@ -776,6 +807,13 @@ def _structures(
     return tuple(results)
 
 
+def _check_genus_and_degree(genus: int, degree: int) -> None:
+    if genus < 1:
+        raise ValueError(f"expected genus >= 1, got {genus}")
+    if degree < 1:
+        raise ValueError(f"expected degree >= 1, got {degree}")
+
+
 def enumerate_diagrams(
     genus: int, degree: int, profile: TangencyProfile
 ) -> list[FloorDiagram]:
@@ -789,10 +827,7 @@ def enumerate_diagrams(
     touches no validity clause.  Output order is deterministic: structure
     discovery order, then labels ascending lexicographically.
     """
-    if genus < 1:
-        raise ValueError(f"expected genus >= 1, got {genus}")
-    if degree < 1:
-        raise ValueError(f"expected degree >= 1, got {degree}")
+    _check_genus_and_degree(genus, degree)
     weights = tuple(sorted(profile.weights))
     out: list[FloorDiagram] = []
     for struct in _structures(genus, weights, min(degree, genus)):
@@ -805,20 +840,49 @@ def enumerate_diagrams(
     return out
 
 
+def count_diagrams(genus: int, degree: int, profile: TangencyProfile) -> int:
+    """len(enumerate_diagrams(genus, degree, profile)), without building
+    the labelled diagrams: a structure with F floors carries C(degree - 1,
+    F - 1) labellings, one per composition of the class."""
+    _check_genus_and_degree(genus, degree)
+    weights = tuple(sorted(profile.weights))
+    return sum(
+        comb(degree - 1, len(struct.floor_indices) - 1)
+        for struct in _structures(genus, weights, min(degree, genus))
+    )
+
+
 @lru_cache(maxsize=None)
 def _invariant_cached(
     genus: int, degree: int, weights: tuple[int, ...], delta: int
 ) -> ProjectorElement:
-    profile = TangencyProfile(weights)
+    _check_genus_and_degree(genus, degree)
+    # Integer tallies first.  A labelling of a structure pairs the labels
+    # with the floor valencies in level order; over all compositions of the
+    # class the paired multisets do not depend on that order, so structures
+    # with equal delta_D and sorted valencies share their W.
+    shapes: Counter = Counter()
+    for struct in _structures(genus, weights, min(degree, genus)):
+        delta_d, valencies, w_mon = _multiplicity_data(struct, delta)
+        shapes[delta_d, tuple(sorted(valencies))] += w_mon
+    classes: Counter = Counter()
+    for (delta_d, valencies), w_sum in shapes.items():
+        for labels in _compositions_asc(degree, len(valencies)):
+            classes[delta_d, _floor_multiset(labels, valencies)] += w_sum
     total = ProjectorElement.zero(delta)
-    for diagram in enumerate_diagrams(genus, degree, profile):
-        total = total + multiplicity(diagram, delta)
+    for (delta_d, floors), w_sum in classes.items():
+        total = total + _floor_core(delta, delta_d, floors) * w_sum
     return total
 
 
 def invariant(
     genus: int, degree: int, profile: TangencyProfile, delta: int
 ) -> ProjectorElement:
-    """Correlated count: sum of multiplicities over all floor diagrams."""
+    """Correlated count: sum of multiplicities over all floor diagrams.
+
+    The sum runs over multiplicity classes, not diagrams: the labelled
+    diagrams are tallied as integers W by (delta_D, floor multiset), and
+    each class costs one _floor_core product, scaled by its total W.
+    """
     profile.check_delta(delta)
     return _invariant_cached(genus, degree, tuple(sorted(profile.weights)), delta)

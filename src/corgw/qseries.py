@@ -7,14 +7,24 @@ factorization_check rewrites the series as a sum over weight-stripped
 diagram templates of division-averaged products of the building-block
 series sum_a a^(k) bold_sigma(d, a) q^a, i.e. exhibits membership in the
 ring generated by the shifted Eisenstein blocks sum_a sigma_bar^d(a) q^a.
+Templates with equal delta_T and floor valencies share one product, so
+their weight monomials are summed first and each such shape costs one
+Cauchy chain.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 
-from .diagrams import FloorDiagram, TangencyProfile, _structures, invariant
+from .diagrams import (
+    FloorDiagram,
+    TangencyProfile,
+    _multiplicity_data,
+    _structures,
+    invariant,
+)
 from .refined import bold_sigma
 from .torsion import GroupAlgebraElement, ProjectorElement
 
@@ -98,30 +108,49 @@ def templates_for(genus: int, profile: TangencyProfile) -> list[FloorDiagram]:
     return sorted(structures, key=lambda s: len(s.floor_indices))
 
 
-def _template_series(
-    rep: FloorDiagram, delta: int, truncation: int
-) -> tuple[tuple[ProjectorElement, ...], TemplateReport]:
-    """The template's q^1..q^N coefficients at level delta, and its report."""
-    delta_t = rep.delta_gcd(delta)
-    w_mon = rep.weight_monomial
-    prod: GASeries | None = None
-    # Template floors carry label 1; each block runs over the label a.
-    for _a_v, val in rep.floor_info:
-        block = GASeries(
-            delta_t,
-            tuple(
-                a ** (val - 1) * bold_sigma(delta_t, a)
-                for a in range(1, truncation + 1)
-            ),
+def _template_route(
+    genus: int, profile: TangencyProfile, delta: int, truncation: int
+) -> tuple[list[ProjectorElement], list[TemplateReport]]:
+    """The series summed over templates, q^1..q^N at level delta, and one
+    report per template in templates_for order.
+
+    A template's series is W times the division-averaged Cauchy product of
+    the blocks sum_a a^(val-1) bold_sigma(delta_T, a) q^a over its floors;
+    it depends only on delta_T and the floor valencies.  So the templates
+    are tallied by (delta_T, sorted valencies), and each such shape costs
+    one Cauchy chain, scaled by its total W.
+    """
+    reports = []
+    shapes: Counter = Counter()
+    for rep in templates_for(genus, profile):
+        delta_t, valencies, w_mon = _multiplicity_data(rep, delta)
+        shapes[delta_t, tuple(sorted(valencies))] += w_mon
+        reports.append(
+            TemplateReport(
+                template=rep.to_json_dict(), weight_monomial=w_mon, delta_gcd=delta_t
+            )
         )
-        prod = block if prod is None else prod.cauchy(block)
-    assert prod is not None
-    lifted = tuple(
-        c.rebase(delta).divide(delta // delta_t) * w_mon for c in prod.coeffs
-    )
-    return lifted, TemplateReport(
-        template=rep.to_json_dict(), weight_monomial=w_mon, delta_gcd=delta_t
-    )
+    total = [ProjectorElement.zero(delta)] * truncation
+    blocks: dict[tuple[int, int], GASeries] = {}
+    for (delta_t, valencies), w_sum in shapes.items():
+        prod: GASeries | None = None
+        for val in valencies:
+            if (delta_t, val) not in blocks:
+                blocks[delta_t, val] = GASeries(
+                    delta_t,
+                    tuple(
+                        a ** (val - 1) * bold_sigma(delta_t, a)
+                        for a in range(1, truncation + 1)
+                    ),
+                )
+            block = blocks[delta_t, val]
+            prod = block if prod is None else prod.cauchy(block)
+        assert prod is not None
+        total = [
+            x + c.rebase(delta).divide(delta // delta_t) * w_sum
+            for x, c in zip(total, prod.coeffs)
+        ]
+    return total, reports
 
 
 def factorization_check(
@@ -129,21 +158,15 @@ def factorization_check(
 ) -> FactorizationReport:
     """Verify the per-template factorization of the invariant series.
 
-    Groups diagrams by weight-carrying template, rebuilds each template's
-    series as the division-averaged Cauchy product of its per-floor blocks
-    scaled by the weight monomial, sums over templates, and requires exact
-    equality with the coefficient-by-coefficient diagram sum.  A
-    truncation below 1 would pass vacuously and is rejected.
+    Rebuilds the series by the template route (_template_route, one Cauchy
+    chain per template shape) and requires exact equality with the
+    coefficient-by-coefficient diagram sum.  A truncation below 1 would
+    pass vacuously and is rejected.
     """
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     profile.check_delta(delta)
-    lhs = [ProjectorElement.zero(delta)] * truncation
-    reports = []
-    for rep in templates_for(genus, profile):
-        coeffs, report = _template_series(rep, delta, truncation)
-        lhs = [x + y for x, y in zip(lhs, coeffs)]
-        reports.append(report)
+    lhs, reports = _template_route(genus, profile, delta, truncation)
     rhs = invariant_series(genus, profile, delta, truncation)
     mismatch = next(
         (a for a, (x, y) in enumerate(zip(lhs, rhs.coeffs), 1) if x != y), None

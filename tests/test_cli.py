@@ -473,6 +473,15 @@ BAD_ARGUMENTS = {
     "deep profile sum": (
         ["diagrams", "--g", "1", "--a", "1", "--profile", DEEP_PROFILE,
          "--sum"], "991 levels exceed the bound of 500"),
+    "count genus 0": (
+        ["diagrams", "--g", "0", "--a", "1", "--profile", "2,-2", "--count"],
+        "expected genus >= 1, got 0"),
+    "count class 0": (
+        ["diagrams", "--g", "1", "--a", "0", "--profile", "2,-2", "--count"],
+        "expected degree >= 1, got 0"),
+    "sum genus 0": (
+        ["diagrams", "--g", "0", "--a", "1", "--profile", "2,-2", "--sum"],
+        "expected genus >= 1, got 0"),
     "shift 1,x": (
         ["local", "--a", "2", "--w1", "2", "--n", "2", "--delta", "2",
          "--shift", "1,x"], "bad shift '1,x'"),
@@ -524,3 +533,37 @@ def test_main_in_process():
                  "--count"]) == 0
     assert main(["local", "--a", "2", "--w1", "2", "--n", "2", "--delta",
                  "3"]) == 2
+
+
+# argv with {profile} or {shift}: the "=" form of a value with a leading
+# minus sign prints what the plain form of the same value prints.
+EQUALS_FORM_CASES = [
+    (["diagrams", "--g", "2", "--a", "2", "{profile}", "--count"],
+     ("--profile", "2,-2"), "--profile=-2,2"),
+    (["diagrams", "--g", "2", "--a", "2", "{profile}"],
+     ("--profile", "2,-2"), "--profile=-2,2"),
+    (["diagrams", "--g", "2", "--a", "2", "{profile}", "--sum", "--delta", "2",
+      "--json"], ("--profile", "2,-2"), "--profile=-2,2"),
+    (["series", "--g", "2", "{profile}", "--delta", "2", "--n-trunc", "4"],
+     ("--profile", "2,2,-2,-2"), "--profile=-2,-2,2,2"),
+    (["local", "--a", "2", "--w1", "2", "--n", "2", "--delta", "2", "{shift}",
+      "--json"], ("--shift", "1,0"), "--shift=-1,0"),
+]
+
+
+@pytest.mark.parametrize("argv,plain,equals", EQUALS_FORM_CASES)
+def test_leading_minus_value_equals_form(argv, plain, equals, capsys):
+    at = next(i for i, a in enumerate(argv) if a.startswith("{"))
+
+    def run(value):
+        return main(argv[:at] + value + argv[at + 1:])
+
+    assert run(list(plain)) == 0
+    want = capsys.readouterr().out
+    assert run([equals]) == 0
+    assert capsys.readouterr().out == want
+    # Without "=", argparse reads the value as an option.
+    with pytest.raises(SystemExit) as exc:
+        run(equals.split("="))
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corgw.arith import sigma
+from corgw.arith import divisors, sigma
 from corgw.diagrams import (
     BOTTOM,
     TOP,
@@ -14,12 +14,14 @@ from corgw.diagrams import (
     Floor,
     FloorDiagram,
     TangencyProfile,
+    count_diagrams,
     enumerate_diagrams,
     invariant,
     multiplicity,
     validate,
 )
-from corgw.torsion import GroupAlgebraElement, theta, unrefine
+from corgw.refined import bold_sigma
+from corgw.torsion import GroupAlgebraElement, ProjectorElement, theta, unrefine
 
 
 def test_profile_validation():
@@ -507,6 +509,104 @@ def test_floor_cap_cuts_search(monkeypatch):
     # in the search, so no candidate reaches validate.
     assert _structures(10, (-2, 2), 2) == ()
     assert _structure_candidates(10, (2, -2), monkeypatch, 2) == []
+
+
+# -- the class tally against the sum over labelled diagrams ----------------
+
+PINNED_PROFILES = list(
+    dict.fromkeys(
+        list(STRUCTURE_DIGESTS) + [(g, w) for g, _a, w in BRUTE_FORCE_CASES]
+    )
+)
+
+
+def invariant_by_diagrams(genus, degree, profile, delta):
+    """Reference for invariant: the multiplicity of every labelled diagram,
+    added one diagram at a time."""
+    total = ProjectorElement.zero(delta)
+    for d in enumerate_diagrams(genus, degree, profile):
+        total = total + multiplicity(d, delta)
+    return total
+
+
+@pytest.mark.parametrize("genus,weights", PINNED_PROFILES)
+def test_invariant_equals_sum_over_diagrams(genus, weights):
+    profile = TangencyProfile(weights)
+    for delta in divisors(profile.gcd_abs):
+        for degree in range(1, 5):
+            assert invariant(genus, degree, profile, delta) == (
+                invariant_by_diagrams(genus, degree, profile, delta)
+            ), (delta, degree)
+
+
+def multiplicity_by_floor_walk(diagram, delta):
+    """Reference for multiplicity: each floor's label and valency read off
+    its own level, the product taken floor by floor in level order."""
+    delta_d = diagram.delta_gcd(delta)
+    core = ProjectorElement.unit(delta_d)
+    for i, level in enumerate(diagram.levels):
+        if isinstance(level, Floor):
+            val = sum((e.lo == i) + (e.hi == i) for e in diagram.edges)
+            core = core * (level.a_v ** (val - 1) * bold_sigma(delta_d, level.a_v))
+    return core.rebase(delta).divide(delta // delta_d) * diagram.weight_monomial
+
+
+@pytest.mark.parametrize(
+    "genus,weights", [(3, (2, 2, -2, -2)), (3, (3, 3, -3, -3)), (2, (2, 1, -3))]
+)
+def test_multiplicity_pairs_labels_with_valencies(genus, weights):
+    profile = TangencyProfile(weights)
+    for delta in divisors(profile.gcd_abs):
+        for d in enumerate_diagrams(genus, 4, profile):
+            assert multiplicity(d, delta) == multiplicity_by_floor_walk(d, delta)
+
+
+@pytest.mark.parametrize("genus,weights", PINNED_PROFILES)
+def test_count_equals_enumeration(genus, weights):
+    profile = TangencyProfile(weights)
+    for degree in range(1, 6):
+        assert count_diagrams(genus, degree, profile) == len(
+            enumerate_diagrams(genus, degree, profile)
+        ), degree
+
+
+def _refuse(*args):
+    raise AssertionError("labelled diagram handled one at a time")
+
+
+def test_count_builds_no_labelled_diagram(monkeypatch):
+    from corgw import diagrams
+
+    profile = TangencyProfile((2, 2, -2, -2))
+    want = len(enumerate_diagrams(3, 5, profile))
+    monkeypatch.setattr(diagrams, "enumerate_diagrams", _refuse)
+    monkeypatch.setattr(diagrams.FloorDiagram, "__post_init__", _refuse)
+    assert count_diagrams(3, 5, profile) == want
+
+
+def test_invariant_adds_once_per_class(monkeypatch):
+    from corgw import diagrams
+
+    genus, degree, delta = 3, 4, 2
+    profile = TangencyProfile((2, 2, -2, -2))
+    found = enumerate_diagrams(genus, degree, profile)
+    want = invariant_by_diagrams(genus, degree, profile, delta)
+    classes = {(d.delta_gcd(delta), d.floor_info) for d in found}
+    assert len(classes) < len(found)
+
+    adds = []
+    add = ProjectorElement.__add__
+
+    def counting(self, other):
+        adds.append(1)
+        return add(self, other)
+
+    diagrams._invariant_cached.cache_clear()
+    monkeypatch.setattr(diagrams, "multiplicity", _refuse)
+    monkeypatch.setattr(diagrams.FloorDiagram, "__post_init__", _refuse)
+    monkeypatch.setattr(ProjectorElement, "__add__", counting)
+    assert invariant(genus, degree, profile, delta) == want
+    assert len(adds) == len(classes)
 
 
 # SHA-256 of the newline-joined to_json of enumerate_diagrams below the

@@ -7,13 +7,14 @@ from corgw.arith import divisors, jordan2, sigma, sigma_bar
 from corgw.diagrams import TangencyProfile, invariant
 from corgw.qseries import (
     GASeries,
+    _template_route,
     factorization_check,
     invariant_series,
     templates_for,
     write_series_csv,
 )
 from corgw.refined import bold_sigma, local_invariant
-from corgw.torsion import GroupAlgebraElement, theta
+from corgw.torsion import GroupAlgebraElement, ProjectorElement, theta
 
 
 def test_sigma_series_examples():
@@ -117,3 +118,67 @@ def test_csv_output():
 def test_factorization_precondition():
     with pytest.raises(ValueError):
         factorization_check(1, TangencyProfile((3, -3)), 2, 5)
+
+
+def series_by_templates(genus, profile, delta, truncation):
+    """Reference for the template route: each template's own Cauchy chain of
+    blocks, lifted to level delta and scaled by its W, added one template at
+    a time."""
+    total = [ProjectorElement.zero(delta)] * truncation
+    for rep in templates_for(genus, profile):
+        delta_t = rep.delta_gcd(delta)
+        prod = None
+        for _a_v, val in rep.floor_info:
+            block = GASeries(
+                delta_t,
+                tuple(
+                    a ** (val - 1) * bold_sigma(delta_t, a)
+                    for a in range(1, truncation + 1)
+                ),
+            )
+            prod = block if prod is None else prod.cauchy(block)
+        total = [
+            x + c.rebase(delta).divide(delta // delta_t) * rep.weight_monomial
+            for x, c in zip(total, prod.coeffs)
+        ]
+    return total
+
+
+# The cases whose --check-factorization stderr tests/test_cli.py pins.
+FACTORIZATION_CASES = [
+    (3, (2, -2), 2),
+    (2, (2, 2, -2, -2), 2),
+    (3, (3, 3, -3, -3), 3),
+    (3, (6, -6), 6),
+]
+
+
+@pytest.mark.parametrize("genus,weights,delta", FACTORIZATION_CASES)
+def test_template_route_equals_sum_over_templates(genus, weights, delta):
+    profile = TangencyProfile(weights)
+    got, reports = _template_route(genus, profile, delta, 8)
+    assert got == series_by_templates(genus, profile, delta, 8)
+    templates = templates_for(genus, profile)
+    assert [(r.template, r.weight_monomial, r.delta_gcd) for r in reports] == [
+        (t.to_json_dict(), t.weight_monomial, t.delta_gcd(delta)) for t in templates
+    ]
+
+
+@pytest.mark.parametrize("genus,weights,delta", FACTORIZATION_CASES)
+def test_template_route_one_chain_per_shape(genus, weights, delta, monkeypatch):
+    profile = TangencyProfile(weights)
+    shapes = {
+        (t.delta_gcd(delta), tuple(val for _a, val in t.floor_info))
+        for t in templates_for(genus, profile)
+    }
+    calls = []
+    cauchy = GASeries.cauchy
+
+    def counting(self, other):
+        calls.append(1)
+        return cauchy(self, other)
+
+    monkeypatch.setattr(GASeries, "cauchy", counting)
+    _template_route(genus, profile, delta, 8)
+    assert len(calls) == sum(len(vals) - 1 for _d, vals in shapes)
+    assert len(shapes) < len(templates_for(genus, profile))
