@@ -70,7 +70,14 @@ class GASeries:
 def invariant_series(
     genus: int, profile: TangencyProfile, delta: int, truncation: int
 ) -> GASeries:
-    """Series of diagram-summed invariants in the class direction."""
+    """Series of diagram-summed invariants in the class direction.
+
+    The genus and delta are checked before the loop, so an empty series
+    (truncation 0) still rejects bad input.
+    """
+    if genus < 1:
+        raise ValueError(f"expected genus >= 1, got {genus}")
+    profile.check_delta(delta)
     return GASeries(
         delta,
         tuple(

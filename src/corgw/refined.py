@@ -3,9 +3,9 @@
 bold_sigma(delta, a) refines the divisor sum sigma(a) into an element of
 Q[(Z/delta)^2]: its coefficient at a torsion point records how many of the
 sigma(a) weighted covers of the curve land on that correlator.  Two
-independent closed forms exist for it, both in the projector basis; both
-are computed on every call and their coordinates compared, so the pair
-acts as a built-in regression check.
+independent closed forms exist for it, one by its characters and one by
+its projector coordinates; both are computed on every call and compared,
+so the pair acts as a built-in regression check.
 
 local_invariant packages the closed form of the genus-one, one-interior-
 point correlated count: a^(n-1) w1^2 bold_sigma(delta, a), optionally
@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import divisors, factorize, sigma_bar, upsilon
+from .arith import divisors, sigma_bar, upsilon
 from .torsion import GroupAlgebraElement, ProjectorElement, TorsionPoint
 
 
@@ -25,27 +25,14 @@ class ConsistencyError(RuntimeError):
     """Two independent routes to the same value disagreed (internal bug)."""
 
 
-@lru_cache(maxsize=None)
 def theta_delta_d(delta: int, d: int) -> ProjectorElement:
-    """Prime-by-prime difference of projectors attached to a divisor d of delta.
+    """Primitive idempotent attached to a divisor d of delta: chi_d = 1.
 
-    Product over primes p | delta of theta_{p^v(d)} minus, when the
-    valuation of d is below that of delta, theta_{p^(v(d)+1)}.  For d = delta
-    this is just theta(delta, delta).
+    Equals the product over primes p | delta of theta_{p^v(d)} minus, when
+    the valuation of d is below that of delta, theta_{p^(v(d)+1)}.  For
+    d = delta this is just theta(delta, delta).
     """
-    if d < 1 or delta % d:
-        raise ValueError(
-            f"theta_delta_d expects a positive d | delta, got {d}, {delta}"
-        )
-    out = ProjectorElement.unit(delta)
-    fd = factorize(d)
-    for p, vdelta in factorize(delta).factors:
-        vd = fd.valuation(p)
-        factor = ProjectorElement.theta(delta, p**vd)
-        if vd < vdelta:
-            factor = factor - ProjectorElement.theta(delta, p ** (vd + 1))
-        out = out * factor
-    return out
+    return ProjectorElement.idempotent(delta, d)
 
 
 @lru_cache(maxsize=None)
@@ -60,15 +47,14 @@ def bold_sigma(delta: int, a: int) -> ProjectorElement:
     """
     if delta < 1 or a < 1:
         raise ValueError("bold_sigma expects positive arguments")
-    via_projectors = ProjectorElement.zero(delta)
-    via_upsilon = ProjectorElement.zero(delta)
-    for d in divisors(delta):
-        via_projectors = via_projectors + sigma_bar(delta // d, a) * theta_delta_d(
-            delta, d
-        )
-        via_upsilon = via_upsilon + upsilon(delta, d, a) * ProjectorElement.theta(
-            delta, delta // d
-        )
+    divs = divisors(delta)
+    via_projectors = sum(
+        (sigma_bar(delta // d, a) * theta_delta_d(delta, d) for d in divs),
+        ProjectorElement.zero(delta),
+    )
+    via_upsilon = ProjectorElement(
+        delta, {delta // d: upsilon(delta, d, a) for d in divs}
+    )
     if via_projectors != via_upsilon:
         raise ConsistencyError(
             f"bold_sigma routes disagree for delta={delta}, a={a}"

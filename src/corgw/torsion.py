@@ -10,7 +10,8 @@ roots), which together drive every refined invariant downstream.
 
 Every quantity the refined invariants are built from lies in the span of
 the projectors, so it is carried as a :class:`ProjectorElement`: its
-coordinates in that basis, with closed-form operations in place of the
+characters chi_m, m | delta, which turn the product into a pointwise one
+and each level operator into one read per character, in place of the
 dense convolution.  The dense :class:`GroupAlgebraElement` stays the
 reference implementation; both types share one read-only dense surface
 (coefficients, support, JSON, equality), so output does not depend on the
@@ -25,7 +26,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping
 
 from .arith import divisors
@@ -309,59 +310,65 @@ def unrefine(x: GroupAlgebraElement, new_delta: int) -> GroupAlgebraElement:
     """Push x along multiplication by delta/new_delta and restrict the level.
 
     This is the coarsening that relates refinements at nested levels:
-    unrefine(bold_sigma(delta, a), delta') = bold_sigma(delta', a).
+    unrefine(bold_sigma(delta, a), delta') = bold_sigma(delta', a).  On a
+    ProjectorElement, chi_m of the result reads chi_(mk), k = delta/new_delta.
     """
     if new_delta < 1 or x.delta % new_delta:
         raise ValueError(
             f"unrefine expects a positive new_delta | delta, got {new_delta}, {x.delta}"
         )
-    return x.m_push(x.delta // new_delta).rebase(new_delta)
+    k = x.delta // new_delta
+    if isinstance(x, ProjectorElement):
+        chi = {m // k: c for m, c in x._chi.items() if m % k == 0}
+        return ProjectorElement._from_chi(new_delta, chi)
+    return x.m_push(k).rebase(new_delta)
 
 
 class ProjectorElement(_DenseSurface):
     """Element of the span of the projectors theta(delta, d), d | delta.
 
-    Stored as its coordinates d -> c_d in that basis; the projectors are
-    linearly independent, so the coordinates determine the element and
-    zero coordinates are never stored.  Every operation that stays in the
-    span is a closed form on O(tau(delta)^2) coordinates or fewer:
-    theta_d * theta_e = theta_lcm(d, e), m_push(k) sends theta_d to
-    theta_{d/gcd(d,k)}, rebase keeps theta_d, and divide(k) sends theta_d to
-    theta_{dk}.  translate leaves the span and returns a dense element.
+    Built from its coordinates d -> c_d in that basis; stored by its
+    nonzero characters chi_m = sum of c_d over d | m, m | delta, which
+    determine the element.  chi_m(theta_d) = [d | m] is multiplicative by
+    theta_d * theta_e = theta_lcm(d, e), so every operation that stays in
+    the span reads one character per m: products are pointwise, total_mass
+    is chi_delta, m_push(k) reads chi_gcd(mk, delta), divide(k) chi_(m/k)
+    where k | m, and rebase chi_gcd(m, delta).  translate leaves the span
+    and returns a dense element.
 
-    The dense map, read by coefficient, support, items, ==, hash and JSON,
-    is built once on first use.
+    Coordinates are recovered by Moebius inversion only for output: repr,
+    theta_coordinates and the dense map (coefficient, support, items, ==,
+    hash, JSON), which is built once on first use.
     """
 
-    __slots__ = ("delta", "_coords", "_dense")
+    __slots__ = ("delta", "_chi", "_dense")
 
     def __init__(
         self, delta: int, coords: Mapping[int, Fraction | int] | None = None
     ) -> None:
         if delta < 1:
             raise ValueError(f"delta must be >= 1, got {delta}")
-        clean: dict[int, Fraction] = {}
-        for d, c in (coords or {}).items():
+        coords = coords or {}
+        for d in coords:
             if d < 1 or delta % d:
-                raise ValueError(
-                    f"projector index {d} does not divide delta={delta}"
-                )
-            c = Fraction(c)
-            if c:
-                clean[d] = c
+                raise ValueError(f"projector index {d} does not divide delta={delta}")
+        chi = {
+            m: sum(Fraction(c) for d, c in coords.items() if m % d == 0)
+            for m in (divisors(delta) if coords else ())
+        }
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "_coords", clean)
+        object.__setattr__(self, "_chi", {m: c for m, c in chi.items() if c})
         object.__setattr__(self, "_dense", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("ProjectorElement is immutable")
 
     @classmethod
-    def _from_sums(cls, delta: int, coords: dict[int, Fraction]):
-        """Trusted constructor for coordinates an operation just computed."""
+    def _from_chi(cls, delta: int, chi: dict[int, Fraction]):
+        """Trusted constructor for characters an operation just computed."""
         out = object.__new__(cls)
         object.__setattr__(out, "delta", delta)
-        object.__setattr__(out, "_coords", {d: c for d, c in coords.items() if c})
+        object.__setattr__(out, "_chi", {m: c for m, c in chi.items() if c})
         object.__setattr__(out, "_dense", None)
         return out
 
@@ -376,57 +383,60 @@ class ProjectorElement(_DenseSurface):
         return cls(delta, {1: 1})
 
     @classmethod
-    def theta(cls, delta: int, d: int) -> "ProjectorElement":
-        """The projector theta(delta, d) itself; requires d | delta."""
-        return cls(delta, {d: 1})
+    def idempotent(cls, delta: int, d: int) -> "ProjectorElement":
+        """The primitive idempotent: chi_d = 1, every other character 0."""
+        if delta < 1 or d < 1 or delta % d:
+            raise ValueError(f"expected a positive d | delta, got {d}, {delta}")
+        return cls._from_chi(delta, {d: Fraction(1)})
 
     # -- inspection ---------------------------------------------------
+
+    def _coordinates(self) -> dict[int, Fraction]:
+        """Every coordinate c_d, d | delta, by Moebius inversion, smallest d first."""
+        coords: dict[int, Fraction] = {}
+        for d in divisors(self.delta):
+            lower = sum((c for e, c in coords.items() if d % e == 0), Fraction(0))
+            coords[d] = self._chi.get(d, 0) - lower
+        return coords
 
     @property
     def _terms(self) -> dict[tuple[int, int], Fraction]:
         terms = self._dense
         if terms is None:
+            delta = self.delta
+            coords = self._coordinates()
+            # A point of order r carries the sum of c_d / d^2 over the
+            # indices d with r | d (r | r, so each sum is a Fraction).
+            by_order = {
+                r: sum(c / (d * d) for d, c in coords.items() if d % r == 0)
+                for r in coords
+            }
             terms = {}
-            if self._coords:
-                delta = self.delta
-                # Every support point is big-torsion, big the lcm of the
-                # indices; a point of order r carries the sum of c_d / d^2
-                # over the indices d with r | d.
-                big = lcm(*self._coords)
-                by_order = {
-                    r: sum(
-                        (c / (d * d) for d, c in self._coords.items() if d % r == 0),
-                        Fraction(0),
-                    )
-                    for r in divisors(big)
-                }
-                step = delta // big
-                for i in range(big):
-                    for j in range(big):
-                        u, v = i * step, j * step
-                        c = by_order[delta // gcd(u, v, delta)]
-                        if c:
-                            terms[(u, v)] = c
+            for u in range(delta):
+                for v in range(delta):
+                    c = by_order[delta // gcd(u, v, delta)]
+                    if c:
+                        terms[(u, v)] = c
             object.__setattr__(self, "_dense", terms)
         return terms
 
     @property
     def total_mass(self) -> Fraction:
-        # Every projector has mass 1.
-        return sum(self._coords.values(), Fraction(0))
+        # Every projector has mass 1, and chi_delta sums every coordinate.
+        return self._chi.get(self.delta, Fraction(0))
 
     def __bool__(self) -> bool:
-        return bool(self._coords)
+        return bool(self._chi)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ProjectorElement):
-            return self.delta == other.delta and self._coords == other._coords
+            return self.delta == other.delta and self._chi == other._chi
         return super().__eq__(other)
 
     __hash__ = _DenseSurface.__hash__
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{d}: {c}" for d, c in sorted(self._coords.items()))
+        body = ", ".join(f"{d}: {c}" for d, c in self._coordinates().items() if c)
         return f"Theta[{self.delta}]{{{body}}}"
 
     def to_dense(self) -> GroupAlgebraElement:
@@ -438,10 +448,10 @@ class ProjectorElement(_DenseSurface):
         if not isinstance(other, ProjectorElement):
             return NotImplemented
         _check_level(self, other)
-        coords = dict(self._coords)
-        for d, c in other._coords.items():
-            coords[d] = coords[d] + c if d in coords else c
-        return ProjectorElement._from_sums(self.delta, coords)
+        chi = dict(self._chi)
+        for m, c in other._chi.items():
+            chi[m] = chi[m] + c if m in chi else c
+        return ProjectorElement._from_chi(self.delta, chi)
 
     def __sub__(self, other: "ProjectorElement") -> "ProjectorElement":
         return self + other * -1
@@ -449,15 +459,13 @@ class ProjectorElement(_DenseSurface):
     def __mul__(self, other):
         if isinstance(other, ProjectorElement):
             _check_level(self, other)
-            coords: dict[int, Fraction] = {}
-            for d, c in self._coords.items():
-                for e, b in other._coords.items():
-                    m = lcm(d, e)
-                    coords[m] = coords[m] + c * b if m in coords else c * b
-            return ProjectorElement._from_sums(self.delta, coords)
+            chi = other._chi
+            return ProjectorElement._from_chi(
+                self.delta, {m: c * chi[m] for m, c in self._chi.items() if m in chi}
+            )
         if isinstance(other, (int, Fraction)):
-            return ProjectorElement._from_sums(
-                self.delta, {d: c * other for d, c in self._coords.items()}
+            return ProjectorElement._from_chi(
+                self.delta, {m: c * other for m, c in self._chi.items()}
             )
         return NotImplemented
 
@@ -470,36 +478,31 @@ class ProjectorElement(_DenseSurface):
         return self.to_dense().translate(u0, v0)
 
     def m_push(self, k: int) -> "ProjectorElement":
-        """Pushforward along multiplication by k: theta_d -> theta_{d/gcd(d,k)}."""
+        """Pushforward along multiplication by k: chi_m reads chi_gcd(mk, delta)."""
         if k < 1:
             raise ValueError(f"m_push expects k >= 1, got {k}")
-        coords: dict[int, Fraction] = {}
-        for d, c in self._coords.items():
-            m = d // gcd(d, k)
-            coords[m] = coords[m] + c if m in coords else c
-        return ProjectorElement._from_sums(self.delta, coords)
+        delta = self.delta
+        return ProjectorElement._from_chi(
+            delta, {m: self._chi.get(gcd(m * k, delta)) for m in divisors(delta)}
+        )
 
     def divide(self, k: int) -> "ProjectorElement":
-        """Average over k-th roots: theta_d -> theta_{dk}, which needs dk | delta."""
+        """Average over k-th roots, visible when the element restricts to
+        level delta/k: chi_m reads chi_(m/k) where k | m, else 0."""
         if k < 1:
             raise ValueError(f"divide expects k >= 1, got {k}")
         delta = self.delta
         if delta % k:
             raise ValueError(f"divide expects k | delta, got k={k}, delta={delta}")
-        for d in self._coords:
-            if delta % (d * k):
-                raise ValueError(
-                    f"the {k}-th roots of theta_{d} are not visible at level {delta}"
-                )
-        return ProjectorElement._from_sums(
-            delta, {d * k: c for d, c in self._coords.items()}
-        )
+        chi = self.rebase(delta // k)._chi
+        return ProjectorElement._from_chi(delta, {m * k: c for m, c in chi.items()})
 
     def rebase(self, new_delta: int) -> "ProjectorElement":
-        """Same element at another level: theta_d keeps its index.
+        """Same element at another level: chi_m reads chi_gcd(m, delta).
 
-        Restricting to a divisor new_delta needs every index to divide it,
-        i.e. every support point to be new_delta-torsion.
+        Restricting to a divisor new_delta keeps chi_m for m | new_delta; it
+        needs every support point to be new_delta-torsion, that is, the
+        restriction to lift back to the element.
         """
         d = self.delta
         if new_delta < 1:
@@ -508,10 +511,12 @@ class ProjectorElement(_DenseSurface):
             return self
         if d % new_delta and new_delta % d:
             raise ValueError(f"incompatible levels: {d} and {new_delta}")
-        for e in self._coords:
-            if new_delta % e:
-                raise ValueError(f"theta_{e} is not {new_delta}-torsion")
-        return ProjectorElement._from_sums(new_delta, self._coords)
+        out = ProjectorElement._from_chi(
+            new_delta, {m: self._chi.get(gcd(m, d)) for m in divisors(new_delta)}
+        )
+        if d % new_delta == 0 and out.rebase(d) != self:
+            raise ValueError(f"the element is not {new_delta}-torsion")
+        return out
 
 
 def theta_coordinates(x: _DenseSurface) -> dict[int, Fraction]:
@@ -521,12 +526,11 @@ def theta_coordinates(x: _DenseSurface) -> dict[int, Fraction]:
     largest divisor first from coefficients at points of exact order;
     raises ValueError when x is not in the projector span.
     """
-    delta = x.delta
-    divs = divisors(delta)
     if isinstance(x, ProjectorElement):
-        return {d: x._coords.get(d, Fraction(0)) for d in divs}
+        return x._coordinates()
+    delta = x.delta
     coords: dict[int, Fraction] = {}
-    for d in reversed(divs):
+    for d in reversed(divisors(delta)):
         # (delta/d, 0) has order exactly d.
         val = x.coefficient(delta // d, 0)
         for e, c in coords.items():

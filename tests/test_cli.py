@@ -203,6 +203,18 @@ def test_series_check_truncation_zero_exit_2(capsys):
     assert "truncation" in err and "exact match" not in err
 
 
+@pytest.mark.parametrize(
+    "genus, delta, needle",
+    [("0", "2", "genus"), ("1", "0", "delta=0"), ("1", "3", "delta=3")],
+)
+def test_series_truncation_zero_checks_input(genus, delta, needle, capsys):
+    # An empty series must not skip the checks: exit 2, nothing on stdout.
+    assert main(["series", "--g", genus, "--profile=2,-2", "--delta", delta,
+                 "--n-trunc", "0"]) == 2
+    captured = capsys.readouterr()
+    assert needle in captured.err and captured.out == ""
+
+
 def test_series_negative_truncation_exit_2(capsys):
     assert main(["series", "--g", "1", "--profile", "2,-2", "--delta", "1",
                  "--n-trunc", "-1"]) == 2
@@ -317,6 +329,15 @@ def test_polyfit_holdout_below_one_exit_2(tmp_path, capsys):
         assert main(["polyfit", "--template", str(path), "--delta", "1",
                      "--samples", "1,2,3,4,5,6", "--holdout", k]) == 2
         assert "--holdout" in capsys.readouterr().err
+
+
+def test_polyfit_holdout_repeating_fit_point_exit_2(capsys):
+    # The last sample, 4, is held out but is also a fit node.
+    path = Path(__file__).parents[1] / "perfbench/templates/second_kind_low.json"
+    assert main(["polyfit", "--template", str(path), "--delta", "2",
+                 "--samples", "2,4,6,4", "--holdout", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "repeat fit samples" in captured.err and captured.out == ""
 
 
 def test_polyfit_chamber_modulus_below_one_exit_2(tmp_path, capsys):

@@ -330,6 +330,12 @@ def test_polynomial_fit_rejects_samples_below_one():
         polynomial_fit(t, 1, [0, 1, 2, 3], [4])
 
 
+def test_polynomial_fit_rejects_holdout_repeating_fit_point():
+    t = chain_template()
+    with pytest.raises(ValueError, match=r"holdout samples \[2, 5\] repeat"):
+        polynomial_fit(t, 1, [1, 2, 3, 4, 5], [5, 6, 2])
+
+
 def test_polynomial_fit_rejects_template_without_weighting():
     # Two ends from BOTTOM: no weighting induces the two-end profile (w, -w).
     t = DiagramTemplate(

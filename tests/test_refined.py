@@ -2,7 +2,15 @@ import math
 
 import pytest
 
-from corgw.arith import divisors, s_delta, s_delta_order, sigma, sigma_bar, upsilon
+from corgw.arith import (
+    divisors,
+    factorize,
+    s_delta,
+    s_delta_order,
+    sigma,
+    sigma_bar,
+    upsilon,
+)
 from corgw.lattice import oracle_local_invariant
 from corgw.refined import (
     bold_sigma,
@@ -31,6 +39,32 @@ def test_theta_delta_d_examples():
             )
     with pytest.raises(ValueError):
         theta_delta_d(4, 3)
+
+
+def test_theta_delta_d_is_prime_by_prime_product():
+    # The defining product over p | delta of theta_{p^v(d)} minus, below
+    # the valuation of delta, theta_{p^(v(d)+1)}, built densely.
+    for delta in (6, 12, 30, 36):
+        for d in divisors(delta):
+            want = GroupAlgebraElement.unit(delta)
+            for p, v_delta in factorize(delta).factors:
+                v = factorize(d).valuation(p)
+                factor = theta(delta, p**v)
+                if v < v_delta:
+                    factor = factor - theta(delta, p ** (v + 1))
+                want = convolve(want, factor)
+            assert theta_delta_d(delta, d) == want
+
+
+def test_theta_delta_d_picks_out_sigma_bar():
+    # theta_delta_d(delta, m) is the idempotent of the character chi_m, and
+    # chi_m(bold_sigma(delta, a)) = sigma_bar^(delta/m)(a).
+    for delta in (1, 2, 3, 4, 6, 8, 9, 12, 30, 36):
+        for m in divisors(delta):
+            e = theta_delta_d(delta, m)
+            for a in range(1, 40):
+                want = sigma_bar(delta // m, a) * e
+                assert e * bold_sigma(delta, a) == want
 
 
 def test_theta_delta_d_partition_of_unity():

@@ -214,7 +214,7 @@ def test_mass_homomorphisms(data):
 # -- projector basis against the dense reference ---------------------------
 
 product_levels = st.sampled_from([1, 2, 3, 4, 6, 8, 12])
-projector_levels = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 18, 24])
+projector_levels = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 18, 24, 30])
 
 
 def level_divisors(delta):
@@ -250,7 +250,7 @@ def assert_same(projector_op, dense_op):
 
 
 def test_projector_basics():
-    assert ProjectorElement.theta(6, 2) == theta(6, 2)
+    assert ProjectorElement(6, {2: 1}) == theta(6, 2)
     assert ProjectorElement.unit(5) == GroupAlgebraElement.unit(5)
     assert ProjectorElement.zero(4) == GroupAlgebraElement.zero(4)
     assert not ProjectorElement(4, {2: 0})
