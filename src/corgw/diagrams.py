@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, prod
 from typing import Iterator, Union
 
+from .arith import Frozen
 from .refined import bold_sigma
 from .torsion import ProjectorElement
 
@@ -43,47 +43,50 @@ MAX_LEVELS = 500
 Endpoint = Union[int, str]
 
 
-@dataclass(frozen=True)
-class Floor:
+class Floor(Frozen):
     """Genus-one level carrying the curve-class label a_v >= 1."""
 
-    a_v: int
+    __slots__ = ("a_v",)
 
-    def __post_init__(self) -> None:
-        if type(self.a_v) is not int or self.a_v < 1:
-            raise ValueError(f"floor label must be an integer >= 1, got {self.a_v!r}")
+    def __init__(self, a_v: int) -> None:
+        if type(a_v) is not int or a_v < 1:
+            raise ValueError(f"floor label must be an integer >= 1, got {a_v!r}")
+        object.__setattr__(self, "a_v", a_v)
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(Frozen):
     """Marked genus-zero fiber level; bivalent with equal in/out weight."""
+
+    __slots__ = ()
 
 
 LevelNode = Union[Floor, Flat]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Frozen):
     """Oriented weighted edge; lo < hi in the order BOTTOM < levels < TOP."""
 
-    lo: Endpoint
-    hi: Endpoint
-    w: int
+    __slots__ = ("lo", "hi", "w")
+
+    def __init__(self, lo: Endpoint, hi: Endpoint, w: int) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "w", w)
 
 
-@dataclass(frozen=True)
-class TangencyProfile:
+class TangencyProfile(Frozen):
     """Nonzero integer tangency orders summing to zero."""
 
-    weights: tuple[int, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self) -> None:
-        if not self.weights:
+    def __init__(self, weights: tuple[int, ...]) -> None:
+        if not weights:
             raise ValueError("profile must be non-empty")
-        if any(w == 0 for w in self.weights):
+        if any(w == 0 for w in weights):
             raise ValueError("profile entries must be non-zero")
-        if sum(self.weights) != 0:
-            raise ValueError(f"profile must sum to zero, got {self.weights}")
+        if sum(weights) != 0:
+            raise ValueError(f"profile must sum to zero, got {weights}")
+        object.__setattr__(self, "weights", weights)
 
     @property
     def b(self) -> int:
@@ -142,23 +145,22 @@ def _pos(endpoint: Endpoint, n_levels: int) -> int:
     return endpoint
 
 
-@dataclass(frozen=True)
-class FloorDiagram:
-    levels: tuple[LevelNode, ...]
-    edges: tuple[Edge, ...]
+class FloorDiagram(Frozen):
+    __slots__ = ("levels", "edges")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, levels: tuple[LevelNode, ...], edges: tuple[Edge, ...]
+    ) -> None:
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "edges", edges)
         _structural_check(self)
         # Canonical edge order so that equal diagrams compare equal.
-        n = len(self.levels)
+        n = len(levels)
         object.__setattr__(
             self,
             "edges",
             tuple(
-                sorted(
-                    self.edges,
-                    key=lambda e: (_pos(e.lo, n), _pos(e.hi, n), e.w),
-                )
+                sorted(edges, key=lambda e: (_pos(e.lo, n), _pos(e.hi, n), e.w))
             ),
         )
 
@@ -474,7 +476,6 @@ def validate(
 # -- multiplicity ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _floor_core(delta: int, delta_d: int, floors: tuple[tuple[int, int], ...]):
     """Division-averaged product of refined divisor sums over the floors.
 

@@ -11,26 +11,27 @@ image point and rescales the counts by one exact Fraction at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
+from .arith import Frozen
 from .torsion import GroupAlgebraElement
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Frozen):
     """Index d1*d2 sublattice of Z^2 with HNF basis {(d1, 0), (c, d2)}."""
 
-    d1: int
-    c: int
-    d2: int
+    __slots__ = ("d1", "c", "d2")
 
-    def __post_init__(self) -> None:
-        if self.d1 < 1 or self.d2 < 1:
+    def __init__(self, d1: int, c: int, d2: int) -> None:
+        if d1 < 1 or d2 < 1:
             raise ValueError("diagonal entries must be positive")
-        if not 0 <= self.c < self.d1:
-            raise ValueError(f"expected 0 <= c < d1, got c={self.c}, d1={self.d1}")
+        if not 0 <= c < d1:
+            raise ValueError(f"expected 0 <= c < d1, got c={c}, d1={d1}")
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d2", d2)
 
     @property
     def index(self) -> int:
@@ -86,6 +87,24 @@ def torsion_image(lat: Sublattice, delta: int) -> GroupAlgebraElement:
     return GroupAlgebraElement(delta, dict.fromkeys(_image_points(lat, delta), 1))
 
 
+# oracle-verify asks for the four cells (w1, n) of one (a, delta) in a row,
+# and they differ only by the scale, so one cached entry serves all four.
+@lru_cache(maxsize=1)
+def _cover_counts(a: int, delta: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The oracle's per-point integer counts, before its scale.
+
+    Each index-a cover's torsion image is enumerated point by point and
+    its weight gcd(k, delta) gcd(a/k, delta) added to the point's count.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for lat in enumerate_sublattices(a):
+        k, m = lattice_type(lat)
+        weight = gcd(k, delta) * gcd(m, delta)
+        for p in _image_points(lat, delta):
+            counts[p] = counts.get(p, 0) + weight
+    return tuple(counts.items())
+
+
 def oracle_local_invariant(
     a: int, w1: int, n: int, delta: int
 ) -> GroupAlgebraElement:
@@ -93,10 +112,9 @@ def oracle_local_invariant(
 
     a^(n-1) (w1/delta)^2 times the sum over index-a sublattices of
     gcd(k, delta) gcd(a/k, delta) times the torsion-image indicator.
-    Each cover's image is enumerated point by point and its integer weight
-    added to a per-point count; the counts are rescaled exactly once at
-    the end.  Independent oracle for refined.local_invariant; total mass
-    is a^(n-1) sigma(a) w1^2.
+    The integer counts depend only on (a, delta) and are rescaled exactly
+    once at the end.  Independent oracle for refined.local_invariant;
+    total mass is a^(n-1) sigma(a) w1^2.
     """
     if a < 1 or w1 < 1:
         raise ValueError("oracle expects a >= 1 and w1 >= 1")
@@ -106,14 +124,10 @@ def oracle_local_invariant(
         raise ValueError(
             f"oracle expects a positive delta | w1, got delta={delta}, w1={w1}"
         )
-    counts: dict[tuple[int, int], int] = {}
-    for lat in enumerate_sublattices(a):
-        k, m = lattice_type(lat)
-        weight = gcd(k, delta) * gcd(m, delta)
-        for p in _image_points(lat, delta):
-            counts[p] = counts.get(p, 0) + weight
     scale = a ** (n - 1) * Fraction(w1, delta) ** 2
-    return GroupAlgebraElement(delta, {p: c * scale for p, c in counts.items()})
+    return GroupAlgebraElement(
+        delta, {p: c * scale for p, c in _cover_counts(a, delta)}
+    )
 
 
 __all__ = [

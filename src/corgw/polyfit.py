@@ -21,13 +21,13 @@ need the full chamber complex, which is out of scope.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import prod
 from typing import Iterator, Sequence
 
-from .arith import divisors
+from .arith import Frozen, divisors
 from .diagrams import (
     BOTTOM,
     TOP,
@@ -45,25 +45,25 @@ from .diagrams import (
 from .torsion import ProjectorElement, theta_coordinates
 
 
-@dataclass(frozen=True)
-class DiagramTemplate:
+class DiagramTemplate(Frozen):
     """Floor diagram with edge weights erased; orientation and labels kept.
 
-    Construction builds the unit-weight diagram, which checks the endpoints
-    and orientation (ValueError otherwise), and stores the edges in its
-    canonical order.  That diagram also supplies the floor multiset and the
-    exponent of each edge weight in the weight monomial.
+    ``edges`` holds (lo, hi) pairs in the diagram's endpoint syntax.
+    Construction builds the unit-weight diagram ``unit``, which checks the
+    endpoints and orientation (ValueError otherwise), and stores the edges
+    in its canonical order.  That diagram also supplies the floor multiset
+    and ``exponents``, the exponent of each edge weight in the weight
+    monomial.  Equality, hash and repr read only ``levels`` and ``edges``.
     """
 
-    levels: tuple
-    edges: tuple[tuple, ...]  # (lo, hi) pairs in the diagram's endpoint syntax
-    unit: FloorDiagram = field(init=False, repr=False, compare=False)
-    exponents: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("levels", "edges", "unit", "exponents")
+    _fields = ("levels", "edges")
 
-    def __post_init__(self) -> None:
-        unit = self.with_weights((1,) * len(self.edges))
-        object.__setattr__(self, "unit", unit)
+    def __init__(self, levels: tuple, edges: tuple[tuple, ...]) -> None:
+        unit = FloorDiagram(levels, tuple(Edge(lo, hi, 1) for lo, hi in edges))
+        object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "edges", tuple((e.lo, e.hi) for e in unit.edges))
+        object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "exponents", unit.edge_exponents)
 
     @classmethod
@@ -180,6 +180,15 @@ def gamma_coeffs(
     """
     if delta < 1:
         raise ValueError(f"expected delta >= 1, got {delta}")
+    return dict(_gammas(template, delta))
+
+
+# polynomial_fit resums one template at every sample w, and the gammas
+# depend only on (template, delta), so one cached entry serves a whole fit.
+@lru_cache(maxsize=1)
+def _gammas(
+    template: DiagramTemplate, delta: int
+) -> tuple[tuple[int, ProjectorElement], ...]:
     floors = template.unit.floor_info
     gammas: dict[int, ProjectorElement] = {}
     for e in divisors(delta):
@@ -189,7 +198,7 @@ def gamma_coeffs(
             if d != e:
                 acc = acc + gammas[d]
         gammas[e] = phi - acc
-    return gammas
+    return tuple(gammas.items())
 
 
 def invariant_by_template(
@@ -304,23 +313,42 @@ def poly_degree(coeffs: Sequence[Fraction]) -> int:
     return deg
 
 
-@dataclass(frozen=True)
-class CoordinateFit:
-    divisor: int
-    coeffs: tuple[Fraction, ...]
-    degree: int
-    holdout_ok: bool
+class CoordinateFit(Frozen):
+    __slots__ = ("divisor", "coeffs", "degree", "holdout_ok")
+
+    def __init__(
+        self, divisor: int, coeffs: tuple[Fraction, ...], degree: int,
+        holdout_ok: bool,
+    ) -> None:
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "holdout_ok", holdout_ok)
 
 
-@dataclass(frozen=True)
-class PolyFitReport:
-    ok: bool
-    delta: int
-    chamber: tuple[int, int] | None
-    degree_bound: int
-    fit_points: tuple[int, ...]
-    holdout_points: tuple[int, ...]
-    coordinates: tuple[CoordinateFit, ...]
+class PolyFitReport(Frozen):
+    __slots__ = (
+        "ok", "delta", "chamber", "degree_bound", "fit_points",
+        "holdout_points", "coordinates",
+    )
+
+    def __init__(
+        self,
+        ok: bool,
+        delta: int,
+        chamber: tuple[int, int] | None,
+        degree_bound: int,
+        fit_points: tuple[int, ...],
+        holdout_points: tuple[int, ...],
+        coordinates: tuple[CoordinateFit, ...],
+    ) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "chamber", chamber)
+        object.__setattr__(self, "degree_bound", degree_bound)
+        object.__setattr__(self, "fit_points", fit_points)
+        object.__setattr__(self, "holdout_points", holdout_points)
+        object.__setattr__(self, "coordinates", coordinates)
 
     def to_json_dict(self) -> dict:
         return {

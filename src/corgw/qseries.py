@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
 
+from .arith import Frozen
 from .diagrams import (
     FloorDiagram,
     TangencyProfile,
@@ -29,17 +29,19 @@ from .refined import bold_sigma
 from .torsion import GroupAlgebraElement, ProjectorElement
 
 
-@dataclass(frozen=True)
-class GASeries:
+class GASeries(Frozen):
     """Truncated q-series with group-algebra coefficients for q^1..q^N."""
 
-    delta: int
-    coeffs: tuple[ProjectorElement | GroupAlgebraElement, ...]
+    __slots__ = ("delta", "coeffs")
 
-    def __post_init__(self) -> None:
-        for c in self.coeffs:
-            if c.delta != self.delta:
+    def __init__(
+        self, delta: int, coeffs: tuple[ProjectorElement | GroupAlgebraElement, ...]
+    ) -> None:
+        for c in coeffs:
+            if c.delta != delta:
                 raise ValueError("coefficient level mismatch")
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def truncation(self) -> int:
@@ -86,19 +88,29 @@ def invariant_series(
     )
 
 
-@dataclass(frozen=True)
-class TemplateReport:
-    template: dict
-    weight_monomial: int
-    delta_gcd: int
+class TemplateReport(Frozen):
+    __slots__ = ("template", "weight_monomial", "delta_gcd")
+
+    def __init__(self, template: dict, weight_monomial: int, delta_gcd: int) -> None:
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "weight_monomial", weight_monomial)
+        object.__setattr__(self, "delta_gcd", delta_gcd)
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
-    ok: bool
-    truncation: int
-    templates: tuple[TemplateReport, ...]
-    mismatch_at: int | None = None
+class FactorizationReport(Frozen):
+    __slots__ = ("ok", "truncation", "templates", "mismatch_at")
+
+    def __init__(
+        self,
+        ok: bool,
+        truncation: int,
+        templates: tuple[TemplateReport, ...],
+        mismatch_at: int | None = None,
+    ) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "templates", templates)
+        object.__setattr__(self, "mismatch_at", mismatch_at)
 
 
 def templates_for(genus: int, profile: TangencyProfile) -> list[FloorDiagram]:

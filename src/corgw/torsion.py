@@ -23,28 +23,25 @@ All values are immutable; operations return fresh elements.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping
 
-from .arith import divisors
+from .arith import Frozen, divisors
 
 
-@dataclass(frozen=True)
-class TorsionPoint:
+class TorsionPoint(Frozen):
     """A point of (Z/delta)^2, i.e. a delta-torsion point of the curve."""
 
-    delta: int
-    u: int
-    v: int
+    __slots__ = ("delta", "u", "v")
 
-    def __post_init__(self) -> None:
-        if self.delta < 1:
-            raise ValueError(f"delta must be >= 1, got {self.delta}")
-        object.__setattr__(self, "u", self.u % self.delta)
-        object.__setattr__(self, "v", self.v % self.delta)
+    def __init__(self, delta: int, u: int, v: int) -> None:
+        if delta < 1:
+            raise ValueError(f"delta must be >= 1, got {delta}")
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "u", u % delta)
+        object.__setattr__(self, "v", v % delta)
 
     @property
     def order(self) -> int:

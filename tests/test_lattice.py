@@ -100,6 +100,15 @@ def test_oracle_equals_closed_form():
                     ) == local_invariant(a, w1, n, delta)
 
 
+def test_oracle_cells_differ_by_scale():
+    # The cells (w1, n) of one (a, delta) share their integer counts and
+    # differ by a^(n-1) (w1/delta)^2, whichever (a, delta) came before.
+    for a, delta in [(6, 2), (4, 3), (6, 2), (6, 3), (1, 1)]:
+        base = oracle_local_invariant(a, delta, 2, delta)
+        assert base == local_invariant(a, delta, 2, delta)
+        assert oracle_local_invariant(a, 2 * delta, 3, delta) == base * (4 * a)
+
+
 def test_oracle_mass():
     for a in range(1, 15):
         for delta in (1, 2, 3):

@@ -1,7 +1,21 @@
+import copy
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
 
 import corgw
+from corgw.arith import Factorization
+from corgw.diagrams import (
+    BOTTOM, TOP, Edge, Flat, Floor, FloorDiagram, TangencyProfile,
+)
+from corgw.lattice import Sublattice
+from corgw.polyfit import CoordinateFit, DiagramTemplate, PolyFitReport
+from corgw.qseries import FactorizationReport, GASeries, TemplateReport
+from corgw.torsion import ProjectorElement, TorsionPoint
 
 
 def test_all_exports_resolve():
@@ -17,3 +31,242 @@ def test_all_exports_resolve():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Each CLI job is a fresh process; the value classes are hand-written so
+    # that these modules, and what they pull in, stay out of its start-up.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import corgw.cli, corgw.diagrams, corgw.qseries, corgw.polyfit, "
+        "corgw.lattice\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+LEVELS = (Floor(1), Flat())
+EDGES = ((BOTTOM, 0), (0, 1), (1, TOP))
+CHAIN = tuple(Edge(lo, hi, 2) for lo, hi in EDGES)
+FIT = CoordinateFit(1, (Fraction(1, 2),), 0, True)
+
+# name -> (positional construction, the same value built with keywords, a
+# different value of the same class).  The keyword forms also exercise the
+# normalisations: reduction mod delta, canonical edge order, a default.
+VALUES = {
+    "Factorization": (
+        lambda: Factorization(((2, 3), (5, 1))),
+        lambda: Factorization(factors=((2, 3), (5, 1))),
+        lambda: Factorization(((2, 3),)),
+    ),
+    "TorsionPoint": (
+        lambda: TorsionPoint(4, 1, 3),
+        lambda: TorsionPoint(delta=4, u=5, v=-1),
+        lambda: TorsionPoint(4, 1, 2),
+    ),
+    "Floor": (lambda: Floor(2), lambda: Floor(a_v=2), lambda: Floor(3)),
+    "Flat": (Flat, Flat, lambda: Floor(1)),
+    "Edge": (
+        lambda: Edge(BOTTOM, 0, 2),
+        lambda: Edge(lo=BOTTOM, hi=0, w=2),
+        lambda: Edge(BOTTOM, 0, 4),
+    ),
+    "TangencyProfile": (
+        lambda: TangencyProfile((2, -2)),
+        lambda: TangencyProfile(weights=(2, -2)),
+        lambda: TangencyProfile((-2, 2)),
+    ),
+    "FloorDiagram": (
+        lambda: FloorDiagram(LEVELS, CHAIN),
+        lambda: FloorDiagram(levels=LEVELS, edges=CHAIN[::-1]),
+        lambda: FloorDiagram((Floor(2), Flat()), CHAIN),
+    ),
+    "Sublattice": (
+        lambda: Sublattice(2, 1, 3),
+        lambda: Sublattice(d1=2, c=1, d2=3),
+        lambda: Sublattice(2, 0, 3),
+    ),
+    "DiagramTemplate": (
+        lambda: DiagramTemplate(LEVELS, EDGES),
+        lambda: DiagramTemplate(levels=LEVELS, edges=EDGES[::-1]),
+        lambda: DiagramTemplate((Floor(2), Flat()), EDGES),
+    ),
+    "CoordinateFit": (
+        lambda: CoordinateFit(1, (Fraction(1, 2),), 0, True),
+        lambda: CoordinateFit(
+            divisor=1, coeffs=(Fraction(1, 2),), degree=0, holdout_ok=True
+        ),
+        lambda: CoordinateFit(1, (Fraction(1, 2),), 0, False),
+    ),
+    "PolyFitReport": (
+        lambda: PolyFitReport(True, 2, (2, 0), 9, (2, 4), (6,), (FIT,)),
+        lambda: PolyFitReport(
+            ok=True, delta=2, chamber=(2, 0), degree_bound=9, fit_points=(2, 4),
+            holdout_points=(6,), coordinates=(FIT,),
+        ),
+        lambda: PolyFitReport(True, 2, None, 9, (2, 4), (6,), (FIT,)),
+    ),
+    "GASeries": (
+        lambda: GASeries(2, (ProjectorElement.unit(2),)),
+        lambda: GASeries(delta=2, coeffs=(ProjectorElement.unit(2),)),
+        lambda: GASeries(2, (ProjectorElement.zero(2),)),
+    ),
+    "TemplateReport": (
+        lambda: TemplateReport({"levels": []}, 8, 2),
+        lambda: TemplateReport(
+            template={"levels": []}, weight_monomial=8, delta_gcd=2
+        ),
+        lambda: TemplateReport({"levels": []}, 8, 1),
+    ),
+    "FactorizationReport": (
+        lambda: FactorizationReport(True, 3, ()),
+        lambda: FactorizationReport(
+            ok=True, truncation=3, templates=(), mismatch_at=None
+        ),
+        lambda: FactorizationReport(False, 3, (), mismatch_at=2),
+    ),
+}
+
+
+FIELDS = {
+    "Factorization": ("factors",),
+    "TorsionPoint": ("delta", "u", "v"),
+    "Floor": ("a_v",),
+    "Flat": (),
+    "Edge": ("lo", "hi", "w"),
+    "TangencyProfile": ("weights",),
+    "FloorDiagram": ("levels", "edges"),
+    "Sublattice": ("d1", "c", "d2"),
+    "DiagramTemplate": ("levels", "edges", "unit", "exponents"),
+    "CoordinateFit": ("divisor", "coeffs", "degree", "holdout_ok"),
+    "PolyFitReport": (
+        "ok", "delta", "chamber", "degree_bound", "fit_points",
+        "holdout_points", "coordinates",
+    ),
+    "GASeries": ("delta", "coeffs"),
+    "TemplateReport": ("template", "weight_monomial", "delta_gcd"),
+    "FactorizationReport": ("ok", "truncation", "templates", "mismatch_at"),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_equality_and_hash(name):
+    make, make_kw, make_other = VALUES[name]
+    x, y, other = make(), make_kw(), make_other()
+    assert type(x).__name__ == name
+    assert x == y and not x != y
+    assert x != other and other != x
+    assert x is not y
+    if name == "TemplateReport":
+        # The template is a dict, so the report is unhashable, as it was.
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == hash(y)
+        assert len({x, y, other}) == 2
+    # A value is neither a tuple of its fields nor iterable.
+    assert x != tuple(getattr(x, f) for f in FIELDS[name])
+    with pytest.raises(TypeError):
+        iter(x)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_is_immutable(name):
+    x = VALUES[name][0]()
+    for field in FIELDS[name]:
+        with pytest.raises(AttributeError):
+            setattr(x, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    with pytest.raises(AttributeError):
+        x.extra = 0
+    assert x == VALUES[name][1]()
+
+
+@pytest.mark.parametrize("name", [n for n in VALUES if n != "GASeries"])
+def test_value_copy_and_pickle(name):
+    x = VALUES[name][0]()
+    assert copy.copy(x) == x
+    assert copy.deepcopy(x) == x
+    assert pickle.loads(pickle.dumps(x)) == x
+
+
+def test_value_reprs():
+    assert repr(Flat()) == "Flat()"
+    assert repr(Floor(2)) == "Floor(a_v=2)"
+    assert repr(Edge(BOTTOM, 0, 2)) == "Edge(lo='B', hi=0, w=2)"
+    assert repr(TorsionPoint(4, 5, -1)) == "TorsionPoint(delta=4, u=1, v=3)"
+    assert repr(Sublattice(2, 1, 3)) == "Sublattice(d1=2, c=1, d2=3)"
+    assert repr(Factorization(((2, 3),))) == "Factorization(factors=((2, 3),))"
+    assert repr(TangencyProfile((2, -2))) == "TangencyProfile(weights=(2, -2))"
+    assert repr(FloorDiagram(LEVELS, CHAIN[::-1])) == (
+        "FloorDiagram(levels=(Floor(a_v=1), Flat()), edges=(Edge(lo='B', hi=0, "
+        "w=2), Edge(lo=0, hi=1, w=2), Edge(lo=1, hi='T', w=2)))"
+    )
+    assert repr(DiagramTemplate(LEVELS, EDGES)) == (
+        "DiagramTemplate(levels=(Floor(a_v=1), Flat()), "
+        "edges=(('B', 0), (0, 1), (1, 'T')))"
+    )
+    assert repr(FactorizationReport(True, 3, ())) == (
+        "FactorizationReport(ok=True, truncation=3, templates=(), mismatch_at=None)"
+    )
+    assert repr(FIT) == (
+        "CoordinateFit(divisor=1, coeffs=(Fraction(1, 2),), degree=0, "
+        "holdout_ok=True)"
+    )
+
+
+def test_value_defaults():
+    assert FactorizationReport(True, 3, ()).mismatch_at is None
+    assert FactorizationReport(False, 3, (), 2).mismatch_at == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Factorization(((3, 1), (2, 1))),
+    lambda: Factorization(((2, 1), (2, 1))),
+    lambda: Factorization(((2, 0),)),
+    lambda: TorsionPoint(0, 1, 1),
+    lambda: Floor(0),
+    lambda: Floor(1.0),
+    lambda: Floor(True),
+    lambda: TangencyProfile(()),
+    lambda: TangencyProfile((2, 0, -2)),
+    lambda: TangencyProfile((2, -1)),
+    lambda: FloorDiagram((), ()),
+    lambda: FloorDiagram(LEVELS, (Edge(0, BOTTOM, 1),)),
+    lambda: FloorDiagram(LEVELS, (Edge(BOTTOM, 2, 1),)),
+    lambda: FloorDiagram(LEVELS, (Edge(BOTTOM, 0, 0),)),
+    lambda: Sublattice(0, 0, 1),
+    lambda: Sublattice(2, 2, 1),
+    lambda: DiagramTemplate(LEVELS, ((1, 0),)),
+    lambda: GASeries(2, (ProjectorElement.unit(3),)),
+])
+def test_value_checks_raise(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_template_equality_ignores_derived_fields():
+    x, y = DiagramTemplate(LEVELS, EDGES), DiagramTemplate(LEVELS, EDGES[::-1])
+    assert y.edges == EDGES
+    assert y.unit == FloorDiagram(LEVELS, tuple(Edge(lo, hi, 1) for lo, hi in EDGES))
+    object.__setattr__(y, "unit", None)
+    object.__setattr__(y, "exponents", ())
+    assert x == y and hash(x) == hash(y)
+    assert "unit" not in repr(x) and "exponents" not in repr(x)
+
+
+def test_lru_cache_keyed_by_profile_hits():
+    @lru_cache(maxsize=None)
+    def weight_sum(profile):
+        return sum(abs(w) for w in profile.weights)
+
+    assert weight_sum(TangencyProfile((2, -2))) == 4
+    assert weight_sum(TangencyProfile((2, -2))) == 4
+    info = weight_sum.cache_info()
+    assert (info.hits, info.misses) == (1, 1)

@@ -212,6 +212,18 @@ def test_gamma_coeffs_prime_and_identity():
             assert acc == lifted
 
 
+def test_gamma_coeffs_returns_a_fresh_dict():
+    # The gammas of the last (template, delta) are cached for the samples
+    # of one fit; a caller's edits must not reach the next caller.
+    t = chain_template(2)
+    want = gamma_coeffs(t, 12)
+    got = gamma_coeffs(t, 12)
+    assert got == want and got is not want
+    got.clear()
+    assert gamma_coeffs(t, 12) == want
+    assert gamma_coeffs(second_kind_template(), 12) != want
+
+
 def test_gamma_defining_identity_delta12():
     t = chain_template(2)
     gam = gamma_coeffs(t, 12)
