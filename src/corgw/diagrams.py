@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import comb, gcd, prod
 from typing import Iterator, Union
 
-from .arith import Frozen
+from .arith import Frozen, divisors
 from .refined import bold_sigma
 from .torsion import ProjectorElement
 
@@ -870,10 +870,29 @@ def _invariant_cached(
     for (delta_d, valencies), w_sum in shapes.items():
         for labels in _compositions_asc(degree, len(valencies)):
             classes[delta_d, _floor_multiset(labels, valencies)] += w_sum
-    total = ProjectorElement.zero(delta)
+    # Then integer characters.  A class's _floor_core has, at n | delta with
+    # k = delta/delta_D dividing n, the character prod over its floors of
+    # a_V^(val-1) chi_(n/k)(bold_sigma(delta_D, a_V)), and 0 at every other
+    # n; n/k runs over the divisors of delta_D.  rows caches one floor's
+    # factors in that order.
+    chi = dict.fromkeys(divisors(delta), 0)
+    divs_of = {delta_d: divisors(delta_d) for delta_d, _v in shapes}
+    rows: dict = {}
     for (delta_d, floors), w_sum in classes.items():
-        total = total + _floor_core(delta, delta_d, floors) * w_sum
-    return total
+        divs = divs_of[delta_d]
+        prod_row = [w_sum] * len(divs)
+        for a_v, val in floors:
+            row = rows.get((delta_d, a_v, val))
+            if row is None:
+                x = bold_sigma(delta_d, a_v)
+                row = rows[delta_d, a_v, val] = [
+                    a_v ** (val - 1) * x.character(j) for j in divs
+                ]
+            prod_row = [p * r for p, r in zip(prod_row, row)]
+        k = delta // delta_d
+        for j, c in zip(divs, prod_row):
+            chi[j * k] += c
+    return ProjectorElement.from_characters(delta, chi)
 
 
 def invariant(
@@ -883,7 +902,9 @@ def invariant(
 
     The sum runs over multiplicity classes, not diagrams: the labelled
     diagrams are tallied as integers W by (delta_D, floor multiset), and
-    each class costs one _floor_core product, scaled by its total W.
+    each class adds W times the integer characters of its _floor_core,
+    read off the characters of bold_sigma(delta_D, a_V), to one integer
+    character table.  The element is built once, from that table.
     """
     profile.check_delta(delta)
     return _invariant_cached(genus, degree, tuple(sorted(profile.weights)), delta)

@@ -6,12 +6,11 @@ the delta-torsion of the source curve is computed by direct enumeration
 (no Smith-form shortcut), so oracle_local_invariant recomputes the local
 correlated count by a route fully independent of the closed form in
 :mod:`corgw.refined`.  The oracle sums the covers' integer weights per
-image point and rescales the counts by one exact Fraction at the end.
+image point and rescales the counts by one integer at the end.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -112,9 +111,9 @@ def oracle_local_invariant(
 
     a^(n-1) (w1/delta)^2 times the sum over index-a sublattices of
     gcd(k, delta) gcd(a/k, delta) times the torsion-image indicator.
-    The integer counts depend only on (a, delta) and are rescaled exactly
-    once at the end.  Independent oracle for refined.local_invariant;
-    total mass is a^(n-1) sigma(a) w1^2.
+    The integer counts depend only on (a, delta) and are rescaled once at
+    the end, by an integer since delta | w1.  Independent oracle for
+    refined.local_invariant; total mass is a^(n-1) sigma(a) w1^2.
     """
     if a < 1 or w1 < 1:
         raise ValueError("oracle expects a >= 1 and w1 >= 1")
@@ -124,7 +123,7 @@ def oracle_local_invariant(
         raise ValueError(
             f"oracle expects a positive delta | w1, got delta={delta}, w1={w1}"
         )
-    scale = a ** (n - 1) * Fraction(w1, delta) ** 2
+    scale = a ** (n - 1) * (w1 // delta) ** 2
     return GroupAlgebraElement(
         delta, {p: c * scale for p, c in _cover_counts(a, delta)}
     )

@@ -137,7 +137,10 @@ def _template_route(
     the blocks sum_a a^(val-1) bold_sigma(delta_T, a) q^a over its floors;
     it depends only on delta_T and the floor valencies.  So the templates
     are tallied by (delta_T, sorted valencies), and each such shape costs
-    one Cauchy chain, scaled by its total W.
+    one Cauchy chain, scaled by its total W.  The chains multiply
+    ProjectorElements, while invariant sums integer character tables, so
+    the two routes factorization_check compares share no arithmetic past
+    bold_sigma.
     """
     reports = []
     shapes: Counter = Counter()

@@ -32,7 +32,7 @@ def theta_delta_d(delta: int, d: int) -> ProjectorElement:
     the valuation of d is below that of delta, theta_{p^(v(d)+1)}.  For
     d = delta this is just theta(delta, delta).
     """
-    return ProjectorElement.idempotent(delta, d)
+    return ProjectorElement.from_characters(delta, {d: 1})
 
 
 @lru_cache(maxsize=None)

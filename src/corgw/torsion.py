@@ -17,6 +17,12 @@ reference implementation; both types share one read-only dense surface
 (coefficients, support, JSON, equality), so output does not depend on the
 representation.
 
+Values are stored exactly, as a Python int when integral and as a
+Fraction only when not: covers are counted and the characters of the
+refined divisor sums are integers, so most arithmetic stays on ints, and
+denominators enter only through the 1/d^2 of the projectors.  The public
+reads (coefficient, total_mass, theta_coordinates) still return Fraction.
+
 All values are immutable; operations return fresh elements.
 """
 
@@ -49,6 +55,17 @@ class TorsionPoint(Frozen):
         return self.delta // gcd(self.u, self.v, self.delta)
 
 
+def _integral(c: int | Fraction) -> int | Fraction:
+    """An int or Fraction as a stored value: an int when integral."""
+    return c.numerator if type(c) is not int and c.denominator == 1 else c
+
+
+def _exact(c) -> int | Fraction:
+    """Any input value as a stored value.  Anything but an int goes
+    through Fraction, so floats and decimal strings are read exactly."""
+    return c if type(c) is int else _integral(Fraction(c))
+
+
 def _check_level(x, y) -> None:
     if x.delta != y.delta:
         raise ValueError(f"ambient level mismatch: {x.delta} vs {y.delta}")
@@ -58,14 +75,14 @@ class _DenseSurface:
     """Read-only dense view shared by both element types.
 
     Subclasses provide ``delta`` and ``_terms``, the map (u, v) -> nonzero
-    Fraction with reduced keys.  Equal dense maps mean equal elements,
-    whatever the representation.
+    value (int when integral, else Fraction) with reduced keys.  Equal dense
+    maps mean equal elements, whatever the representation.
     """
 
     __slots__ = ()
 
     def coefficient(self, u: int, v: int) -> Fraction:
-        return self._terms.get((u % self.delta, v % self.delta), Fraction(0))
+        return Fraction(self._terms.get((u % self.delta, v % self.delta), 0))
 
     @property
     def support(self) -> list[tuple[int, int]]:
@@ -112,20 +129,26 @@ class GroupAlgebraElement(_DenseSurface):
     ) -> None:
         if delta < 1:
             raise ValueError(f"delta must be >= 1, got {delta}")
-        clean: dict[tuple[int, int], Fraction] = {}
+        clean: dict[tuple[int, int], int | Fraction] = {}
         if terms:
             for (u, v), c in terms.items():
-                c = Fraction(c)
-                clean[(u % delta, v % delta)] = (
-                    clean.get((u % delta, v % delta), Fraction(0)) + c
-                )
+                key = (u % delta, v % delta)
+                if type(c) is not int:
+                    c = _exact(c)
+                clean[key] = clean[key] + c if key in clean else c
         object.__setattr__(self, "delta", delta)
         object.__setattr__(
-            self, "_terms", {k: c for k, c in clean.items() if c}
+            self,
+            "_terms",
+            {k: c if type(c) is int else _integral(c) for k, c in clean.items() if c},
         )
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("GroupAlgebraElement is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as the value classes do.
+        return GroupAlgebraElement, (self.delta, self._terms)
 
     # -- constructors -------------------------------------------------
 
@@ -135,17 +158,17 @@ class GroupAlgebraElement(_DenseSurface):
 
     @classmethod
     def unit(cls, delta: int) -> "GroupAlgebraElement":
-        return cls(delta, {(0, 0): Fraction(1)})
+        return cls(delta, {(0, 0): 1})
 
     @classmethod
     def point(cls, p: TorsionPoint) -> "GroupAlgebraElement":
-        return cls(p.delta, {(p.u, p.v): Fraction(1)})
+        return cls(p.delta, {(p.u, p.v): 1})
 
     # -- inspection ---------------------------------------------------
 
     @property
     def total_mass(self) -> Fraction:
-        return sum(self._terms.values(), Fraction(0))
+        return Fraction(sum(self._terms.values()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -162,7 +185,7 @@ class GroupAlgebraElement(_DenseSurface):
         _check_level(self, other)
         terms = dict(self._terms)
         for k, c in other.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
+            terms[k] = terms.get(k, 0) + c
         return GroupAlgebraElement(self.delta, terms)
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
@@ -193,10 +216,10 @@ class GroupAlgebraElement(_DenseSurface):
         if k < 1:
             raise ValueError(f"m_push expects k >= 1, got {k}")
         d = self.delta
-        terms: dict[tuple[int, int], Fraction] = {}
+        terms: dict[tuple[int, int], int | Fraction] = {}
         for (u, v), c in self._terms.items():
             key = ((k * u) % d, (k * v) % d)
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
         return GroupAlgebraElement(d, terms)
 
     def divide(self, k: int) -> "GroupAlgebraElement":
@@ -214,7 +237,7 @@ class GroupAlgebraElement(_DenseSurface):
             raise ValueError(f"divide expects k | delta, got k={k}, delta={d}")
         step = d // k
         ksq = Fraction(1, k * k)
-        terms: dict[tuple[int, int], Fraction] = {}
+        terms: dict[tuple[int, int], int | Fraction] = {}
         for (u, v), c in self._terms.items():
             if u % k or v % k:
                 raise ValueError(
@@ -224,7 +247,7 @@ class GroupAlgebraElement(_DenseSurface):
             for i in range(k):
                 for j in range(k):
                     key = ((u // k + i * step) % d, (v // k + j * step) % d)
-                    terms[key] = terms.get(key, Fraction(0)) + w
+                    terms[key] = terms.get(key, 0) + w
         return GroupAlgebraElement(d, terms)
 
     def rebase(self, new_delta: int) -> "GroupAlgebraElement":
@@ -275,11 +298,11 @@ def convolve(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElem
     """Group-algebra product: (x*y)(t) = sum over t1 + t2 = t of x(t1) y(t2)."""
     _check_level(x, y)
     d = x.delta
-    terms: dict[tuple[int, int], Fraction] = {}
+    terms: dict[tuple[int, int], int | Fraction] = {}
     for (u1, v1), c1 in x.items():
         for (u2, v2), c2 in y.items():
             key = ((u1 + u2) % d, (v1 + v2) % d)
-            terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+            terms[key] = terms.get(key, 0) + c1 * c2
     return GroupAlgebraElement(d, terms)
 
 
@@ -324,18 +347,22 @@ def unrefine(x: GroupAlgebraElement, new_delta: int) -> GroupAlgebraElement:
 class ProjectorElement(_DenseSurface):
     """Element of the span of the projectors theta(delta, d), d | delta.
 
-    Built from its coordinates d -> c_d in that basis; stored by its
-    nonzero characters chi_m = sum of c_d over d | m, m | delta, which
-    determine the element.  chi_m(theta_d) = [d | m] is multiplicative by
+    Built from its coordinates d -> c_d in that basis, or directly from
+    its characters by from_characters; stored by its nonzero characters
+    chi_m = sum of c_d over d | m, m | delta, which determine the element
+    and which character(m) reads.  chi_m(theta_d) = [d | m] is multiplicative by
     theta_d * theta_e = theta_lcm(d, e), so every operation that stays in
     the span reads one character per m: products are pointwise, total_mass
     is chi_delta, m_push(k) reads chi_gcd(mk, delta), divide(k) chi_(m/k)
     where k | m, and rebase chi_gcd(m, delta).  translate leaves the span
     and returns a dense element.
 
-    Coordinates are recovered by Moebius inversion only for output: repr,
-    theta_coordinates and the dense map (coefficient, support, items, ==,
-    hash, JSON), which is built once on first use.
+    Characters are stored exactly, as ints when integral (every refined
+    divisor sum has integer characters), so products and level operators
+    mostly multiply ints.  Coordinates are recovered by Moebius inversion
+    only for output: repr, theta_coordinates and the dense map (coefficient,
+    support, items, ==, hash, JSON), which is built once on first use with
+    one exact value per order class.
     """
 
     __slots__ = ("delta", "_chi", "_dense")
@@ -349,23 +376,32 @@ class ProjectorElement(_DenseSurface):
         for d in coords:
             if d < 1 or delta % d:
                 raise ValueError(f"projector index {d} does not divide delta={delta}")
+        coords = {d: _exact(c) for d, c in coords.items()}
         chi = {
-            m: sum(Fraction(c) for d, c in coords.items() if m % d == 0)
+            m: sum(c for d, c in coords.items() if m % d == 0)
             for m in (divisors(delta) if coords else ())
         }
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "_chi", {m: c for m, c in chi.items() if c})
+        object.__setattr__(
+            self, "_chi", {m: _integral(c) for m, c in chi.items() if c}
+        )
         object.__setattr__(self, "_dense", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("ProjectorElement is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the checked character constructor.
+        return ProjectorElement.from_characters, (self.delta, self._chi)
+
     @classmethod
-    def _from_chi(cls, delta: int, chi: dict[int, Fraction]):
+    def _from_chi(cls, delta: int, chi: dict[int, int | Fraction]):
         """Trusted constructor for characters an operation just computed."""
         out = object.__new__(cls)
         object.__setattr__(out, "delta", delta)
-        object.__setattr__(out, "_chi", {m: c for m, c in chi.items() if c})
+        object.__setattr__(
+            out, "_chi", {m: _integral(c) for m, c in chi.items() if c}
+        )
         object.__setattr__(out, "_dense", None)
         return out
 
@@ -380,34 +416,53 @@ class ProjectorElement(_DenseSurface):
         return cls(delta, {1: 1})
 
     @classmethod
-    def idempotent(cls, delta: int, d: int) -> "ProjectorElement":
-        """The primitive idempotent: chi_d = 1, every other character 0."""
-        if delta < 1 or d < 1 or delta % d:
-            raise ValueError(f"expected a positive d | delta, got {d}, {delta}")
-        return cls._from_chi(delta, {d: Fraction(1)})
+    def from_characters(
+        cls, delta: int, chi: Mapping[int, Fraction | int]
+    ) -> "ProjectorElement":
+        """The element with characters chi_m = chi[m], m | delta; a
+        divisor missing from chi has character 0."""
+        if delta < 1:
+            raise ValueError(f"delta must be >= 1, got {delta}")
+        for m in chi:
+            if m < 1 or delta % m:
+                raise ValueError(f"character index {m} does not divide delta={delta}")
+        return cls._from_chi(delta, {m: _exact(c) for m, c in chi.items()})
 
     # -- inspection ---------------------------------------------------
 
-    def _coordinates(self) -> dict[int, Fraction]:
-        """Every coordinate c_d, d | delta, by Moebius inversion, smallest d first."""
-        coords: dict[int, Fraction] = {}
+    def character(self, m: int) -> int | Fraction:
+        """chi_m = sum of the coordinates c_d over d | m, for m | delta;
+        an int when integral."""
+        if m < 1 or self.delta % m:
+            raise ValueError(f"character index {m} does not divide delta={self.delta}")
+        return self._chi.get(m, 0)
+
+    def _coords(self) -> dict[int, int | Fraction]:
+        """Every coordinate c_d, d | delta, by Moebius inversion, smallest d
+        first, as stored values."""
+        coords: dict[int, int | Fraction] = {}
         for d in divisors(self.delta):
-            lower = sum((c for e, c in coords.items() if d % e == 0), Fraction(0))
-            coords[d] = self._chi.get(d, 0) - lower
+            lower = sum(c for e, c in coords.items() if d % e == 0)
+            coords[d] = _integral(self._chi.get(d, 0) - lower)
         return coords
 
+    def _coordinates(self) -> dict[int, Fraction]:
+        """Every coordinate c_d, d | delta, smallest d first, as Fractions."""
+        return {d: Fraction(c) for d, c in self._coords().items()}
+
     @property
-    def _terms(self) -> dict[tuple[int, int], Fraction]:
+    def _terms(self) -> dict[tuple[int, int], int | Fraction]:
         terms = self._dense
         if terms is None:
             delta = self.delta
-            coords = self._coordinates()
+            coords = self._coords()
             # A point of order r carries the sum of c_d / d^2 over the
-            # indices d with r | d (r | r, so each sum is a Fraction).
-            by_order = {
-                r: sum(c / (d * d) for d, c in coords.items() if d % r == 0)
-                for r in coords
-            }
+            # indices d with r | d, that is n / delta^2 with
+            # n = sum of c_d (delta/d)^2: one exact value per order class.
+            by_order = {}
+            for r in coords:
+                n = sum(c * (delta // d) ** 2 for d, c in coords.items() if d % r == 0)
+                by_order[r] = _integral(Fraction(n, delta * delta))
             terms = {}
             for u in range(delta):
                 for v in range(delta):
@@ -420,7 +475,7 @@ class ProjectorElement(_DenseSurface):
     @property
     def total_mass(self) -> Fraction:
         # Every projector has mass 1, and chi_delta sums every coordinate.
-        return self._chi.get(self.delta, Fraction(0))
+        return Fraction(self._chi.get(self.delta, 0))
 
     def __bool__(self) -> bool:
         return bool(self._chi)
@@ -433,7 +488,7 @@ class ProjectorElement(_DenseSurface):
     __hash__ = _DenseSurface.__hash__
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{d}: {c}" for d, c in self._coordinates().items() if c)
+        body = ", ".join(f"{d}: {c}" for d, c in self._coords().items() if c)
         return f"Theta[{self.delta}]{{{body}}}"
 
     def to_dense(self) -> GroupAlgebraElement:

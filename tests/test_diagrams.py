@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -585,6 +586,8 @@ def test_count_builds_no_labelled_diagram(monkeypatch):
 
 
 def test_invariant_adds_once_per_class(monkeypatch):
+    # The sum runs per class, as integer characters: no diagram is built or
+    # weighed on its own, and no element is multiplied or added.
     from corgw import diagrams
 
     genus, degree, delta = 3, 4, 2
@@ -594,19 +597,47 @@ def test_invariant_adds_once_per_class(monkeypatch):
     classes = {(d.delta_gcd(delta), d.floor_info) for d in found}
     assert len(classes) < len(found)
 
-    adds = []
-    add = ProjectorElement.__add__
-
-    def counting(self, other):
-        adds.append(1)
-        return add(self, other)
-
     diagrams._invariant_cached.cache_clear()
     monkeypatch.setattr(diagrams, "multiplicity", _refuse)
+    monkeypatch.setattr(diagrams, "_floor_core", _refuse)
     monkeypatch.setattr(diagrams.FloorDiagram, "__init__", _refuse)
-    monkeypatch.setattr(ProjectorElement, "__add__", counting)
+    for name in ("__add__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(ProjectorElement, name, _refuse)
     assert invariant(genus, degree, profile, delta) == want
-    assert len(adds) == len(classes)
+
+
+def invariant_by_floor_cores(genus, degree, profile, delta):
+    """Reference for the integer sum: the diagrams tallied by multiplicity
+    class (delta_D, floor multiset), each class's _floor_core product taken
+    in the algebra and scaled by the class's total W."""
+    from corgw.diagrams import _floor_core
+
+    classes = Counter()
+    for d in enumerate_diagrams(genus, degree, profile):
+        classes[d.delta_gcd(delta), tuple(sorted(d.floor_info))] += d.weight_monomial
+    total = ProjectorElement.zero(delta)
+    for (delta_d, floors), w_sum in classes.items():
+        total = total + _floor_core(delta, delta_d, floors) * w_sum
+    return total, {delta_d for delta_d, _f in classes}
+
+
+# Profiles with gcd 4, 6 and 12 at a genus where some diagrams have
+# delta_D < delta, so the sum reads characters at composite levels below
+# the ambient one.
+@pytest.mark.parametrize("genus,weights", [
+    (3, (4, -4)), (4, (4, -4)), (3, (4, 4, -8)), (3, (12, -12)),
+    (3, (6, 6, -6, -6)),
+])
+def test_integer_sum_equals_floor_core_classes(genus, weights):
+    profile = TangencyProfile(weights)
+    below = set()
+    for delta in divisors(profile.gcd_abs):
+        for degree in range(1, 5):
+            want, levels = invariant_by_floor_cores(genus, degree, profile, delta)
+            assert invariant(genus, degree, profile, delta) == want, (delta, degree)
+            below |= {(delta, dd) for dd in levels if dd < delta}
+    assert (profile.gcd_abs, 1) in below
+    assert any(1 < dd < delta for delta, dd in below)
 
 
 # SHA-256 of the newline-joined to_json of enumerate_diagrams below the

@@ -188,7 +188,7 @@ def test_value_is_immutable(name):
     assert x == VALUES[name][1]()
 
 
-@pytest.mark.parametrize("name", [n for n in VALUES if n != "GASeries"])
+@pytest.mark.parametrize("name", VALUES)
 def test_value_copy_and_pickle(name):
     x = VALUES[name][0]()
     assert copy.copy(x) == x

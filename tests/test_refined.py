@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -216,3 +217,15 @@ def test_route_agreement_grid():
 def test_non_positive_divisor_raises(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_bold_sigma_output_pinned():
+    # SHA-256 of the repr and JSON of bold_sigma(delta, a), delta <= 12 and
+    # a <= 30, as the Fraction-valued kernel printed them.
+    text = "\n".join(
+        f"{bold_sigma(d, a)!r}\n{bold_sigma(d, a).to_json()}"
+        for d in range(1, 13) for a in range(1, 31)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "532a16e874feebb06089f2b0f62d8ad0125fe94d896b0448c61a7107d8f965ad"
+    )

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -318,3 +320,95 @@ def test_projector_dense_conversion(data):
         off = dense + GroupAlgebraElement(x.delta, {(1, 0): 1})
         with pytest.raises(ValueError):
             theta_coordinates(off)
+
+
+# -- stored values are exact, public reads are Fractions --------------------
+
+# Integral and non-integral values, given as ints, Fractions, floats and
+# decimal strings; every one of them has an exact Fraction value.
+mixed_values = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)),
+    st.sampled_from([0.5, -1.25, 2.0, "3/4", "-2", "1.5"]),
+)
+
+
+@st.composite
+def mixed_projector_elements(draw, delta, torsion=None):
+    idx = draw(st.lists(
+        st.sampled_from(level_divisors(torsion or delta)), max_size=4, unique=True))
+    coords = {e: draw(mixed_values) for e in idx}
+    x = ProjectorElement(delta, coords)
+    assert x == ProjectorElement(delta, {e: Fraction(c) for e, c in coords.items()})
+    return x
+
+
+def assert_exact_and_fraction_reads(x):
+    """Stored values are ints, or Fractions only where not integral; the
+    public reads return Fractions whatever is stored."""
+    stored = [c for _pt, c in x.items()]
+    if isinstance(x, ProjectorElement):
+        stored += [x.character(m) for m in level_divisors(x.delta)]
+    for c in stored:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+    assert type(x.total_mass) is Fraction
+    for u, v in x.support + [(0, 0), (x.delta - 1, 0)]:
+        assert type(x.coefficient(u, v)) is Fraction
+    assert all(type(c) is Fraction for c in theta_coordinates(x).values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stored_values_exact_and_reads_fraction(data):
+    d = data.draw(product_levels)
+    x = data.draw(mixed_projector_elements(d))
+    y = data.draw(mixed_projector_elements(d))
+    dense = x.to_dense()
+    k = data.draw(st.sampled_from(level_divisors(d)))
+    z = data.draw(mixed_projector_elements(d, torsion=d // k))
+    scale = data.draw(mixed_values)
+    cases = [
+        (x, dense),
+        (x * y, convolve(dense, y.to_dense())),
+        (x + y, dense + y.to_dense()),
+        (x * Fraction(scale), dense * Fraction(scale)),
+        (x.m_push(k), dense.m_push(k)),
+        (z.divide(k), z.to_dense().divide(k)),
+        (x.rebase(2 * d), dense.rebase(2 * d)),
+        (unrefine(x, d // k), unrefine(dense, d // k)),
+    ]
+    for got, want in cases:
+        assert type(got) is ProjectorElement
+        assert type(want) is GroupAlgebraElement
+        assert got == want and want == got
+        assert got.to_json() == want.to_json()
+        assert_exact_and_fraction_reads(got)
+        assert_exact_and_fraction_reads(want)
+        assert theta_coordinates(got) == theta_coordinates(want)
+
+
+def test_dense_inputs_read_exactly():
+    x = GroupAlgebraElement(4, {(0, 0): 0.5, (1, 0): "3/4", (0, 1): 2.0, (5, 0): "1/4"})
+    assert x == GroupAlgebraElement(
+        4, {(0, 0): Fraction(1, 2), (1, 0): 1, (0, 1): 2}
+    )
+    assert [type(c) for _pt, c in x.items()] == [Fraction, int, int]
+    assert type(x.total_mass) is Fraction and x.total_mass == Fraction(7, 2)
+    assert type(x.coefficient(1, 0)) is Fraction
+    assert type(ProjectorElement(6, {2: "1/2", 3: 0.5}).character(6)) is int
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ProjectorElement(6, {2: Fraction(1, 3), 3: 2}),
+    lambda: ProjectorElement.zero(3),
+    lambda: GroupAlgebraElement(4, {(1, 2): Fraction(-3, 4), (0, 0): 5}),
+    lambda: theta(4, 2),
+])
+def test_elements_copy_and_pickle(build):
+    x = build()
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x)
+        assert y == x and hash(y) == hash(x)
+        assert repr(y) == repr(x) and y.to_json() == x.to_json()
+        with pytest.raises(AttributeError):
+            y.delta = 2
