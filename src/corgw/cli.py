@@ -121,8 +121,8 @@ def cmd_diagrams(args) -> int:
         total = fd.invariant(args.g, args.a, profile, delta)
         _emit_element(total, args)
         return EXIT_OK
-    if args.delta is not None:
-        raise ValueError("--delta applies only with --sum")
+    if args.delta is not None or args.json or args.table:
+        raise ValueError("--delta, --json and --table apply only with --sum")
     if args.count:
         print(fd.count_diagrams(args.g, args.a, profile))
         return EXIT_OK
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--profile", type=str, required=True, help=_PROFILE_HELP)
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--n-trunc", "--N", dest="n_trunc", type=int, required=True)
+    p.add_argument("--n-trunc", type=int, required=True)
     p.add_argument("--check-factorization", action="store_true")
     p.set_defaults(func=cmd_series)
 

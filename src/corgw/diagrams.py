@@ -494,18 +494,6 @@ def _floor_multiset(labels, valencies) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(zip(labels, valencies)))
 
 
-def _multiplicity_data(
-    diagram: FloorDiagram, delta: int
-) -> tuple[int, tuple[int, ...], int]:
-    """All a multiplicity reads of a diagram besides its floor labels:
-    delta_D, the floor valencies in level order and the weight monomial W.
-
-    The multiplicity is _floor_core(delta, delta_D, floor multiset) * W, so
-    diagrams with equal delta_D and floor multiset form one class.
-    """
-    return diagram.delta_gcd(delta), diagram.floor_valencies, diagram.weight_monomial
-
-
 def multiplicity(diagram: FloorDiagram, delta: int) -> ProjectorElement:
     """Correlated multiplicity of a floor diagram at refinement level delta.
 
@@ -515,15 +503,9 @@ def multiplicity(diagram: FloorDiagram, delta: int) -> ProjectorElement:
     endpoint contribute w_e^2 on top.  This is the per-diagram definition;
     invariant sums the same products once per multiplicity class.
     """
-    if delta < 1:
-        raise ValueError(f"expected delta >= 1, got {delta}")
-    for w in diagram.profile():
-        if w % delta:
-            raise ValueError(
-                f"profile weight {w} not divisible by delta={delta}"
-            )
-    delta_d, _valencies, w_mon = _multiplicity_data(diagram, delta)
-    return _floor_core(delta, delta_d, diagram.floor_info) * w_mon
+    TangencyProfile(diagram.profile()).check_delta(delta)
+    core = _floor_core(delta, diagram.delta_gcd(delta), diagram.floor_info)
+    return core * diagram.weight_monomial
 
 
 # -- enumeration -----------------------------------------------------------
@@ -864,8 +846,8 @@ def _invariant_cached(
     # with equal delta_D and sorted valencies share their W.
     shapes: Counter = Counter()
     for struct in _structures(genus, weights, min(degree, genus)):
-        delta_d, valencies, w_mon = _multiplicity_data(struct, delta)
-        shapes[delta_d, tuple(sorted(valencies))] += w_mon
+        valencies = tuple(sorted(struct.floor_valencies))
+        shapes[struct.delta_gcd(delta), valencies] += struct.weight_monomial
     classes: Counter = Counter()
     for (delta_d, valencies), w_sum in shapes.items():
         for labels in _compositions_asc(degree, len(valencies)):

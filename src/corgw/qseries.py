@@ -18,13 +18,7 @@ import csv
 from collections import Counter
 
 from .arith import Frozen
-from .diagrams import (
-    FloorDiagram,
-    TangencyProfile,
-    _multiplicity_data,
-    _structures,
-    invariant,
-)
+from .diagrams import FloorDiagram, TangencyProfile, _structures, invariant
 from .refined import bold_sigma
 from .torsion import GroupAlgebraElement, ProjectorElement
 
@@ -145,8 +139,8 @@ def _template_route(
     reports = []
     shapes: Counter = Counter()
     for rep in templates_for(genus, profile):
-        delta_t, valencies, w_mon = _multiplicity_data(rep, delta)
-        shapes[delta_t, tuple(sorted(valencies))] += w_mon
+        delta_t, w_mon = rep.delta_gcd(delta), rep.weight_monomial
+        shapes[delta_t, tuple(sorted(rep.floor_valencies))] += w_mon
         reports.append(
             TemplateReport(
                 template=rep.to_json_dict(), weight_monomial=w_mon, delta_gcd=delta_t

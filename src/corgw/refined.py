@@ -39,27 +39,26 @@ def theta_delta_d(delta: int, d: int) -> ProjectorElement:
 def bold_sigma(delta: int, a: int) -> ProjectorElement:
     """Correlated refinement of sigma(a) at torsion level delta.
 
-    Computed two ways -- as sum over d | delta of sigma_bar^(delta/d)(a)
-    theta_delta_d(delta, d), and as sum of upsilon(delta, d, a)
-    theta(delta, delta/d) -- and the results are required to agree exactly.
-    Total mass is sigma(a); coefficients depend only on the order of the
-    point.
+    Computed two ways -- by its characters chi_d = sigma_bar^(delta/d)(a),
+    d | delta (the sum of sigma_bar^(delta/d)(a) theta_delta_d(delta, d)),
+    and as sum of upsilon(delta, d, a) theta(delta, delta/d) -- and the
+    results are required to agree exactly.  Total mass is sigma(a);
+    coefficients depend only on the order of the point.
     """
     if delta < 1 or a < 1:
         raise ValueError("bold_sigma expects positive arguments")
     divs = divisors(delta)
-    via_projectors = sum(
-        (sigma_bar(delta // d, a) * theta_delta_d(delta, d) for d in divs),
-        ProjectorElement.zero(delta),
+    via_characters = ProjectorElement.from_characters(
+        delta, {d: sigma_bar(delta // d, a) for d in divs}
     )
     via_upsilon = ProjectorElement(
         delta, {delta // d: upsilon(delta, d, a) for d in divs}
     )
-    if via_projectors != via_upsilon:
+    if via_characters != via_upsilon:
         raise ConsistencyError(
             f"bold_sigma routes disagree for delta={delta}, a={a}"
         )
-    return via_projectors
+    return via_characters
 
 
 def local_invariant(

@@ -72,14 +72,26 @@ def _check_level(x, y) -> None:
 
 
 class _DenseSurface:
-    """Read-only dense view shared by both element types.
+    """Read-only dense view and the members shared by both element types.
 
     Subclasses provide ``delta`` and ``_terms``, the map (u, v) -> nonzero
     value (int when integral, else Fraction) with reduced keys.  Equal dense
-    maps mean equal elements, whatever the representation.
+    maps mean equal elements, whatever the representation.  Both types are
+    immutable, build their zero from the level alone and subtract as
+    x + y * -1 through their own addition and scaling.
     """
 
     __slots__ = ()
+
+    def __setattr__(self, name, value):  # pragma: no cover - defensive
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, delta: int):
+        return cls(delta)
+
+    def __sub__(self, other):
+        return self + other * -1
 
     def coefficient(self, u: int, v: int) -> Fraction:
         return Fraction(self._terms.get((u % self.delta, v % self.delta), 0))
@@ -143,18 +155,11 @@ class GroupAlgebraElement(_DenseSurface):
             {k: c if type(c) is int else _integral(c) for k, c in clean.items() if c},
         )
 
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("GroupAlgebraElement is immutable")
-
     def __reduce__(self):
         # copy and pickle rebuild through __init__, as the value classes do.
         return GroupAlgebraElement, (self.delta, self._terms)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, delta: int) -> "GroupAlgebraElement":
-        return cls(delta)
 
     @classmethod
     def unit(cls, delta: int) -> "GroupAlgebraElement":
@@ -187,9 +192,6 @@ class GroupAlgebraElement(_DenseSurface):
         for k, c in other.items():
             terms[k] = terms.get(k, 0) + c
         return GroupAlgebraElement(self.delta, terms)
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + (other * -1)
 
     def __mul__(self, other):
         if isinstance(other, GroupAlgebraElement):
@@ -377,18 +379,17 @@ class ProjectorElement(_DenseSurface):
             if d < 1 or delta % d:
                 raise ValueError(f"projector index {d} does not divide delta={delta}")
         coords = {d: _exact(c) for d, c in coords.items()}
-        chi = {
+        self._set(delta, {
             m: sum(c for d, c in coords.items() if m % d == 0)
             for m in (divisors(delta) if coords else ())
-        }
+        })
+
+    def _set(self, delta: int, chi: Mapping[int, int | Fraction]) -> None:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(
             self, "_chi", {m: _integral(c) for m, c in chi.items() if c}
         )
         object.__setattr__(self, "_dense", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("ProjectorElement is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through the checked character constructor.
@@ -398,18 +399,10 @@ class ProjectorElement(_DenseSurface):
     def _from_chi(cls, delta: int, chi: dict[int, int | Fraction]):
         """Trusted constructor for characters an operation just computed."""
         out = object.__new__(cls)
-        object.__setattr__(out, "delta", delta)
-        object.__setattr__(
-            out, "_chi", {m: _integral(c) for m, c in chi.items() if c}
-        )
-        object.__setattr__(out, "_dense", None)
+        out._set(delta, chi)
         return out
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, delta: int) -> "ProjectorElement":
-        return cls(delta)
 
     @classmethod
     def unit(cls, delta: int) -> "ProjectorElement":
@@ -504,9 +497,6 @@ class ProjectorElement(_DenseSurface):
         for m, c in other._chi.items():
             chi[m] = chi[m] + c if m in chi else c
         return ProjectorElement._from_chi(self.delta, chi)
-
-    def __sub__(self, other: "ProjectorElement") -> "ProjectorElement":
-        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, ProjectorElement):

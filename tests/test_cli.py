@@ -123,9 +123,11 @@ def test_diagrams_sum_delta_zero_exit_2(capsys):
 
 def test_diagrams_delta_without_sum_exit_2(capsys):
     for mode in (["--count"], ["--list"], []):
-        assert main(["diagrams", "--g", "1", "--a", "1", "--profile", "2,-2",
-                     *mode, "--delta", "2"]) == 2
-        assert "--delta" in capsys.readouterr().err
+        for flag in (["--delta", "2"], ["--json"], ["--table"]):
+            assert main(["diagrams", "--g", "1", "--a", "1", "--profile",
+                         "2,-2", *mode, *flag]) == 2
+            err = capsys.readouterr().err
+            assert "--delta" in err and flag[0] in err
 
 
 def test_diagrams_list_and_empty():

@@ -207,8 +207,9 @@ def test_multiplicity_examples():
         assert multiplicity(d, w) == w**3 * theta(w, w)
     d = chain_g1(4, a_v=3)
     assert multiplicity(d, 1) == 3 * sigma(3) * 4**3 * GroupAlgebraElement.unit(1)
-    with pytest.raises(ValueError):
-        multiplicity(chain_g1(3), 2)
+    for delta in (0, 2):
+        with pytest.raises(ValueError):
+            multiplicity(chain_g1(3), delta)
 
 
 def test_multiplicity_second_kind_odd_case():

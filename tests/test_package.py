@@ -1,9 +1,11 @@
 import copy
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -18,19 +20,27 @@ from corgw.qseries import FactorizationReport, GASeries, TemplateReport
 from corgw.torsion import ProjectorElement, TorsionPoint
 
 
-def test_all_exports_resolve():
-    # The export table is resolved lazily, so a stale entry would only fail
-    # when that name is first used.
-    for name in corgw.__all__:
-        getattr(corgw, name)
+def test_package_import_loads_no_layer():
+    # The layers are imported from their submodules; the package itself
+    # must not load any of them.
+    code = (
+        "import sys\n"
+        "import corgw\n"
+        "print(sorted(m for m in sys.modules if m.startswith('corgw.')))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import corgw\nfrom corgw import *\n"
-         "print([n for n in corgw.__all__ if n not in globals()])"],
-        capture_output=True, text=True,
+        [sys.executable, "-c", code], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_version_matches_pyproject():
+    # Read the [project] version line directly: Python 3.10 has no tomllib.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    project = text.split("[project]\n", 1)[1].split("\n[", 1)[0]
+    versions = re.findall(r'^version = "([^"]+)"$', project, re.MULTILINE)
+    assert versions == [corgw.__version__]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

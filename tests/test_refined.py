@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from corgw import refined
 from corgw.arith import (
     divisors,
     factorize,
@@ -14,6 +15,7 @@ from corgw.arith import (
 )
 from corgw.lattice import oracle_local_invariant
 from corgw.refined import (
+    ConsistencyError,
     bold_sigma,
     coefficient_by_order,
     local_invariant,
@@ -26,6 +28,20 @@ from corgw.torsion import (
     theta,
     unrefine,
 )
+
+
+@pytest.mark.parametrize("name, at", [("upsilon", 2), ("sigma_bar", 3)])
+@pytest.mark.parametrize("delta, a", [(6, 12), (12, 30)])
+def test_bold_sigma_check_catches_a_wrong_form(monkeypatch, name, at, delta, a):
+    # One closed form off by one at a single divisor (upsilon's d, or
+    # sigma_bar's delta/d): the uncached call must notice, since both forms
+    # are compared on every call.
+    exact = getattr(refined, name)
+    monkeypatch.setattr(
+        refined, name, lambda *args: exact(*args) + (args[-2] == at)
+    )
+    with pytest.raises(ConsistencyError):
+        bold_sigma.__wrapped__(delta, a)
 
 
 def test_theta_delta_d_examples():
