@@ -80,13 +80,6 @@ class Factorization(Frozen):
             raise ValueError("exponents must be >= 1")
         object.__setattr__(self, "factors", factors)
 
-    @property
-    def n(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
     def valuation(self, p: int) -> int:
         for q, e in self.factors:
             if q == p:

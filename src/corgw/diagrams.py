@@ -133,10 +133,6 @@ def _level_from_json(lv: dict) -> LevelNode:
     raise ValueError(f"unknown level kind {lv['kind']!r}")
 
 
-def _levels_from_json(data: list[dict]) -> tuple[LevelNode, ...]:
-    return tuple(_level_from_json(lv) for lv in data)
-
-
 def _pos(endpoint: Endpoint, n_levels: int) -> int:
     if endpoint == BOTTOM:
         return -1
@@ -262,15 +258,6 @@ class FloorDiagram(Frozen):
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FloorDiagram":
-        edges = tuple(Edge(e["lo"], e["hi"], e["w"]) for e in data["edges"])
-        return cls(_levels_from_json(data["levels"]), edges)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FloorDiagram":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _components(verts, pairs) -> dict:
@@ -511,12 +498,9 @@ def multiplicity(diagram: FloorDiagram, delta: int) -> ProjectorElement:
 # -- enumeration -----------------------------------------------------------
 
 
-def _partitions_desc(
-    m: int, cap: int | None = None, most: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Partitions of m into at most `most` parts >= 1, decreasing-lex order."""
-    cap = m if cap is None else cap
-    most = m if most is None else most
+def _partitions_desc(m: int, cap: int, most: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of m into at most `most` parts, each in [1, cap], in
+    decreasing-lex order."""
     if m == 0:
         yield ()
         return
@@ -573,7 +557,7 @@ _FLOOR = Floor(1)
 
 @lru_cache(maxsize=None)
 def _structures(
-    genus: int, weights: tuple[int, ...], max_floors: int | None = None
+    genus: int, weights: tuple[int, ...], max_floors: int
 ) -> tuple[FloorDiagram, ...]:
     """All diagram structures (floor labels stripped to 1) for a profile.
 
@@ -593,10 +577,10 @@ def _structures(
     - Betti number: a floor may not drive the deficit below 0.
     - Last level: the top level must bring the deficit to 0.  A flat fits
       there only at deficit 0; a floor must close it exactly.
-    - Floor cap: at most max_floors floors (None means the genus, which no
-      structure exceeds).  The max_floors-th floor must therefore close the
-      deficit exactly, as on the last level.  The capped output is the full
-      output less the structures with more floors, in the same order.
+    - Floor cap: at most max_floors floors.  The max_floors-th floor must
+      therefore close the deficit exactly, as on the last level.  The
+      capped output is the full output less the structures with more
+      floors, in the same order.
     - Forest: with the flats deleted, a floor may take at most one edge
       from each floor component (a second edge, parallel or not, closes a
       flat-free cycle), and the merged component may carry at most one
@@ -631,7 +615,6 @@ def _structures(
     n_levels = len(profile.weights) + genus - 1
     _check_level_count(n_levels)
     n_sinks = len(profile.sinks)
-    cap = genus if max_floors is None else max_floors
     sink_count = Counter(profile.sinks)
     results: list[FloorDiagram] = []
     # The levels placed so far and the edges into them, as stacks.
@@ -724,7 +707,7 @@ def _structures(
         for taken, flow, merged, joined, cycles, n_ends, touched in choices[1:]:
             left = deficit - 1 - cycles
             # floor_root holds one key per floor placed so far.
-            if left and (last or len(floor_root) + 1 >= cap):
+            if left and (last or len(floor_root) + 1 >= max_floors):
                 continue
             # The closing floor must take an edge from every component and
             # leave only sinks open; both are tested before its state is built.
@@ -754,7 +737,7 @@ def _structures(
                 comp2[level] = level
                 ends2 = {r: e for r, e in ends.items() if not joined >> r & 1}
                 ends2[level] = n_ends
-                for parts in _partitions_desc(flow, None, most):
+                for parts in _partitions_desc(flow, flow, most):
                     nxt = _with_parts(base, parts, level)
                     search(level + 1, nxt, comp2, left, root2, ends2)
             else:
@@ -797,23 +780,33 @@ def _check_genus_and_degree(genus: int, degree: int) -> None:
         raise ValueError(f"expected degree >= 1, got {degree}")
 
 
+def _class_structures(
+    genus: int, degree: int, weights: tuple[int, ...]
+) -> tuple[FloorDiagram, ...]:
+    """Structures (floor labels stripped) that carry a labelling of class
+    degree.
+
+    The floor cap is min(degree, genus): every floor label is >= 1, and no
+    structure has more floors than the genus.  From the genus on the cap is
+    the genus, so those classes and qseries.templates_for share one cached
+    search per genus and profile.
+    """
+    _check_genus_and_degree(genus, degree)
+    return _structures(genus, tuple(sorted(weights)), min(degree, genus))
+
+
 def enumerate_diagrams(
     genus: int, degree: int, profile: TangencyProfile
 ) -> list[FloorDiagram]:
     """Every valid floor diagram for the given genus, class and profile.
 
-    Structures (floor labels stripped) are searched once per genus, profile
-    and floor cap min(class, genus): every floor label is >= 1, and no
-    structure has more floors than the genus.  From the genus on the cap is
-    the genus, so the search is the cache entry qseries.templates_for
-    fills.  Floor labels then run over the compositions of the class, which
-    touches no validity clause.  Output order is deterministic: structure
-    discovery order, then labels ascending lexicographically.
+    Floor labels run over the compositions of the class on each structure
+    of _class_structures, which touches no validity clause.  Output order
+    is deterministic: structure discovery order, then labels ascending
+    lexicographically.
     """
-    _check_genus_and_degree(genus, degree)
-    weights = tuple(sorted(profile.weights))
     out: list[FloorDiagram] = []
-    for struct in _structures(genus, weights, min(degree, genus)):
+    for struct in _class_structures(genus, degree, profile.weights):
         idx = struct.floor_indices
         for labels in _compositions_asc(degree, len(idx)):
             levels = list(struct.levels)
@@ -827,11 +820,9 @@ def count_diagrams(genus: int, degree: int, profile: TangencyProfile) -> int:
     """len(enumerate_diagrams(genus, degree, profile)), without building
     the labelled diagrams: a structure with F floors carries C(degree - 1,
     F - 1) labellings, one per composition of the class."""
-    _check_genus_and_degree(genus, degree)
-    weights = tuple(sorted(profile.weights))
     return sum(
         comb(degree - 1, len(struct.floor_indices) - 1)
-        for struct in _structures(genus, weights, min(degree, genus))
+        for struct in _class_structures(genus, degree, profile.weights)
     )
 
 
@@ -839,13 +830,12 @@ def count_diagrams(genus: int, degree: int, profile: TangencyProfile) -> int:
 def _invariant_cached(
     genus: int, degree: int, weights: tuple[int, ...], delta: int
 ) -> ProjectorElement:
-    _check_genus_and_degree(genus, degree)
     # Integer tallies first.  A labelling of a structure pairs the labels
     # with the floor valencies in level order; over all compositions of the
     # class the paired multisets do not depend on that order, so structures
     # with equal delta_D and sorted valencies share their W.
     shapes: Counter = Counter()
-    for struct in _structures(genus, weights, min(degree, genus)):
+    for struct in _class_structures(genus, degree, weights):
         valencies = tuple(sorted(struct.floor_valencies))
         shapes[struct.delta_gcd(delta), valencies] += struct.weight_monomial
     classes: Counter = Counter()

@@ -128,11 +128,3 @@ def oracle_local_invariant(
         delta, {p: c * scale for p, c in _cover_counts(a, delta)}
     )
 
-
-__all__ = [
-    "Sublattice",
-    "enumerate_sublattices",
-    "lattice_type",
-    "torsion_image",
-    "oracle_local_invariant",
-]

@@ -34,10 +34,11 @@ from .diagrams import (
     Edge,
     FloorDiagram,
     TangencyProfile,
+    _check_genus_and_degree,
     _components,
     _compositions_asc,
     _floor_core,
-    _levels_from_json,
+    _level_from_json,
     _levels_to_json,
     multiplicity,
     validate,
@@ -96,13 +97,10 @@ class DiagramTemplate(Frozen):
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "DiagramTemplate":
-        edges = tuple((e["lo"], e["hi"]) for e in data["edges"])
-        return cls(_levels_from_json(data["levels"]), edges)
-
-    @classmethod
     def from_json(cls, text: str) -> "DiagramTemplate":
-        return cls.from_json_dict(json.loads(text))
+        data = json.loads(text)
+        edges = tuple((e["lo"], e["hi"]) for e in data["edges"])
+        return cls(tuple(_level_from_json(lv) for lv in data["levels"]), edges)
 
 
 def weightings(
@@ -257,6 +255,7 @@ def _check_shape(template: DiagramTemplate, samples: Sequence[int]) -> None:
         if omega is not None:
             diagram = template.with_weights(omega)
             genus = len(template.levels) - 1
+            _check_genus_and_degree(genus, diagram.degree)
             ok, clause = validate(diagram, genus, diagram.degree, profile)
             if not ok:
                 raise ValueError(f"template is not a floor diagram: {clause}")

@@ -18,7 +18,7 @@ import csv
 from collections import Counter
 
 from .arith import Frozen
-from .diagrams import FloorDiagram, TangencyProfile, _structures, invariant
+from .diagrams import FloorDiagram, TangencyProfile, _class_structures, invariant
 from .refined import bold_sigma
 from .torsion import GroupAlgebraElement, ProjectorElement
 
@@ -111,13 +111,11 @@ def templates_for(genus: int, profile: TangencyProfile) -> list[FloorDiagram]:
     """Weight-carrying templates: the diagram structures of the profile,
     floor labels all 1, stably sorted by floor count.
 
-    The search runs with the floor cap at the genus, which no structure
-    exceeds, so it is the cache entry enumerate_diagrams reads from the
-    class on.  A template with F floors is valid for every labeling with
-    a_V >= 1, so each labelled diagram of the profile comes from exactly
-    one template.
+    The structures are those of class genus, which carries every one.  A
+    template with F floors is valid for every labeling with a_V >= 1, so
+    each labelled diagram of the profile comes from exactly one template.
     """
-    structures = _structures(genus, tuple(sorted(profile.weights)), genus)
+    structures = _class_structures(genus, genus, profile.weights)
     return sorted(structures, key=lambda s: len(s.floor_indices))
 
 
@@ -208,13 +206,3 @@ def write_series_csv(series: GASeries, fh) -> None:
             row.append(f"{x.numerator}/{x.denominator}")
         writer.writerow(row)
 
-
-__all__ = [
-    "GASeries",
-    "invariant_series",
-    "factorization_check",
-    "FactorizationReport",
-    "TemplateReport",
-    "templates_for",
-    "write_series_csv",
-]

@@ -14,7 +14,6 @@ translated by a special correlator shift.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .arith import divisors, sigma_bar, upsilon
@@ -94,24 +93,3 @@ def local_invariant(
         out = out.translate(shift.u, shift.v)
     return out
 
-
-def coefficient_by_order(delta: int, a: int, r: int) -> Fraction:
-    """Coefficient of any order-r point in delta^2 bold_sigma(delta, a).
-
-    Well defined because coefficients only depend on the order; agrees with
-    arith.s_delta_order(delta, r, a).
-    """
-    if r < 1 or delta % r:
-        raise ValueError(f"expected a positive r | delta, got r={r}, delta={delta}")
-    x = bold_sigma(delta, a)
-    # (delta/r, 0) has order exactly r.
-    return delta * delta * x.coefficient(delta // r, 0)
-
-
-__all__ = [
-    "ConsistencyError",
-    "theta_delta_d",
-    "bold_sigma",
-    "local_invariant",
-    "coefficient_by_order",
-]

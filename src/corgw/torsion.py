@@ -6,7 +6,7 @@ from these points to exact rationals; multiplication is convolution for
 the group law.  Besides the ring structure the module provides the
 averaging projectors theta(delta, d), the pushforward along
 multiplication by k, and its section dividing by k (averaging over k-th
-roots), which together drive every refined invariant downstream.
+roots).
 
 Every quantity the refined invariants are built from lies in the span of
 the projectors, so it is carried as a :class:`ProjectorElement`: its
@@ -165,10 +165,6 @@ class GroupAlgebraElement(_DenseSurface):
     def unit(cls, delta: int) -> "GroupAlgebraElement":
         return cls(delta, {(0, 0): 1})
 
-    @classmethod
-    def point(cls, p: TorsionPoint) -> "GroupAlgebraElement":
-        return cls(p.delta, {(p.u, p.v): 1})
-
     # -- inspection ---------------------------------------------------
 
     @property
@@ -279,22 +275,6 @@ class GroupAlgebraElement(_DenseSurface):
             return GroupAlgebraElement(new_delta, terms)
         raise ValueError(f"incompatible levels: {d} and {new_delta}")
 
-    # -- serialization ---------------------------------------------------
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GroupAlgebraElement":
-        return cls(
-            data["delta"],
-            {
-                (t["u"], t["v"]): Fraction(t["num"], t["den"])
-                for t in data["terms"]
-            },
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GroupAlgebraElement":
-        return cls.from_json_dict(json.loads(text))
-
 
 def convolve(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
     """Group-algebra product: (x*y)(t) = sum over t1 + t2 = t of x(t1) y(t2)."""
@@ -355,9 +335,9 @@ class ProjectorElement(_DenseSurface):
     and which character(m) reads.  chi_m(theta_d) = [d | m] is multiplicative by
     theta_d * theta_e = theta_lcm(d, e), so every operation that stays in
     the span reads one character per m: products are pointwise, total_mass
-    is chi_delta, m_push(k) reads chi_gcd(mk, delta), divide(k) chi_(m/k)
-    where k | m, and rebase chi_gcd(m, delta).  translate leaves the span
-    and returns a dense element.
+    is chi_delta, divide(k) reads chi_(m/k) where k | m, and rebase
+    chi_gcd(m, delta).  translate leaves the span and returns a dense
+    element.
 
     Characters are stored exactly, as ints when integral (every refined
     divisor sum has integer characters), so products and level operators
@@ -439,10 +419,6 @@ class ProjectorElement(_DenseSurface):
             coords[d] = _integral(self._chi.get(d, 0) - lower)
         return coords
 
-    def _coordinates(self) -> dict[int, Fraction]:
-        """Every coordinate c_d, d | delta, smallest d first, as Fractions."""
-        return {d: Fraction(c) for d, c in self._coords().items()}
-
     @property
     def _terms(self) -> dict[tuple[int, int], int | Fraction]:
         terms = self._dense
@@ -519,15 +495,6 @@ class ProjectorElement(_DenseSurface):
         """Shift every support point; the result is dense."""
         return self.to_dense().translate(u0, v0)
 
-    def m_push(self, k: int) -> "ProjectorElement":
-        """Pushforward along multiplication by k: chi_m reads chi_gcd(mk, delta)."""
-        if k < 1:
-            raise ValueError(f"m_push expects k >= 1, got {k}")
-        delta = self.delta
-        return ProjectorElement._from_chi(
-            delta, {m: self._chi.get(gcd(m * k, delta)) for m in divisors(delta)}
-        )
-
     def divide(self, k: int) -> "ProjectorElement":
         """Average over k-th roots, visible when the element restricts to
         level delta/k: chi_m reads chi_(m/k) where k | m, else 0."""
@@ -569,7 +536,7 @@ def theta_coordinates(x: _DenseSurface) -> dict[int, Fraction]:
     raises ValueError when x is not in the projector span.
     """
     if isinstance(x, ProjectorElement):
-        return x._coordinates()
+        return {d: Fraction(c) for d, c in x._coords().items()}
     delta = x.delta
     coords: dict[int, Fraction] = {}
     for d in reversed(divisors(delta)):

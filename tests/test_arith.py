@@ -44,7 +44,7 @@ def test_factorize_examples():
 def test_factorization_invariants():
     for n in range(1, 500):
         f = factorize(n)
-        assert f.n == n
+        assert math.prod(p**e for p, e in f.factors) == n
         primes = [p for p, _ in f.factors]
         assert primes == sorted(primes) and len(set(primes)) == len(primes)
     with pytest.raises(ValueError):

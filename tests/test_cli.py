@@ -441,6 +441,11 @@ BAD_TEMPLATES = {
                            {"lo": 0, "hi": 1}, {"lo": 1, "hi": "T"}]),
         "flat bivalency at level 1",
     ),
+    "no floor": (
+        {"levels": [{"kind": "flat"}],
+         "edges": [{"lo": "B", "hi": 0}, {"lo": 0, "hi": "T"}]},
+        "expected genus >= 1, got 0",
+    ),
     "1100-level chain": (
         _chain_with(
             levels=[{"kind": "floor", "a": 1}] + [{"kind": "flat"}] * 1099,

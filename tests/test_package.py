@@ -1,4 +1,5 @@
 import copy
+import os
 import pickle
 import re
 import subprocess
@@ -33,6 +34,18 @@ def test_package_import_loads_no_layer():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_tracer_names_resolve():
+    # perfbench/tracer.py patches its traced names through getattr; a name
+    # removed from the library fails install here, not in a traced run.
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(str(root / d) for d in ("src", "perfbench"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer())"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_version_matches_pyproject():

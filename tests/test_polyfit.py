@@ -300,7 +300,7 @@ def test_flow_dimension_is_incidence_corank(genus, weights):
     # corank of the incidence matrix on every template of the profile.
     from corgw.diagrams import _structures
 
-    for struct in _structures(genus, tuple(sorted(weights))):
+    for struct in _structures(genus, tuple(sorted(weights)), genus):
         t = DiagramTemplate.from_diagram(struct)
         assert flow_degrees_of_freedom(t) == rank_flow_dimension(t), t.to_json()
 

@@ -17,7 +17,6 @@ from corgw.lattice import oracle_local_invariant
 from corgw.refined import (
     ConsistencyError,
     bold_sigma,
-    coefficient_by_order,
     local_invariant,
     theta_delta_d,
 )
@@ -164,15 +163,15 @@ def test_zero_coefficient_is_s_delta():
 
 
 def test_coefficient_by_order():
+    # Any point of order r carries delta^2 bold_sigma = s_delta_order;
+    # (delta/r, 0) has order exactly r.
     for delta in (1, 2, 3, 4, 6, 12):
         for a in range(1, 40):
             for r in divisors(delta):
-                assert coefficient_by_order(delta, a, r) == s_delta_order(
-                    delta, r, a
+                x = bold_sigma(delta, a)
+                assert delta * delta * x.coefficient(delta // r, 0) == (
+                    s_delta_order(delta, r, a)
                 )
-    assert coefficient_by_order(2, 2, 2) == 2
-    with pytest.raises(ValueError):
-        coefficient_by_order(4, 1, 3)
 
 
 def test_local_invariant_examples():
@@ -211,8 +210,7 @@ def test_route_agreement_grid():
 
 
 # A divisor argument below 1 raises ValueError: never a wrong value (theta
-# as zero, coefficient_by_order as the order-2 value), never a
-# ZeroDivisionError.
+# as zero), never a ZeroDivisionError.
 @pytest.mark.parametrize("call", [
     lambda: theta(6, -1),
     lambda: theta(6, -2),
@@ -221,13 +219,10 @@ def test_route_agreement_grid():
     lambda: theta_delta_d(4, 0),
     lambda: upsilon(4, 0, 3),
     lambda: s_delta_order(4, 0, 3),
-    lambda: coefficient_by_order(4, 3, -2),
-    lambda: coefficient_by_order(4, 3, 0),
     lambda: oracle_local_invariant(2, 2, 2, 0),
 ], ids=[
     "theta(6,-1)", "theta(6,-2)", "theta(6,0)", "unrefine(x,0)",
     "theta_delta_d(4,0)", "upsilon(4,0,3)", "s_delta_order(4,0,3)",
-    "coefficient_by_order(4,3,-2)", "coefficient_by_order(4,3,0)",
     "oracle_local_invariant(2,2,2,0)",
 ])
 def test_non_positive_divisor_raises(call):

@@ -58,9 +58,9 @@ def test_theta_projector_lattice():
 def test_convolve_unit_and_generators():
     x = GroupAlgebraElement(6, {(1, 2): Fraction(3, 7), (5, 0): Fraction(-2)})
     assert convolve(x, theta(6, 1)) == x
-    p1 = GroupAlgebraElement.point(TorsionPoint(6, 1, 2))
-    p2 = GroupAlgebraElement.point(TorsionPoint(6, 4, 5))
-    assert convolve(p1, p2) == GroupAlgebraElement.point(TorsionPoint(6, 5, 1))
+    p1 = GroupAlgebraElement(6, {(1, 2): 1})
+    p2 = GroupAlgebraElement(6, {(4, 5): 1})
+    assert convolve(p1, p2) == GroupAlgebraElement(6, {(5, 1): 1})
     with pytest.raises(ValueError):
         convolve(theta(2, 1), theta(3, 1))
 
@@ -164,8 +164,6 @@ def test_json_round_trip():
     x = GroupAlgebraElement(
         8, {(7, 0): Fraction(-3, 4), (0, 0): 2, (1, 5): Fraction(22, 7)}
     )
-    text = x.to_json()
-    assert GroupAlgebraElement.from_json(text) == x
     data = x.to_json_dict()
     assert data["terms"] == sorted(data["terms"], key=lambda t: (t["u"], t["v"]))
     assert all(t["den"] > 0 for t in data["terms"])
@@ -283,8 +281,6 @@ def test_projector_level_operators_match_dense(data):
     dense = x.to_dense()
     d = x.delta
     divs = level_divisors(d)
-    k = data.draw(st.integers(1, 30))
-    assert_same(lambda: x.m_push(k), lambda: dense.m_push(k))
     k = data.draw(st.sampled_from(divs + [5, 7]))
     assert_same(lambda: x.divide(k), lambda: dense.divide(k))
     k = data.draw(st.sampled_from(divs))
@@ -372,7 +368,6 @@ def test_stored_values_exact_and_reads_fraction(data):
         (x * y, convolve(dense, y.to_dense())),
         (x + y, dense + y.to_dense()),
         (x * Fraction(scale), dense * Fraction(scale)),
-        (x.m_push(k), dense.m_push(k)),
         (z.divide(k), z.to_dense().divide(k)),
         (x.rebase(2 * d), dense.rebase(2 * d)),
         (unrefine(x, d // k), unrefine(dense, d // k)),
