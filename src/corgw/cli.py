@@ -137,26 +137,22 @@ def cmd_series(args) -> int:
     if args.n_trunc < 0:
         raise ValueError(f"--n-trunc must be >= 0, got {args.n_trunc}")
     profile = _parse_profile(args.profile)
+    series = qseries.invariant_series(args.g, profile, args.delta, args.n_trunc)
     if args.check_factorization:
-        report = qseries.factorization_check(
-            args.g, profile, args.delta, args.n_trunc
-        )
-        for t in report.templates:
+        templates, mismatch = qseries.factorization_check(args.g, profile, series)
+        for t in templates:
             print(
-                f"template W={t.weight_monomial} delta_gcd={t.delta_gcd} "
-                f"{json.dumps(t.template)}",
+                f"template W={t.weight_monomial} delta_gcd={t.delta_gcd(args.delta)} "
+                f"{json.dumps(t.to_json_dict())}",
                 file=sys.stderr,
             )
-        if not report.ok:
-            raise VerificationFailure(
-                f"factorization mismatch at q^{report.mismatch_at}"
-            )
+        if mismatch is not None:
+            raise VerificationFailure(f"factorization mismatch at q^{mismatch}")
         print(
-            f"factorization: {len(report.templates)} templates, "
-            f"exact match to q^{report.truncation}",
+            f"factorization: {len(templates)} templates, "
+            f"exact match to q^{series.truncation}",
             file=sys.stderr,
         )
-    series = qseries.invariant_series(args.g, profile, args.delta, args.n_trunc)
     qseries.write_series_csv(series, sys.stdout)
     return EXIT_OK
 

@@ -380,11 +380,14 @@ def polynomial_fit(
     Interpolates each projector coordinate of w -> invariant on the fit
     points of the two-end profile (w, -w), checks the interpolant's degree
     against the structural bound (monomial degree plus flow dimension), and
-    validates it exactly on the held-out points.  Samples must be >= 1, no
-    held-out point may repeat a fit point, and the template, weighted at the
-    first sample that admits a weighting, must be a valid floor diagram;
-    otherwise the fit would pass vacuously.
+    validates it exactly on the held-out points.  Both point lists must be
+    non-empty, samples must be >= 1, no held-out point may repeat a fit
+    point, and the template, weighted at the first sample that admits a
+    weighting, must be a valid floor diagram; otherwise the fit would pass
+    vacuously.
     """
+    if not fit_ws or not holdout_ws:
+        raise ValueError("need at least one fit and one holdout sample")
     samples = (*fit_ws, *holdout_ws)
     bad = [w for w in samples if w < 1]
     if bad:

@@ -3,10 +3,13 @@
 Series are exact and normalization-free: a series (GASeries) is just its
 list of group-algebra coefficients for q^1 .. q^N, in the projector basis.
 Quasi-modularity of the invariant series is verified structurally:
-factorization_check rewrites the series as a sum over weight-stripped
-diagram templates of division-averaged products of the building-block
-series sum_a a^(k) bold_sigma(d, a) q^a, i.e. exhibits membership in the
-ring generated by the shifted Eisenstein blocks sum_a sigma_bar^d(a) q^a.
+factorization_check compares a given series against the template route,
+which writes it as a sum over diagram templates of division-averaged
+products of the building-block series sum_a a^(k) bold_sigma(d, a) q^a,
+i.e. exhibits membership in the ring generated by the shifted Eisenstein
+blocks sum_a sigma_bar^d(a) q^a.  A template (templates_for) is a diagram
+structure with every floor label 1 and its edge weights kept; the
+weight-stripped shape is polyfit.DiagramTemplate.
 Templates with equal delta_T and floor valencies share one product, so
 their weight monomials are summed first and each such shape costs one
 Cauchy chain.
@@ -73,6 +76,8 @@ def invariant_series(
     """
     if genus < 1:
         raise ValueError(f"expected genus >= 1, got {genus}")
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
     profile.check_delta(delta)
     return GASeries(
         delta,
@@ -80,31 +85,6 @@ def invariant_series(
             invariant(genus, a, profile, delta) for a in range(1, truncation + 1)
         ),
     )
-
-
-class TemplateReport(Frozen):
-    __slots__ = ("template", "weight_monomial", "delta_gcd")
-
-    def __init__(self, template: dict, weight_monomial: int, delta_gcd: int) -> None:
-        object.__setattr__(self, "template", template)
-        object.__setattr__(self, "weight_monomial", weight_monomial)
-        object.__setattr__(self, "delta_gcd", delta_gcd)
-
-
-class FactorizationReport(Frozen):
-    __slots__ = ("ok", "truncation", "templates", "mismatch_at")
-
-    def __init__(
-        self,
-        ok: bool,
-        truncation: int,
-        templates: tuple[TemplateReport, ...],
-        mismatch_at: int | None = None,
-    ) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "templates", templates)
-        object.__setattr__(self, "mismatch_at", mismatch_at)
 
 
 def templates_for(genus: int, profile: TangencyProfile) -> list[FloorDiagram]:
@@ -120,10 +100,9 @@ def templates_for(genus: int, profile: TangencyProfile) -> list[FloorDiagram]:
 
 
 def _template_route(
-    genus: int, profile: TangencyProfile, delta: int, truncation: int
-) -> tuple[list[ProjectorElement], list[TemplateReport]]:
-    """The series summed over templates, q^1..q^N at level delta, and one
-    report per template in templates_for order.
+    templates: list[FloorDiagram], delta: int, truncation: int
+) -> list[ProjectorElement]:
+    """The series summed over the templates, q^1..q^N at level delta.
 
     A template's series is W times the division-averaged Cauchy product of
     the blocks sum_a a^(val-1) bold_sigma(delta_T, a) q^a over its floors;
@@ -134,15 +113,10 @@ def _template_route(
     the two routes factorization_check compares share no arithmetic past
     bold_sigma.
     """
-    reports = []
     shapes: Counter = Counter()
-    for rep in templates_for(genus, profile):
-        delta_t, w_mon = rep.delta_gcd(delta), rep.weight_monomial
-        shapes[delta_t, tuple(sorted(rep.floor_valencies))] += w_mon
-        reports.append(
-            TemplateReport(
-                template=rep.to_json_dict(), weight_monomial=w_mon, delta_gcd=delta_t
-            )
+    for t in templates:
+        shapes[t.delta_gcd(delta), tuple(sorted(t.floor_valencies))] += (
+            t.weight_monomial
         )
     total = [ProjectorElement.zero(delta)] * truncation
     blocks: dict[tuple[int, int], GASeries] = {}
@@ -164,33 +138,29 @@ def _template_route(
             x + c.rebase(delta).divide(delta // delta_t) * w_sum
             for x, c in zip(total, prod.coeffs)
         ]
-    return total, reports
+    return total
 
 
 def factorization_check(
-    genus: int, profile: TangencyProfile, delta: int, truncation: int
-) -> FactorizationReport:
-    """Verify the per-template factorization of the invariant series.
+    genus: int, profile: TangencyProfile, series: GASeries
+) -> tuple[list[FloorDiagram], int | None]:
+    """Verify the per-template factorization of the given invariant series.
 
     Rebuilds the series by the template route (_template_route, one Cauchy
-    chain per template shape) and requires exact equality with the
-    coefficient-by-coefficient diagram sum.  A truncation below 1 would
-    pass vacuously and is rejected.
+    chain per template shape) and compares it coefficient by coefficient
+    with series.  Returns the templates summed, in templates_for order, and
+    the first a whose q^a coefficients differ, or None.  An empty series
+    would pass vacuously and is rejected.
     """
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
-    profile.check_delta(delta)
-    lhs, reports = _template_route(genus, profile, delta, truncation)
-    rhs = invariant_series(genus, profile, delta, truncation)
+    if series.truncation < 1:
+        raise ValueError(f"truncation must be >= 1, got {series.truncation}")
+    profile.check_delta(series.delta)
+    templates = templates_for(genus, profile)
+    route = _template_route(templates, series.delta, series.truncation)
     mismatch = next(
-        (a for a, (x, y) in enumerate(zip(lhs, rhs.coeffs), 1) if x != y), None
+        (a for a, (x, y) in enumerate(zip(route, series.coeffs), 1) if x != y), None
     )
-    return FactorizationReport(
-        ok=mismatch is None,
-        truncation=truncation,
-        templates=tuple(reports),
-        mismatch_at=mismatch,
-    )
+    return templates, mismatch
 
 
 def write_series_csv(series: GASeries, fh) -> None:

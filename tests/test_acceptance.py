@@ -36,7 +36,7 @@ from corgw.polyfit import (
     poly_degree,
     polynomial_fit,
 )
-from corgw.qseries import factorization_check
+from corgw.qseries import factorization_check, invariant_series
 from corgw.refined import bold_sigma, local_invariant
 from corgw.torsion import GroupAlgebraElement, theta, theta_coordinates, unrefine
 
@@ -203,8 +203,10 @@ def test_criterion_08_factorization_grid():
             for delta in (1, 2, 3, 6):
                 if w % delta:
                     continue
-                rep = factorization_check(g, TangencyProfile((w, -w)), delta, 20)
-                assert rep.ok, (g, w, delta, rep.mismatch_at)
+                profile = TangencyProfile((w, -w))
+                series = invariant_series(g, profile, delta, 20)
+                _templates, mismatch = factorization_check(g, profile, series)
+                assert mismatch is None, (g, w, delta, mismatch)
                 checked += 1
     print(
         f"criterion 08: PASS - series factorization over templates exact "

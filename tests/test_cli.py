@@ -205,6 +205,46 @@ def test_series_check_truncation_zero_exit_2(capsys):
     assert "truncation" in err and "exact match" not in err
 
 
+CHECKED_SERIES = ["series", "--g", "1", "--profile", "2,-2", "--delta", "2",
+                  "--n-trunc", "6", "--check-factorization"]
+
+
+def test_series_factorization_mismatch_exit_3(monkeypatch, capsys):
+    # A series one unit off at q^3 fails the certificate before any CSV.
+    from corgw import qseries
+    from corgw.torsion import ProjectorElement
+
+    true_series = qseries.invariant_series
+
+    def off_at_q3(genus, profile, delta, truncation):
+        coeffs = list(true_series(genus, profile, delta, truncation).coeffs)
+        coeffs[2] = coeffs[2] + ProjectorElement.unit(delta)
+        return qseries.GASeries(delta, tuple(coeffs))
+
+    monkeypatch.setattr(qseries, "invariant_series", off_at_q3)
+    assert main(CHECKED_SERIES) == 3
+    captured = capsys.readouterr()
+    assert "factorization mismatch at q^3" in captured.err
+    assert "exact match" not in captured.err and captured.out == ""
+
+
+def test_series_check_builds_series_once(monkeypatch, capsys):
+    # The checked series is the printed one: one invariant_series per job.
+    from corgw import qseries
+
+    calls = []
+    true_series = qseries.invariant_series
+
+    def counted(*args):
+        calls.append(args)
+        return true_series(*args)
+
+    monkeypatch.setattr(qseries, "invariant_series", counted)
+    assert main(CHECKED_SERIES) == 0
+    assert len(calls) == 1
+    assert "exact match" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "genus, delta, needle",
     [("0", "2", "genus"), ("1", "0", "delta=0"), ("1", "3", "delta=3")],

@@ -17,7 +17,7 @@ from corgw.diagrams import (
 )
 from corgw.lattice import Sublattice
 from corgw.polyfit import CoordinateFit, DiagramTemplate, PolyFitReport
-from corgw.qseries import FactorizationReport, GASeries, TemplateReport
+from corgw.qseries import GASeries
 from corgw.torsion import ProjectorElement, TorsionPoint
 
 
@@ -139,20 +139,6 @@ VALUES = {
         lambda: GASeries(delta=2, coeffs=(ProjectorElement.unit(2),)),
         lambda: GASeries(2, (ProjectorElement.zero(2),)),
     ),
-    "TemplateReport": (
-        lambda: TemplateReport({"levels": []}, 8, 2),
-        lambda: TemplateReport(
-            template={"levels": []}, weight_monomial=8, delta_gcd=2
-        ),
-        lambda: TemplateReport({"levels": []}, 8, 1),
-    ),
-    "FactorizationReport": (
-        lambda: FactorizationReport(True, 3, ()),
-        lambda: FactorizationReport(
-            ok=True, truncation=3, templates=(), mismatch_at=None
-        ),
-        lambda: FactorizationReport(False, 3, (), mismatch_at=2),
-    ),
 }
 
 
@@ -172,8 +158,6 @@ FIELDS = {
         "holdout_points", "coordinates",
     ),
     "GASeries": ("delta", "coeffs"),
-    "TemplateReport": ("template", "weight_monomial", "delta_gcd"),
-    "FactorizationReport": ("ok", "truncation", "templates", "mismatch_at"),
 }
 
 
@@ -185,13 +169,8 @@ def test_value_equality_and_hash(name):
     assert x == y and not x != y
     assert x != other and other != x
     assert x is not y
-    if name == "TemplateReport":
-        # The template is a dict, so the report is unhashable, as it was.
-        with pytest.raises(TypeError):
-            hash(x)
-    else:
-        assert hash(x) == hash(y)
-        assert len({x, y, other}) == 2
+    assert hash(x) == hash(y)
+    assert len({x, y, other}) == 2
     # A value is neither a tuple of its fields nor iterable.
     assert x != tuple(getattr(x, f) for f in FIELDS[name])
     with pytest.raises(TypeError):
@@ -235,18 +214,10 @@ def test_value_reprs():
         "DiagramTemplate(levels=(Floor(a_v=1), Flat()), "
         "edges=(('B', 0), (0, 1), (1, 'T')))"
     )
-    assert repr(FactorizationReport(True, 3, ())) == (
-        "FactorizationReport(ok=True, truncation=3, templates=(), mismatch_at=None)"
-    )
     assert repr(FIT) == (
         "CoordinateFit(divisor=1, coeffs=(Fraction(1, 2),), degree=0, "
         "holdout_ok=True)"
     )
-
-
-def test_value_defaults():
-    assert FactorizationReport(True, 3, ()).mismatch_at is None
-    assert FactorizationReport(False, 3, (), 2).mismatch_at == 2
 
 
 @pytest.mark.parametrize("build", [

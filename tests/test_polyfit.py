@@ -342,6 +342,15 @@ def test_polynomial_fit_rejects_samples_below_one():
         polynomial_fit(t, 1, [0, 1, 2, 3], [4])
 
 
+def test_polynomial_fit_rejects_empty_fit_or_holdout():
+    # One fit point and no holdout point would pass vacuously.
+    t = chain_template()
+    with pytest.raises(ValueError, match="at least one fit and one holdout"):
+        polynomial_fit(t, 1, [2], [])
+    with pytest.raises(ValueError, match="at least one fit and one holdout"):
+        polynomial_fit(t, 1, [], [2])
+
+
 def test_polynomial_fit_rejects_holdout_repeating_fit_point():
     t = chain_template()
     with pytest.raises(ValueError, match=r"holdout samples \[2, 5\] repeat"):

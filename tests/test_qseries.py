@@ -83,13 +83,28 @@ def test_delta2_building_block():
         assert lhs == rhs
 
 
+def test_invariant_series_rejects_negative_truncation():
+    with pytest.raises(ValueError, match="truncation must be >= 0, got -5"):
+        invariant_series(1, TangencyProfile((2, -2)), 1, -5)
+
+
 def test_factorization_small_cases():
-    rep = factorization_check(1, TangencyProfile((2, -2)), 1, 20)
-    assert rep.ok and len(rep.templates) == 2
-    rep = factorization_check(3, TangencyProfile((2, -2)), 2, 12)
-    assert rep.ok and len(rep.templates) == 6
-    for t in rep.templates:
-        assert t.delta_gcd in (1, 2)
+    p = TangencyProfile((2, -2))
+    templates, mismatch = factorization_check(1, p, invariant_series(1, p, 1, 20))
+    assert mismatch is None and len(templates) == 2
+    templates, mismatch = factorization_check(3, p, invariant_series(3, p, 2, 12))
+    assert mismatch is None and len(templates) == 6
+    for t in templates:
+        assert t.delta_gcd(2) in (1, 2)
+
+
+def test_factorization_reports_first_mismatch():
+    # One unit added to the q^3 coefficient of a true series is caught there.
+    p = TangencyProfile((2, -2))
+    coeffs = list(invariant_series(2, p, 2, 6).coeffs)
+    coeffs[2] = coeffs[2] + ProjectorElement.unit(2)
+    _templates, mismatch = factorization_check(2, p, GASeries(2, tuple(coeffs)))
+    assert mismatch == 3
 
 
 def test_templates_for_counts():
@@ -116,8 +131,13 @@ def test_csv_output():
 
 
 def test_factorization_precondition():
-    with pytest.raises(ValueError):
-        factorization_check(1, TangencyProfile((3, -3)), 2, 5)
+    # A series at a level that does not divide the profile gcd is rejected,
+    # not reported as a mismatch; so is an empty series.
+    at_level_2 = GASeries(2, tuple(bold_sigma(2, a) for a in range(1, 6)))
+    with pytest.raises(ValueError, match="delta=2"):
+        factorization_check(1, TangencyProfile((3, -3)), at_level_2)
+    with pytest.raises(ValueError, match="truncation must be >= 1"):
+        factorization_check(1, TangencyProfile((2, -2)), GASeries(2, ()))
 
 
 def series_by_templates(genus, profile, delta, truncation):
@@ -156,12 +176,11 @@ FACTORIZATION_CASES = [
 @pytest.mark.parametrize("genus,weights,delta", FACTORIZATION_CASES)
 def test_template_route_equals_sum_over_templates(genus, weights, delta):
     profile = TangencyProfile(weights)
-    got, reports = _template_route(genus, profile, delta, 8)
-    assert got == series_by_templates(genus, profile, delta, 8)
+    ref = series_by_templates(genus, profile, delta, 8)
     templates = templates_for(genus, profile)
-    assert [(r.template, r.weight_monomial, r.delta_gcd) for r in reports] == [
-        (t.to_json_dict(), t.weight_monomial, t.delta_gcd(delta)) for t in templates
-    ]
+    assert _template_route(templates, delta, 8) == ref
+    got, mismatch = factorization_check(genus, profile, GASeries(delta, tuple(ref)))
+    assert got == templates and mismatch is None
 
 
 @pytest.mark.parametrize("genus,weights,delta", FACTORIZATION_CASES)
@@ -179,6 +198,6 @@ def test_template_route_one_chain_per_shape(genus, weights, delta, monkeypatch):
         return cauchy(self, other)
 
     monkeypatch.setattr(GASeries, "cauchy", counting)
-    _template_route(genus, profile, delta, 8)
+    _template_route(templates_for(genus, profile), delta, 8)
     assert len(calls) == sum(len(vals) - 1 for _d, vals in shapes)
     assert len(shapes) < len(templates_for(genus, profile))
