@@ -19,8 +19,9 @@ class Frozen:
     A subclass names its fields in ``__slots__`` and sets them in its
     ``__init__`` with ``object.__setattr__``; any later assignment raises
     AttributeError.  Equality (same class, equal fields), the hash and the
-    ``Name(field=value, ...)`` repr read the fields in ``_fields``, which is
-    ``__slots__`` unless the subclass names a subset.
+    ``Name(field=value, ...)`` repr read the fields, which are the
+    ``__slots__`` of the nearest class that declares non-empty ones, so a
+    subclass that adds no slots keeps its parent's fields.
 
     The value classes are written out by hand on this base rather than
     generated by the standard library's class decorator: loading that
@@ -34,7 +35,7 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        if "_fields" not in cls.__dict__:
+        if cls.__slots__:
             cls._fields = cls.__slots__
 
     def _values(self) -> tuple:
@@ -80,12 +81,6 @@ class Factorization(Frozen):
             raise ValueError("exponents must be >= 1")
         object.__setattr__(self, "factors", factors)
 
-    def valuation(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> Factorization:
@@ -116,6 +111,16 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def _over_primes(term, *ns: int) -> int:
+    """Product of term(p, v_p(n) for each n in ns) over the primes p that
+    divide one of ns: the value of a multiplicative function of ns."""
+    vals = [dict(factorize(n).factors) for n in ns]
+    out = 1
+    for p in set().union(*vals):
+        out *= term(p, *[v.get(p, 0) for v in vals])
+    return out
+
+
 def _sigma_prime_power(p: int, e: int) -> int:
     # sigma(p^e) = 1 + p + ... + p^e
     return (p ** (e + 1) - 1) // (p - 1)
@@ -125,10 +130,7 @@ def sigma(a: int) -> int:
     """Sum of divisors sigma(a)."""
     if a < 1:
         raise ValueError(f"sigma expects a >= 1, got {a}")
-    out = 1
-    for p, e in factorize(a).factors:
-        out *= _sigma_prime_power(p, e)
-    return out
+    return _over_primes(_sigma_prime_power, a)
 
 
 def sigma_bar(d: int, a: int) -> int:
@@ -147,10 +149,7 @@ def jordan2(d: int) -> int:
     """
     if d < 1:
         raise ValueError(f"jordan2 expects d >= 1, got {d}")
-    out = 1
-    for p, e in factorize(d).factors:
-        out *= p ** (2 * e - 2) * (p * p - 1)
-    return out
+    return _over_primes(lambda p, e: p ** (2 * e - 2) * (p * p - 1), d)
 
 
 def dedekind_psi(n: int) -> int:
@@ -160,10 +159,7 @@ def dedekind_psi(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"dedekind_psi expects n >= 1, got {n}")
-    out = 1
-    for p, e in factorize(n).factors:
-        out *= p ** (e - 1) * (p + 1)
-    return out
+    return _over_primes(lambda p, e: p ** (e - 1) * (p + 1), n)
 
 
 def _sigma_bar_pp(p: int, j: int, alpha: int) -> int:
@@ -186,20 +182,14 @@ def upsilon(delta: int, d: int, a: int) -> int:
         raise ValueError(
             f"upsilon expects a positive d | delta, got d={d}, delta={delta}"
         )
-    fd = factorize(d)
-    fdelta = factorize(delta)
-    fa = factorize(a)
-    primes = sorted({p for p, _ in fdelta.factors} | {p for p, _ in fa.factors})
-    out = 1
-    for p in primes:
-        vd = fd.valuation(p)
-        vdelta = fdelta.valuation(p)
-        alpha = fa.valuation(p)
-        term = _sigma_bar_pp(p, vd, alpha)
+
+    def term(p: int, vd: int, vdelta: int, alpha: int) -> int:
+        out = _sigma_bar_pp(p, vd, alpha)
         if vd < vdelta:
-            term -= _sigma_bar_pp(p, vd + 1, alpha)
-        out *= term
-    return out
+            out -= _sigma_bar_pp(p, vd + 1, alpha)
+        return out
+
+    return _over_primes(term, d, delta, a)
 
 
 def s_delta(delta: int, a: int) -> int:
@@ -247,19 +237,12 @@ def s_delta_order(delta: int, r: int, a: int) -> int:
         raise ValueError(
             f"s_delta_order expects a positive r | delta, got r={r}, delta={delta}"
         )
-    fdelta = factorize(delta)
-    fr = factorize(r)
-    fa = factorize(a)
-    primes = sorted({p for p, _ in fdelta.factors} | {p for p, _ in fa.factors})
-    out = 1
-    for p in primes:
-        d = fdelta.valuation(p)
-        j = fr.valuation(p)
-        alpha = fa.valuation(p)
+
+    def term(p: int, d: int, j: int, alpha: int) -> int:
         if j == 0:
-            out *= _s_pp(p, d, alpha)
-        else:
-            out *= _s_pp(p, d - j, alpha) - p ** (2 * (d - j)) * _sigma_bar_pp(
-                p, d - j + 1, alpha
-            )
-    return out
+            return _s_pp(p, d, alpha)
+        return _s_pp(p, d - j, alpha) - p ** (2 * (d - j)) * _sigma_bar_pp(
+            p, d - j + 1, alpha
+        )
+
+    return _over_primes(term, delta, r, a)

@@ -1,12 +1,12 @@
 """Piecewise-polynomial structure of the invariants in the tangency orders.
 
-A diagram template is a floor diagram with its edge weights erased.  It is
-held as its unit-weight diagram, so its edges come in the diagram's
-canonical order and column j of a weighting is edge j.  The admissible
-weightings are the positive lattice points of the flow polytope cut out by
-the signed incidence matrix; once the end weights are fixed, the polytope
-has the dimension of the first Betti number of the levels joined by the
-bounded edges.  Summing the weight monomial over weightings restricted to
+A diagram template is a floor diagram whose edge weights all read 1; the
+1s stand for the family of its positive weightings.  Its edges come in the
+diagram's canonical order, and column j of a weighting is edge j.  The
+admissible weightings are the positive lattice points of the flow polytope
+cut out by the signed incidence matrix; once the end weights are fixed,
+the polytope has the dimension of the first Betti number of the levels
+joined by the bounded edges.  Summing the weight monomial over weightings restricted to
 gcd classes, with group-algebra coefficients obtained from a Moebius-style
 triangular system, rebuilds the per-template invariant and exposes it as a
 polynomial in the tangency order on each divisibility chamber.  Polynomial
@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .arith import Frozen, divisors
 from .diagrams import (
@@ -46,55 +46,45 @@ from .diagrams import (
 from .torsion import ProjectorElement, theta_coordinates
 
 
-class DiagramTemplate(Frozen):
-    """Floor diagram with edge weights erased; orientation and labels kept.
+class DiagramTemplate(FloorDiagram):
+    """Floor diagram whose edge weights all read 1, standing for the family
+    of its positive weightings; orientation and labels are kept.
 
-    ``edges`` holds (lo, hi) pairs in the diagram's endpoint syntax.
-    Construction builds the unit-weight diagram ``unit``, which checks the
-    endpoints and orientation (ValueError otherwise), and stores the edges
-    in its canonical order.  That diagram also supplies the floor multiset
-    and ``exponents``, the exponent of each edge weight in the weight
-    monomial.  Equality, hash and repr read only ``levels`` and ``edges``.
+    Built from (lo, hi) pairs in the diagram's endpoint syntax, which are
+    checked as a diagram's edges are (ValueError otherwise) and held in its
+    canonical order; its JSON carries no weights.
     """
 
-    __slots__ = ("levels", "edges", "unit", "exponents")
-    _fields = ("levels", "edges")
+    __slots__ = ()
 
     def __init__(self, levels: tuple, edges: tuple[tuple, ...]) -> None:
-        unit = FloorDiagram(levels, tuple(Edge(lo, hi, 1) for lo, hi in edges))
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "edges", tuple((e.lo, e.hi) for e in unit.edges))
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "exponents", unit.edge_exponents)
+        super().__init__(levels, tuple(Edge(lo, hi, 1) for lo, hi in edges))
 
-    @classmethod
-    def from_diagram(cls, diagram: FloorDiagram) -> "DiagramTemplate":
-        return cls(diagram.levels, tuple((e.lo, e.hi) for e in diagram.edges))
+    def __reduce__(self):
+        # __init__ takes (lo, hi) pairs, not the Edges it stores.
+        return type(self), (self.levels, tuple((e.lo, e.hi) for e in self.edges))
 
     def with_weights(self, omega: Sequence[int]) -> FloorDiagram:
         if len(omega) != len(self.edges):
             raise ValueError("weight vector length mismatch")
         return FloorDiagram(
             self.levels,
-            tuple(Edge(lo, hi, w) for (lo, hi), w in zip(self.edges, omega)),
+            tuple(Edge(e.lo, e.hi, w) for e, w in zip(self.edges, omega)),
         )
 
     def monomial(self, omega: Sequence[int]) -> int:
         """f(omega): the weight monomial of the diagram weighted by omega."""
-        return prod(w ** k for w, k in zip(omega, self.exponents))
+        return prod(w ** k for w, k in zip(omega, self.edge_exponents))
 
     @property
     def monomial_degree(self) -> int:
-        return sum(self.exponents)
+        return sum(self.edge_exponents)
 
     def to_json_dict(self) -> dict:
         return {
             "levels": _levels_to_json(self.levels),
-            "edges": [{"lo": lo, "hi": hi} for lo, hi in self.edges],
+            "edges": [{"lo": e.lo, "hi": e.hi} for e in self.edges],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "DiagramTemplate":
@@ -113,34 +103,28 @@ def weightings(
     propagated level by level, each level's outgoing flow enumerated as a
     composition of its incoming flow.
     """
-    return list(_iter_weightings(template, profile))
-
-
-def _iter_weightings(
-    template: DiagramTemplate, profile: TangencyProfile
-) -> Iterator[tuple[int, ...]]:
-    """The weightings of weightings(), generated one at a time."""
     n = len(template.levels)
     bottom_cols, top_cols = [], []
     # Per level: the edges into it, its bounded out-edges, its edges to TOP.
     in_cols, out_bounded, out_top = ([[] for _ in range(n)] for _ in range(3))
-    for j, (lo, hi) in enumerate(template.edges):
-        if lo == BOTTOM:
+    for j, e in enumerate(template.edges):
+        if e.lo == BOTTOM:
             bottom_cols.append(j)
         else:
-            (out_top if hi == TOP else out_bounded)[lo].append(j)
-        if hi == TOP:
+            (out_top if e.hi == TOP else out_bounded)[e.lo].append(j)
+        if e.hi == TOP:
             top_cols.append(j)
         else:
-            in_cols[hi].append(j)
+            in_cols[e.hi].append(j)
+    out: list[tuple[int, ...]] = []
     if len(bottom_cols) != len(profile.sources) or len(top_cols) != len(
         profile.sinks
     ):
-        return
+        return out
 
-    def propagate(level: int, omega: list):
+    def propagate(level: int, omega: list) -> None:
         if level == n:
-            yield tuple(omega)
+            out.append(tuple(omega))
             return
         inflow = sum(omega[j] for j in in_cols[level])
         fixed_out = sum(omega[j] for j in out_top[level])
@@ -148,12 +132,12 @@ def _iter_weightings(
         cols = out_bounded[level]
         if not cols:
             if rest == 0:
-                yield from propagate(level + 1, omega)
+                propagate(level + 1, omega)
             return
         for parts in _compositions_asc(rest, len(cols)):
             for j, w in zip(cols, parts):
                 omega[j] = w
-            yield from propagate(level + 1, omega)
+            propagate(level + 1, omega)
         for j in cols:
             omega[j] = 0
 
@@ -164,7 +148,8 @@ def _iter_weightings(
                 omega[j] = w
             for j, w in zip(top_cols, snk):
                 omega[j] = w
-            yield from propagate(0, omega)
+            propagate(0, omega)
+    return out
 
 
 def gamma_coeffs(
@@ -187,7 +172,7 @@ def gamma_coeffs(
 def _gammas(
     template: DiagramTemplate, delta: int
 ) -> tuple[tuple[int, ProjectorElement], ...]:
-    floors = template.unit.floor_info
+    floors = template.floor_info
     gammas: dict[int, ProjectorElement] = {}
     for e in divisors(delta):
         phi = _floor_core(delta, e, floors)
@@ -211,12 +196,13 @@ def invariant_by_template(
     profile.check_delta(delta)
     omegas = weightings(template, profile)
     gammas = gamma_coeffs(template, delta)
+    exponents = template.edge_exponents
     total = ProjectorElement.zero(delta)
     for d in divisors(delta):
         s = 0
         for omega in omegas:
             if all(w % d == 0 for w in omega):
-                s += template.monomial(omega)
+                s += prod(w ** k for w, k in zip(omega, exponents))
         if s:
             total = total + gammas[d] * s
     return total
@@ -240,7 +226,7 @@ def flow_degrees_of_freedom(template: DiagramTemplate) -> int:
     graph with n vertices and c components has rank n - c, so this is the
     first Betti number of the levels joined by the bounded edges.
     """
-    bounded = template.unit.bounded_edges
+    bounded = template.bounded_edges
     n = len(template.levels)
     comps = _components(range(n), [(e.lo, e.hi) for e in bounded])
     return len(bounded) - n + len(comps)
@@ -251,9 +237,9 @@ def _check_shape(template: DiagramTemplate, samples: Sequence[int]) -> None:
     a weighting of (w, -w), is a valid floor diagram of its genus."""
     for w in samples:
         profile = TangencyProfile((w, -w))
-        omega = next(_iter_weightings(template, profile), None)
-        if omega is not None:
-            diagram = template.with_weights(omega)
+        omegas = weightings(template, profile)
+        if omegas:
+            diagram = template.with_weights(omegas[0])
             genus = len(template.levels) - 1
             _check_genus_and_degree(genus, diagram.degree)
             ok, clause = validate(diagram, genus, diagram.degree, profile)

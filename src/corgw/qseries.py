@@ -7,9 +7,9 @@ factorization_check compares a given series against the template route,
 which writes it as a sum over diagram templates of division-averaged
 products of the building-block series sum_a a^(k) bold_sigma(d, a) q^a,
 i.e. exhibits membership in the ring generated by the shifted Eisenstein
-blocks sum_a sigma_bar^d(a) q^a.  A template (templates_for) is a diagram
-structure with every floor label 1 and its edge weights kept; the
-weight-stripped shape is polyfit.DiagramTemplate.
+blocks sum_a sigma_bar^d(a) q^a.  A template is a FloorDiagram whose 1s
+stand for a family: its floor labels here (templates_for, weights kept),
+its edge weights in polyfit (DiagramTemplate).
 Templates with equal delta_T and floor valencies share one product, so
 their weight monomials are summed first and each such shape costs one
 Cauchy chain.

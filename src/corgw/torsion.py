@@ -183,11 +183,15 @@ class GroupAlgebraElement(_DenseSurface):
     # -- linear structure ----------------------------------------------
 
     def __add__(self, other: _DenseSurface) -> "GroupAlgebraElement":
+        if not isinstance(other, _DenseSurface):
+            return NotImplemented
         _check_level(self, other)
         terms = dict(self._terms)
         for k, c in other.items():
             terms[k] = terms.get(k, 0) + c
         return GroupAlgebraElement(self.delta, terms)
+
+    __radd__ = __add__  # a projector element on the left defers here
 
     def __mul__(self, other):
         if isinstance(other, GroupAlgebraElement):

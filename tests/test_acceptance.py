@@ -145,13 +145,12 @@ def _stripped_templates(w):
     out = set()
     for n_floors in (1, 2, 3):
         for d in enumerate_diagrams(3, n_floors, p):
-            t = DiagramTemplate.from_diagram(d)
             stripped = DiagramTemplate(
                 tuple(
                     Floor(1) if isinstance(lv, Floor) else Flat()
-                    for lv in t.levels
+                    for lv in d.levels
                 ),
-                t.edges,
+                tuple((e.lo, e.hi) for e in d.edges),
             )
             out.add(stripped.to_json())
     return out

@@ -1,4 +1,5 @@
 import copy
+import json
 import os
 import pickle
 import re
@@ -46,6 +47,43 @@ def test_tracer_names_resolve():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_outputs_match_benchmark_digests():
+    # Every job the benchmark can draw, run in one process from the repo
+    # root: each CLI job's stdout and each session call's output must hash
+    # to its entry in perfbench/digests.json, and each session identity
+    # must hold.  No bytecode is written, so perfbench/ is left as it is.
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(str(root / d) for d in ("src", "perfbench"))
+    code = (
+        "import contextlib, io, json\n"
+        "import jobs, session\n"
+        "from corgw import cli\n"
+        "digests, bad, n = jobs.load_digests(), [], 0\n"
+        "for workload in jobs.WORKLOADS:\n"
+        "    for job in jobs.universe(workload):\n"
+        "        n += 1\n"
+        "        if isinstance(job, dict):\n"
+        "            data, ok = session.run_call(job)\n"
+        "        else:\n"
+        "            out, err = io.StringIO(), io.StringIO()\n"
+        "            with contextlib.redirect_stdout(out), "
+        "contextlib.redirect_stderr(err):\n"
+        "                ok = cli.main(job) == 0\n"
+        "            data = out.getvalue().encode()\n"
+        "        if not ok or jobs.digest(data) != digests.get(jobs.key(job)):\n"
+        "            bad.append(jobs.key(job))\n"
+        "print(json.dumps([n, bad]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        cwd=root, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    n, bad = json.loads(proc.stdout)
+    assert n >= 100 and bad == []
 
 
 def test_version_matches_pyproject():
@@ -151,7 +189,7 @@ FIELDS = {
     "TangencyProfile": ("weights",),
     "FloorDiagram": ("levels", "edges"),
     "Sublattice": ("d1", "c", "d2"),
-    "DiagramTemplate": ("levels", "edges", "unit", "exponents"),
+    "DiagramTemplate": ("levels", "edges"),
     "CoordinateFit": ("divisor", "coeffs", "degree", "holdout_ok"),
     "PolyFitReport": (
         "ok", "delta", "chamber", "degree_bound", "fit_points",
@@ -210,9 +248,9 @@ def test_value_reprs():
         "FloorDiagram(levels=(Floor(a_v=1), Flat()), edges=(Edge(lo='B', hi=0, "
         "w=2), Edge(lo=0, hi=1, w=2), Edge(lo=1, hi='T', w=2)))"
     )
-    assert repr(DiagramTemplate(LEVELS, EDGES)) == (
-        "DiagramTemplate(levels=(Floor(a_v=1), Flat()), "
-        "edges=(('B', 0), (0, 1), (1, 'T')))"
+    assert repr(DiagramTemplate(LEVELS, EDGES[::-1])) == (
+        "DiagramTemplate(levels=(Floor(a_v=1), Flat()), edges=(Edge(lo='B', "
+        "hi=0, w=1), Edge(lo=0, hi=1, w=1), Edge(lo=1, hi='T', w=1)))"
     )
     assert repr(FIT) == (
         "CoordinateFit(divisor=1, coeffs=(Fraction(1, 2),), degree=0, "
@@ -243,16 +281,6 @@ def test_value_reprs():
 def test_value_checks_raise(build):
     with pytest.raises(ValueError):
         build()
-
-
-def test_template_equality_ignores_derived_fields():
-    x, y = DiagramTemplate(LEVELS, EDGES), DiagramTemplate(LEVELS, EDGES[::-1])
-    assert y.edges == EDGES
-    assert y.unit == FloorDiagram(LEVELS, tuple(Edge(lo, hi, 1) for lo, hi in EDGES))
-    object.__setattr__(y, "unit", None)
-    object.__setattr__(y, "exponents", ())
-    assert x == y and hash(x) == hash(y)
-    assert "unit" not in repr(x) and "exponents" not in repr(x)
 
 
 def test_lru_cache_keyed_by_profile_hits():

@@ -37,6 +37,12 @@ from corgw.torsion import (
 from test_diagrams import BRUTE_FORCE_CASES, STRUCTURE_DIGESTS
 
 
+def template_of(diagram: FloorDiagram) -> DiagramTemplate:
+    """The template of a diagram: its levels and edges, weights erased."""
+    pairs = tuple((e.lo, e.hi) for e in diagram.edges)
+    return DiagramTemplate(diagram.levels, pairs)
+
+
 def adjacency_matrix(template: DiagramTemplate) -> list[list[int]]:
     """Signed incidence matrix: rows vertices (levels, then one infinite
     vertex per end edge), columns edges; +1 where an edge ends, -1 where it
@@ -44,14 +50,15 @@ def adjacency_matrix(template: DiagramTemplate) -> list[list[int]]:
     n = len(template.levels)
     ends = [
         ("end", j)
-        for j, (lo, hi) in enumerate(template.edges)
-        for side in (lo, hi)
+        for j, e in enumerate(template.edges)
+        for side in (e.lo, e.hi)
         if side in (BOTTOM, TOP)
     ]
     rows = [("level", i) for i in range(n)] + ends
     index = {r: k for k, r in enumerate(rows)}
     mat = [[0] * len(template.edges) for _ in rows]
-    for j, (lo, hi) in enumerate(template.edges):
+    for j, e in enumerate(template.edges):
+        lo, hi = e.lo, e.hi
         lo_row = index[("level", lo)] if isinstance(lo, int) else index[("end", j)]
         hi_row = index[("level", hi)] if isinstance(hi, int) else index[("end", j)]
         mat[lo_row][j] -= 1
@@ -65,8 +72,8 @@ def rank_flow_dimension(template: DiagramTemplate) -> int:
     elimination."""
     cols = [
         j
-        for j, (lo, hi) in enumerate(template.edges)
-        if isinstance(lo, int) and isinstance(hi, int)
+        for j, e in enumerate(template.edges)
+        if isinstance(e.lo, int) and isinstance(e.hi, int)
     ]
     n = len(template.levels)
     full = adjacency_matrix(template)
@@ -159,8 +166,8 @@ def brute_weightings(t, profile):
     n_edges = len(t.edges)
     mat = adjacency_matrix(t)
     out = set()
-    bottoms = [j for j, (lo, _h) in enumerate(t.edges) if lo == BOTTOM]
-    tops = [j for j, (_l, hi) in enumerate(t.edges) if hi == TOP]
+    bottoms = [j for j, e in enumerate(t.edges) if e.lo == BOTTOM]
+    tops = [j for j, e in enumerate(t.edges) if e.hi == TOP]
     for omega in product(range(1, b + 1), repeat=n_edges):
         if sorted(omega[j] for j in bottoms) != list(profile.sources):
             continue
@@ -195,7 +202,7 @@ def test_gamma_coeffs_prime_and_identity():
         phi1 = gam[1]
         # gamma_1 is the floor product at level 1 averaged to level delta
         scal = 1
-        for a_v, val in t.unit.floor_info:
+        for a_v, val in t.floor_info:
             from corgw.arith import sigma
 
             scal *= a_v ** (val - 1) * sigma(a_v)
@@ -206,7 +213,7 @@ def test_gamma_coeffs_prime_and_identity():
             for d in divisors(e):
                 acc = acc + gam[d]
             core = GroupAlgebraElement.unit(e)
-            for a_v, val in t.unit.floor_info:
+            for a_v, val in t.floor_info:
                 core = convolve(core, a_v ** (val - 1) * bold_sigma(e, a_v))
             lifted = core.rebase(delta).divide(delta // e)
             assert acc == lifted
@@ -232,7 +239,7 @@ def test_gamma_defining_identity_delta12():
         for d in divisors(e):
             acc = acc + gam[d]
         core = GroupAlgebraElement.unit(e)
-        for a_v, val in t.unit.floor_info:
+        for a_v, val in t.floor_info:
             core = convolve(core, a_v ** (val - 1) * bold_sigma(e, a_v))
         assert acc == core.rebase(12).divide(12 // e)
 
@@ -256,7 +263,7 @@ def test_templates_rebuild_full_invariant():
         seen = set()
         total = GroupAlgebraElement.zero(delta)
         for d in enumerate_diagrams(g, a, p):
-            t = DiagramTemplate.from_diagram(d)
+            t = template_of(d)
             key = t.to_json()
             if key in seen:
                 continue
@@ -301,15 +308,17 @@ def test_flow_dimension_is_incidence_corank(genus, weights):
     from corgw.diagrams import _structures
 
     for struct in _structures(genus, tuple(sorted(weights)), genus):
-        t = DiagramTemplate.from_diagram(struct)
+        t = template_of(struct)
         assert flow_degrees_of_freedom(t) == rank_flow_dimension(t), t.to_json()
 
 
 def test_template_edges_held_in_canonical_order():
     t = second_kind_template(2, 2)
-    shuffled = DiagramTemplate(t.levels, tuple(reversed(t.edges)))
+    pairs = [(e.lo, e.hi) for e in t.edges]
+    shuffled = DiagramTemplate(t.levels, tuple(reversed(pairs)))
     assert shuffled == t and shuffled.edges == t.edges
-    assert shuffled.edges == tuple((e.lo, e.hi) for e in t.unit.edges)
+    assert [(e.lo, e.hi) for e in shuffled.edges] == pairs
+    assert isinstance(t, FloorDiagram) and {e.w for e in t.edges} == {1}
     fit = list(range(2, 21, 2))
     reports = [
         json.dumps(polynomial_fit(x, 2, fit, [22, 24], (2, 0)).to_json_dict())
@@ -318,11 +327,29 @@ def test_template_edges_held_in_canonical_order():
     assert reports[0] == reports[1]
 
 
+def test_gammas_cache_keyed_by_template_value():
+    # A template read from JSON and one rebuilt from its reversed edge
+    # pairs are one cache key; another template is a different key, so
+    # fields read as () would make the first fit below a hit.
+    from corgw.polyfit import _gammas
+
+    t = DiagramTemplate.from_json(second_kind_template(2, 2).to_json())
+    rebuilt = DiagramTemplate(
+        t.levels, tuple((e.lo, e.hi) for e in reversed(t.edges))
+    )
+    gamma_coeffs(chain_template(2), 2)
+    misses = _gammas.cache_info().misses
+    fit = list(range(2, 21, 2))
+    reports = [polynomial_fit(x, 2, fit, [22, 24], (2, 0)) for x in (t, rebuilt)]
+    assert _gammas.cache_info().misses == misses + 1
+    assert reports[0] == reports[1] and reports[0].ok
+
+
 def test_template_shares_diagram_weight_monomial():
     t = second_kind_template(1, 3)
     omega = (4, 3, 1, 2, 1, 4)
     assert t.monomial(omega) == t.with_weights(omega).weight_monomial
-    assert t.monomial_degree == sum(t.exponents) == 8
+    assert t.monomial_degree == sum(t.edge_exponents) == 8
 
 
 @pytest.mark.parametrize(

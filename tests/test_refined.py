@@ -64,7 +64,7 @@ def test_theta_delta_d_is_prime_by_prime_product():
         for d in divisors(delta):
             want = GroupAlgebraElement.unit(delta)
             for p, v_delta in factorize(delta).factors:
-                v = factorize(d).valuation(p)
+                v = dict(factorize(d).factors).get(p, 0)
                 factor = theta(delta, p**v)
                 if v < v_delta:
                     factor = factor - theta(delta, p ** (v + 1))

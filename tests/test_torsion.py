@@ -260,6 +260,27 @@ def test_projector_basics():
         ProjectorElement(0)
 
 
+def test_mixed_addition_is_symmetric():
+    # A sum of the two representations is dense in either order; a mixed
+    # product stays undefined in either order.
+    g, p = GroupAlgebraElement(6, {(1, 2): 3, (0, 0): 1}), ProjectorElement(6, {3: 2})
+    dense = p.to_dense()
+    for got, want in ((g + p, g + dense), (p + g, dense + g),
+                      (g - p, g - dense), (p - g, dense - g)):
+        assert type(got) is GroupAlgebraElement and got == want
+    assert p + g == g + p and p - g == (g - p) * -1
+    assert GroupAlgebraElement.unit(2) + ProjectorElement.unit(2) == (
+        ProjectorElement.unit(2) + GroupAlgebraElement.unit(2)
+    )
+    for x, y in ((g, p), (p, g)):
+        with pytest.raises(TypeError):
+            x * y
+    with pytest.raises(TypeError):
+        0 + g
+    with pytest.raises(ValueError):
+        ProjectorElement.unit(3) + GroupAlgebraElement.unit(6)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_projector_products_match_dense(data):
