@@ -16,12 +16,14 @@ from math import gcd, isqrt
 class Frozen:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in ``__slots__`` and sets them in its
-    ``__init__`` with ``object.__setattr__``; any later assignment raises
-    AttributeError.  Equality (same class, equal fields), the hash and the
-    ``Name(field=value, ...)`` repr read the fields, which are the
-    ``__slots__`` of the nearest class that declares non-empty ones, so a
-    subclass that adds no slots keeps its parent's fields.
+    The fields are the ``__slots__`` of the nearest class that declares
+    non-empty ones.  ``__init__`` takes them in that order, positionally or
+    by name (TypeError when one is missing, unknown or given twice), and
+    ``__reduce__`` hands them back in it; a subclass that checks or
+    normalises its arguments ends its own ``__init__`` in one
+    ``super().__init__(...)``.  Later assignment raises AttributeError.
+    Equality (same class, equal fields), the hash and the
+    ``Name(field=value, ...)`` repr read the fields.
 
     The value classes are written out by hand on this base rather than
     generated by the standard library's class decorator: loading that
@@ -37,6 +39,22 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         if cls.__slots__:
             cls._fields = cls.__slots__
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, name = self._fields, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name} has no field {key!r}")
+            if key in values:
+                raise TypeError(f"{name} got field {key!r} twice")
+            values[key] = value
+        for key in fields:
+            if key not in values:
+                raise TypeError(f"{name} is missing field {key!r}")
+            object.__setattr__(self, key, values[key])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -64,27 +82,9 @@ class Frozen:
         return type(self), self._values()
 
 
-class Factorization(Frozen):
-    """Prime factorization as a tuple of (prime, exponent) pairs.
-
-    Primes are strictly increasing and exponents are >= 1; the empty tuple
-    represents 1.
-    """
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple[tuple[int, int], ...]) -> None:
-        primes = [p for p, _ in factors]
-        if primes != sorted(set(primes)):
-            raise ValueError("primes must be strictly increasing")
-        if any(e < 1 for _, e in factors):
-            raise ValueError("exponents must be >= 1")
-        object.__setattr__(self, "factors", factors)
-
-
 @lru_cache(maxsize=None)
-def factorize(n: int) -> Factorization:
-    """Trial-division factorization; inputs here stay desk-scale."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n, primes increasing, by trial division."""
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
     factors = []
@@ -100,13 +100,13 @@ def factorize(n: int) -> Factorization:
         p += 1 if p == 2 else 2
     if m > 1:
         factors.append((m, 1))
-    return Factorization(tuple(factors))
+    return tuple(factors)
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in increasing order."""
     divs = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
@@ -114,7 +114,7 @@ def divisors(n: int) -> list[int]:
 def _over_primes(term, *ns: int) -> int:
     """Product of term(p, v_p(n) for each n in ns) over the primes p that
     divide one of ns: the value of a multiplicative function of ns."""
-    vals = [dict(factorize(n).factors) for n in ns]
+    vals = [dict(factorize(n)) for n in ns]
     out = 1
     for p in set().union(*vals):
         out *= term(p, *[v.get(p, 0) for v in vals])

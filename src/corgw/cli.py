@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .torsion import GroupAlgebraElement, ProjectorElement, TorsionPoint
+from .torsion import GroupAlgebraElement, ProjectorElement, point_order
 
 # The other layers are imported by the subcommands that use them, so a job
 # loads only what it needs.
@@ -60,8 +60,8 @@ def _emit_element(x: GroupAlgebraElement | ProjectorElement, args):
     print(f"ambient torsion level delta = {x.delta}")
     print(f"{'u':>4} {'v':>4} {'order':>6}  coefficient")
     for u, v in x.support:
-        pt = TorsionPoint(x.delta, u, v)
-        print(f"{u:>4} {v:>4} {pt.order:>6}  {x.coefficient(u, v)}")
+        order = point_order(x.delta, u, v)
+        print(f"{u:>4} {v:>4} {order:>6}  {x.coefficient(u, v)}")
     print(f"mass {x.total_mass}")
 
 
@@ -77,7 +77,7 @@ def cmd_local(args) -> int:
             u, v = (int(t) for t in args.shift.split(","))
         except ValueError as exc:
             raise ValueError(f"bad shift {args.shift!r}") from exc
-        shift = TorsionPoint(args.delta, u, v)
+        shift = (u, v)
     x = refined.local_invariant(args.a, args.w1, args.n, args.delta, shift)
     _emit_element(x, args)
     return EXIT_OK

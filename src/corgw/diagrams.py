@@ -51,7 +51,7 @@ class Floor(Frozen):
     def __init__(self, a_v: int) -> None:
         if type(a_v) is not int or a_v < 1:
             raise ValueError(f"floor label must be an integer >= 1, got {a_v!r}")
-        object.__setattr__(self, "a_v", a_v)
+        super().__init__(a_v)
 
 
 class Flat(Frozen):
@@ -68,11 +68,6 @@ class Edge(Frozen):
 
     __slots__ = ("lo", "hi", "w")
 
-    def __init__(self, lo: Endpoint, hi: Endpoint, w: int) -> None:
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "w", w)
-
 
 class TangencyProfile(Frozen):
     """Nonzero integer tangency orders summing to zero."""
@@ -86,7 +81,7 @@ class TangencyProfile(Frozen):
             raise ValueError("profile entries must be non-zero")
         if sum(weights) != 0:
             raise ValueError(f"profile must sum to zero, got {weights}")
-        object.__setattr__(self, "weights", weights)
+        super().__init__(weights)
 
     @property
     def b(self) -> int:
@@ -144,20 +139,14 @@ def _pos(endpoint: Endpoint, n_levels: int) -> int:
 class FloorDiagram(Frozen):
     __slots__ = ("levels", "edges")
 
-    def __init__(
-        self, levels: tuple[LevelNode, ...], edges: tuple[Edge, ...]
-    ) -> None:
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "edges", edges)
-        _structural_check(self)
+    def __init__(self, levels: tuple[LevelNode, ...], edges: tuple[Edge, ...]) -> None:
+        # Checked before sorting: the sort key compares endpoints as ints.
+        _structural_check(levels, edges)
         # Canonical edge order so that equal diagrams compare equal.
         n = len(levels)
-        object.__setattr__(
-            self,
-            "edges",
-            tuple(
-                sorted(edges, key=lambda e: (_pos(e.lo, n), _pos(e.hi, n), e.w))
-            ),
+        super().__init__(
+            levels,
+            tuple(sorted(edges, key=lambda e: (_pos(e.lo, n), _pos(e.hi, n), e.w))),
         )
 
     # -- basic derived data -------------------------------------------
@@ -287,13 +276,13 @@ def _check_level_count(n_levels: int) -> None:
         raise ValueError(f"{n_levels} levels exceed the bound of {MAX_LEVELS}")
 
 
-def _structural_check(diagram: FloorDiagram) -> None:
+def _structural_check(levels: tuple, edges: tuple[Edge, ...]) -> None:
     """Raise on malformed input (bad references, bad data, too many levels)."""
-    n = len(diagram.levels)
+    n = len(levels)
     if n == 0:
         raise ValueError("diagram has no levels")
     _check_level_count(n)
-    for e in diagram.edges:
+    for e in edges:
         for end in (e.lo, e.hi):
             if type(end) is int:
                 if not 0 <= end < n:

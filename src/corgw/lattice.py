@@ -28,9 +28,7 @@ class Sublattice(Frozen):
             raise ValueError("diagonal entries must be positive")
         if not 0 <= c < d1:
             raise ValueError(f"expected 0 <= c < d1, got c={c}, d1={d1}")
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d2", d2)
+        super().__init__(d1, c, d2)
 
     @property
     def index(self) -> int:

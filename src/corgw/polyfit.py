@@ -72,10 +72,6 @@ class DiagramTemplate(FloorDiagram):
             tuple(Edge(e.lo, e.hi, w) for e, w in zip(self.edges, omega)),
         )
 
-    def monomial(self, omega: Sequence[int]) -> int:
-        """f(omega): the weight monomial of the diagram weighted by omega."""
-        return prod(w ** k for w, k in zip(omega, self.edge_exponents))
-
     @property
     def monomial_degree(self) -> int:
         return sum(self.edge_exponents)
@@ -301,39 +297,12 @@ def poly_degree(coeffs: Sequence[Fraction]) -> int:
 class CoordinateFit(Frozen):
     __slots__ = ("divisor", "coeffs", "degree", "holdout_ok")
 
-    def __init__(
-        self, divisor: int, coeffs: tuple[Fraction, ...], degree: int,
-        holdout_ok: bool,
-    ) -> None:
-        object.__setattr__(self, "divisor", divisor)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "holdout_ok", holdout_ok)
-
 
 class PolyFitReport(Frozen):
     __slots__ = (
         "ok", "delta", "chamber", "degree_bound", "fit_points",
         "holdout_points", "coordinates",
     )
-
-    def __init__(
-        self,
-        ok: bool,
-        delta: int,
-        chamber: tuple[int, int] | None,
-        degree_bound: int,
-        fit_points: tuple[int, ...],
-        holdout_points: tuple[int, ...],
-        coordinates: tuple[CoordinateFit, ...],
-    ) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "chamber", chamber)
-        object.__setattr__(self, "degree_bound", degree_bound)
-        object.__setattr__(self, "fit_points", fit_points)
-        object.__setattr__(self, "holdout_points", holdout_points)
-        object.__setattr__(self, "coordinates", coordinates)
 
     def to_json_dict(self) -> dict:
         return {

@@ -37,8 +37,7 @@ class GASeries(Frozen):
         for c in coeffs:
             if c.delta != delta:
                 raise ValueError("coefficient level mismatch")
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(delta, coeffs)
 
     @property
     def truncation(self) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .arith import divisors, sigma_bar, upsilon
-from .torsion import GroupAlgebraElement, ProjectorElement, TorsionPoint
+from .torsion import GroupAlgebraElement, ProjectorElement
 
 
 class ConsistencyError(RuntimeError):
@@ -65,14 +65,14 @@ def local_invariant(
     w1: int,
     n: int,
     delta: int,
-    shift: TorsionPoint | None = None,
+    shift: tuple[int, int] | None = None,
 ) -> ProjectorElement | GroupAlgebraElement:
     """Full correlated count for a genus-one cover with one interior point.
 
     Equals a^(n-1) w1^2 bold_sigma(delta, a), translated by the optional
-    special-correlator shift (which leaves the projector span, so a
-    shifted count is dense).  Total mass is a^(n-1) sigma(a) w1^2, the
-    unrefined count.
+    special-correlator shift, a torsion point given as its (u, v) pair mod
+    delta.  The shift leaves the projector span, so a shifted count is
+    dense.  Total mass is a^(n-1) sigma(a) w1^2, the unrefined count.
     """
     if delta < 1:
         raise ValueError(f"local_invariant expects delta >= 1, got {delta}")
@@ -86,10 +86,6 @@ def local_invariant(
         )
     out = a ** (n - 1) * w1 * w1 * bold_sigma(delta, a)
     if shift is not None:
-        if shift.delta != delta:
-            raise ValueError(
-                f"shift lives at level {shift.delta}, expected {delta}"
-            )
-        out = out.translate(shift.u, shift.v)
+        out = out.translate(*shift)
     return out
 

@@ -34,25 +34,12 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping
 
-from .arith import Frozen, divisors
+from .arith import divisors
 
 
-class TorsionPoint(Frozen):
-    """A point of (Z/delta)^2, i.e. a delta-torsion point of the curve."""
-
-    __slots__ = ("delta", "u", "v")
-
-    def __init__(self, delta: int, u: int, v: int) -> None:
-        if delta < 1:
-            raise ValueError(f"delta must be >= 1, got {delta}")
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "u", u % delta)
-        object.__setattr__(self, "v", v % delta)
-
-    @property
-    def order(self) -> int:
-        """Smallest n >= 1 with n * (u, v) = 0 in (Z/delta)^2."""
-        return self.delta // gcd(self.u, self.v, self.delta)
+def point_order(delta: int, u: int, v: int) -> int:
+    """Order of the point (u, v) of (Z/delta)^2: least n >= 1 with n(u, v) = 0."""
+    return delta // gcd(u, v, delta)
 
 
 def _integral(c: int | Fraction) -> int | Fraction:

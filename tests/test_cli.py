@@ -48,6 +48,19 @@ def test_local_table_output():
     assert "mass 24" in proc.stdout
 
 
+@pytest.mark.parametrize("shift", [(), ("--shift", "1,4")])
+def test_local_table_orders(shift, capsys):
+    from test_torsion import brute_order
+
+    assert main(["local", "--a", "2", "--w1", "6", "--n", "2", "--delta", "6",
+                 "--table", *shift]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:-1]
+    assert len(rows) == 36
+    for row in rows:
+        u, v, order = (int(t) for t in row.split()[:3])
+        assert order == brute_order(6, u, v)
+
+
 def test_local_trivial_class():
     proc = run_cli(["local", "--a", "1", "--w1", "6", "--n", "2", "--delta", "3"])
     payload = json.loads(proc.stdout)
@@ -63,9 +76,10 @@ def test_local_precondition_exit_2():
 
 
 def test_local_delta_zero_exit_2(capsys):
-    assert main(["local", "--a", "3", "--w1", "2", "--n", "2",
-                 "--delta", "0"]) == 2
-    assert "delta" in capsys.readouterr().err
+    for extra in ([], ["--shift", "1,1"]):
+        assert main(["local", "--a", "3", "--w1", "2", "--n", "2",
+                     "--delta", "0", *extra]) == 2
+        assert "delta" in capsys.readouterr().err
 
 
 def test_local_shift():
@@ -95,6 +109,28 @@ def test_oracle_verify_empty_grid_exit_2(capsys):
         assert main(["oracle-verify", *flags]) == 2
         err = capsys.readouterr()
         assert "agree" not in err.out and "must be >= 1" in err.err
+
+
+def test_oracle_verify_reports_mismatch(monkeypatch, capsys):
+    from corgw import lattice
+    from corgw.torsion import GroupAlgebraElement
+
+    oracle = lattice.oracle_local_invariant
+
+    def off_at_one_cell(a, w1, n, delta):
+        out = oracle(a, w1, n, delta)
+        if (a, delta, w1, n) == (2, 2, 4, 3):
+            out = out + GroupAlgebraElement.unit(delta)
+        return out
+
+    monkeypatch.setattr(lattice, "oracle_local_invariant", off_at_one_cell)
+    assert main(["oracle-verify", "--a-max", "3", "--delta-max", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "MISMATCH a=2 delta=2 w1=4 n=3\n"
+        "verification failed: 1 grid cells disagree\n"
+    )
 
 
 def test_diagrams_count():
@@ -447,6 +483,12 @@ BAD_TEMPLATES = {
     ),
     "endpoint Q": (
         _chain_with(edges=[{"lo": "B", "hi": 0}, {"lo": 0, "hi": "Q"}]),
+        "bad endpoint 'Q'",
+    ),
+    # Checked before the canonical sort, whose key would compare "Q" with 1.
+    "endpoint Q beside a level": (
+        _chain_with(edges=[{"lo": "B", "hi": 0}, {"lo": 0, "hi": "Q"},
+                           {"lo": 0, "hi": 1}, {"lo": 1, "hi": "T"}]),
         "bad endpoint 'Q'",
     ),
     "bool endpoint": (

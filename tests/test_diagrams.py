@@ -850,13 +850,13 @@ def test_balancing_and_profile_fix_cross_flow(data):
 def test_invariant_order_dependence():
     # with no correlator shift every term is a rational combination of the
     # projectors, so equal-order points carry equal coefficients
-    from corgw.torsion import TorsionPoint
+    from corgw.torsion import point_order
 
     for (g, a, w, delta) in ((1, 2, 4, 4), (2, 2, 6, 6), (3, 2, 2, 2)):
         x = invariant(g, a, TangencyProfile((w, -w)), delta)
         by_order = {}
         for u in range(delta):
             for v in range(delta):
-                r = TorsionPoint(delta, u, v).order
+                r = point_order(delta, u, v)
                 by_order.setdefault(r, set()).add(x.coefficient(u, v))
         assert all(len(vals) == 1 for vals in by_order.values())

@@ -12,14 +12,13 @@ from pathlib import Path
 import pytest
 
 import corgw
-from corgw.arith import Factorization
 from corgw.diagrams import (
     BOTTOM, TOP, Edge, Flat, Floor, FloorDiagram, TangencyProfile,
 )
 from corgw.lattice import Sublattice
 from corgw.polyfit import CoordinateFit, DiagramTemplate, PolyFitReport
 from corgw.qseries import GASeries
-from corgw.torsion import ProjectorElement, TorsionPoint
+from corgw.torsion import ProjectorElement
 
 
 def test_package_import_loads_no_layer():
@@ -118,18 +117,8 @@ FIT = CoordinateFit(1, (Fraction(1, 2),), 0, True)
 
 # name -> (positional construction, the same value built with keywords, a
 # different value of the same class).  The keyword forms also exercise the
-# normalisations: reduction mod delta, canonical edge order, a default.
+# normalisation of the canonical edge order.
 VALUES = {
-    "Factorization": (
-        lambda: Factorization(((2, 3), (5, 1))),
-        lambda: Factorization(factors=((2, 3), (5, 1))),
-        lambda: Factorization(((2, 3),)),
-    ),
-    "TorsionPoint": (
-        lambda: TorsionPoint(4, 1, 3),
-        lambda: TorsionPoint(delta=4, u=5, v=-1),
-        lambda: TorsionPoint(4, 1, 2),
-    ),
     "Floor": (lambda: Floor(2), lambda: Floor(a_v=2), lambda: Floor(3)),
     "Flat": (Flat, Flat, lambda: Floor(1)),
     "Edge": (
@@ -181,8 +170,6 @@ VALUES = {
 
 
 FIELDS = {
-    "Factorization": ("factors",),
-    "TorsionPoint": ("delta", "u", "v"),
     "Floor": ("a_v",),
     "Flat": (),
     "Edge": ("lo", "hi", "w"),
@@ -240,9 +227,7 @@ def test_value_reprs():
     assert repr(Flat()) == "Flat()"
     assert repr(Floor(2)) == "Floor(a_v=2)"
     assert repr(Edge(BOTTOM, 0, 2)) == "Edge(lo='B', hi=0, w=2)"
-    assert repr(TorsionPoint(4, 5, -1)) == "TorsionPoint(delta=4, u=1, v=3)"
     assert repr(Sublattice(2, 1, 3)) == "Sublattice(d1=2, c=1, d2=3)"
-    assert repr(Factorization(((2, 3),))) == "Factorization(factors=((2, 3),))"
     assert repr(TangencyProfile((2, -2))) == "TangencyProfile(weights=(2, -2))"
     assert repr(FloorDiagram(LEVELS, CHAIN[::-1])) == (
         "FloorDiagram(levels=(Floor(a_v=1), Flat()), edges=(Edge(lo='B', hi=0, "
@@ -259,10 +244,6 @@ def test_value_reprs():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Factorization(((3, 1), (2, 1))),
-    lambda: Factorization(((2, 1), (2, 1))),
-    lambda: Factorization(((2, 0),)),
-    lambda: TorsionPoint(0, 1, 1),
     lambda: Floor(0),
     lambda: Floor(1.0),
     lambda: Floor(True),
@@ -281,6 +262,18 @@ def test_value_reprs():
 def test_value_checks_raise(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Edge(BOTTOM, 0), "Edge is missing field 'w'"),
+    (lambda: Edge(BOTTOM, 0, 2, w=2), "Edge got field 'w' twice"),
+    (lambda: Edge(BOTTOM, 0, 2, x=1), "Edge has no field 'x'"),
+    (lambda: Flat(1), "Flat takes 0 fields, got 1"),
+], ids=["missing", "twice", "unknown", "too many"])
+def test_value_constructor_binds_fields(build, message):
+    with pytest.raises(TypeError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_lru_cache_keyed_by_profile_hits():
