@@ -11,8 +11,9 @@ ordered levels, one vertex per level.
 The correlated invariant is the sum over all such diagrams of a
 multiplicity with values in the torsion group algebra: a division-average
 of the product of refined divisor sums of the floor labels, times a
-monomial in the edge weights.  Multiplicities and invariants lie in the
-span of the projectors and are carried in that basis.
+monomial in the edge weights.  The average is a projector times the same
+product at level delta (_floor_core), so multiplicities and invariants lie
+in the span of the projectors and are carried in that basis.
 
 A multiplicity depends only on delta_D (the gcd of delta and the edge
 weights), the multiset of (label, valency) over the floors, and the integer
@@ -455,14 +456,16 @@ def validate(
 def _floor_core(delta: int, delta_d: int, floors: tuple[tuple[int, int], ...]):
     """Division-averaged product of refined divisor sums over the floors.
 
-    floors is a multiset of (label, valency) pairs; the product is taken at
-    level delta_d and lifted to the ambient level delta by averaging over
-    (delta/delta_d)-th roots.
+    floors is a multiset of (label, valency) pairs.  The product is taken
+    at level delta_d and averaged over k-th roots, k = delta/delta_d, which
+    reads chi_m = chi_(m/k) of it where k | m and 0 elsewhere.  Since
+    chi_(m/k)(bold_sigma(delta_d, a)) = chi_m(bold_sigma(delta, a)), that is
+    theta(delta, k) times the same product at level delta, computed here.
     """
-    core = ProjectorElement.unit(delta_d)
+    core = ProjectorElement(delta, {delta // delta_d: 1})
     for a_v, val in floors:
-        core = core * (a_v ** (val - 1) * bold_sigma(delta_d, a_v))
-    return core.rebase(delta).divide(delta // delta_d)
+        core = core * (a_v ** (val - 1) * bold_sigma(delta, a_v))
+    return core
 
 
 def _floor_multiset(labels, valencies) -> tuple[tuple[int, int], ...]:
@@ -473,11 +476,11 @@ def _floor_multiset(labels, valencies) -> tuple[tuple[int, int], ...]:
 def multiplicity(diagram: FloorDiagram, delta: int) -> ProjectorElement:
     """Correlated multiplicity of a floor diagram at refinement level delta.
 
-    The division-average (over delta/delta_D-th roots) of the product over
-    floors of a_V^(valency-1) bold_sigma(delta_D, a_V), scaled by the weight
-    monomial: bounded edges contribute w_e, and edges without a flat
-    endpoint contribute w_e^2 on top.  This is the per-diagram definition;
-    invariant sums the same products once per multiplicity class.
+    The division-averaged floor product of _floor_core at delta_D, scaled
+    by the weight monomial: bounded edges contribute w_e, and edges without
+    a flat endpoint contribute w_e^2 on top.  This is the per-diagram
+    definition; invariant sums the same products once per multiplicity
+    class.
     """
     TangencyProfile(diagram.profile()).check_delta(delta)
     core = _floor_core(delta, diagram.delta_gcd(delta), diagram.floor_info)
@@ -831,28 +834,23 @@ def _invariant_cached(
     for (delta_d, valencies), w_sum in shapes.items():
         for labels in _compositions_asc(degree, len(valencies)):
             classes[delta_d, _floor_multiset(labels, valencies)] += w_sum
-    # Then integer characters.  A class's _floor_core has, at n | delta with
-    # k = delta/delta_D dividing n, the character prod over its floors of
-    # a_V^(val-1) chi_(n/k)(bold_sigma(delta_D, a_V)), and 0 at every other
-    # n; n/k runs over the divisors of delta_D.  rows caches one floor's
-    # factors in that order.
-    chi = dict.fromkeys(divisors(delta), 0)
-    divs_of = {delta_d: divisors(delta_d) for delta_d, _v in shapes}
+    # Then integer characters, as _floor_core computes them: a class's row
+    # is W where k = delta/delta_D divides m and 0 elsewhere, times each
+    # floor's a_V^(val-1) chi_m(bold_sigma(delta, a_V)), cached in rows.
+    divs = divisors(delta)
+    chi = dict.fromkeys(divs, 0)
     rows: dict = {}
     for (delta_d, floors), w_sum in classes.items():
-        divs = divs_of[delta_d]
-        prod_row = [w_sum] * len(divs)
-        for a_v, val in floors:
-            row = rows.get((delta_d, a_v, val))
-            if row is None:
-                x = bold_sigma(delta_d, a_v)
-                row = rows[delta_d, a_v, val] = [
-                    a_v ** (val - 1) * x.character(j) for j in divs
-                ]
-            prod_row = [p * r for p, r in zip(prod_row, row)]
         k = delta // delta_d
-        for j, c in zip(divs, prod_row):
-            chi[j * k] += c
+        prod_row = [0 if m % k else w_sum for m in divs]
+        for a_v, val in floors:
+            row = rows.get((a_v, val))
+            if row is None:
+                x = bold_sigma(delta, a_v)
+                row = rows[a_v, val] = [a_v ** (val - 1) * x.character(m) for m in divs]
+            prod_row = [p * r for p, r in zip(prod_row, row)]
+        for m, c in zip(divs, prod_row):
+            chi[m] += c
     return ProjectorElement.from_characters(delta, chi)
 
 
@@ -864,7 +862,7 @@ def invariant(
     The sum runs over multiplicity classes, not diagrams: the labelled
     diagrams are tallied as integers W by (delta_D, floor multiset), and
     each class adds W times the integer characters of its _floor_core,
-    read off the characters of bold_sigma(delta_D, a_V), to one integer
+    read off the characters of bold_sigma(delta, a_V), to one integer
     character table.  The element is built once, from that table.
     """
     profile.check_delta(delta)

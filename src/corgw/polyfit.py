@@ -336,10 +336,10 @@ def polynomial_fit(
     points of the two-end profile (w, -w), checks the interpolant's degree
     against the structural bound (monomial degree plus flow dimension), and
     validates it exactly on the held-out points.  Both point lists must be
-    non-empty, samples must be >= 1, no held-out point may repeat a fit
-    point, and the template, weighted at the first sample that admits a
-    weighting, must be a valid floor diagram; otherwise the fit would pass
-    vacuously.
+    non-empty, samples must be >= 1, no sample may appear twice (within a
+    list or across them), and the template, weighted at the first sample
+    that admits a weighting, must be a valid floor diagram; otherwise the
+    fit would pass vacuously.
     """
     if not fit_ws or not holdout_ws:
         raise ValueError("need at least one fit and one holdout sample")
@@ -347,6 +347,10 @@ def polynomial_fit(
     bad = [w for w in samples if w < 1]
     if bad:
         raise ValueError(f"samples must be >= 1, got {bad}")
+    for name, ws in (("fit", fit_ws), ("holdout", holdout_ws)):
+        repeated = sorted({w for w in ws if ws.count(w) > 1})
+        if repeated:
+            raise ValueError(f"{name} samples {repeated} are repeated")
     repeated = sorted(set(fit_ws) & set(holdout_ws))
     if repeated:
         raise ValueError(f"holdout samples {repeated} repeat fit samples")

@@ -10,15 +10,15 @@ i.e. exhibits membership in the ring generated by the shifted Eisenstein
 blocks sum_a sigma_bar^d(a) q^a.  A template is a FloorDiagram whose 1s
 stand for a family: its floor labels here (templates_for, weights kept),
 its edge weights in polyfit (DiagramTemplate).
-Templates with equal delta_T and floor valencies share one product, so
-their weight monomials are summed first and each such shape costs one
-Cauchy chain.
+Templates with equal sorted floor valencies share one product at level
+delta, weighted by the sum of W theta(delta, delta/delta_T) over them, so
+each valency multiset costs one Cauchy chain.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter
+from functools import reduce
 
 from .arith import Frozen
 from .diagrams import FloorDiagram, TangencyProfile, _class_structures, invariant
@@ -105,38 +105,32 @@ def _template_route(
 
     A template's series is W times the division-averaged Cauchy product of
     the blocks sum_a a^(val-1) bold_sigma(delta_T, a) q^a over its floors;
-    it depends only on delta_T and the floor valencies.  So the templates
-    are tallied by (delta_T, sorted valencies), and each such shape costs
-    one Cauchy chain, scaled by its total W.  The chains multiply
-    ProjectorElements, while invariant sums integer character tables, so
-    the two routes factorization_check compares share no arithmetic past
-    bold_sigma.
+    as in diagrams._floor_core, that is W theta(delta, delta/delta_T) times
+    the product of the level-delta blocks.  So templates with equal sorted
+    valencies share one Cauchy chain, weighted by the sum of their W
+    theta(delta, delta/delta_T).  The chains multiply ProjectorElements,
+    while invariant sums integer character tables over label compositions,
+    so the two routes factorization_check compares share no arithmetic
+    past bold_sigma.
     """
-    shapes: Counter = Counter()
+    shapes: dict[tuple[int, ...], ProjectorElement] = {}
     for t in templates:
-        shapes[t.delta_gcd(delta), tuple(sorted(t.floor_valencies))] += (
-            t.weight_monomial
+        valencies = tuple(sorted(t.floor_valencies))
+        w = ProjectorElement(delta, {delta // t.delta_gcd(delta): t.weight_monomial})
+        shapes[valencies] = shapes.get(valencies, ProjectorElement.zero(delta)) + w
+    blocks = {
+        val: GASeries(
+            delta,
+            tuple(
+                a ** (val - 1) * bold_sigma(delta, a) for a in range(1, truncation + 1)
+            ),
         )
+        for val in {val for valencies in shapes for val in valencies}
+    }
     total = [ProjectorElement.zero(delta)] * truncation
-    blocks: dict[tuple[int, int], GASeries] = {}
-    for (delta_t, valencies), w_sum in shapes.items():
-        prod: GASeries | None = None
-        for val in valencies:
-            if (delta_t, val) not in blocks:
-                blocks[delta_t, val] = GASeries(
-                    delta_t,
-                    tuple(
-                        a ** (val - 1) * bold_sigma(delta_t, a)
-                        for a in range(1, truncation + 1)
-                    ),
-                )
-            block = blocks[delta_t, val]
-            prod = block if prod is None else prod.cauchy(block)
-        assert prod is not None
-        total = [
-            x + c.rebase(delta).divide(delta // delta_t) * w_sum
-            for x, c in zip(total, prod.coeffs)
-        ]
+    for valencies, weight in shapes.items():
+        prod = reduce(GASeries.cauchy, [blocks[val] for val in valencies])
+        total = [x + c * weight for x, c in zip(total, prod.coeffs)]
     return total
 
 
@@ -146,7 +140,7 @@ def factorization_check(
     """Verify the per-template factorization of the given invariant series.
 
     Rebuilds the series by the template route (_template_route, one Cauchy
-    chain per template shape) and compares it coefficient by coefficient
+    chain per valency multiset) and compares it coefficient by coefficient
     with series.  Returns the templates summed, in templates_for order, and
     the first a whose q^a coefficients differ, or None.  An empty series
     would pass vacuously and is rejected.

@@ -11,11 +11,13 @@ roots).
 Every quantity the refined invariants are built from lies in the span of
 the projectors, so it is carried as a :class:`ProjectorElement`: its
 characters chi_m, m | delta, which turn the product into a pointwise one
-and each level operator into one read per character, in place of the
-dense convolution.  The dense :class:`GroupAlgebraElement` stays the
-reference implementation; both types share one read-only dense surface
-(coefficients, support, JSON, equality), so output does not depend on the
-representation.
+in place of the dense convolution.  Of the level changes it needs only
+unrefine: a division average of a product taken at a lower level is the
+same product at the ambient level times a projector (see
+diagrams._floor_core).  The dense :class:`GroupAlgebraElement` stays the
+reference implementation, with divide and rebase; both types share one
+read-only dense surface (coefficients, support, JSON, equality), so
+output does not depend on the representation.
 
 Values are stored exactly, as a Python int when integral and as a
 Fraction only when not: covers are counted and the characters of the
@@ -326,16 +328,15 @@ class ProjectorElement(_DenseSurface):
     and which character(m) reads.  chi_m(theta_d) = [d | m] is multiplicative by
     theta_d * theta_e = theta_lcm(d, e), so every operation that stays in
     the span reads one character per m: products are pointwise, total_mass
-    is chi_delta, divide(k) reads chi_(m/k) where k | m, and rebase
-    chi_gcd(m, delta).  translate leaves the span and returns a dense
-    element.
+    is chi_delta and unrefine to delta/k reads chi_(mk).  translate leaves
+    the span and returns a dense element.
 
     Characters are stored exactly, as ints when integral (every refined
-    divisor sum has integer characters), so products and level operators
-    mostly multiply ints.  Coordinates are recovered by Moebius inversion
-    only for output: repr, theta_coordinates and the dense map (coefficient,
-    support, items, ==, hash, JSON), which is built once on first use with
-    one exact value per order class.
+    divisor sum has integer characters), so products mostly multiply ints.
+    Coordinates are recovered by Moebius inversion only for output: repr,
+    theta_coordinates and the dense map (coefficient, support, items, ==,
+    hash, JSON), which is built once on first use with one exact value per
+    order class.
     """
 
     __slots__ = ("delta", "_chi", "_dense")
@@ -485,38 +486,6 @@ class ProjectorElement(_DenseSurface):
     def translate(self, u0: int, v0: int) -> GroupAlgebraElement:
         """Shift every support point; the result is dense."""
         return self.to_dense().translate(u0, v0)
-
-    def divide(self, k: int) -> "ProjectorElement":
-        """Average over k-th roots, visible when the element restricts to
-        level delta/k: chi_m reads chi_(m/k) where k | m, else 0."""
-        if k < 1:
-            raise ValueError(f"divide expects k >= 1, got {k}")
-        delta = self.delta
-        if delta % k:
-            raise ValueError(f"divide expects k | delta, got k={k}, delta={delta}")
-        chi = self.rebase(delta // k)._chi
-        return ProjectorElement._from_chi(delta, {m * k: c for m, c in chi.items()})
-
-    def rebase(self, new_delta: int) -> "ProjectorElement":
-        """Same element at another level: chi_m reads chi_gcd(m, delta).
-
-        Restricting to a divisor new_delta keeps chi_m for m | new_delta; it
-        needs every support point to be new_delta-torsion, that is, the
-        restriction to lift back to the element.
-        """
-        d = self.delta
-        if new_delta < 1:
-            raise ValueError(f"rebase expects a positive level, got {new_delta}")
-        if new_delta == d:
-            return self
-        if d % new_delta and new_delta % d:
-            raise ValueError(f"incompatible levels: {d} and {new_delta}")
-        out = ProjectorElement._from_chi(
-            new_delta, {m: self._chi.get(gcd(m, d)) for m in divisors(new_delta)}
-        )
-        if d % new_delta == 0 and out.rebase(d) != self:
-            raise ValueError(f"the element is not {new_delta}-torsion")
-        return out
 
 
 def theta_coordinates(x: _DenseSurface) -> dict[int, Fraction]:

@@ -601,6 +601,18 @@ BAD_ARGUMENTS = {
     "samples not above holdout": (
         ["polyfit", "--template", "{chain}", "--delta", "1", "--samples",
          "2,4", "--holdout", "2"], "need more samples than holdout points"),
+    "holdout sample twice": (
+        ["polyfit", "--template", "{chain}", "--delta", "1", "--samples",
+         "2,4,6,8,10,12,12"], "holdout samples [12] are repeated"),
+    "fit sample twice": (
+        ["polyfit", "--template", "{chain}", "--delta", "1", "--samples",
+         "2,2,4,6,8,10,12"], "fit samples [2] are repeated"),
+    "local n 1": (
+        ["local", "--a", "2", "--w1", "2", "--n", "1", "--delta", "2"],
+        "local_invariant expects n >= 2, got 1"),
+    "local a 0": (
+        ["local", "--a", "0", "--w1", "2", "--n", "2", "--delta", "2"],
+        "local_invariant expects a >= 1 and w1 >= 1"),
 }
 
 

@@ -560,7 +560,8 @@ def multiplicity_by_floor_walk(diagram, delta):
         if isinstance(level, Floor):
             val = sum((e.lo == i) + (e.hi == i) for e in diagram.edges)
             core = core * (level.a_v ** (val - 1) * bold_sigma(delta_d, level.a_v))
-    return core.rebase(delta).divide(delta // delta_d) * diagram.weight_monomial
+    lifted = core.to_dense().rebase(delta).divide(delta // delta_d)
+    return lifted * diagram.weight_monomial
 
 
 @pytest.mark.parametrize(

@@ -12,13 +12,22 @@ from pathlib import Path
 import pytest
 
 import corgw
+from corgw.arith import (
+    dedekind_psi, jordan2, s_delta, s_delta_order, s_via_lattice, sigma_bar,
+    upsilon,
+)
 from corgw.diagrams import (
     BOTTOM, TOP, Edge, Flat, Floor, FloorDiagram, TangencyProfile,
 )
-from corgw.lattice import Sublattice
-from corgw.polyfit import CoordinateFit, DiagramTemplate, PolyFitReport
+from corgw.lattice import (
+    Sublattice, enumerate_sublattices, oracle_local_invariant, torsion_image,
+)
+from corgw.polyfit import (
+    CoordinateFit, DiagramTemplate, PolyFitReport, interpolate,
+)
 from corgw.qseries import GASeries
-from corgw.torsion import ProjectorElement
+from corgw.refined import bold_sigma, local_invariant
+from corgw.torsion import GroupAlgebraElement, ProjectorElement, theta
 
 
 def test_package_import_loads_no_layer():
@@ -273,6 +282,70 @@ def test_value_checks_raise(build):
 def test_value_constructor_binds_fields(build, message):
     with pytest.raises(TypeError) as info:
         build()
+    assert str(info.value) == message
+
+
+# Input checks of the library functions, each with the message it raises.
+DENSE_UNIT = GroupAlgebraElement.unit(2)
+INPUT_CHECKS = {
+    "sigma_bar(0, 1)": (
+        lambda: sigma_bar(0, 1), "sigma_bar expects positive arguments"),
+    "jordan2(0)": (lambda: jordan2(0), "jordan2 expects d >= 1, got 0"),
+    "dedekind_psi(0)": (
+        lambda: dedekind_psi(0), "dedekind_psi expects n >= 1, got 0"),
+    "upsilon(1, 1, 0)": (
+        lambda: upsilon(1, 1, 0), "upsilon expects positive arguments"),
+    "s_delta(0, 1)": (
+        lambda: s_delta(0, 1), "s_delta expects positive arguments"),
+    "s_via_lattice(1, 0)": (
+        lambda: s_via_lattice(1, 0), "s_via_lattice expects positive arguments"),
+    "s_delta_order(1, 1, 0)": (
+        lambda: s_delta_order(1, 1, 0), "s_delta_order expects positive arguments"),
+    "bold_sigma(0, 1)": (
+        lambda: bold_sigma(0, 1), "bold_sigma expects positive arguments"),
+    "local_invariant(0, 1, 2, 1)": (
+        lambda: local_invariant(0, 1, 2, 1),
+        "local_invariant expects a >= 1 and w1 >= 1"),
+    "local_invariant(1, 1, 1, 1)": (
+        lambda: local_invariant(1, 1, 1, 1),
+        "local_invariant expects n >= 2, got 1"),
+    "enumerate_sublattices(0)": (
+        lambda: enumerate_sublattices(0), "expected a >= 1, got 0"),
+    "torsion_image(Sublattice(1, 0, 1), 0)": (
+        lambda: torsion_image(Sublattice(1, 0, 1), 0),
+        "expected delta >= 1, got 0"),
+    "oracle_local_invariant(1, 1, 1, 1)": (
+        lambda: oracle_local_invariant(1, 1, 1, 1),
+        "oracle expects n >= 2, got 1"),
+    "GroupAlgebraElement(0)": (
+        lambda: GroupAlgebraElement(0), "delta must be >= 1, got 0"),
+    "theta(0, 1)": (lambda: theta(0, 1), "delta must be >= 1, got 0"),
+    "ProjectorElement.from_characters(0, {})": (
+        lambda: ProjectorElement.from_characters(0, {}),
+        "delta must be >= 1, got 0"),
+    "ProjectorElement.unit(2).character(3)": (
+        lambda: ProjectorElement.unit(2).character(3),
+        "character index 3 does not divide delta=2"),
+    "m_push(0)": (
+        lambda: DENSE_UNIT.m_push(0), "m_push expects k >= 1, got 0"),
+    "divide(0)": (
+        lambda: DENSE_UNIT.divide(0), "divide expects k >= 1, got 0"),
+    "rebase(0)": (
+        lambda: DENSE_UNIT.rebase(0), "rebase expects a positive level, got 0"),
+    "cauchy of unequal truncations": (
+        lambda: GASeries(1, (ProjectorElement.unit(1),)).cauchy(GASeries(1, ())),
+        "series shape mismatch"),
+    "interpolate([(1, 1), (1, 2)])": (
+        lambda: interpolate([(1, 1), (1, 2)]),
+        "interpolation nodes must be distinct"),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_input_checks_raise(case):
+    call, message = INPUT_CHECKS[case]
+    with pytest.raises(ValueError) as info:
+        call()
     assert str(info.value) == message
 
 

@@ -142,7 +142,8 @@ def test_bold_sigma_multiplicativity():
     for (d1, a1), (d2, a2) in cases:
         assert math.gcd(d1 * a1, d2 * a2) == 1
         lhs = convolve(
-            bold_sigma(d1, a1).rebase(d1 * d2), bold_sigma(d2, a2).rebase(d1 * d2)
+            bold_sigma(d1, a1).to_dense().rebase(d1 * d2),
+            bold_sigma(d2, a2).to_dense().rebase(d1 * d2),
         )
         assert lhs == bold_sigma(d1 * d2, a1 * a2)
 
