@@ -10,8 +10,8 @@ joined by the bounded edges.  Summing the weight monomial over weightings restri
 gcd classes, with group-algebra coefficients obtained from a Moebius-style
 triangular system, rebuilds the per-template invariant and exposes it as a
 polynomial in the tangency order on each divisibility chamber.  Polynomial
-identification is exact Newton interpolation over rationals with held-out
-validation points.
+identification is exact interpolation in Lagrange form over one integer
+denominator, with held-out validation points.
 
 The fit operates on the two-end profile family (w, -w): a template must
 weight to a valid floor diagram of that family.  Richer profile grids would
@@ -24,8 +24,8 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import prod
-from typing import Sequence
+from math import gcd, lcm, prod
+from typing import Iterator, Sequence
 
 from .arith import Frozen, divisors
 from .diagrams import (
@@ -99,6 +99,12 @@ def weightings(
     propagated level by level, each level's outgoing flow enumerated as a
     composition of its incoming flow.
     """
+    return list(_weightings(template, profile))
+
+
+def _weightings(
+    template: DiagramTemplate, profile: TangencyProfile
+) -> Iterator[tuple[int, ...]]:
     n = len(template.levels)
     bottom_cols, top_cols = [], []
     # Per level: the edges into it, its bounded out-edges, its edges to TOP.
@@ -112,28 +118,26 @@ def weightings(
             top_cols.append(j)
         else:
             in_cols[e.hi].append(j)
-    out: list[tuple[int, ...]] = []
     if len(bottom_cols) != len(profile.sources) or len(top_cols) != len(
         profile.sinks
     ):
-        return out
+        return
 
-    def propagate(level: int, omega: list) -> None:
+    def propagate(level: int, omega: list) -> Iterator[tuple[int, ...]]:
         if level == n:
-            out.append(tuple(omega))
+            yield tuple(omega)
             return
-        inflow = sum(omega[j] for j in in_cols[level])
-        fixed_out = sum(omega[j] for j in out_top[level])
-        rest = inflow - fixed_out
+        get = omega.__getitem__
+        rest = sum(map(get, in_cols[level])) - sum(map(get, out_top[level]))
         cols = out_bounded[level]
         if not cols:
             if rest == 0:
-                propagate(level + 1, omega)
+                yield from propagate(level + 1, omega)
             return
         for parts in _compositions_asc(rest, len(cols)):
             for j, w in zip(cols, parts):
                 omega[j] = w
-            propagate(level + 1, omega)
+            yield from propagate(level + 1, omega)
         for j in cols:
             omega[j] = 0
 
@@ -144,8 +148,7 @@ def weightings(
                 omega[j] = w
             for j, w in zip(top_cols, snk):
                 omega[j] = w
-            propagate(0, omega)
-    return out
+            yield from propagate(0, omega)
 
 
 def gamma_coeffs(
@@ -186,19 +189,19 @@ def invariant_by_template(
     """Per-template invariant via the gamma resummation.
 
     sum over d | delta of gamma_d times the weight-monomial sum over
-    weightings whose coordinates are all divisible by d.  Equals the direct
-    sum of multiplicities over the same weightings.
+    weightings omega with d | gcd(delta, omega), bucketed by that gcd.
+    Equals the direct sum of multiplicities over the same weightings.
     """
     profile.check_delta(delta)
-    omegas = weightings(template, profile)
-    gammas = gamma_coeffs(template, delta)
     exponents = template.edge_exponents
+    by_gcd: dict[int, int] = {}
+    for omega in weightings(template, profile):
+        g = gcd(delta, *omega)
+        by_gcd[g] = by_gcd.get(g, 0) + prod(map(pow, omega, exponents))
+    gammas = gamma_coeffs(template, delta)
     total = ProjectorElement.zero(delta)
     for d in divisors(delta):
-        s = 0
-        for omega in omegas:
-            if all(w % d == 0 for w in omega):
-                s += prod(w ** k for w, k in zip(omega, exponents))
+        s = sum(v for g, v in by_gcd.items() if g % d == 0)
         if s:
             total = total + gammas[d] * s
     return total
@@ -233,9 +236,9 @@ def _check_shape(template: DiagramTemplate, samples: Sequence[int]) -> None:
     a weighting of (w, -w), is a valid floor diagram of its genus."""
     for w in samples:
         profile = TangencyProfile((w, -w))
-        omegas = weightings(template, profile)
-        if omegas:
-            diagram = template.with_weights(omegas[0])
+        omega = next(_weightings(template, profile), None)
+        if omega is not None:
+            diagram = template.with_weights(omega)
             genus = len(template.levels) - 1
             _check_genus_and_degree(genus, diagram.degree)
             ok, clause = validate(diagram, genus, diagram.degree, profile)
@@ -249,41 +252,42 @@ def _check_shape(template: DiagramTemplate, samples: Sequence[int]) -> None:
 
 
 def interpolate(points: Sequence[tuple[int, Fraction]]) -> list[Fraction]:
-    """Monomial coefficients of the unique minimal-degree interpolant,
-    via Newton divided differences over exact rationals."""
-    xs = [Fraction(x) for x, _ in points]
+    """Monomial coefficients of the unique minimal-degree interpolant, in
+    Lagrange form over one integer denominator: basis numerator i is
+    prod_j (x - x_j) divided synthetically by (x - x_i), over the weight
+    prod_{j != i} (x_i - x_j)."""
+    xs = [x for x, _ in points]
+    bad = [x for x in xs if not isinstance(x, int)]
+    if bad:
+        raise ValueError(f"interpolation nodes must be ints, got {bad}")
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    dd = [Fraction(y) for _, y in points]
-    n = len(points)
-    newton = []
-    for level in range(n):
-        newton.append(dd[0])
-        dd = [
-            (dd[i + 1] - dd[i]) / (xs[i + level + 1] - xs[i])
-            for i in range(len(dd) - 1)
-        ]
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    for level in range(n):
-        for k in range(n):
-            coeffs[k] += newton[level] * basis[k]
-        if level < n - 1:
-            shifted = [Fraction(0)] * n
-            for k in range(n - 1):
-                shifted[k + 1] += basis[k]
-                shifted[k] -= xs[level] * basis[k]
-            basis = shifted
+    ys = [Fraction(y) for _, y in points]
+    master = [1]  # coefficients, lowest degree first
+    for xj in xs:
+        master = [a - xj * b for a, b in zip([0, *master], [*master, 0])]
+    dens = [
+        prod(xi - xj for xj in xs if xj != xi) * y.denominator
+        for xi, y in zip(xs, ys)
+    ]
+    den = lcm(*dens)
+    coeffs = [0] * len(xs)
+    for xi, y, d in zip(xs, ys, dens):
+        scale, carry = y.numerator * (den // d), 0
+        for k in range(len(xs) - 1, -1, -1):
+            carry = master[k + 1] + xi * carry
+            coeffs[k] += scale * carry
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
-    return coeffs
+    return [Fraction(c, den) for c in coeffs]
 
 
 def poly_eval(coeffs: Sequence[Fraction], x: int) -> Fraction:
-    acc = Fraction(0)
+    den = lcm(*(c.denominator for c in coeffs))
+    acc = 0
     for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+        acc = acc * x + c.numerator * (den // c.denominator)
+    return Fraction(acc, den)
 
 
 def poly_degree(coeffs: Sequence[Fraction]) -> int:
@@ -358,6 +362,8 @@ def polynomial_fit(
         mod, res = chamber
         if mod < 1:
             raise ValueError(f"chamber modulus must be >= 1, got {mod}")
+        if not 0 <= res < mod:
+            raise ValueError(f"chamber residue {res} lies outside [0, {mod})")
         bad = [w for w in samples if w % mod != res]
         if bad:
             raise ValueError(f"samples {bad} lie outside chamber {chamber}")

@@ -598,6 +598,13 @@ BAD_ARGUMENTS = {
     "chamber 2": (
         ["polyfit", "--template", "{chain}", "--delta", "1", "--chamber", "2",
          "--samples", "1,2,3,4,5,6"], "bad chamber '2'"),
+    "chamber residue negative": (
+        ["polyfit", "--template", "{chain}", "--delta", "1",
+         "--chamber=2:-2", "--samples", "2,4,6"],
+        "chamber residue -2 lies outside [0, 2)"),
+    "chamber residue above modulus": (
+        ["polyfit", "--template", "{chain}", "--delta", "1", "--chamber",
+         "2:5", "--samples", "1,3,5"], "chamber residue 5 lies outside [0, 2)"),
     "samples not above holdout": (
         ["polyfit", "--template", "{chain}", "--delta", "1", "--samples",
          "2,4", "--holdout", "2"], "need more samples than holdout points"),

@@ -23,7 +23,7 @@ from corgw.lattice import (
     Sublattice, enumerate_sublattices, oracle_local_invariant, torsion_image,
 )
 from corgw.polyfit import (
-    CoordinateFit, DiagramTemplate, PolyFitReport, interpolate,
+    CoordinateFit, DiagramTemplate, PolyFitReport, interpolate, polynomial_fit,
 )
 from corgw.qseries import GASeries
 from corgw.refined import bold_sigma, local_invariant
@@ -287,6 +287,8 @@ def test_value_constructor_binds_fields(build, message):
 
 # Input checks of the library functions, each with the message it raises.
 DENSE_UNIT = GroupAlgebraElement.unit(2)
+CHAIN_TEMPLATE = DiagramTemplate(
+    (Floor(1), Flat()), ((BOTTOM, 0), (0, 1), (1, TOP)))
 INPUT_CHECKS = {
     "sigma_bar(0, 1)": (
         lambda: sigma_bar(0, 1), "sigma_bar expects positive arguments"),
@@ -338,6 +340,18 @@ INPUT_CHECKS = {
     "interpolate([(1, 1), (1, 2)])": (
         lambda: interpolate([(1, 1), (1, 2)]),
         "interpolation nodes must be distinct"),
+    "interpolate at a Fraction node": (
+        lambda: interpolate([(0, 1), (Fraction(1, 2), 2)]),
+        "interpolation nodes must be ints, got [Fraction(1, 2)]"),
+    "interpolate at a float node": (
+        lambda: interpolate([(1.5, 1)]),
+        "interpolation nodes must be ints, got [1.5]"),
+    "polynomial_fit chamber residue -1": (
+        lambda: polynomial_fit(CHAIN_TEMPLATE, 1, [1, 3, 5], [7], (2, -1)),
+        "chamber residue -1 lies outside [0, 2)"),
+    "polynomial_fit chamber residue 5": (
+        lambda: polynomial_fit(CHAIN_TEMPLATE, 1, [1, 3, 5], [7], (2, 5)),
+        "chamber residue 5 lies outside [0, 2)"),
 }
 
 

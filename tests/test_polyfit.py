@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -246,14 +247,22 @@ def test_gamma_defining_identity_delta12():
 
 
 def test_route_equivalence():
+    # At composite delta the samples are multiples of delta, so the
+    # weightings fall into several buckets gcd(delta, omega), and each
+    # gamma_d sums every bucket that d divides.
+    cases = [(delta, w) for delta in (1, 2) for w in (2, 4, 6, 8)] + [
+        (delta, k * delta) for delta in (3, 4, 6, 12) for k in (1, 2, 3)
+    ]
+    gcds = {delta: set() for delta, _ in cases}
     for a1, a2 in ((1, 1), (1, 2), (2, 2)):
         t = second_kind_template(a1, a2)
-        for w in (2, 4, 6, 8):
-            for delta in (1, 2):
-                p = TangencyProfile((w, -w))
-                assert invariant_by_template(t, p, delta) == direct_sum_over_weightings(
-                    t, p, delta
-                )
+        for delta, w in cases:
+            p = TangencyProfile((w, -w))
+            gcds[delta] |= {math.gcd(delta, *omega) for omega in weightings(t, p)}
+            assert invariant_by_template(t, p, delta) == direct_sum_over_weightings(
+                t, p, delta
+            )
+    assert all(gcds[delta] == set(divisors(delta)) for delta in gcds)
 
 
 def test_templates_rebuild_full_invariant():
@@ -273,6 +282,63 @@ def test_templates_rebuild_full_invariant():
         from corgw.diagrams import invariant
 
         assert total == invariant(g, a, p, delta)
+
+
+def newton_interpolate(points):
+    """Reference interpolant: Newton divided differences over Fractions,
+    expanded to monomial coefficients, trailing zeros stripped."""
+    xs = [Fraction(x) for x, _ in points]
+    dd = [Fraction(y) for _, y in points]
+    n = len(points)
+    newton = []
+    for level in range(n):
+        newton.append(dd[0])
+        dd = [
+            (dd[i + 1] - dd[i]) / (xs[i + level + 1] - xs[i])
+            for i in range(len(dd) - 1)
+        ]
+    coeffs = [Fraction(0)] * n
+    basis = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for level in range(n):
+        for k in range(n):
+            coeffs[k] += newton[level] * basis[k]
+        if level < n - 1:
+            shifted = [Fraction(0)] * n
+            for k in range(n - 1):
+                shifted[k + 1] += basis[k]
+                shifted[k] -= xs[level] * basis[k]
+            basis = shifted
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_interpolate_matches_newton_reference():
+    rng = random.Random(20)
+    for _ in range(1200):
+        n = rng.randint(1, 12)
+        # Distinct nodes, negative and unevenly spaced.
+        xs = rng.sample(range(-40, 41), n)
+        ys = [
+            Fraction(rng.randint(-60, 60), rng.choice((1, 1, 2, 3, 7, 12, 35)))
+            for _ in xs
+        ]
+        if rng.random() < 0.2:
+            ys = [Fraction(0)] * n  # the zero polynomial keeps one zero
+        points = list(zip(xs, ys))
+        coeffs = interpolate(points)
+        assert coeffs == newton_interpolate(points)
+        assert all(type(c) is Fraction for c in coeffs)
+        assert all(poly_eval(coeffs, x) == y for x, y in points)
+        for x in (-3, 0, 5, 101):
+            assert poly_eval(coeffs, x) == horner(coeffs, x)
 
 
 def test_interpolate_and_eval():

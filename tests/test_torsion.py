@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import pickle
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corgw.refined import bold_sigma
 from corgw.torsion import (
     GroupAlgebraElement,
     ProjectorElement,
@@ -168,6 +170,24 @@ def test_json_round_trip():
     assert data["terms"] == sorted(data["terms"], key=lambda t: (t["u"], t["v"]))
     assert all(t["den"] > 0 for t in data["terms"])
     assert all(math.gcd(abs(t["num"]), t["den"]) == 1 for t in data["terms"])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GroupAlgebraElement.zero(5),
+    lambda: ProjectorElement.zero(5),
+    lambda: GroupAlgebraElement.unit(1),
+    lambda: ProjectorElement.unit(1) * Fraction(-7, 3),
+    lambda: GroupAlgebraElement(
+        8, {(7, 0): Fraction(-3, 4), (0, 0): -2, (1, 5): Fraction(22, 7)}),
+    lambda: ProjectorElement(12, {2: Fraction(-3, 4), 3: 5, 12: -1}),
+    lambda: bold_sigma(24, 200),
+    lambda: bold_sigma(24, 200).to_dense(),
+], ids=["dense zero", "projector zero", "dense delta 1", "projector delta 1",
+        "dense signed", "projector signed", "bold_sigma(24, 200)",
+        "bold_sigma(24, 200) dense"])
+def test_to_json_is_compact_dumps(build):
+    x = build()
+    assert x.to_json() == json.dumps(x.to_json_dict(), separators=(",", ":"))
 
 
 small_delta = st.sampled_from([1, 2, 3, 4, 6, 12])
