@@ -17,13 +17,13 @@ class Frozen:
     """Base of the package's immutable value classes.
 
     The fields are the ``__slots__`` of the nearest class that declares
-    non-empty ones.  ``__init__`` takes them in that order, positionally or
-    by name (TypeError when one is missing, unknown or given twice), and
-    ``__reduce__`` hands them back in it; a subclass that checks or
-    normalises its arguments ends its own ``__init__`` in one
-    ``super().__init__(...)``.  Later assignment raises AttributeError.
-    Equality (same class, equal fields), the hash and the
-    ``Name(field=value, ...)`` repr read the fields.
+    non-empty ones.  ``__init__`` takes exactly one value per field, in that
+    order and positionally (TypeError otherwise), and ``__reduce__`` hands
+    them back in it; a subclass that checks or normalises its arguments
+    ends its own ``__init__`` in one ``super().__init__(...)``.  Later
+    assignment raises AttributeError.  Equality (same class, equal
+    fields), the hash and the ``Name(field=value, ...)`` repr read the
+    fields.
 
     The value classes are written out by hand on this base rather than
     generated by the standard library's class decorator: loading that
@@ -40,21 +40,13 @@ class Frozen:
         if cls.__slots__:
             cls._fields = cls.__slots__
 
-    def __init__(self, *args, **kwargs) -> None:
-        fields, name = self._fields, type(self).__qualname__
-        if len(args) > len(fields):
-            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
-        values = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields:
-                raise TypeError(f"{name} has no field {key!r}")
-            if key in values:
-                raise TypeError(f"{name} got field {key!r} twice")
-            values[key] = value
-        for key in fields:
-            if key not in values:
-                raise TypeError(f"{name} is missing field {key!r}")
-            object.__setattr__(self, key, values[key])
+    def __init__(self, *values) -> None:
+        fields = self._fields
+        if len(values) != len(fields):
+            name = type(self).__qualname__
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(values)}")
+        for key, value in zip(fields, values):
+            object.__setattr__(self, key, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -40,14 +40,24 @@ def _want_json(args) -> bool:
     return not sys.stdout.isatty()
 
 
+def _parse_ints(
+    text: str, name: str, sep: str = ",", count: int | None = None
+) -> tuple[int, ...]:
+    """The ints of a sep-separated option value, exactly count of them when
+    count is given; otherwise ValueError "bad <name> '<text>'"."""
+    try:
+        values = tuple(int(tok) for tok in text.split(sep))
+    except ValueError as exc:
+        raise ValueError(f"bad {name} {text!r}") from exc
+    if count is not None and len(values) != count:
+        raise ValueError(f"bad {name} {text!r}")
+    return values
+
+
 def _parse_profile(text: str):
     from .diagrams import TangencyProfile
 
-    try:
-        weights = tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad profile {text!r}") from exc
-    return TangencyProfile(weights)
+    return TangencyProfile(_parse_ints(text, "profile"))
 
 
 def _emit_element(x: GroupAlgebraElement | ProjectorElement, args):
@@ -71,13 +81,7 @@ def _emit_element(x: GroupAlgebraElement | ProjectorElement, args):
 def cmd_local(args) -> int:
     from . import refined
 
-    shift = None
-    if args.shift:
-        try:
-            u, v = (int(t) for t in args.shift.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad shift {args.shift!r}") from exc
-        shift = (u, v)
+    shift = _parse_ints(args.shift, "shift", count=2) if args.shift else None
     x = refined.local_invariant(args.a, args.w1, args.n, args.delta, shift)
     _emit_element(x, args)
     return EXIT_OK
@@ -165,17 +169,8 @@ def cmd_polyfit(args) -> int:
             template = polyfit.DiagramTemplate.from_json(fh.read())
     except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot load template: {exc}") from exc
-    chamber = None
-    if args.chamber:
-        try:
-            mod, res = (int(t) for t in args.chamber.split(":"))
-        except ValueError as exc:
-            raise ValueError(f"bad chamber {args.chamber!r}") from exc
-        chamber = (mod, res)
-    try:
-        samples = [int(t) for t in args.samples.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"bad samples {args.samples!r}") from exc
+    chamber = _parse_ints(args.chamber, "chamber", ":", 2) if args.chamber else None
+    samples = _parse_ints(args.samples, "samples")
     k = args.holdout
     if k < 1:
         raise ValueError(f"--holdout must be >= 1, got {k}")

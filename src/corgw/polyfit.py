@@ -340,10 +340,10 @@ def polynomial_fit(
     points of the two-end profile (w, -w), checks the interpolant's degree
     against the structural bound (monomial degree plus flow dimension), and
     validates it exactly on the held-out points.  Both point lists must be
-    non-empty, samples must be >= 1, no sample may appear twice (within a
-    list or across them), and the template, weighted at the first sample
-    that admits a weighting, must be a valid floor diagram; otherwise the
-    fit would pass vacuously.
+    non-empty, samples must be >= 1 and multiples of delta >= 1, no sample
+    may appear twice (within a list or across them), and the template,
+    weighted at the first sample that admits a weighting, must be a valid
+    floor diagram; otherwise the fit would pass vacuously.
     """
     if not fit_ws or not holdout_ws:
         raise ValueError("need at least one fit and one holdout sample")
@@ -367,6 +367,11 @@ def polynomial_fit(
         bad = [w for w in samples if w % mod != res]
         if bad:
             raise ValueError(f"samples {bad} lie outside chamber {chamber}")
+    if delta < 1:
+        raise ValueError(f"delta must be >= 1, got {delta}")
+    bad = [w for w in samples if w % delta]
+    if bad:
+        raise ValueError(f"samples {bad} are not multiples of delta={delta}")
     _check_shape(template, samples)
     bound = template.monomial_degree + flow_degrees_of_freedom(template)
 
@@ -389,20 +394,7 @@ def polynomial_fit(
             for w in holdout_ws
         )
         ok = ok and good
-        fits.append(
-            CoordinateFit(
-                divisor=d,
-                coeffs=tuple(coeffs),
-                degree=degree,
-                holdout_ok=good,
-            )
-        )
+        fits.append(CoordinateFit(d, tuple(coeffs), degree, good))
     return PolyFitReport(
-        ok=ok,
-        delta=delta,
-        chamber=chamber,
-        degree_bound=bound,
-        fit_points=tuple(fit_ws),
-        holdout_points=tuple(holdout_ws),
-        coordinates=tuple(fits),
+        ok, delta, chamber, bound, tuple(fit_ws), tuple(holdout_ws), tuple(fits)
     )

@@ -23,17 +23,15 @@ from functools import reduce
 from .arith import Frozen
 from .diagrams import FloorDiagram, TangencyProfile, _class_structures, invariant
 from .refined import bold_sigma
-from .torsion import GroupAlgebraElement, ProjectorElement
+from .torsion import ProjectorElement
 
 
 class GASeries(Frozen):
-    """Truncated q-series with group-algebra coefficients for q^1..q^N."""
+    """Truncated q-series with ProjectorElement coefficients for q^1..q^N."""
 
     __slots__ = ("delta", "coeffs")
 
-    def __init__(
-        self, delta: int, coeffs: tuple[ProjectorElement | GroupAlgebraElement, ...]
-    ) -> None:
+    def __init__(self, delta: int, coeffs: tuple[ProjectorElement, ...]) -> None:
         for c in coeffs:
             if c.delta != delta:
                 raise ValueError("coefficient level mismatch")
@@ -43,7 +41,7 @@ class GASeries(Frozen):
     def truncation(self) -> int:
         return len(self.coeffs)
 
-    def coefficient(self, a: int) -> ProjectorElement | GroupAlgebraElement:
+    def coefficient(self, a: int) -> ProjectorElement:
         """Coefficient of q^a, 1-indexed."""
         return self.coeffs[a - 1]
 
@@ -52,16 +50,11 @@ class GASeries(Frozen):
         if self.delta != other.delta or self.truncation != other.truncation:
             raise ValueError("series shape mismatch")
         n = self.truncation
-        # Zeros of the coefficients' own type, projector or dense.
-        out = [c * 0 for c in self.coeffs]
+        out = [ProjectorElement(self.delta)] * n
         for i in range(1, n + 1):
             x = self.coeffs[i - 1]
-            if not x:
-                continue
             for j in range(1, n - i + 1):
-                y = other.coeffs[j - 1]
-                if y:
-                    out[i + j - 1] = out[i + j - 1] + x * y
+                out[i + j - 1] = out[i + j - 1] + x * other.coeffs[j - 1]
         return GASeries(self.delta, tuple(out))
 
 

@@ -14,10 +14,13 @@ characters chi_m, m | delta, which turn the product into a pointwise one
 in place of the dense convolution.  Of the level changes it needs only
 unrefine: a division average of a product taken at a lower level is the
 same product at the ambient level times a projector (see
-diagrams._floor_core).  The dense :class:`GroupAlgebraElement` stays the
-reference implementation, with divide and rebase; both types share one
-read-only dense surface (coefficients, support, JSON, equality), so
-output does not depend on the representation.
+diagrams._floor_core).  unrefine and theta_coordinates read a
+ProjectorElement.  The dense :class:`GroupAlgebraElement` stays the
+reference implementation, with m_push, divide and rebase, and carries the
+shifted counts of translate.  The two types do not mix in arithmetic: a
+sum or product of one of each raises TypeError.  Both share one read-only
+dense surface (coefficients, support, JSON, equality, also across the
+types), so output does not depend on the representation.
 
 Values are stored exactly, as a Python int when integral and as a
 Fraction only when not: covers are counted and the characters of the
@@ -121,8 +124,9 @@ class GroupAlgebraElement(_DenseSurface):
     """Finitely supported Q-valued function on (Z/delta)^2.
 
     Zero coefficients are never stored.  Instances are immutable; all
-    arithmetic returns new elements.  `x * y` is convolution when y is an
-    element and scaling when y is an int or Fraction.
+    arithmetic returns new elements.  `x + y` needs a dense y; `x * y` is
+    convolution when y is a dense element and scaling when y is an int or
+    Fraction.
     """
 
     __slots__ = ("delta", "_terms")
@@ -175,16 +179,14 @@ class GroupAlgebraElement(_DenseSurface):
 
     # -- linear structure ----------------------------------------------
 
-    def __add__(self, other: _DenseSurface) -> "GroupAlgebraElement":
-        if not isinstance(other, _DenseSurface):
+    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         _check_level(self, other)
         terms = dict(self._terms)
         for k, c in other.items():
             terms[k] = terms.get(k, 0) + c
         return GroupAlgebraElement(self.delta, terms)
-
-    __radd__ = __add__  # a projector element on the left defers here
 
     def __mul__(self, other):
         if isinstance(other, GroupAlgebraElement):
@@ -305,22 +307,21 @@ def theta(delta: int, d: int) -> GroupAlgebraElement:
     )
 
 
-def unrefine(x: GroupAlgebraElement, new_delta: int) -> GroupAlgebraElement:
-    """Push x along multiplication by delta/new_delta and restrict the level.
+def unrefine(x: ProjectorElement, new_delta: int) -> ProjectorElement:
+    """Push x along multiplication by k = delta/new_delta and restrict the
+    level to new_delta: chi_m of the result reads chi_(mk).
 
     This is the coarsening that relates refinements at nested levels:
-    unrefine(bold_sigma(delta, a), delta') = bold_sigma(delta', a).  On a
-    ProjectorElement, chi_m of the result reads chi_(mk), k = delta/new_delta.
+    unrefine(bold_sigma(delta, a), delta') = bold_sigma(delta', a).  On the
+    dense map it is x.to_dense().m_push(k).rebase(new_delta).
     """
     if new_delta < 1 or x.delta % new_delta:
         raise ValueError(
             f"unrefine expects a positive new_delta | delta, got {new_delta}, {x.delta}"
         )
     k = x.delta // new_delta
-    if isinstance(x, ProjectorElement):
-        chi = {m // k: c for m, c in x._chi.items() if m % k == 0}
-        return ProjectorElement._from_chi(new_delta, chi)
-    return x.m_push(k).rebase(new_delta)
+    chi = {m // k: c for m, c in x._chi.items() if m % k == 0}
+    return ProjectorElement._from_chi(new_delta, chi)
 
 
 class ProjectorElement(_DenseSurface):
@@ -492,24 +493,7 @@ class ProjectorElement(_DenseSurface):
         return self.to_dense().translate(u0, v0)
 
 
-def theta_coordinates(x: _DenseSurface) -> dict[int, Fraction]:
-    """Coordinates of x in the projector basis theta(delta, d), d | delta.
-
-    The one conversion from a dense element into the basis: solved
-    largest divisor first from coefficients at points of exact order;
-    raises ValueError when x is not in the projector span.
-    """
-    if isinstance(x, ProjectorElement):
-        return {d: Fraction(c) for d, c in x._coords().items()}
-    delta = x.delta
-    coords: dict[int, Fraction] = {}
-    for d in reversed(divisors(delta)):
-        # (delta/d, 0) has order exactly d.
-        val = x.coefficient(delta // d, 0)
-        for e, c in coords.items():
-            if e % d == 0:
-                val -= c / (e * e)
-        coords[d] = val * d * d
-    if ProjectorElement(delta, coords) != x:
-        raise ValueError("element is not in the span of the projectors")
-    return coords
+def theta_coordinates(x: ProjectorElement) -> dict[int, Fraction]:
+    """Coordinates c_d of x in the projector basis theta(delta, d), for
+    every d | delta, as Fractions: one Moebius inversion of the characters."""
+    return {d: Fraction(c) for d, c in x._coords().items()}

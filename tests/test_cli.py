@@ -595,6 +595,9 @@ BAD_ARGUMENTS = {
     "shift 1,x": (
         ["local", "--a", "2", "--w1", "2", "--n", "2", "--delta", "2",
          "--shift", "1,x"], "bad shift '1,x'"),
+    "shift 1,2,3": (
+        ["local", "--a", "2", "--w1", "2", "--n", "2", "--delta", "2",
+         "--shift", "1,2,3"], "bad shift '1,2,3'"),
     "chamber 2": (
         ["polyfit", "--template", "{chain}", "--delta", "1", "--chamber", "2",
          "--samples", "1,2,3,4,5,6"], "bad chamber '2'"),
@@ -614,6 +617,12 @@ BAD_ARGUMENTS = {
     "fit sample twice": (
         ["polyfit", "--template", "{chain}", "--delta", "1", "--samples",
          "2,2,4,6,8,10,12"], "fit samples [2] are repeated"),
+    "polyfit delta 0": (
+        ["polyfit", "--template", "{chain}", "--delta", "0", "--samples",
+         "1,2,3,4"], "delta must be >= 1, got 0"),
+    "samples off delta": (
+        ["polyfit", "--template", "{chain}", "--delta", "2", "--samples",
+         "1,2,3,4"], "samples [1, 3] are not multiples of delta=2"),
     "local n 1": (
         ["local", "--a", "2", "--w1", "2", "--n", "1", "--delta", "2"],
         "local_invariant expects n >= 2, got 1"),

@@ -861,3 +861,39 @@ def test_invariant_order_dependence():
                 r = point_order(delta, u, v)
                 by_order.setdefault(r, set()).add(x.coefficient(u, v))
         assert all(len(vals) == 1 for vals in by_order.values())
+
+
+def reflect(diagram: FloorDiagram) -> FloorDiagram:
+    """The diagram turned upside down: levels reversed, each edge (lo, hi, w)
+    sent to (R(hi), R(lo), w), where R swaps BOTTOM and TOP and sends level
+    i to n - 1 - i."""
+    n = len(diagram.levels)
+
+    def r(end):
+        return {BOTTOM: TOP, TOP: BOTTOM}[end] if end in (BOTTOM, TOP) else n - 1 - end
+
+    edges = tuple(Edge(r(e.hi), r(e.lo), e.w) for e in diagram.edges)
+    return FloorDiagram(diagram.levels[::-1], edges)
+
+
+@pytest.mark.parametrize(
+    "genus,weights",
+    list(STRUCTURE_DIGESTS)
+    + [(g, w) for g, _a, w in BRUTE_FORCE_CASES]
+    + [(3, (2, 1, -3)), (5, (2, -2)), (3, (3, 3, -2, -2, -2))],
+)
+def test_reflection_duality(genus, weights):
+    # Turning a diagram upside down swaps the sign of its profile, so the
+    # reflection is a bijection between the structures of w and of -w, and
+    # the invariants of the two profiles agree.
+    from corgw.diagrams import _structures
+
+    dual = tuple(-w for w in weights)
+    found = _structures(genus, tuple(sorted(weights)), genus)
+    assert {reflect(s) for s in found} == set(
+        _structures(genus, tuple(sorted(dual)), genus))
+    profile, dual_profile = TangencyProfile(weights), TangencyProfile(dual)
+    for delta in divisors(profile.gcd_abs):
+        for a in (1, 2, 3):
+            assert invariant(genus, a, profile, delta) == invariant(
+                genus, a, dual_profile, delta), (delta, a)

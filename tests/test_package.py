@@ -124,15 +124,16 @@ EDGES = ((BOTTOM, 0), (0, 1), (1, TOP))
 CHAIN = tuple(Edge(lo, hi, 2) for lo, hi in EDGES)
 FIT = CoordinateFit(1, (Fraction(1, 2),), 0, True)
 
-# name -> (positional construction, the same value built with keywords, a
-# different value of the same class).  The keyword forms also exercise the
-# normalisation of the canonical edge order.
+# name -> (positional construction, the same value built again, with
+# keywords where the class's own __init__ takes them, a different value of
+# the same class).  The second forms also exercise the normalisation of the
+# canonical edge order.
 VALUES = {
     "Floor": (lambda: Floor(2), lambda: Floor(a_v=2), lambda: Floor(3)),
     "Flat": (Flat, Flat, lambda: Floor(1)),
     "Edge": (
         lambda: Edge(BOTTOM, 0, 2),
-        lambda: Edge(lo=BOTTOM, hi=0, w=2),
+        lambda: Edge(BOTTOM, 0, 2),
         lambda: Edge(BOTTOM, 0, 4),
     ),
     "TangencyProfile": (
@@ -157,17 +158,12 @@ VALUES = {
     ),
     "CoordinateFit": (
         lambda: CoordinateFit(1, (Fraction(1, 2),), 0, True),
-        lambda: CoordinateFit(
-            divisor=1, coeffs=(Fraction(1, 2),), degree=0, holdout_ok=True
-        ),
+        lambda: CoordinateFit(1, (Fraction(1, 2),), 0, True),
         lambda: CoordinateFit(1, (Fraction(1, 2),), 0, False),
     ),
     "PolyFitReport": (
         lambda: PolyFitReport(True, 2, (2, 0), 9, (2, 4), (6,), (FIT,)),
-        lambda: PolyFitReport(
-            ok=True, delta=2, chamber=(2, 0), degree_bound=9, fit_points=(2, 4),
-            holdout_points=(6,), coordinates=(FIT,),
-        ),
+        lambda: PolyFitReport(True, 2, (2, 0), 9, (2, 4), (6,), (FIT,)),
         lambda: PolyFitReport(True, 2, None, 9, (2, 4), (6,), (FIT,)),
     ),
     "GASeries": (
@@ -274,15 +270,16 @@ def test_value_checks_raise(build):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: Edge(BOTTOM, 0), "Edge is missing field 'w'"),
-    (lambda: Edge(BOTTOM, 0, 2, w=2), "Edge got field 'w' twice"),
-    (lambda: Edge(BOTTOM, 0, 2, x=1), "Edge has no field 'x'"),
+    (lambda: Edge(BOTTOM, 0), "Edge takes 3 fields, got 2"),
+    (lambda: Edge(BOTTOM, 0, 2, 2), "Edge takes 3 fields, got 4"),
     (lambda: Flat(1), "Flat takes 0 fields, got 1"),
-], ids=["missing", "twice", "unknown", "too many"])
+    (lambda: Edge(lo=BOTTOM, hi=0, w=2), None),
+], ids=["missing", "extra", "too many", "keyword"])
 def test_value_constructor_binds_fields(build, message):
     with pytest.raises(TypeError) as info:
         build()
-    assert str(info.value) == message
+    if message is not None:
+        assert str(info.value) == message
 
 
 # Input checks of the library functions, each with the message it raises.
@@ -352,6 +349,12 @@ INPUT_CHECKS = {
     "polynomial_fit chamber residue 5": (
         lambda: polynomial_fit(CHAIN_TEMPLATE, 1, [1, 3, 5], [7], (2, 5)),
         "chamber residue 5 lies outside [0, 2)"),
+    "polynomial_fit delta 0": (
+        lambda: polynomial_fit(CHAIN_TEMPLATE, 0, [1, 2, 3], [4]),
+        "delta must be >= 1, got 0"),
+    "polynomial_fit samples off delta": (
+        lambda: polynomial_fit(CHAIN_TEMPLATE, 2, [1, 2, 3], [4]),
+        "samples [1, 3] are not multiples of delta=2"),
 }
 
 

@@ -32,11 +32,13 @@ from corgw.polyfit import (
 from corgw.refined import bold_sigma
 from corgw.torsion import (
     GroupAlgebraElement,
+    ProjectorElement,
     convolve,
     theta,
     theta_coordinates,
 )
 from test_diagrams import BRUTE_FORCE_CASES, STRUCTURE_DIGESTS
+from test_torsion import dense_theta_coordinates
 
 
 def template_of(diagram: FloorDiagram) -> DiagramTemplate:
@@ -211,7 +213,7 @@ def test_gamma_coeffs_prime_and_identity():
         assert phi1 == scal * theta(delta, delta)
         # defining identity: partial sums reproduce the level-e floor core
         for e in divisors(delta):
-            acc = GroupAlgebraElement.zero(delta)
+            acc = ProjectorElement.zero(delta)
             for d in divisors(e):
                 acc = acc + gam[d]
             core = GroupAlgebraElement.unit(e)
@@ -237,7 +239,7 @@ def test_gamma_defining_identity_delta12():
     t = chain_template(2)
     gam = gamma_coeffs(t, 12)
     for e in divisors(12):
-        acc = GroupAlgebraElement.zero(12)
+        acc = ProjectorElement.zero(12)
         for d in divisors(e):
             acc = acc + gam[d]
         core = GroupAlgebraElement.unit(e)
@@ -271,7 +273,7 @@ def test_templates_rebuild_full_invariant():
     for (g, a, w, delta) in ((2, 2, 2, 2), (3, 2, 2, 2), (2, 3, 4, 2), (1, 2, 6, 3)):
         p = TangencyProfile((w, -w))
         seen = set()
-        total = GroupAlgebraElement.zero(delta)
+        total = ProjectorElement.zero(delta)
         for d in enumerate_diagrams(g, a, p):
             t = template_of(d)
             key = t.to_json()
@@ -352,12 +354,17 @@ def test_interpolate_and_eval():
 
 
 def test_theta_coordinates():
-    x = 3 * theta(6, 2) + Fraction(1, 2) * theta(6, 3) - 2 * theta(6, 1)
-    coords = theta_coordinates(x)
-    assert coords[2] == 3 and coords[3] == Fraction(1, 2) and coords[1] == -2
-    assert coords[6] == 0
+    def basis(d):
+        return ProjectorElement(6, {d: 1})
+
+    x = 3 * basis(2) + Fraction(1, 2) * basis(3) - 2 * basis(1)
+    dense = 3 * theta(6, 2) + Fraction(1, 2) * theta(6, 3) - 2 * theta(6, 1)
+    assert x == dense
+    for coords in (theta_coordinates(x), dense_theta_coordinates(dense)):
+        assert coords[2] == 3 and coords[3] == Fraction(1, 2) and coords[1] == -2
+        assert coords[6] == 0
     with pytest.raises(ValueError):
-        theta_coordinates(GroupAlgebraElement(6, {(1, 0): 1}))
+        dense_theta_coordinates(GroupAlgebraElement(6, {(1, 0): 1}))
 
 
 def test_flow_degrees_of_freedom():

@@ -15,6 +15,7 @@ from corgw.qseries import (
 )
 from corgw.refined import bold_sigma, local_invariant
 from corgw.torsion import GroupAlgebraElement, ProjectorElement, theta
+from test_torsion import dense_theta_coordinates
 
 
 def test_sigma_series_examples():
@@ -64,12 +65,12 @@ def test_invariant_series_matches_pointwise():
 
 
 def test_gaseries_algebra():
-    one = GroupAlgebraElement.unit(1)
+    one = ProjectorElement.unit(1)
     s = GASeries(1, (1 * one, 2 * one, 3 * one))
     t = GASeries(1, (1 * one, 0 * one, 0 * one))
     st = s.cauchy(t)
     # coefficient of q^2 is 1*1, of q^3 is 2*1
-    assert st.coefficient(1) == GroupAlgebraElement.zero(1)
+    assert st.coefficient(1) == ProjectorElement.zero(1)
     assert st.coefficient(2) == one
     assert st.coefficient(3) == 2 * one
 
@@ -144,7 +145,7 @@ def series_by_templates(genus, profile, delta, truncation):
     """Reference for the template route: each template's own Cauchy chain of
     blocks, lifted to level delta and scaled by its W, added one template at
     a time."""
-    total = [ProjectorElement.zero(delta)] * truncation
+    total = [GroupAlgebraElement.zero(delta)] * truncation
     for rep in templates_for(genus, profile):
         delta_t = rep.delta_gcd(delta)
         prod = None
@@ -180,7 +181,8 @@ def test_template_route_equals_sum_over_templates(genus, weights, delta):
     ref = series_by_templates(genus, profile, delta, 8)
     templates = templates_for(genus, profile)
     assert _template_route(templates, delta, 8) == ref
-    got, mismatch = factorization_check(genus, profile, GASeries(delta, tuple(ref)))
+    coeffs = tuple(ProjectorElement(delta, dense_theta_coordinates(x)) for x in ref)
+    got, mismatch = factorization_check(genus, profile, GASeries(delta, coeffs))
     assert got == templates and mismatch is None
 
 

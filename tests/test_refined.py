@@ -22,6 +22,7 @@ from corgw.refined import (
 )
 from corgw.torsion import (
     GroupAlgebraElement,
+    ProjectorElement,
     convolve,
     point_order,
     theta,
@@ -86,7 +87,7 @@ def test_theta_delta_d_picks_out_sigma_bar():
 def test_theta_delta_d_partition_of_unity():
     # the differences telescope back to the full projector average
     for delta in (2, 4, 6, 12):
-        total = GroupAlgebraElement.zero(delta)
+        total = ProjectorElement.zero(delta)
         for d in divisors(delta):
             total = total + theta_delta_d(delta, d)
         assert total == theta(delta, 1)
@@ -216,7 +217,7 @@ def test_route_agreement_grid():
     lambda: theta(6, -1),
     lambda: theta(6, -2),
     lambda: theta(6, 0),
-    lambda: unrefine(theta(4, 2), 0),
+    lambda: unrefine(ProjectorElement(4, {2: 1}), 0),
     lambda: theta_delta_d(4, 0),
     lambda: upsilon(4, 0, 3),
     lambda: s_delta_order(4, 0, 3),
