@@ -105,11 +105,19 @@ def divisors(n: int) -> list[int]:
 
 def _over_primes(term, *ns: int) -> int:
     """Product of term(p, v_p(n) for each n in ns) over the primes p that
-    divide one of ns: the value of a multiplicative function of ns."""
-    vals = [dict(factorize(n)) for n in ns]
+    divide one of ns: the value of a multiplicative function of ns, read
+    straight off the factorize tuples."""
     out = 1
-    for p in set().union(*vals):
-        out *= term(p, *[v.get(p, 0) for v in vals])
+    if len(ns) == 1:
+        for p, e in factorize(ns[0]):
+            out *= term(p, e)
+        return out
+    rows: dict[int, list[int]] = {}
+    for k, n in enumerate(ns):
+        for p, e in factorize(n):
+            rows.setdefault(p, [0] * len(ns))[k] = e
+    for p, row in rows.items():
+        out *= term(p, *row)
     return out
 
 
@@ -200,19 +208,17 @@ def s_via_lattice(delta: int, a: int) -> int:
     """
     if delta < 1 or a < 1:
         raise ValueError("s_via_lattice expects positive arguments")
-    total = 0
-    for k in range(1, isqrt(a) + 1):
-        if a % (k * k) == 0:
-            total += gcd(k, delta) * gcd(a // k, delta) * dedekind_psi(a // (k * k))
-    return total
+    return sum(
+        gcd(k, delta) * gcd(a // k, delta) * dedekind_psi(a // (k * k))
+        for k in range(1, isqrt(a) + 1) if a % (k * k) == 0
+    )
 
 
 def _s_pp(p: int, d: int, alpha: int) -> int:
     # s_{p^d}(p^alpha) = sum_{j=0..d} J2(p^j) sigma_bar^{p^j}(p^alpha)
-    total = 0
-    for j in range(min(d, alpha) + 1):
-        total += jordan2(p**j) * _sigma_bar_pp(p, j, alpha)
-    return total
+    return sum(
+        jordan2(p**j) * _sigma_bar_pp(p, j, alpha) for j in range(min(d, alpha) + 1)
+    )
 
 
 def s_delta_order(delta: int, r: int, a: int) -> int:

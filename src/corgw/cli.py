@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from typing import TYPE_CHECKING
 
-from .torsion import GroupAlgebraElement, ProjectorElement, point_order
-
-# The other layers are imported by the subcommands that use them, so a job
-# loads only what it needs.
+# Each subcommand imports the layers it uses, so a job loads only what it needs.
+if TYPE_CHECKING:
+    from .torsion import GroupAlgebraElement, ProjectorElement
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -40,14 +41,21 @@ def _want_json(args) -> bool:
     return not sys.stdout.isatty()
 
 
+def _int(text: str) -> int:
+    """An optional sign and ASCII digits as an int; int() also reads "1_0", " 1"."""
+    if re.fullmatch("[+-]?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_ints(
     text: str, name: str, sep: str = ",", count: int | None = None
 ) -> tuple[int, ...]:
     """The ints of a sep-separated option value, exactly count of them when
     count is given; otherwise ValueError "bad <name> '<text>'"."""
     try:
-        values = tuple(int(tok) for tok in text.split(sep))
-    except ValueError as exc:
+        values = tuple(_int(tok) for tok in text.split(sep))
+    except argparse.ArgumentTypeError as exc:
         raise ValueError(f"bad {name} {text!r}") from exc
     if count is not None and len(values) != count:
         raise ValueError(f"bad {name} {text!r}")
@@ -61,6 +69,8 @@ def _parse_profile(text: str):
 
 
 def _emit_element(x: GroupAlgebraElement | ProjectorElement, args):
+    from .torsion import point_order
+
     if _want_json(args):
         payload = x.to_json_dict()
         mass = x.total_mass
@@ -207,10 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("local", help="refined local invariant")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--w1", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--a", type=_int, required=True)
+    p.add_argument("--w1", type=_int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--delta", type=_int, required=True)
     p.add_argument(
         "--shift", type=str, default=None,
         help="u,v correlator shift; write one starting with a minus sign "
@@ -220,15 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_local)
 
     p = sub.add_parser("oracle-verify", help="closed form vs sublattice oracle")
-    p.add_argument("--a-max", type=int, required=True)
-    p.add_argument("--delta-max", type=int, required=True)
+    p.add_argument("--a-max", type=_int, required=True)
+    p.add_argument("--delta-max", type=_int, required=True)
     p.set_defaults(func=cmd_oracle_verify)
 
     p = sub.add_parser("diagrams", help="floor diagram enumeration")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--g", type=_int, required=True)
+    p.add_argument("--a", type=_int, required=True)
     p.add_argument("--profile", type=str, required=True, help=_PROFILE_HELP)
-    p.add_argument("--delta", type=int, default=None)
+    p.add_argument("--delta", type=_int, default=None)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--list", action="store_true")
     mode.add_argument("--count", action="store_true")
@@ -237,19 +247,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagrams)
 
     p = sub.add_parser("series", help="invariant series CSV")
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--g", type=_int, required=True)
     p.add_argument("--profile", type=str, required=True, help=_PROFILE_HELP)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--n-trunc", type=int, required=True)
+    p.add_argument("--delta", type=_int, required=True)
+    p.add_argument("--n-trunc", type=_int, required=True)
     p.add_argument("--check-factorization", action="store_true")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("polyfit", help="exact per-template polynomial fit")
     p.add_argument("--template", type=str, required=True, help="template JSON file")
-    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--delta", type=_int, required=True)
     p.add_argument("--chamber", type=str, default=None, help="modulus:residue")
     p.add_argument("--samples", type=str, required=True, help="comma-separated w")
-    p.add_argument("--holdout", type=int, default=2)
+    p.add_argument("--holdout", type=_int, default=2)
     p.set_defaults(func=cmd_polyfit)
 
     return parser

@@ -29,19 +29,19 @@ import json
 from collections import Counter
 from functools import lru_cache
 from math import comb, gcd, prod
-from typing import Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 from .arith import Frozen, divisors
-from .refined import bold_sigma
-from .torsion import ProjectorElement
+
+# refined and torsion are imported where used, so the structure modes load neither.
+if TYPE_CHECKING:
+    from .torsion import ProjectorElement
 
 BOTTOM = "B"
 TOP = "T"
 
 # Most levels a diagram may have: the searches recurse once per level.
 MAX_LEVELS = 500
-
-Endpoint = Union[int, str]
 
 
 class Floor(Frozen):
@@ -99,10 +99,7 @@ class TangencyProfile(Frozen):
 
     @property
     def gcd_abs(self) -> int:
-        g = 0
-        for w in self.weights:
-            g = gcd(g, abs(w))
-        return g
+        return gcd(*self.weights)
 
     def check_delta(self, delta: int) -> None:
         """Raise unless the torsion level delta >= 1 divides the profile gcd."""
@@ -129,7 +126,7 @@ def _level_from_json(lv: dict) -> LevelNode:
     raise ValueError(f"unknown level kind {lv['kind']!r}")
 
 
-def _pos(endpoint: Endpoint, n_levels: int) -> int:
+def _pos(endpoint: int | str, n_levels: int) -> int:
     if endpoint == BOTTOM:
         return -1
     if endpoint == TOP:
@@ -192,10 +189,7 @@ class FloorDiagram(Frozen):
         return _floor_multiset(labels, self.floor_valencies)
 
     def delta_gcd(self, delta: int) -> int:
-        g = delta
-        for e in self.edges:
-            g = gcd(g, e.w)
-        return g
+        return gcd(delta, *[e.w for e in self.edges])
 
     @property
     def bounded_edges(self) -> tuple[Edge, ...]:
@@ -222,19 +216,18 @@ class FloorDiagram(Frozen):
 
     # -- graph structure ------------------------------------------------
 
-    def _vertices_and_edges(self):
-        """Vertices as tags; each infinite end is its own univalent vertex."""
-        verts = [("L", i) for i in range(len(self.levels))]
+    def _vertices_and_edges(self) -> tuple[int, list[tuple[int, int]]]:
+        """Vertex count and edges as id pairs: levels 0..n-1, then one per end."""
+        n = len(self.levels)
         pairs = []
-        for idx, e in enumerate(self.edges):
-            lo = ("L", e.lo) if isinstance(e.lo, int) else ("B", idx)
-            hi = ("L", e.hi) if isinstance(e.hi, int) else ("T", idx)
-            if lo[0] == "B":
-                verts.append(lo)
-            if hi[0] == "T":
-                verts.append(hi)
+        for e in self.edges:
+            lo, hi = e.lo, e.hi
+            if lo == BOTTOM:
+                lo, n = n, n + 1
+            if hi == TOP:
+                hi, n = n, n + 1
             pairs.append((lo, hi))
-        return verts, pairs
+        return n, pairs
 
     # -- serialization ----------------------------------------------------
 
@@ -250,8 +243,9 @@ class FloorDiagram(Frozen):
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
-def _components(verts, pairs) -> dict:
-    parent = {v: v for v in verts}
+def _components(n: int, pairs) -> list[int]:
+    """Union-find on the vertices 0..n-1: the root of each vertex."""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -263,10 +257,7 @@ def _components(verts, pairs) -> dict:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    groups: dict = {}
-    for v in verts:
-        groups.setdefault(find(v), []).append(v)
-    return groups
+    return [find(v) for v in range(n)]
 
 
 # -- validation ----------------------------------------------------------
@@ -298,25 +289,26 @@ def _structural_check(levels: tuple, edges: tuple[Edge, ...]) -> None:
             raise ValueError(f"edge {e} must go strictly upward")
 
 
-def _blocks(adj: dict) -> list[set]:
-    """Vertex sets of the biconnected blocks of a simple graph.
+def _blocks(adj: list[set]) -> list[set]:
+    """Vertex sets of the biconnected blocks of a simple graph, adj[v] the
+    neighbours of vertex v.
 
     Iterative depth-first search with low points (Hopcroft-Tarjan), linear
     in the size of the graph.  A bridge is a block of two vertices.
     """
-    depth: dict = {}
-    low: dict = {}
+    depth = [-1] * len(adj)
+    low = depth[:]
     blocks = []
-    for root in adj:
-        if root in depth:
+    for root in range(len(adj)):
+        if depth[root] >= 0:
             continue
         depth[root] = low[root] = 0
         visited = [root]
-        stack = [(root, None, iter(adj[root]))]
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, parent, it = stack[-1]
             for w in it:
-                if w not in depth:
+                if depth[w] < 0:
                     depth[w] = low[w] = depth[v] + 1
                     visited.append(w)
                     stack.append((w, v, iter(adj[w])))
@@ -325,7 +317,7 @@ def _blocks(adj: dict) -> list[set]:
                     low[v] = min(low[v], depth[w])
             else:
                 stack.pop()
-                if parent is None:
+                if parent < 0:
                     continue
                 low[parent] = min(low[parent], low[v])
                 if low[v] >= depth[parent]:
@@ -339,26 +331,21 @@ def _blocks(adj: dict) -> list[set]:
     return blocks
 
 
-def _has_two_flat_cycle(diagram: FloorDiagram, pairs=None) -> bool:
-    """True when some simple cycle passes through two distinct flat vertices.
+def _has_two_flat_cycle(n: int, pairs, flats: set) -> bool:
+    """True when some simple cycle of the graph on the vertices 0..n-1 with
+    edges pairs passes through two distinct vertices of flats.
 
-    Parallel edges are collapsed and every infinite end is its own univalent
-    vertex.  Two vertices lie on a common simple cycle exactly when they
-    share a block with at least three vertices (Whitney/Menger).  pairs is
-    the edge list of _vertices_and_edges, rebuilt when not given.
+    Parallel edges are collapsed.  Two vertices lie on a common simple
+    cycle exactly when they share a block with at least three vertices
+    (Whitney/Menger).
     """
-    flats = {("L", i) for i in diagram.flat_indices}
     if len(flats) < 2:
         return False
-    if pairs is None:
-        _, pairs = diagram._vertices_and_edges()
-    adj: dict = {}
+    adj: list[set] = [set() for _ in range(n)]
     for a, b in pairs:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return any(
-        len(block) >= 3 and len(block & flats) >= 2 for block in _blocks(adj)
-    )
+        adj[a].add(b)
+        adj[b].add(a)
+    return any(len(block) >= 3 and len(block & flats) >= 2 for block in _blocks(adj))
 
 
 def validate(
@@ -413,13 +400,12 @@ def validate(
 
     # No cross-flow clause: balancing and the profile fix every gap's flow at b.
 
-    verts, pairs = diagram._vertices_and_edges()
-    n_comps = len(_components(verts, pairs))
-    if n_comps > 1:
+    n_verts, pairs = diagram._vertices_and_edges()
+    if len(set(_components(n_verts, pairs))) > 1:
         return False, "connectivity"
 
     # Graph genus with floors counted once: first Betti number + #floors.
-    b1 = len(pairs) - len(verts) + n_comps
+    b1 = len(pairs) - n_verts + 1
     if b1 + n_levels - len(flats) != genus:
         return False, "genus"
 
@@ -428,23 +414,22 @@ def validate(
 
     # Forest condition: delete flats (edges to them become stubs); every
     # remaining component must be acyclic with exactly one infinite end.
-    # A graph is a forest iff #edges = #vertices - #components.
+    # A graph is a forest iff #edges = #vertices - #components.  The ends
+    # are the vertices from n_levels on; each flat stays a lone root.
     flat_set = set(flats)
-    keep = [v for v in verts if not (v[0] == "L" and v[1] in flat_set)]
-    kept = set(keep)
-    keep_pairs = [(a, b) for a, b in pairs if a in kept and b in kept]
-    comps = _components(keep, keep_pairs)
-    if len(keep_pairs) != len(keep) - len(comps):
+    keep_pairs = [(a, b) for a, b in pairs if a not in flat_set and b not in flat_set]
+    roots = _components(n_verts, keep_pairs)
+    kept = {r for v, r in enumerate(roots) if v not in flat_set}
+    if len(keep_pairs) != n_verts - len(flats) - len(kept):
         return False, "forest: cycle avoiding all flats"
-    for members in comps.values():
-        if sum(v[0] != "L" for v in members) != 1:
-            return False, "forest: component without a unique infinite end"
+    if sorted(roots[n_levels:]) != sorted(kept):
+        return False, "forest: component without a unique infinite end"
 
     # Every cycle must carry exactly one flat vertex.  Cycles with none are
     # already excluded above; cycles through two or more flats have all
     # their fiber chains pinned by point constraints, leave no gluing
     # parameter, and contribute zero.
-    if _has_two_flat_cycle(diagram, pairs):
+    if _has_two_flat_cycle(n_verts, pairs, flat_set):
         return False, "cycle through two flat vertices"
 
     return True, None
@@ -462,6 +447,9 @@ def _floor_core(delta: int, delta_d: int, floors: tuple[tuple[int, int], ...]):
     chi_(m/k)(bold_sigma(delta_d, a)) = chi_m(bold_sigma(delta, a)), that is
     theta(delta, k) times the same product at level delta, computed here.
     """
+    from .refined import bold_sigma
+    from .torsion import ProjectorElement
+
     core = ProjectorElement(delta, {delta // delta_d: 1})
     for a_v, val in floors:
         core = core * (a_v ** (val - 1) * bold_sigma(delta, a_v))
@@ -597,11 +585,13 @@ def _structures(
       component whose surplus is still positive.  Once the closing floor has
       joined every component, counting vertices and edges shows that the
       surpluses add up to the levels left, so that needs no test.
+    - Two flats on a cycle: cycles close only at a floor that takes a second
+      edge from one component.  There a block of the partial graph with three
+      or more vertices and two flats cuts the branch; later levels only add.
 
-    Completed candidates still pass through validate, where only the
-    two-flat-cycle clause can still reject them.  Distinct branches differ
-    in the in-edges or the out-weights of the level where they part, so
-    they build distinct diagrams.
+    Completed candidates still pass through validate.  Distinct branches
+    differ in the in-edges or the out-weights of the level where they part,
+    so they build distinct diagrams.
     """
     profile = TangencyProfile(weights)
     n_levels = len(profile.weights) + genus - 1
@@ -719,6 +709,13 @@ def _structures(
                         surplus[root2[o]] += c
                 if min(surplus.values()) < 0:
                     continue
+            if cycles and _has_two_flat_cycle(
+                level + 1,
+                [(e.lo, e.hi) for e in edges if e.lo != BOTTOM]
+                + [(o, level) for _w, o in taken if o != BOTTOM],
+                {i for i, lv in enumerate(levels) if lv is _FLAT},
+            ):
+                continue
             levels.append(_FLOOR)
             edges.extend(Edge(o, level, w) for w, o in taken)
             if left:
@@ -758,10 +755,7 @@ def _structures(
             levels.pop()
             edges.pop()
 
-    init_open: dict = {}
-    for w in profile.sources:
-        init_open[(w, BOTTOM)] = init_open.get((w, BOTTOM), 0) + 1
-    search(0, init_open, {}, genus, {}, {})
+    search(0, dict(Counter((w, BOTTOM) for w in profile.sources)), {}, genus, {}, {})
     return tuple(results)
 
 
@@ -822,6 +816,9 @@ def count_diagrams(genus: int, degree: int, profile: TangencyProfile) -> int:
 def _invariant_cached(
     genus: int, degree: int, weights: tuple[int, ...], delta: int
 ) -> ProjectorElement:
+    from .refined import bold_sigma
+    from .torsion import ProjectorElement
+
     # Integer tallies first.  A labelling of a structure pairs the labels
     # with the floor valencies in level order; over all compositions of the
     # class the paired multisets do not depend on that order, so structures

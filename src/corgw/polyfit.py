@@ -144,9 +144,7 @@ def _weightings(
     for src in set(permutations(profile.sources)):
         for snk in set(permutations(profile.sinks)):
             omega = [0] * len(template.edges)
-            for j, w in zip(bottom_cols, src):
-                omega[j] = w
-            for j, w in zip(top_cols, snk):
+            for j, w in zip(bottom_cols + top_cols, src + snk):
                 omega[j] = w
             yield from propagate(0, omega)
 
@@ -173,13 +171,10 @@ def _gammas(
 ) -> tuple[tuple[int, ProjectorElement], ...]:
     floors = template.floor_info
     gammas: dict[int, ProjectorElement] = {}
+    zero = ProjectorElement.zero(delta)
     for e in divisors(delta):
-        phi = _floor_core(delta, e, floors)
-        acc = ProjectorElement.zero(delta)
-        for d in divisors(e):
-            if d != e:
-                acc = acc + gammas[d]
-        gammas[e] = phi - acc
+        lower = [gammas[d] for d in divisors(e) if d != e]
+        gammas[e] = _floor_core(delta, e, floors) - sum(lower, zero)
     return tuple(gammas.items())
 
 
@@ -211,10 +206,9 @@ def direct_sum_over_weightings(
     template: DiagramTemplate, profile: TangencyProfile, delta: int
 ) -> ProjectorElement:
     """Reference route: sum of diagram multiplicities over all weightings."""
-    total = ProjectorElement.zero(delta)
-    for omega in weightings(template, profile):
-        total = total + multiplicity(template.with_weights(omega), delta)
-    return total
+    zero = ProjectorElement.zero(delta)
+    omegas = weightings(template, profile)
+    return sum((multiplicity(template.with_weights(w), delta) for w in omegas), zero)
 
 
 def flow_degrees_of_freedom(template: DiagramTemplate) -> int:
@@ -227,8 +221,8 @@ def flow_degrees_of_freedom(template: DiagramTemplate) -> int:
     """
     bounded = template.bounded_edges
     n = len(template.levels)
-    comps = _components(range(n), [(e.lo, e.hi) for e in bounded])
-    return len(bounded) - n + len(comps)
+    roots = _components(n, [(e.lo, e.hi) for e in bounded])
+    return len(bounded) - n + len(set(roots))
 
 
 def _check_shape(template: DiagramTemplate, samples: Sequence[int]) -> None:

@@ -71,12 +71,8 @@ def invariant_series(
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     profile.check_delta(delta)
-    return GASeries(
-        delta,
-        tuple(
-            invariant(genus, a, profile, delta) for a in range(1, truncation + 1)
-        ),
-    )
+    coeffs = [invariant(genus, a, profile, delta) for a in range(1, truncation + 1)]
+    return GASeries(delta, tuple(coeffs))
 
 
 def templates_for(genus: int, profile: TangencyProfile) -> list[FloorDiagram]:
@@ -156,9 +152,6 @@ def write_series_csv(series: GASeries, fh) -> None:
     writer.writerow(["a"] + [f"({u},{v})" for u, v in support])
     for a in range(1, series.truncation + 1):
         c = series.coefficient(a)
-        row = [str(a)]
-        for u, v in support:
-            x = c.coefficient(u, v)
-            row.append(f"{x.numerator}/{x.denominator}")
-        writer.writerow(row)
+        cells = [c.coefficient(u, v) for u, v in support]
+        writer.writerow([str(a)] + [f"{x.numerator}/{x.denominator}" for x in cells])
 

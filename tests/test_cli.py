@@ -321,14 +321,38 @@ def test_cli_import_skips_thread_pool():
 
 def test_cli_import_loads_no_layer():
     # Each subcommand imports the layers it needs when it runs.
-    layers = ["corgw.diagrams", "corgw.lattice", "corgw.polyfit", "corgw.qseries"]
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, corgw.cli; print([m for m in {layers!r} if m in sys.modules])"],
+         "import sys, corgw.cli; print(sorted(m for m in sys.modules "
+         "if m.startswith('corgw.')))"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "['corgw.cli']\n"
+
+
+ALGEBRA = ["corgw.refined", "corgw.torsion", "fractions"]
+
+
+@pytest.mark.parametrize("mode,loaded", [
+    ("--count", []), ("--list", []), ("--sum", ALGEBRA),
+])
+def test_diagrams_mode_loads_algebra_only_to_sum(mode, loaded):
+    # The structure modes never touch the group algebra, so a cold job
+    # skips compiling it.
+    code = (
+        "import contextlib, io, sys\n"
+        "from corgw.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['diagrams', '--g', '2', '--a', '2', '--profile', "
+        f"'2,-2', '{mode}'])\n"
+        f"print(code, [m for m in {ALGEBRA!r} if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"0 {loaded!r}\n"
 
 
 def test_polyfit_cli(tmp_path):
@@ -629,6 +653,19 @@ BAD_ARGUMENTS = {
     "local a 0": (
         ["local", "--a", "0", "--w1", "2", "--n", "2", "--delta", "2"],
         "local_invariant expects a >= 1 and w1 >= 1"),
+    # Tokens are an optional sign and ASCII digits, nothing int() also reads.
+    "profile underscore": (
+        ["diagrams", "--g", "1", "--a", "1", "--profile", "1_0,-10", "--count"],
+        "bad profile '1_0,-10'"),
+    "profile spaces": (
+        ["diagrams", "--g", "1", "--a", "1", "--profile", " +10,-10 ", "--count"],
+        "bad profile ' +10,-10 '"),
+    "shift arabic-indic digit": (
+        ["local", "--a", "2", "--w1", "2", "--n", "2", "--delta", "2",
+         "--shift", "\u0663,1"], "bad shift '\u0663,1'"),
+    "samples underscore": (
+        ["polyfit", "--template", "{chain}", "--delta", "1", "--samples",
+         "1,2,3,4_0"], "bad samples '1,2,3,4_0'"),
 }
 
 
@@ -641,6 +678,39 @@ def test_bad_arguments_exit_2(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {message}" in captured.err
+
+
+# An integer option reads an optional sign and ASCII digits only; argparse
+# exits 2 and names the option.
+BAD_INT_OPTIONS = [
+    (["diagrams", "--g", "1_0", "--a", "1", "--profile", "10,-10", "--count"],
+     "--g", "1_0"),
+    (["diagrams", "--g", "1", "--a", " 1", "--profile", "10,-10", "--count"],
+     "--a", " 1"),
+    (["local", "--a", "2", "--w1", "2", "--n", "2", "--delta", "\u0663"],
+     "--delta", "\u0663"),
+    (["series", "--g", "2", "--profile", "2,-2", "--delta", "2",
+      "--n-trunc", "1e1"], "--n-trunc", "1e1"),
+    (["oracle-verify", "--a-max", "2", "--delta-max", "+-2"], "--delta-max", "+-2"),
+]
+
+
+@pytest.mark.parametrize("argv,option,value", BAD_INT_OPTIONS)
+def test_bad_int_option_exit_2(argv, option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {option}: invalid int value: {value!r}" in captured.err
+
+
+def test_signed_int_options_accepted(capsys):
+    # A plus sign and leading zeros are still an integer.
+    assert main(["diagrams", "--g", "1", "--a", "1", "--profile", "2,-2"]) == 0
+    want = capsys.readouterr().out
+    assert main(["diagrams", "--g", "+1", "--a", "01", "--profile", "+2,-02"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_unexpected_exception_exit_1(monkeypatch, capsys):

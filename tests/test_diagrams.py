@@ -702,10 +702,15 @@ def _simple_paths(adj, x, y):
 
 
 def two_flat_cycle_by_paths(diagram):
+    """two_flat_cycle_in_graph on the graph of a diagram."""
+    _, pairs = diagram._vertices_and_edges()
+    return two_flat_cycle_in_graph(pairs, diagram.flat_indices)
+
+
+def two_flat_cycle_in_graph(pairs, flats):
     """Reference for _has_two_flat_cycle: two flats share a simple cycle iff
     two paths between them have disjoint interiors.  Exponential time."""
-    flats = [("L", i) for i in diagram.flat_indices]
-    _, pairs = diagram._vertices_and_edges()
+    flats = sorted(flats)
     adj = {}
     for a, b in pairs:
         adj.setdefault(a, set()).add(b)
@@ -721,10 +726,20 @@ def two_flat_cycle_by_paths(diagram):
     return False
 
 
-def _structure_candidates(genus, weights, monkeypatch, max_floors):
-    """Every diagram the structure search hands to validate."""
+def has_two_flat_cycle(diagram):
+    """_has_two_flat_cycle on the graph of a diagram, as validate calls it."""
+    from corgw.diagrams import _has_two_flat_cycle
+
+    n, pairs = diagram._vertices_and_edges()
+    return _has_two_flat_cycle(n, pairs, set(diagram.flat_indices))
+
+
+def _structure_candidates(genus, weights, monkeypatch, max_floors, block_tests=None):
+    """Every diagram the structure search hands to validate.  block_tests,
+    when given, collects (pairs, flats, verdict) of every two-flat test,
+    the search's own on partial graphs and validate's."""
     from corgw import diagrams
-    from corgw.diagrams import _structures
+    from corgw.diagrams import _has_two_flat_cycle, _structures
 
     built = []
 
@@ -732,7 +747,14 @@ def _structure_candidates(genus, weights, monkeypatch, max_floors):
         built.append(diagram)
         return validate(diagram, *args)
 
+    def block_test(n, pairs, flats):
+        verdict = _has_two_flat_cycle(n, pairs, flats)
+        block_tests.append((list(pairs), set(flats), verdict))
+        return verdict
+
     monkeypatch.setattr(diagrams, "validate", recording)
+    if block_tests is not None:
+        monkeypatch.setattr(diagrams, "_has_two_flat_cycle", block_test)
     _structures.__wrapped__(genus, tuple(sorted(weights)), max_floors)
     monkeypatch.undo()
     return built
@@ -742,35 +764,36 @@ def _structure_candidates(genus, weights, monkeypatch, max_floors):
     "genus,degree,weights", BRUTE_FORCE_CASES + [(3, 2, (2, 2, -2, -2))]
 )
 def test_two_flat_cycle_matches_path_oracle(genus, degree, weights, monkeypatch):
-    from corgw.diagrams import _has_two_flat_cycle
-
     profile = TangencyProfile(weights)
-    built = _structure_candidates(genus, weights, monkeypatch, genus)
+    block_tests = []
+    built = _structure_candidates(genus, weights, monkeypatch, genus, block_tests)
     if (genus, degree, weights) in BRUTE_FORCE_CASES:
         built += list(brute_force_candidates(genus, degree, profile))
     assert built
     for d in built:
-        assert _has_two_flat_cycle(d) == two_flat_cycle_by_paths(d), d.to_json()
+        assert has_two_flat_cycle(d) == two_flat_cycle_by_paths(d), d.to_json()
+    # The search's cut on partial graphs, at the floors that close a cycle.
+    for pairs, flats, verdict in block_tests:
+        assert verdict == two_flat_cycle_in_graph(pairs, flats), (pairs, flats)
 
 
 @pytest.mark.parametrize(
     "genus,weights",
-    list(STRUCTURE_DIGESTS) + [(g, w) for g, _a, w in BRUTE_FORCE_CASES],
+    list(STRUCTURE_DIGESTS) + [(g, w) for g, _a, w in BRUTE_FORCE_CASES]
+    + [(2, (1,) * 8 + (-8,))],
 )
 def test_search_hands_validate_only_two_flat_cycles(genus, weights, monkeypatch):
-    # The search cuts every other clause as it goes; a cycle through two
-    # flats is the one test left to validate.
+    # The search cuts every clause as it goes, a cycle through two flats
+    # where it closes, so validate, still the gate, accepts every candidate.
     profile = TangencyProfile(weights)
     built = _structure_candidates(genus, weights, monkeypatch, genus)
     assert built
     for d in built:
         ok, why = validate(d, genus, len(d.floor_indices), profile)
-        assert ok or why == "cycle through two flat vertices", (why, d.to_json())
+        assert ok, (why, d.to_json())
 
 
 def test_two_flat_cycle_hand_built():
-    from corgw.diagrams import _has_two_flat_cycle
-
     def diagram(levels, edges):
         return FloorDiagram(
             tuple(Floor(1) if c == "F" else Flat() for c in levels),
@@ -796,7 +819,7 @@ def test_two_flat_cycle_hand_built():
                           (2, 3, 1), (3, TOP, 2)]), True),
     ]
     for d, want in cases:
-        assert _has_two_flat_cycle(d) == two_flat_cycle_by_paths(d) == want
+        assert has_two_flat_cycle(d) == two_flat_cycle_by_paths(d) == want
 
 
 def test_cross_flow_on_enumerated():
