@@ -177,7 +177,7 @@ def cmd_polyfit(args) -> int:
     try:
         with open(args.template) as fh:
             template = polyfit.DiagramTemplate.from_json(fh.read())
-    except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, RecursionError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot load template: {exc}") from exc
     chamber = _parse_ints(args.chamber, "chamber", ":", 2) if args.chamber else None
     samples = _parse_ints(args.samples, "samples")

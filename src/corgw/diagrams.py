@@ -8,6 +8,11 @@ tangency profile.  One marked point lives on every floor or flat vertex,
 so a diagram for genus g and an n-end profile has exactly n + g - 1
 ordered levels, one vertex per level.
 
+A diagram is plain integers.  A level is its floor label, or 0 for a flat
+vertex.  An edge endpoint is a position: BOTTOM = -1 for the bottom
+boundary, 0..n-1 for the levels and n for the top.  Only the JSON form names
+the boundaries, as "B" and "T".
+
 The correlated invariant is the sum over all such diagrams of a
 multiplicity with values in the torsion group algebra: a division-average
 of the product of refined divisor sums of the floor labels, times a
@@ -29,7 +34,8 @@ import json
 from collections import Counter
 from functools import lru_cache
 from math import comb, gcd, prod
-from typing import TYPE_CHECKING, Iterator, Union
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterator
 
 from .arith import Frozen, divisors
 
@@ -37,35 +43,15 @@ from .arith import Frozen, divisors
 if TYPE_CHECKING:
     from .torsion import ProjectorElement
 
-BOTTOM = "B"
-TOP = "T"
+BOTTOM = -1
 
 # Most levels a diagram may have: the searches recurse once per level.
 MAX_LEVELS = 500
 
 
-class Floor(Frozen):
-    """Genus-one level carrying the curve-class label a_v >= 1."""
-
-    __slots__ = ("a_v",)
-
-    def __init__(self, a_v: int) -> None:
-        if type(a_v) is not int or a_v < 1:
-            raise ValueError(f"floor label must be an integer >= 1, got {a_v!r}")
-        super().__init__(a_v)
-
-
-class Flat(Frozen):
-    """Marked genus-zero fiber level; bivalent with equal in/out weight."""
-
-    __slots__ = ()
-
-
-LevelNode = Union[Floor, Flat]
-
-
 class Edge(Frozen):
-    """Oriented weighted edge; lo < hi in the order BOTTOM < levels < TOP."""
+    """Weighted edge between the positions BOTTOM <= lo < hi <= n of a
+    diagram with n levels."""
 
     __slots__ = ("lo", "hi", "w")
 
@@ -103,89 +89,63 @@ class TangencyProfile(Frozen):
 
     def check_delta(self, delta: int) -> None:
         """Raise unless the torsion level delta >= 1 divides the profile gcd."""
-        if delta < 1 or self.gcd_abs % delta:
+        if delta < 1:
+            raise ValueError(f"delta must be >= 1, got {delta}")
+        if self.gcd_abs % delta:
             raise ValueError(
                 f"delta={delta} must divide the profile gcd {self.gcd_abs}"
             )
 
 
-def _levels_to_json(levels) -> list[dict]:
-    """JSON form of a level sequence, shared by diagrams and templates."""
-    return [
-        {"kind": "floor", "a": lv.a_v} if isinstance(lv, Floor) else
-        {"kind": "flat"}
-        for lv in levels
-    ]
-
-
-def _level_from_json(lv: dict) -> LevelNode:
-    if lv["kind"] == "floor":
-        return Floor(lv["a"])
-    if lv["kind"] == "flat":
-        return Flat()
-    raise ValueError(f"unknown level kind {lv['kind']!r}")
-
-
-def _pos(endpoint: int | str, n_levels: int) -> int:
-    if endpoint == BOTTOM:
-        return -1
-    if endpoint == TOP:
-        return n_levels
-    return endpoint
-
-
 class FloorDiagram(Frozen):
     __slots__ = ("levels", "edges")
 
-    def __init__(self, levels: tuple[LevelNode, ...], edges: tuple[Edge, ...]) -> None:
+    def __init__(self, levels: tuple[int, ...], edges: tuple[Edge, ...]) -> None:
         # Checked before sorting: the sort key compares endpoints as ints.
         _structural_check(levels, edges)
         # Canonical edge order so that equal diagrams compare equal.
-        n = len(levels)
-        super().__init__(
-            levels,
-            tuple(sorted(edges, key=lambda e: (_pos(e.lo, n), _pos(e.hi, n), e.w))),
-        )
+        super().__init__(levels, tuple(sorted(edges, key=attrgetter("lo", "hi", "w"))))
 
     # -- basic derived data -------------------------------------------
 
     @property
     def floor_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, lv in enumerate(self.levels) if isinstance(lv, Floor))
+        return tuple(i for i, a in enumerate(self.levels) if a)
 
     @property
     def flat_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, lv in enumerate(self.levels) if isinstance(lv, Flat))
+        return tuple(i for i, a in enumerate(self.levels) if not a)
 
     @property
     def degree(self) -> int:
         """Curve class in the elliptic direction: sum of floor labels."""
-        return sum(self.levels[i].a_v for i in self.floor_indices)
+        return sum(self.levels)
 
     def profile(self) -> tuple[int, ...]:
         """Induced tangency multiset, positives for sinks, sorted."""
+        n = len(self.levels)
         out = []
         for e in self.edges:
-            if e.lo == BOTTOM:
+            if e.lo < 0:
                 out.append(-e.w)
-            if e.hi == TOP:
+            if e.hi == n:
                 out.append(e.w)
         return tuple(sorted(out))
 
     @property
     def floor_valencies(self) -> tuple[int, ...]:
         """Valency of each floor, in level order."""
-        val = [0] * len(self.levels)
+        # Slots n and n + 1 (index -1) count the ends at the top and bottom.
+        val = [0] * (len(self.levels) + 2)
         for e in self.edges:
-            for end in (e.lo, e.hi):
-                if isinstance(end, int):
-                    val[end] += 1
+            val[e.lo] += 1
+            val[e.hi] += 1
         return tuple(val[i] for i in self.floor_indices)
 
     @property
     def floor_info(self) -> tuple[tuple[int, int], ...]:
         """Sorted multiset of (label, valency) over the floors."""
-        labels = (self.levels[i].a_v for i in self.floor_indices)
+        labels = (a for a in self.levels if a)
         return _floor_multiset(labels, self.floor_valencies)
 
     def delta_gcd(self, delta: int) -> int:
@@ -194,18 +154,17 @@ class FloorDiagram(Frozen):
     @property
     def bounded_edges(self) -> tuple[Edge, ...]:
         """Edges with both endpoints at levels."""
-        return tuple(
-            e for e in self.edges if isinstance(e.lo, int) and isinstance(e.hi, int)
-        )
+        n = len(self.levels)
+        return tuple(e for e in self.edges if e.lo >= 0 and e.hi < n)
 
     @property
     def edge_exponents(self) -> tuple[int, ...]:
         """Exponent of each edge weight in the weight monomial: one if the
         edge is bounded, plus two if it has no flat endpoint."""
+        n = len(self.levels)
         flats = set(self.flat_indices)
         return tuple(
-            (isinstance(e.lo, int) and isinstance(e.hi, int))
-            + 2 * (e.lo not in flats and e.hi not in flats)
+            (e.lo >= 0 and e.hi < n) + 2 * (e.lo not in flats and e.hi not in flats)
             for e in self.edges
         )
 
@@ -218,13 +177,13 @@ class FloorDiagram(Frozen):
 
     def _vertices_and_edges(self) -> tuple[int, list[tuple[int, int]]]:
         """Vertex count and edges as id pairs: levels 0..n-1, then one per end."""
-        n = len(self.levels)
+        top = n = len(self.levels)
         pairs = []
         for e in self.edges:
             lo, hi = e.lo, e.hi
-            if lo == BOTTOM:
+            if lo < 0:
                 lo, n = n, n + 1
-            if hi == TOP:
+            if hi == top:
                 hi, n = n, n + 1
             pairs.append((lo, hi))
         return n, pairs
@@ -232,15 +191,54 @@ class FloorDiagram(Frozen):
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """A level is {"kind": "floor", "a": label} or {"kind": "flat"}; an
+        endpoint is a level index, "B" for the bottom or "T" for the top."""
+        name = {BOTTOM: "B", len(self.levels): "T"}
         return {
-            "levels": _levels_to_json(self.levels),
+            "levels": [{"kind": "floor", "a": a} if a else {"kind": "flat"}
+                       for a in self.levels],
             "edges": [
-                {"lo": e.lo, "hi": e.hi, "w": e.w} for e in self.edges
+                {"lo": name.get(e.lo, e.lo), "hi": name.get(e.hi, e.hi), "w": e.w}
+                for e in self.edges
             ],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
+
+
+def _level_from_json(lv: dict) -> int:
+    if lv["kind"] == "flat":
+        return 0
+    if lv["kind"] != "floor":
+        raise ValueError(f"unknown level kind {lv['kind']!r}")
+    if type(lv["a"]) is not int or lv["a"] < 1:
+        raise ValueError(f"floor label must be an integer >= 1, got {lv['a']!r}")
+    return lv["a"]
+
+
+def _from_json(text: str) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Levels and (lo, hi) edge pairs of a diagram's JSON text.
+
+    "B" and "T" read as BOTTOM and the top.  An integer endpoint must be a
+    level index, so neither boundary enters as one, and a floor label must
+    be >= 1, so no flat enters as a floor.  Other endpoints are left to the
+    FloorDiagram check.
+    """
+    data = json.loads(text)
+    levels = tuple(map(_level_from_json, data["levels"]))
+    n = len(levels)
+
+    def end(x):
+        if x == "B":
+            return BOTTOM
+        if x == "T":
+            return n
+        if type(x) is int and not 0 <= x < n:
+            raise ValueError(f"edge endpoint {x} out of range")
+        return x
+
+    return levels, tuple((end(e["lo"]), end(e["hi"])) for e in data["edges"])
 
 
 def _components(n: int, pairs) -> list[int]:
@@ -274,18 +272,18 @@ def _structural_check(levels: tuple, edges: tuple[Edge, ...]) -> None:
     if n == 0:
         raise ValueError("diagram has no levels")
     _check_level_count(n)
+    for a in levels:
+        if type(a) is not int or a < 0:
+            raise ValueError(f"level label must be an integer >= 0, got {a!r}")
     for e in edges:
         for end in (e.lo, e.hi):
-            if type(end) is int:
-                if not 0 <= end < n:
-                    raise ValueError(f"edge endpoint {end} out of range")
-            elif end not in (BOTTOM, TOP):
+            if type(end) is not int:
                 raise ValueError(f"bad endpoint {end!r}")
-        if e.lo == TOP or e.hi == BOTTOM:
-            raise ValueError(f"edge {e} oriented against the level order")
+            if not BOTTOM <= end <= n:
+                raise ValueError(f"edge endpoint {end} out of range")
         if e.w < 1:
             raise ValueError(f"edge weight must be >= 1, got {e.w}")
-        if _pos(e.lo, n) >= _pos(e.hi, n):
+        if e.lo >= e.hi:
             raise ValueError(f"edge {e} must go strictly upward")
 
 
@@ -375,12 +373,12 @@ def validate(
     n_out = [0] * n_levels
     ends = []
     for e in diagram.edges:
-        if e.lo == BOTTOM:
+        if e.lo < 0:
             ends.append(-e.w)
         else:
             net[e.lo] -= e.w
             n_out[e.lo] += 1
-        if e.hi == TOP:
+        if e.hi == n_levels:
             ends.append(e.w)
         else:
             net[e.hi] += e.w
@@ -491,12 +489,6 @@ def _partitions_desc(m: int, cap: int, most: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _class_key(item) -> tuple[int, int]:
-    """Sort key of an open edge class ((weight, origin), count)."""
-    (w, origin), _count = item
-    return w, -1 if origin == BOTTOM else origin
-
-
 def _compositions_asc(total: int, k: int):
     """Ordered k-tuples of positive integers summing to total, lex ascending."""
     if k == 0:
@@ -529,10 +521,6 @@ def _with_parts(open_cnt: dict, parts, level: int) -> dict:
     for p in parts:
         out[(p, level)] = out.get((p, level), 0) + 1
     return out
-
-
-_FLAT = Flat()
-_FLOOR = Floor(1)
 
 
 @lru_cache(maxsize=None)
@@ -600,13 +588,14 @@ def _structures(
     sink_count = Counter(profile.sinks)
     results: list[FloorDiagram] = []
     # The levels placed so far and the edges into them, as stacks.
-    levels: list[LevelNode] = []
+    levels: list[int] = []
     edges: list[Edge] = []
 
     def emit(open_cnt):
-        tops = [Edge(o, TOP, w) for (w, o), c in open_cnt.items() for _ in range(c)]
+        tops = [Edge(o, n_levels, w) for (w, o), c in open_cnt.items()
+                for _ in range(c)]
         diagram = FloorDiagram(tuple(levels), tuple(edges + tops))
-        if validate(diagram, genus, len(diagram.floor_indices), profile)[0]:
+        if validate(diagram, genus, diagram.degree, profile)[0]:
             results.append(diagram)
 
     def missing_sinks(open_cnt):
@@ -625,20 +614,20 @@ def _structures(
     # infinite ends it carries so far.  Components are named by a level;
     # sets of them are bit masks.
     def search(level, open_cnt, comp_of, deficit, floor_root, ends):
-        classes = sorted(open_cnt.items(), key=_class_key)
+        classes = sorted(open_cnt.items())
         last = level == n_levels - 1
         # Flat vertex: pass one open edge through.  Consuming a flat-emitted
         # edge would create a flat-flat edge, impossible at this level count.
         # The deficit here is positive, so the last level takes no flat.
         for wo, _c in [] if last else classes:
             w, origin = wo
-            if origin != BOTTOM and origin not in floor_root:
+            if origin >= 0 and origin not in floor_root:
                 continue
             comp2 = dict(comp_of)
-            comp2[level] = level if origin == BOTTOM else comp_of[origin]
+            comp2[level] = level if origin < 0 else comp_of[origin]
             nxt = _without(open_cnt, (wo,))
             nxt[(w, level)] = 1
-            levels.append(_FLAT)
+            levels.append(0)
             edges.append(Edge(origin, level, w))
             search(level + 1, nxt, comp2, deficit, floor_root, ends)
             levels.pop()
@@ -654,7 +643,7 @@ def _structures(
         for wo, _c in reversed(classes):
             w, origin = wo
             # comp is 0 for an edge from BOTTOM, its own fresh component.
-            if origin == BOTTOM:
+            if origin < 0:
                 comp, fc = 0, None
             else:
                 comp, fc = 1 << comp_of[origin], floor_root.get(origin)
@@ -683,7 +672,7 @@ def _structures(
             choices = grown
 
         n_comps = len(set(comp_of.values())) + sum(
-            c for (_w, o), c in classes if o == BOTTOM
+            c for (_w, o), c in classes if o < 0
         )
         n_open = sum(c for _wo, c in classes)
         for taken, flow, merged, joined, cycles, n_ends, touched in choices[1:]:
@@ -711,12 +700,12 @@ def _structures(
                     continue
             if cycles and _has_two_flat_cycle(
                 level + 1,
-                [(e.lo, e.hi) for e in edges if e.lo != BOTTOM]
-                + [(o, level) for _w, o in taken if o != BOTTOM],
-                {i for i, lv in enumerate(levels) if lv is _FLAT},
+                [(e.lo, e.hi) for e in edges if e.lo >= 0]
+                + [(o, level) for _w, o in taken if o >= 0],
+                {i for i, a in enumerate(levels) if not a},
             ):
                 continue
-            levels.append(_FLOOR)
+            levels.append(1)
             edges.extend(Edge(o, level, w) for w, o in taken)
             if left:
                 most = left + n_sinks - 1 - n_open + len(taken) + n_comps - touched
@@ -740,7 +729,7 @@ def _structures(
         if level == n_levels:
             emit(open_cnt)
             return
-        for wo, _c in sorted(open_cnt.items(), key=_class_key):
+        for wo, _c in sorted(open_cnt.items()):
             w, origin = wo
             fc = floor_root.get(origin)
             if fc is None or not surplus[fc]:
@@ -749,7 +738,7 @@ def _structures(
             surplus2[fc] -= 1
             nxt = _without(open_cnt, (wo,))
             nxt[(w, level)] = 1
-            levels.append(_FLAT)
+            levels.append(0)
             edges.append(Edge(origin, level, w))
             fill(level + 1, nxt, floor_root, surplus2)
             levels.pop()
@@ -797,7 +786,7 @@ def enumerate_diagrams(
         for labels in _compositions_asc(degree, len(idx)):
             levels = list(struct.levels)
             for i, a_v in zip(idx, labels):
-                levels[i] = Floor(a_v)
+                levels[i] = a_v
             out.append(FloorDiagram(tuple(levels), struct.edges))
     return out
 

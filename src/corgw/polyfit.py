@@ -20,7 +20,6 @@ need the full chamber complex, which is out of scope.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -29,8 +28,6 @@ from typing import Iterator, Sequence
 
 from .arith import Frozen, divisors
 from .diagrams import (
-    BOTTOM,
-    TOP,
     Edge,
     FloorDiagram,
     TangencyProfile,
@@ -38,8 +35,7 @@ from .diagrams import (
     _components,
     _compositions_asc,
     _floor_core,
-    _level_from_json,
-    _levels_to_json,
+    _from_json,
     multiplicity,
     validate,
 )
@@ -50,9 +46,9 @@ class DiagramTemplate(FloorDiagram):
     """Floor diagram whose edge weights all read 1, standing for the family
     of its positive weightings; orientation and labels are kept.
 
-    Built from (lo, hi) pairs in the diagram's endpoint syntax, which are
-    checked as a diagram's edges are (ValueError otherwise) and held in its
-    canonical order; its JSON carries no weights.
+    Built from (lo, hi) endpoint pairs, which are checked as a diagram's
+    edges are (ValueError otherwise) and held in its canonical order; its
+    JSON is a diagram's without the weights.
     """
 
     __slots__ = ()
@@ -77,16 +73,14 @@ class DiagramTemplate(FloorDiagram):
         return sum(self.edge_exponents)
 
     def to_json_dict(self) -> dict:
-        return {
-            "levels": _levels_to_json(self.levels),
-            "edges": [{"lo": e.lo, "hi": e.hi} for e in self.edges],
-        }
+        data = super().to_json_dict()
+        for e in data["edges"]:
+            del e["w"]
+        return data
 
     @classmethod
     def from_json(cls, text: str) -> "DiagramTemplate":
-        data = json.loads(text)
-        edges = tuple((e["lo"], e["hi"]) for e in data["edges"])
-        return cls(tuple(_level_from_json(lv) for lv in data["levels"]), edges)
+        return cls(*_from_json(text))
 
 
 def weightings(
@@ -107,14 +101,14 @@ def _weightings(
 ) -> Iterator[tuple[int, ...]]:
     n = len(template.levels)
     bottom_cols, top_cols = [], []
-    # Per level: the edges into it, its bounded out-edges, its edges to TOP.
+    # Per level: the edges into it, its bounded out-edges, its edges to the top.
     in_cols, out_bounded, out_top = ([[] for _ in range(n)] for _ in range(3))
     for j, e in enumerate(template.edges):
-        if e.lo == BOTTOM:
+        if e.lo < 0:
             bottom_cols.append(j)
         else:
-            (out_top if e.hi == TOP else out_bounded)[e.lo].append(j)
-        if e.hi == TOP:
+            (out_top if e.hi == n else out_bounded)[e.lo].append(j)
+        if e.hi == n:
             top_cols.append(j)
         else:
             in_cols[e.hi].append(j)

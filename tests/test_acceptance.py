@@ -21,8 +21,6 @@ from corgw.arith import (
     sigma_bar,
 )
 from corgw.diagrams import (
-    Flat,
-    Floor,
     TangencyProfile,
     enumerate_diagrams,
     invariant,
@@ -146,10 +144,7 @@ def _stripped_templates(w):
     for n_floors in (1, 2, 3):
         for d in enumerate_diagrams(3, n_floors, p):
             stripped = DiagramTemplate(
-                tuple(
-                    Floor(1) if isinstance(lv, Floor) else Flat()
-                    for lv in d.levels
-                ),
+                tuple(min(a, 1) for a in d.levels),
                 tuple((e.lo, e.hi) for e in d.edges),
             )
             out.add(stripped.to_json())
@@ -167,7 +162,7 @@ def test_criterion_07_template_census_and_second_kind():
                 for d in enumerate_diagrams(3, a1 + a2, p):
                     if len(d.floor_indices) != 2:
                         continue
-                    labels = [d.levels[i].a_v for i in d.floor_indices]
+                    labels = [d.levels[i] for i in d.floor_indices]
                     if labels != [a1, a2]:
                         continue
                     flats = set(d.flat_indices)
@@ -214,14 +209,14 @@ def test_criterion_08_factorization_grid():
 
 
 def _second_kind_template(a1, a2, low_flat=True):
-    from corgw.diagrams import BOTTOM, TOP
+    from corgw.diagrams import BOTTOM
 
     if low_flat:
-        levels = (Flat(), Floor(a1), Flat(), Floor(a2))
-        edges = ((BOTTOM, 0), (0, 1), (1, 2), (1, 3), (2, 3), (3, TOP))
+        levels = (0, a1, 0, a2)
+        edges = ((BOTTOM, 0), (0, 1), (1, 2), (1, 3), (2, 3), (3, 4))
     else:
-        levels = (Floor(a1), Flat(), Floor(a2), Flat())
-        edges = ((BOTTOM, 0), (0, 1), (0, 2), (1, 2), (2, 3), (3, TOP))
+        levels = (a1, 0, a2, 0)
+        edges = ((BOTTOM, 0), (0, 1), (0, 2), (1, 2), (2, 3), (3, 4))
     return DiagramTemplate(levels, edges)
 
 

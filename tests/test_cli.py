@@ -283,7 +283,7 @@ def test_series_check_builds_series_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "genus, delta, needle",
-    [("0", "2", "genus"), ("1", "0", "delta=0"), ("1", "3", "delta=3")],
+    [("0", "2", "genus"), ("1", "0", "delta must be >= 1"), ("1", "3", "delta=3")],
 )
 def test_series_truncation_zero_checks_input(genus, delta, needle, capsys):
     # An empty series must not skip the checks: exit 2, nothing on stdout.
@@ -461,6 +461,17 @@ def test_polyfit_malformed_template_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_polyfit_deeply_nested_template_exit_2(tmp_path, capsys):
+    # The JSON reader recurses once per bracket; json.dumps cannot build this.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["polyfit", "--template", str(path), "--delta", "1",
+                 "--samples", "1,2,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: cannot load template: " in captured.err
+
+
 def test_polyfit_wrong_shape_template_exit_2(tmp_path, capsys):
     for i, text in enumerate(("[]", '{"levels": 5, "edges": []}')):
         path = tmp_path / f"shape{i}.json"
@@ -520,6 +531,28 @@ BAD_TEMPLATES = {
                            {"lo": 1, "hi": "T"}]),
         "bad endpoint True",
     ),
+    # An integer endpoint is a level index: -1 and n, the positions of the
+    # boundaries, enter only as "B" and "T".
+    "endpoint -1": (
+        _chain_with(edges=[{"lo": -1, "hi": 0}, {"lo": 0, "hi": 1},
+                           {"lo": 1, "hi": "T"}]),
+        "edge endpoint -1 out of range",
+    ),
+    "endpoint 2 of two levels": (
+        _chain_with(edges=[{"lo": "B", "hi": 0}, {"lo": 0, "hi": 1},
+                           {"lo": 1, "hi": 2}]),
+        "edge endpoint 2 out of range",
+    ),
+    "edge into B": (
+        _chain_with(edges=[{"lo": "B", "hi": 0}, {"lo": 0, "hi": "B"},
+                           {"lo": 0, "hi": 1}, {"lo": 1, "hi": "T"}]),
+        "must go strictly upward",
+    ),
+    "edge out of T": (
+        _chain_with(edges=[{"lo": "B", "hi": 0}, {"lo": "T", "hi": 1},
+                           {"lo": 0, "hi": 1}, {"lo": 1, "hi": "T"}]),
+        "must go strictly upward",
+    ),
     "downward edge": (
         _chain_with(edges=[{"lo": "B", "hi": 0}, {"lo": 1, "hi": 0},
                            {"lo": 1, "hi": "T"}]),
@@ -532,6 +565,11 @@ BAD_TEMPLATES = {
     "float label": (
         _chain_with(levels=[{"kind": "floor", "a": 2.5}, {"kind": "flat"}]),
         "floor label must be an integer >= 1, got 2.5",
+    ),
+    # A flat enters only as {"kind": "flat"}.
+    "label 0": (
+        _chain_with(levels=[{"kind": "floor", "a": 0}, {"kind": "flat"}]),
+        "floor label must be an integer >= 1, got 0",
     ),
     "bool label": (
         _chain_with(levels=[{"kind": "floor", "a": True}, {"kind": "flat"}]),
@@ -613,6 +651,12 @@ BAD_ARGUMENTS = {
     "count class 0": (
         ["diagrams", "--g", "1", "--a", "0", "--profile", "2,-2", "--count"],
         "expected degree >= 1, got 0"),
+    "sum delta 0": (
+        ["diagrams", "--g", "1", "--a", "1", "--profile=2,-2", "--sum",
+         "--delta", "0"], "delta must be >= 1, got 0"),
+    "series delta -1": (
+        ["series", "--g", "1", "--profile=2,-2", "--delta", "-1",
+         "--n-trunc", "2"], "delta must be >= 1, got -1"),
     "sum genus 0": (
         ["diagrams", "--g", "0", "--a", "1", "--profile", "2,-2", "--sum"],
         "expected genus >= 1, got 0"),

@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from corgw.arith import divisors, sigma
 from corgw.diagrams import (
     BOTTOM,
-    TOP,
     Edge,
-    Flat,
-    Floor,
     FloorDiagram,
     TangencyProfile,
     count_diagrams,
@@ -38,10 +35,10 @@ def test_profile_validation():
 
 def chain_g1(w, floor_first=True, a_v=1):
     if floor_first:
-        levels = (Floor(a_v), Flat())
+        levels = (a_v, 0)
     else:
-        levels = (Flat(), Floor(a_v))
-    edges = (Edge(BOTTOM, 0, w), Edge(0, 1, w), Edge(1, TOP, w))
+        levels = (0, a_v)
+    edges = (Edge(BOTTOM, 0, w), Edge(0, 1, w), Edge(1, 2, w))
     return FloorDiagram(levels, edges)
 
 
@@ -51,7 +48,7 @@ def test_validate_g1_examples():
     assert ok, why
     # two flats, no floor: genus comes out 0
     d = FloorDiagram(
-        (Flat(), Flat()), (Edge(BOTTOM, 0, 2), Edge(0, 1, 2), Edge(1, TOP, 2))
+        (0, 0), (Edge(BOTTOM, 0, 2), Edge(0, 1, 2), Edge(1, 2, 2))
     )
     ok, why = validate(d, 1, 1, p)
     assert not ok and why == "genus"
@@ -61,24 +58,24 @@ def second_kind(a1=1, a2=1, w=2, w_flat=1, low_flat=True):
     """Two floors joined by a direct edge and a flat path; genus 3, n=2."""
     w_dir = w - w_flat
     if low_flat:
-        levels = (Flat(), Floor(a1), Flat(), Floor(a2))
+        levels = (0, a1, 0, a2)
         edges = (
             Edge(BOTTOM, 0, w),
             Edge(0, 1, w),
             Edge(1, 3, w_dir),
             Edge(1, 2, w_flat),
             Edge(2, 3, w_flat),
-            Edge(3, TOP, w),
+            Edge(3, 4, w),
         )
     else:
-        levels = (Floor(a1), Flat(), Floor(a2), Flat())
+        levels = (a1, 0, a2, 0)
         edges = (
             Edge(BOTTOM, 0, w),
             Edge(0, 2, w_dir),
             Edge(0, 1, w_flat),
             Edge(1, 2, w_flat),
             Edge(2, 3, w),
-            Edge(3, TOP, w),
+            Edge(3, 4, w),
         )
     return FloorDiagram(levels, edges)
 
@@ -94,14 +91,14 @@ def test_validate_g3_example():
 def test_validate_rejects_pinned_cycle():
     # both branches of the cycle pass through flat vertices: every chain of
     # the cycle is pinned, so the configuration carries no count
-    levels = (Floor(1), Flat(), Flat(), Floor(1))
+    levels = (1, 0, 0, 1)
     edges = (
         Edge(BOTTOM, 0, 2),
         Edge(0, 1, 1),
         Edge(0, 2, 1),
         Edge(1, 3, 1),
         Edge(2, 3, 1),
-        Edge(3, TOP, 2),
+        Edge(3, 4, 2),
     )
     d = FloorDiagram(levels, edges)
     ok, why = validate(d, 3, 2, TangencyProfile((2, -2)))
@@ -109,14 +106,14 @@ def test_validate_rejects_pinned_cycle():
 
 
 def test_validate_rejects_bare_double_edge():
-    levels = (Flat(), Floor(1), Floor(1), Flat())
+    levels = (0, 1, 1, 0)
     edges = (
         Edge(BOTTOM, 0, 2),
         Edge(0, 1, 2),
         Edge(1, 2, 1),
         Edge(1, 2, 1),
         Edge(2, 3, 2),
-        Edge(3, TOP, 2),
+        Edge(3, 4, 2),
     )
     d = FloorDiagram(levels, edges)
     ok, why = validate(d, 3, 2, TangencyProfile((2, -2)))
@@ -126,15 +123,15 @@ def test_validate_rejects_bare_double_edge():
 def test_validate_rejects_disconnected():
     # two chain components; the level count only works out because one
     # component carries a flat-flat edge
-    levels = (Flat(), Floor(1), Flat(), Flat(), Floor(1))
+    levels = (0, 1, 0, 0, 1)
     edges = (
         Edge(BOTTOM, 0, 2),
         Edge(0, 1, 2),
-        Edge(1, TOP, 2),
+        Edge(1, 5, 2),
         Edge(BOTTOM, 2, 2),
         Edge(2, 3, 2),
         Edge(3, 4, 2),
-        Edge(4, TOP, 2),
+        Edge(4, 5, 2),
     )
     d = FloorDiagram(levels, edges)
     ok, why = validate(d, 2, 2, TangencyProfile((2, 2, -2, -2)))
@@ -143,51 +140,51 @@ def test_validate_rejects_disconnected():
 
 def test_validate_malformed_raises():
     with pytest.raises(ValueError):
-        FloorDiagram((Floor(1),), (Edge(BOTTOM, 3, 1),))
+        FloorDiagram((1,), (Edge(BOTTOM, 3, 1),))
     with pytest.raises(ValueError):
-        FloorDiagram((Floor(1),), (Edge(0, 0, 1),))
+        FloorDiagram((1,), (Edge(0, 0, 1),))
     with pytest.raises(ValueError):
-        FloorDiagram((Floor(1),), (Edge(BOTTOM, 0, 0),))
+        FloorDiagram((1,), (Edge(BOTTOM, 0, 0),))
     with pytest.raises(ValueError):
-        Floor(0)
+        FloorDiagram((-1,), (Edge(BOTTOM, 0, 1),))
 
 
 def _hand_built(levels, edges):
     """Diagram from a level string ("F" floor of label 1, "-" flat) and
     (lo, hi, w) triples."""
     return FloorDiagram(
-        tuple(Floor(1) if c == "F" else Flat() for c in levels),
+        tuple(int(c == "F") for c in levels),
         tuple(Edge(lo, hi, w) for lo, hi, w in edges),
     )
 
 
-CHAIN = [(BOTTOM, 0, 2), (0, 1, 2), (1, TOP, 2)]
+CHAIN = [(BOTTOM, 0, 2), (0, 1, 2), (1, 2, 2)]
 
 # clause -> (levels, edges, genus, degree, profile): the first clause each
 # hand-built diagram violates.
 VALIDATE_CLAUSES = {
     "level-count": ("F-", CHAIN, 2, 1, (2, -2)),
     "balancing at level 0": (
-        "F-", [(BOTTOM, 0, 2), (0, 1, 1), (1, TOP, 1)], 1, 1, (2, -2)),
+        "F-", [(BOTTOM, 0, 2), (0, 1, 1), (1, 2, 1)], 1, 1, (2, -2)),
     "flat bivalency at level 1": (
-        "F-", [(BOTTOM, 0, 2), (0, 1, 1), (0, 1, 1), (1, TOP, 2)], 1, 1, (2, -2)),
+        "F-", [(BOTTOM, 0, 2), (0, 1, 1), (0, 1, 1), (1, 2, 2)], 1, 1, (2, -2)),
     "tangency profile": (
-        "F-", [(BOTTOM, 0, 3), (0, 1, 3), (1, TOP, 3)], 1, 1, (2, -2)),
+        "F-", [(BOTTOM, 0, 3), (0, 1, 3), (1, 2, 3)], 1, 1, (2, -2)),
     "connectivity": (
-        "-F--F", [(BOTTOM, 0, 2), (0, 1, 2), (1, TOP, 2), (BOTTOM, 2, 2),
-                  (2, 3, 2), (3, 4, 2), (4, TOP, 2)], 2, 2, (2, 2, -2, -2)),
+        "-F--F", [(BOTTOM, 0, 2), (0, 1, 2), (1, 5, 2), (BOTTOM, 2, 2),
+                  (2, 3, 2), (3, 4, 2), (4, 5, 2)], 2, 2, (2, 2, -2, -2)),
     "genus": ("--", CHAIN, 1, 1, (2, -2)),
     "class": ("F-", CHAIN, 1, 2, (2, -2)),
     "forest: cycle avoiding all flats": (
         "-FF-", [(BOTTOM, 0, 2), (0, 1, 2), (1, 2, 1), (1, 2, 1), (2, 3, 2),
-                 (3, TOP, 2)], 3, 2, (2, -2)),
-    # the floor carries both the end from BOTTOM and a direct end to TOP
+                 (3, 4, 2)], 3, 2, (2, -2)),
+    # the floor carries both the end from BOTTOM and a direct end to the top
     "forest: component without a unique infinite end": (
-        "F--", [(BOTTOM, 0, 2), (0, TOP, 1), (0, 1, 1), (1, 2, 1), (2, TOP, 1)],
+        "F--", [(BOTTOM, 0, 2), (0, 3, 1), (0, 1, 1), (1, 2, 1), (2, 3, 1)],
         1, 1, (1, 1, -2)),
     "cycle through two flat vertices": (
         "F--F", [(BOTTOM, 0, 2), (0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1),
-                 (3, TOP, 2)], 3, 2, (2, -2)),
+                 (3, 4, 2)], 3, 2, (2, -2)),
 }
 
 
@@ -244,8 +241,7 @@ def test_enumerate_g1_base():
         p = TangencyProfile((w, -w))
         ds = enumerate_diagrams(1, 1, p)
         assert len(ds) == 2
-        kinds = {tuple(type(lv).__name__ for lv in d.levels) for d in ds}
-        assert kinds == {("Floor", "Flat"), ("Flat", "Floor")}
+        assert {d.levels for d in ds} == {(1, 0), (0, 1)}
 
 
 def test_enumerate_census_g3():
@@ -256,7 +252,7 @@ def test_enumerate_census_g3():
     for n_floors in (1, 2, 3):
         for d in enumerate_diagrams(3, n_floors, p):
             stripped = DiagramTemplate(
-                tuple(Floor(1) if isinstance(lv, Floor) else Flat() for lv in d.levels),
+                tuple(min(a, 1) for a in d.levels),
                 tuple((e.lo, e.hi) for e in d.edges),
             )
             templates.add(stripped.to_json())
@@ -264,11 +260,11 @@ def test_enumerate_census_g3():
 
 
 def test_canonical_key():
-    p_edges = [Edge(BOTTOM, 0, 2), Edge(0, 1, 2), Edge(1, TOP, 2)]
-    d1 = FloorDiagram((Floor(1), Flat()), tuple(p_edges))
-    d2 = FloorDiagram((Floor(1), Flat()), tuple(reversed(p_edges)))
+    p_edges = [Edge(BOTTOM, 0, 2), Edge(0, 1, 2), Edge(1, 2, 2)]
+    d1 = FloorDiagram((1, 0), tuple(p_edges))
+    d2 = FloorDiagram((1, 0), tuple(reversed(p_edges)))
     assert d1.to_json() == d2.to_json()
-    d3 = FloorDiagram((Flat(), Floor(1)), tuple(p_edges))
+    d3 = FloorDiagram((0, 1), tuple(p_edges))
     assert d1.to_json() != d3.to_json()
 
 
@@ -332,14 +328,6 @@ def test_invariant_support_and_stability():
 # -- independent brute-force enumeration ------------------------------------
 
 
-def _pos(endpoint, n):
-    if endpoint == BOTTOM:
-        return -1
-    if endpoint == TOP:
-        return n
-    return endpoint
-
-
 def brute_force_candidates(genus, degree, profile):
     """Every decorated level graph with the right level count, class and
     cross-flow, by exhaustive search over level patterns, floor labels and
@@ -348,14 +336,12 @@ def brute_force_candidates(genus, degree, profile):
     b = profile.b
     slots = [
         (lo, hi)
-        for lo in [BOTTOM] + list(range(L))
-        for hi in list(range(L)) + [TOP]
-        if _pos(lo, L) < _pos(hi, L)
+        for lo in range(BOTTOM, L)
+        for hi in range(L + 1)
+        if lo < hi
     ]
     gaps = list(range(L + 1))
-    crossing = {
-        s: [g for g in gaps if _pos(s[0], L) < g <= _pos(s[1], L)] for s in slots
-    }
+    crossing = {s: [g for g in gaps if s[0] < g <= s[1]] for s in slots}
     last_slot_for_gap = {
         g: max(i for i, s in enumerate(slots) if g in crossing[s]) for g in gaps
     }
@@ -398,10 +384,9 @@ def brute_force_candidates(genus, degree, profile):
                 budgets[g] += total
         return
 
-    level_choices = [[Flat()] + [Floor(a) for a in range(1, degree + 1)]] * L
+    level_choices = [range(degree + 1)] * L
     for pattern in product(*level_choices):
-        floor_sum = sum(lv.a_v for lv in pattern if isinstance(lv, Floor))
-        if floor_sum != degree:
+        if sum(pattern) != degree:
             continue
         for edge_map in assign(0):
             edges = tuple(
@@ -557,9 +542,9 @@ def multiplicity_by_floor_walk(diagram, delta):
     delta_d = diagram.delta_gcd(delta)
     core = ProjectorElement.unit(delta_d)
     for i, level in enumerate(diagram.levels):
-        if isinstance(level, Floor):
+        if level:
             val = sum((e.lo == i) + (e.hi == i) for e in diagram.edges)
-            core = core * (level.a_v ** (val - 1) * bold_sigma(delta_d, level.a_v))
+            core = core * (level ** (val - 1) * bold_sigma(delta_d, level))
     lifted = core.to_dense().rebase(delta).divide(delta // delta_d)
     return lifted * diagram.weight_monomial
 
@@ -796,27 +781,27 @@ def test_search_hands_validate_only_two_flat_cycles(genus, weights, monkeypatch)
 def test_two_flat_cycle_hand_built():
     def diagram(levels, edges):
         return FloorDiagram(
-            tuple(Floor(1) if c == "F" else Flat() for c in levels),
+            tuple(int(c == "F") for c in levels),
             tuple(Edge(lo, hi, w) for lo, hi, w in edges),
         )
 
     cases = [
         # parallel floor-floor edges between two flat-capped floors
         (diagram("-FF-", [(BOTTOM, 0, 2), (0, 1, 2), (1, 2, 1), (1, 2, 1),
-                          (2, 3, 2), (3, TOP, 2)]), False),
+                          (2, 3, 2), (3, 4, 2)]), False),
         # a flat whose two in-edges both come from one floor
         (diagram("F-F-", [(BOTTOM, 0, 2), (0, 1, 1), (0, 1, 1), (1, 2, 2),
-                          (2, 3, 2), (3, TOP, 2)]), False),
+                          (2, 3, 2), (3, 4, 2)]), False),
         # parallel flat-flat edges collapse to one edge: no cycle
         (diagram("F--F", [(BOTTOM, 0, 2), (0, 1, 2), (1, 2, 1), (1, 2, 1),
-                          (2, 3, 2), (3, TOP, 2)]), False),
+                          (2, 3, 2), (3, 4, 2)]), False),
         # two one-flat cycles meeting at a cut floor: different blocks
         (diagram("F-F-F", [(BOTTOM, 0, 2), (0, 1, 1), (0, 2, 1), (1, 2, 1),
-                           (2, 3, 1), (2, 4, 1), (3, 4, 1), (4, TOP, 2)]),
+                           (2, 3, 1), (2, 4, 1), (3, 4, 1), (4, 5, 2)]),
          False),
         # the pinned cycle of test_validate_rejects_pinned_cycle
         (diagram("F--F", [(BOTTOM, 0, 2), (0, 1, 1), (0, 2, 1), (1, 3, 1),
-                          (2, 3, 1), (3, TOP, 2)]), True),
+                          (2, 3, 1), (3, 4, 2)]), True),
     ]
     for d, want in cases:
         assert has_two_flat_cycle(d) == two_flat_cycle_by_paths(d) == want
@@ -827,9 +812,7 @@ def test_cross_flow_on_enumerated():
     for d in enumerate_diagrams(2, 2, p):
         n = len(d.levels)
         for gap in range(n + 1):
-            crossing = sum(
-                e.w for e in d.edges if _pos(e.lo, n) < gap <= _pos(e.hi, n)
-            )
+            crossing = sum(e.w for e in d.edges if e.lo < gap <= e.hi)
             assert crossing == p.b
 
 
@@ -844,18 +827,15 @@ def test_balancing_and_profile_fix_cross_flow(data):
         st.tuples(st.integers(-1, n), st.integers(-1, n), st.integers(1, 3)),
         max_size=8), label="edges")
 
-    def at(p):
-        return BOTTOM if p < 0 else TOP if p == n else p
-
-    edges = [(at(min(p, q)), at(max(p, q)), w) for p, q, w in spans if p != q]
+    edges = [(min(p, q), max(p, q), w) for p, q, w in spans if p != q]
     net = [0] * n
     for lo, hi, w in edges:
-        if lo != BOTTOM:
+        if lo >= 0:
             net[lo] -= w
-        if hi != TOP:
+        if hi < n:
             net[hi] += w
-    # Close every level with an end: surplus to TOP, deficit from BOTTOM.
-    edges += [(i, TOP, f) if f > 0 else (BOTTOM, i, -f)
+    # Close every level with an end: surplus to the top, deficit from BOTTOM.
+    edges += [(i, n, f) if f > 0 else (BOTTOM, i, -f)
               for i, f in enumerate(net) if f]
     d = _hand_built(kinds, edges)
     ends = d.profile()
@@ -865,9 +845,7 @@ def test_balancing_and_profile_fix_cross_flow(data):
     ok, why = validate(d, n - len(ends) + 1, d.degree, profile)
     assert ok or not why.startswith(("level-count", "balancing", "tangency"))
     for gap in range(n + 1):
-        crossing = sum(
-            e.w for e in d.edges if _pos(e.lo, n) < gap <= _pos(e.hi, n)
-        )
+        crossing = sum(e.w for e in d.edges if e.lo < gap <= e.hi)
         assert crossing == profile.b
 
 
@@ -888,14 +866,11 @@ def test_invariant_order_dependence():
 
 def reflect(diagram: FloorDiagram) -> FloorDiagram:
     """The diagram turned upside down: levels reversed, each edge (lo, hi, w)
-    sent to (R(hi), R(lo), w), where R swaps BOTTOM and TOP and sends level
-    i to n - 1 - i."""
+    sent to (R(hi), R(lo), w), where R sends every position x to n - 1 - x:
+    level i to level n - 1 - i, and the bottom -1 and the top n to each
+    other."""
     n = len(diagram.levels)
-
-    def r(end):
-        return {BOTTOM: TOP, TOP: BOTTOM}[end] if end in (BOTTOM, TOP) else n - 1 - end
-
-    edges = tuple(Edge(r(e.hi), r(e.lo), e.w) for e in diagram.edges)
+    edges = tuple(Edge(n - 1 - e.hi, n - 1 - e.lo, e.w) for e in diagram.edges)
     return FloorDiagram(diagram.levels[::-1], edges)
 
 

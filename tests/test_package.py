@@ -16,9 +16,7 @@ from corgw.arith import (
     dedekind_psi, jordan2, s_delta, s_delta_order, s_via_lattice, sigma_bar,
     upsilon,
 )
-from corgw.diagrams import (
-    BOTTOM, TOP, Edge, Flat, Floor, FloorDiagram, TangencyProfile,
-)
+from corgw.diagrams import BOTTOM, Edge, FloorDiagram, TangencyProfile
 from corgw.lattice import (
     Sublattice, enumerate_sublattices, oracle_local_invariant, torsion_image,
 )
@@ -119,8 +117,8 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert proc.stdout == "[]\n"
 
 
-LEVELS = (Floor(1), Flat())
-EDGES = ((BOTTOM, 0), (0, 1), (1, TOP))
+LEVELS = (1, 0)
+EDGES = ((BOTTOM, 0), (0, 1), (1, 2))
 CHAIN = tuple(Edge(lo, hi, 2) for lo, hi in EDGES)
 FIT = CoordinateFit(1, (Fraction(1, 2),), 0, True)
 
@@ -129,8 +127,6 @@ FIT = CoordinateFit(1, (Fraction(1, 2),), 0, True)
 # the same class).  The second forms also exercise the normalisation of the
 # canonical edge order.
 VALUES = {
-    "Floor": (lambda: Floor(2), lambda: Floor(a_v=2), lambda: Floor(3)),
-    "Flat": (Flat, Flat, lambda: Floor(1)),
     "Edge": (
         lambda: Edge(BOTTOM, 0, 2),
         lambda: Edge(BOTTOM, 0, 2),
@@ -144,7 +140,7 @@ VALUES = {
     "FloorDiagram": (
         lambda: FloorDiagram(LEVELS, CHAIN),
         lambda: FloorDiagram(levels=LEVELS, edges=CHAIN[::-1]),
-        lambda: FloorDiagram((Floor(2), Flat()), CHAIN),
+        lambda: FloorDiagram((2, 0), CHAIN),
     ),
     "Sublattice": (
         lambda: Sublattice(2, 1, 3),
@@ -154,7 +150,7 @@ VALUES = {
     "DiagramTemplate": (
         lambda: DiagramTemplate(LEVELS, EDGES),
         lambda: DiagramTemplate(levels=LEVELS, edges=EDGES[::-1]),
-        lambda: DiagramTemplate((Floor(2), Flat()), EDGES),
+        lambda: DiagramTemplate((2, 0), EDGES),
     ),
     "CoordinateFit": (
         lambda: CoordinateFit(1, (Fraction(1, 2),), 0, True),
@@ -175,8 +171,6 @@ VALUES = {
 
 
 FIELDS = {
-    "Floor": ("a_v",),
-    "Flat": (),
     "Edge": ("lo", "hi", "w"),
     "TangencyProfile": ("weights",),
     "FloorDiagram": ("levels", "edges"),
@@ -229,18 +223,16 @@ def test_value_copy_and_pickle(name):
 
 
 def test_value_reprs():
-    assert repr(Flat()) == "Flat()"
-    assert repr(Floor(2)) == "Floor(a_v=2)"
-    assert repr(Edge(BOTTOM, 0, 2)) == "Edge(lo='B', hi=0, w=2)"
+    assert repr(Edge(BOTTOM, 0, 2)) == "Edge(lo=-1, hi=0, w=2)"
     assert repr(Sublattice(2, 1, 3)) == "Sublattice(d1=2, c=1, d2=3)"
     assert repr(TangencyProfile((2, -2))) == "TangencyProfile(weights=(2, -2))"
     assert repr(FloorDiagram(LEVELS, CHAIN[::-1])) == (
-        "FloorDiagram(levels=(Floor(a_v=1), Flat()), edges=(Edge(lo='B', hi=0, "
-        "w=2), Edge(lo=0, hi=1, w=2), Edge(lo=1, hi='T', w=2)))"
+        "FloorDiagram(levels=(1, 0), edges=(Edge(lo=-1, hi=0, w=2), "
+        "Edge(lo=0, hi=1, w=2), Edge(lo=1, hi=2, w=2)))"
     )
     assert repr(DiagramTemplate(LEVELS, EDGES[::-1])) == (
-        "DiagramTemplate(levels=(Floor(a_v=1), Flat()), edges=(Edge(lo='B', "
-        "hi=0, w=1), Edge(lo=0, hi=1, w=1), Edge(lo=1, hi='T', w=1)))"
+        "DiagramTemplate(levels=(1, 0), edges=(Edge(lo=-1, hi=0, w=1), "
+        "Edge(lo=0, hi=1, w=1), Edge(lo=1, hi=2, w=1)))"
     )
     assert repr(FIT) == (
         "CoordinateFit(divisor=1, coeffs=(Fraction(1, 2),), degree=0, "
@@ -249,15 +241,15 @@ def test_value_reprs():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Floor(0),
-    lambda: Floor(1.0),
-    lambda: Floor(True),
+    lambda: FloorDiagram((-1, 0), CHAIN),
+    lambda: FloorDiagram((1.0, 0), CHAIN),
+    lambda: FloorDiagram((True, 0), CHAIN),
     lambda: TangencyProfile(()),
     lambda: TangencyProfile((2, 0, -2)),
     lambda: TangencyProfile((2, -1)),
     lambda: FloorDiagram((), ()),
     lambda: FloorDiagram(LEVELS, (Edge(0, BOTTOM, 1),)),
-    lambda: FloorDiagram(LEVELS, (Edge(BOTTOM, 2, 1),)),
+    lambda: FloorDiagram(LEVELS, (Edge(BOTTOM, 3, 1),)),
     lambda: FloorDiagram(LEVELS, (Edge(BOTTOM, 0, 0),)),
     lambda: Sublattice(0, 0, 1),
     lambda: Sublattice(2, 2, 1),
@@ -272,9 +264,8 @@ def test_value_checks_raise(build):
 @pytest.mark.parametrize("build, message", [
     (lambda: Edge(BOTTOM, 0), "Edge takes 3 fields, got 2"),
     (lambda: Edge(BOTTOM, 0, 2, 2), "Edge takes 3 fields, got 4"),
-    (lambda: Flat(1), "Flat takes 0 fields, got 1"),
     (lambda: Edge(lo=BOTTOM, hi=0, w=2), None),
-], ids=["missing", "extra", "too many", "keyword"])
+], ids=["missing", "extra", "keyword"])
 def test_value_constructor_binds_fields(build, message):
     with pytest.raises(TypeError) as info:
         build()
@@ -284,8 +275,7 @@ def test_value_constructor_binds_fields(build, message):
 
 # Input checks of the library functions, each with the message it raises.
 DENSE_UNIT = GroupAlgebraElement.unit(2)
-CHAIN_TEMPLATE = DiagramTemplate(
-    (Floor(1), Flat()), ((BOTTOM, 0), (0, 1), (1, TOP)))
+CHAIN_TEMPLATE = DiagramTemplate(LEVELS, EDGES)
 INPUT_CHECKS = {
     "sigma_bar(0, 1)": (
         lambda: sigma_bar(0, 1), "sigma_bar expects positive arguments"),
@@ -319,6 +309,9 @@ INPUT_CHECKS = {
     "GroupAlgebraElement(0)": (
         lambda: GroupAlgebraElement(0), "delta must be >= 1, got 0"),
     "theta(0, 1)": (lambda: theta(0, 1), "delta must be >= 1, got 0"),
+    "TangencyProfile((2, -2)).check_delta(0)": (
+        lambda: TangencyProfile((2, -2)).check_delta(0),
+        "delta must be >= 1, got 0"),
     "ProjectorElement.from_characters(0, {})": (
         lambda: ProjectorElement.from_characters(0, {}),
         "delta must be >= 1, got 0"),

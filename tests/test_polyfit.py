@@ -9,9 +9,6 @@ import pytest
 from corgw.arith import divisors
 from corgw.diagrams import (
     BOTTOM,
-    TOP,
-    Flat,
-    Floor,
     FloorDiagram,
     TangencyProfile,
     enumerate_diagrams,
@@ -56,15 +53,15 @@ def adjacency_matrix(template: DiagramTemplate) -> list[list[int]]:
         ("end", j)
         for j, e in enumerate(template.edges)
         for side in (e.lo, e.hi)
-        if side in (BOTTOM, TOP)
+        if side in (BOTTOM, n)
     ]
     rows = [("level", i) for i in range(n)] + ends
     index = {r: k for k, r in enumerate(rows)}
     mat = [[0] * len(template.edges) for _ in rows]
     for j, e in enumerate(template.edges):
         lo, hi = e.lo, e.hi
-        lo_row = index[("level", lo)] if isinstance(lo, int) else index[("end", j)]
-        hi_row = index[("level", hi)] if isinstance(hi, int) else index[("end", j)]
+        lo_row = index[("level", lo)] if lo >= 0 else index[("end", j)]
+        hi_row = index[("level", hi)] if hi < n else index[("end", j)]
         mat[lo_row][j] -= 1
         mat[hi_row][j] += 1
     return mat
@@ -74,12 +71,8 @@ def rank_flow_dimension(template: DiagramTemplate) -> int:
     """Reference flow dimension: bounded columns minus the rank of the level
     rows of the incidence matrix restricted to them, by exact Gaussian
     elimination."""
-    cols = [
-        j
-        for j, e in enumerate(template.edges)
-        if isinstance(e.lo, int) and isinstance(e.hi, int)
-    ]
     n = len(template.levels)
+    cols = [j for j, e in enumerate(template.edges) if e.lo >= 0 and e.hi < n]
     full = adjacency_matrix(template)
     rows = [[Fraction(full[i][j]) for j in cols] for i in range(n)]
     rank = 0
@@ -104,14 +97,14 @@ def rank_flow_dimension(template: DiagramTemplate) -> int:
 
 
 def second_kind_template(a1=2, a2=2):
-    levels = (Flat(), Floor(a1), Flat(), Floor(a2))
-    edges = ((BOTTOM, 0), (0, 1), (1, 2), (1, 3), (2, 3), (3, TOP))
+    levels = (0, a1, 0, a2)
+    edges = ((BOTTOM, 0), (0, 1), (1, 2), (1, 3), (2, 3), (3, 4))
     return DiagramTemplate(levels, edges)
 
 
 def chain_template(a1=1):
-    levels = (Floor(a1), Flat())
-    edges = ((BOTTOM, 0), (0, 1), (1, TOP))
+    levels = (a1, 0)
+    edges = ((BOTTOM, 0), (0, 1), (1, 2))
     return DiagramTemplate(levels, edges)
 
 
@@ -119,7 +112,7 @@ def test_adjacency_matrix_basics():
     t = chain_template()
     mat = adjacency_matrix(t)
     assert all(sum(col) == 0 for col in zip(*mat))
-    single = DiagramTemplate((Floor(1),), ((BOTTOM, 0), (0, TOP)))
+    single = DiagramTemplate((1,), ((BOTTOM, 0), (0, 1)))
     mat = adjacency_matrix(single)
     cols = list(zip(*mat))
     assert sorted(cols[0]) == [-1, 0, 1] and sorted(cols[1]) == [-1, 0, 1]
@@ -171,7 +164,7 @@ def brute_weightings(t, profile):
     mat = adjacency_matrix(t)
     out = set()
     bottoms = [j for j, e in enumerate(t.edges) if e.lo == BOTTOM]
-    tops = [j for j, e in enumerate(t.edges) if e.hi == TOP]
+    tops = [j for j, e in enumerate(t.edges) if e.hi == len(t.levels)]
     for omega in product(range(1, b + 1), repeat=n_edges):
         if sorted(omega[j] for j in bottoms) != list(profile.sources):
             continue
@@ -192,8 +185,8 @@ def test_weightings_against_brute_force():
         assert got == brute_weightings(t, TangencyProfile((w, -w)))
     # a template with several ends and repeated weights
     t2 = DiagramTemplate(
-        (Floor(1), Flat()),
-        ((BOTTOM, 0), (BOTTOM, 0), (0, 1), (0, TOP), (1, TOP)),
+        (1, 0),
+        ((BOTTOM, 0), (BOTTOM, 0), (0, 1), (0, 2), (1, 2)),
     )
     p2 = TangencyProfile((2, 2, -2, -2))
     assert set(weightings(t2, p2)) == brute_weightings(t2, p2)
@@ -430,11 +423,11 @@ def test_template_shares_diagram_weight_monomial():
 
 @pytest.mark.parametrize(
     "edges",
-    [((BOTTOM, 7), (0, TOP)), ((BOTTOM, 0), (0, "Q")), ((BOTTOM, 0), (0, TOP), (1, 0))],
+    [((BOTTOM, 7), (0, 2)), ((BOTTOM, 0), (0, "Q")), ((BOTTOM, 0), (0, 2), (1, 0))],
 )
 def test_template_rejects_bad_edges(edges):
     with pytest.raises(ValueError):
-        DiagramTemplate((Floor(1), Flat()), edges)
+        DiagramTemplate((1, 0), edges)
 
 
 def test_polynomial_fit_rejects_samples_below_one():
@@ -463,8 +456,8 @@ def test_polynomial_fit_rejects_holdout_repeating_fit_point():
 def test_polynomial_fit_rejects_template_without_weighting():
     # Two ends from BOTTOM: no weighting induces the two-end profile (w, -w).
     t = DiagramTemplate(
-        (Floor(1), Flat()),
-        ((BOTTOM, 0), (BOTTOM, 0), (0, 1), (1, TOP)),
+        (1, 0),
+        ((BOTTOM, 0), (BOTTOM, 0), (0, 1), (1, 2)),
     )
     with pytest.raises(ValueError, match="admits no weighting"):
         polynomial_fit(t, 1, [1, 2, 3, 4, 5], [6, 7])
@@ -473,8 +466,8 @@ def test_polynomial_fit_rejects_template_without_weighting():
 def test_polynomial_fit_rejects_non_diagram_shape():
     # The flat has two in-edges: weightings exist, but it is no floor diagram.
     t = DiagramTemplate(
-        (Floor(1), Flat()),
-        ((BOTTOM, 0), (0, 1), (0, 1), (1, TOP)),
+        (1, 0),
+        ((BOTTOM, 0), (0, 1), (0, 1), (1, 2)),
     )
     assert weightings(t, TangencyProfile((2, -2)))
     with pytest.raises(ValueError, match="flat bivalency at level 1"):
