@@ -69,20 +69,17 @@ def _parse_profile(text: str):
 
 
 def _emit_element(x: GroupAlgebraElement | ProjectorElement, args):
-    from .torsion import point_order
-
+    mass = x.total_mass
     if _want_json(args):
-        payload = x.to_json_dict()
-        mass = x.total_mass
-        payload["mass"] = f"{mass.numerator}/{mass.denominator}"
-        print(json.dumps(payload))
+        # json.dumps of x.to_json_dict() with a "mass" entry appended.
+        text = x.to_json(separators=(", ", ": "))
+        print(f'{text[:-1]}, "mass": "{mass.numerator}/{mass.denominator}"}}')
         return
     print(f"ambient torsion level delta = {x.delta}")
     print(f"{'u':>4} {'v':>4} {'order':>6}  coefficient")
-    for u, v in x.support:
-        order = point_order(x.delta, u, v)
-        print(f"{u:>4} {v:>4} {order:>6}  {x.coefficient(u, v)}")
-    print(f"mass {x.total_mass}")
+    for u, cells in x.rows(lambda v, r, c: f"{v:>4} {r:>6}  {c}"):
+        print(f"{u:>4} " + f"\n{u:>4} ".join(cells))
+    print(f"mass {mass}")
 
 
 # -- subcommands -------------------------------------------------------------

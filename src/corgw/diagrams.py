@@ -33,8 +33,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd, prod
-from operator import attrgetter
+from operator import attrgetter, or_
 from typing import TYPE_CHECKING, Iterator
 
 from .arith import Frozen, divisors
@@ -563,6 +564,8 @@ def _structures(
     - Connectivity: once the deficit is 0 only flats follow, and a flat
       never joins two components.  So the floor that brings it to 0 must
       take an edge from every component, leaving none open from BOTTOM.
+      A floor that must close (last level or floor cap) builds only the
+      sub-multisets that can still do so.
     - Sinks: flats keep the open weights, so that floor emits exactly the
       sinks still missing from the open multiset, one partition instead of
       all of them.  Both closing tests run before its state is built.
@@ -601,12 +604,12 @@ def _structures(
     def missing_sinks(open_cnt):
         """The sinks not yet open; None when the open weights are not a
         sub-multiset of the sinks."""
-        rest = sink_count.copy()
+        rest = dict(sink_count)
         for (w, _o), c in open_cnt.items():
-            if rest[w] < c:
+            if rest.get(w, 0) < c:
                 return None
             rest[w] -= c
-        return list(rest.elements())
+        return [w for w, c in rest.items() for _ in range(c)]
 
     # Open edge classes: (weight, origin) -> count.  comp_of: level -> its
     # component.  floor_root: floor level -> its floor component (the
@@ -638,19 +641,28 @@ def _structures(
         # floor components, cycles closed, infinite ends, components
         # touched), grown from the last class so that they come in the order
         # of a counter whose first class turns fastest.  Every test on the
-        # way only gets worse as edges are added.
+        # way only gets worse as edges are added.  A floor that must close
+        # the deficit must take an edge from every component, so it passes
+        # over a class only when a class taken or still to come shares its
+        # component; an edge from BOTTOM shares its own with none.
+        # comps[i] is 0 for an edge from BOTTOM, else the bit of the class's
+        # component, and before[i] the components of the classes before i,
+        # which come later.  floor_root holds one key per floor placed so far.
+        closing = last or len(floor_root) + 1 >= max_floors
+        comps = [0 if o < 0 else 1 << comp_of[o] for (_w, o), _c in classes]
+        before = list(accumulate(comps, or_, initial=0))
         choices = [((), 0, 0, 0, 0, 0, 0)]
-        for wo, _c in reversed(classes):
+        for i in reversed(range(len(classes))):
+            wo = classes[i][0]
             w, origin = wo
-            # comp is 0 for an edge from BOTTOM, its own fresh component.
-            if origin < 0:
-                comp, fc = 0, None
-            else:
-                comp, fc = 1 << comp_of[origin], floor_root.get(origin)
+            comp = comps[i]
+            fc = None if origin < 0 else floor_root.get(origin)
+            rest = before[i]
             grown = []
             for choice in choices:
-                grown.append(choice)
                 taken, flow, merged, joined, cycles, n_ends, touched = choice
+                if not closing or (merged | rest) & comp:
+                    grown.append(choice)
                 if not comp:
                     n_ends += 1
                     touched += 1
@@ -675,10 +687,11 @@ def _structures(
             c for (_w, o), c in classes if o < 0
         )
         n_open = sum(c for _wo, c in classes)
-        for taken, flow, merged, joined, cycles, n_ends, touched in choices[1:]:
+        for taken, flow, merged, joined, cycles, n_ends, touched in choices:
+            if not taken:
+                continue
             left = deficit - 1 - cycles
-            # floor_root holds one key per floor placed so far.
-            if left and (last or len(floor_root) + 1 >= max_floors):
+            if left and closing:
                 continue
             # The closing floor must take an edge from every component and
             # leave only sinks open; both are tested before its state is built.

@@ -17,7 +17,6 @@ each valency multiset costs one Cauchy chain.
 
 from __future__ import annotations
 
-import csv
 from functools import reduce
 
 from .arith import Frozen
@@ -146,12 +145,20 @@ def factorization_check(
 
 
 def write_series_csv(series: GASeries, fh) -> None:
-    """One row per a; one column per support point; cells are num/den."""
-    support = sorted({pt for c in series.coeffs for pt in c.support})
-    writer = csv.writer(fh)
-    writer.writerow(["a"] + [f"({u},{v})" for u, v in support])
-    for a in range(1, series.truncation + 1):
-        c = series.coefficient(a)
-        cells = [c.coefficient(u, v) for u, v in support]
-        writer.writerow([str(a)] + [f"{x.numerator}/{x.denominator}" for x in cells])
+    """One row per a; one column per support point; cells are num/den.
 
+    A coefficient is constant on the points of each order, so the columns
+    are the points whose order is nonzero in some coefficient, and each row
+    is written from its order classes (ProjectorElement.rows): one cell
+    text per class, joined once per distinct row of orders.  The format is
+    that of csv.writer: "\r\n" line ends, and only the header's "(u,v)"
+    cells, which hold a comma, in double quotes.
+    """
+    orders = {r for c in series.coeffs for r, x in c.order_values().items() if x}
+    columns = ProjectorElement.zero(series.delta).rows(lambda v, _r, _c: v, orders)
+    fh.write(",".join(["a"] + [f'"({u},{v})"' for u, vs in columns for v in vs]))
+    fh.write("\r\n")
+    for a, c in enumerate(series.coeffs, 1):
+        text = {r: f"{x.numerator}/{x.denominator}" for r, x in c.order_values().items()}
+        rows = c.rows(lambda _v, r, _c: text[r], orders)
+        fh.write(",".join([str(a)] + [",".join(cells) for _u, cells in rows]) + "\r\n")

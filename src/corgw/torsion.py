@@ -19,8 +19,11 @@ ProjectorElement.  The dense :class:`GroupAlgebraElement` stays the
 reference implementation, with m_push, divide and rebase, and carries the
 shifted counts of translate.  The two types do not mix in arithmetic: a
 sum or product of one of each raises TypeError.  Both share one read-only
-dense surface (coefficients, support, JSON, equality, also across the
-types), so output does not depend on the representation.
+dense surface (coefficients, support, rows, JSON, equality, also across
+the types), so output does not depend on the representation.  A
+ProjectorElement is constant on the points of each order, so it writes
+that surface from its order classes; the dense type writes it point by
+point, and its writers are the reference.
 
 Values are stored exactly, as a Python int when integral and as a
 Fraction only when not: covers are counted and the characters of the
@@ -36,14 +39,29 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping, TypeVar
 
 from .arith import divisors
+
+T = TypeVar("T")
 
 
 def point_order(delta: int, u: int, v: int) -> int:
     """Order of the point (u, v) of (Z/delta)^2: least n >= 1 with n(u, v) = 0."""
     return delta // gcd(u, v, delta)
+
+
+@lru_cache(maxsize=32)
+def _order_rows(delta: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The point orders of (Z/delta)^2 row by row, in tau(delta) * delta
+    entries.  Row u holds the orders delta // gcd(u, v, delta), v = 0 ..
+    delta - 1, which depend only on g = gcd(u, delta).  Returns, for each u,
+    the index of its g among the divisors of delta, and the row of each g."""
+    divs = divisors(delta)
+    index = {g: i for i, g in enumerate(divs)}
+    order = {g: delta // g for g in divs}  # one int object per order
+    rows = tuple(tuple(order[gcd(g, v)] for v in range(delta)) for g in divs)
+    return tuple(index[gcd(u, delta)] for u in range(delta)), rows
 
 
 def _integral(c: int | Fraction) -> int | Fraction:
@@ -69,7 +87,9 @@ class _DenseSurface:
     value (int when integral, else Fraction) with reduced keys.  Equal dense
     maps mean equal elements, whatever the representation.  Both types are
     immutable, build their zero from the level alone and subtract as
-    x + y * -1 through their own addition and scaling.
+    x + y * -1 through their own addition and scaling.  The writers here go
+    point by point; ProjectorElement overrides them with writers that go by
+    order class, and these stay their reference.
     """
 
     __slots__ = ()
@@ -94,6 +114,17 @@ class _DenseSurface:
     def items(self) -> Iterable[tuple[tuple[int, int], Fraction]]:
         return self._terms.items()
 
+    def rows(
+        self, cell: Callable[[int, int, int | Fraction], T]
+    ) -> list[tuple[int, list[T]]]:
+        """The nonzero points row by row: (u, [cell(v, order, value) for
+        each nonzero point (u, v), v ascending]) for each row u that has
+        one, u ascending."""
+        out: dict[int, list[T]] = {}
+        for (u, v), c in sorted(self._terms.items()):
+            out.setdefault(u, []).append(cell(v, point_order(self.delta, u, v), c))
+        return list(out.items())
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, _DenseSurface):
             return NotImplemented
@@ -111,13 +142,15 @@ class _DenseSurface:
             ],
         }
 
-    def to_json(self) -> str:
-        # Equals json.dumps(self.to_json_dict(), separators=(",", ":")).
-        terms = ",".join(
-            f'{{"u":{u},"v":{v},"num":{c.numerator},"den":{c.denominator}}}'
+    def to_json(self, separators: tuple[str, str] = (",", ":")) -> str:
+        """json.dumps(self.to_json_dict(), separators=separators)."""
+        comma, colon = separators
+        terms = comma.join(
+            f'{{"u"{colon}{u}{comma}"v"{colon}{v}{comma}'
+            f'"num"{colon}{c.numerator}{comma}"den"{colon}{c.denominator}}}'
             for (u, v), c in sorted(self._terms.items())
         )
-        return f'{{"delta":{self.delta},"terms":[{terms}]}}'
+        return f'{{"delta"{colon}{self.delta}{comma}"terms"{colon}[{terms}]}}'
 
 
 class GroupAlgebraElement(_DenseSurface):
@@ -339,12 +372,14 @@ class ProjectorElement(_DenseSurface):
     Characters are stored exactly, as ints when integral (every refined
     divisor sum has integer characters), so products mostly multiply ints.
     Coordinates are recovered by Moebius inversion only for output: repr,
-    theta_coordinates and the dense map (coefficient, support, items, ==,
-    hash, JSON), which is built once on first use with one exact value per
-    order class.
+    theta_coordinates and order_values, one exact value per order class.
+    The writers (rows, coefficient, support, JSON) work from those values
+    and the tau(delta) distinct rows of orders, never point by point; the
+    dense map (items, == against a dense element, hash, translate) is
+    built from them once, on first use.
     """
 
-    __slots__ = ("delta", "_chi", "_dense")
+    __slots__ = ("delta", "_chi", "_by_order", "_dense")
 
     def __init__(
         self, delta: int, coords: Mapping[int, Fraction | int] | None = None
@@ -366,6 +401,7 @@ class ProjectorElement(_DenseSurface):
         object.__setattr__(
             self, "_chi", {m: _integral(c) for m, c in chi.items() if c}
         )
+        object.__setattr__(self, "_by_order", None)
         object.__setattr__(self, "_dense", None)
 
     def __reduce__(self):
@@ -416,27 +452,88 @@ class ProjectorElement(_DenseSurface):
             coords[d] = _integral(self._chi.get(d, 0) - lower)
         return coords
 
+    def order_values(self) -> dict[int, int | Fraction]:
+        """The value at a point of order r, for every r | delta, as stored
+        values: the element is constant on each order class.  Computed once
+        per element."""
+        values = self._by_order
+        if values is None:
+            delta = self.delta
+            sq = delta * delta
+            coords = self._coords()
+            # A point of order r carries the sum of c_d / d^2 over the
+            # indices d with r | d, that is n / delta^2 with
+            # n = sum of c_d (delta/d)^2.
+            values = {}
+            for r in coords:
+                n = sum(c * (delta // d) ** 2 for d, c in coords.items() if d % r == 0)
+                values[r] = n // sq if type(n) is int and not n % sq else _integral(
+                    Fraction(n, sq)
+                )
+            object.__setattr__(self, "_by_order", values)
+        return values
+
+    def rows(
+        self,
+        cell: Callable[[int, int, int | Fraction], T],
+        orders: Container[int] | None = None,
+    ) -> list[tuple[int, list[T]]]:
+        """The points whose order lies in orders (by default the nonzero
+        points) row by row: (u, [cell(v, order, value) for each such point
+        (u, v), v ascending]) for each row u that has one, u ascending.
+
+        Rows with equal gcd(u, delta) share one list, so cell runs once per
+        point of the tau(delta) distinct rows, not once per point."""
+        values = self.order_values()
+        if orders is None:
+            orders = {r for r, c in values.items() if c}
+        row_of, rows = _order_rows(self.delta)
+        cells = [
+            [cell(v, r, values[r]) for v, r in enumerate(row) if r in orders]
+            for row in rows
+        ]
+        return [(u, cells[i]) for u, i in enumerate(row_of) if cells[i]]
+
     @property
     def _terms(self) -> dict[tuple[int, int], int | Fraction]:
         terms = self._dense
         if terms is None:
-            delta = self.delta
-            coords = self._coords()
-            # A point of order r carries the sum of c_d / d^2 over the
-            # indices d with r | d, that is n / delta^2 with
-            # n = sum of c_d (delta/d)^2: one exact value per order class.
-            by_order = {}
-            for r in coords:
-                n = sum(c * (delta // d) ** 2 for d, c in coords.items() if d % r == 0)
-                by_order[r] = _integral(Fraction(n, delta * delta))
-            terms = {}
-            for u in range(delta):
-                for v in range(delta):
-                    c = by_order[delta // gcd(u, v, delta)]
-                    if c:
-                        terms[(u, v)] = c
+            # As rows, inlined: the map has a key per point anyway, and a
+            # call per cell would cost more than it saves at small delta.
+            values = self.order_values()
+            row_of, rows = _order_rows(self.delta)
+            terms = {
+                (u, v): values[r]
+                for u, i in enumerate(row_of)
+                for v, r in enumerate(rows[i])
+                if values[r]
+            }
             object.__setattr__(self, "_dense", terms)
         return terms
+
+    def coefficient(self, u: int, v: int) -> Fraction:
+        return Fraction(self.order_values()[point_order(self.delta, u, v)])
+
+    @property
+    def support(self) -> list[tuple[int, int]]:
+        return [(u, v) for u, vs in self.rows(lambda v, _r, _c: v) for v in vs]
+
+    def to_json(self, separators: tuple[str, str] = (",", ":")) -> str:
+        """json.dumps(self.to_json_dict(), separators=separators), written
+        from the order classes: each class's num/den text once, each term
+        text once per distinct row."""
+        comma, colon = separators
+        tail = {
+            r: f'"num"{colon}{c.numerator}{comma}"den"{colon}{c.denominator}}}'
+            for r, c in self.order_values().items()
+            if c
+        }
+        rows = self.rows(lambda v, r, _c: f'"v"{colon}{v}{comma}{tail[r]}', tail)
+        terms = comma.join(
+            f'{{"u"{colon}{u}{comma}' + f'{comma}{{"u"{colon}{u}{comma}'.join(cells)
+            for u, cells in rows
+        )
+        return f'{{"delta"{colon}{self.delta}{comma}"terms"{colon}[{terms}]}}'
 
     @property
     def total_mass(self) -> Fraction:

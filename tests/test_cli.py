@@ -61,6 +61,42 @@ def test_local_table_orders(shift, capsys):
         assert order == brute_order(6, u, v)
 
 
+def emit_reference(x, as_json):
+    """The CLI output of an element, point by point, as _emit_element wrote
+    it from x.to_json_dict(), x.support and x.coefficient."""
+    from corgw.torsion import point_order
+
+    mass = x.total_mass
+    if as_json:
+        payload = x.to_json_dict()
+        payload["mass"] = f"{mass.numerator}/{mass.denominator}"
+        return json.dumps(payload) + "\n"
+    lines = [f"ambient torsion level delta = {x.delta}",
+             f"{'u':>4} {'v':>4} {'order':>6}  coefficient"]
+    lines += [f"{u:>4} {v:>4} {point_order(x.delta, u, v):>6}  {x.coefficient(u, v)}"
+              for u, v in x.support]
+    return "\n".join(lines + [f"mass {mass}"]) + "\n"
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 24, 36, 60])
+def test_emit_element_matches_per_point_reference(delta, capsys):
+    # Every class-written CLI output equals the point-by-point one, for
+    # ProjectorElements and for dense elements (shifted ones included).
+    import argparse
+
+    from corgw.cli import _emit_element
+    from test_torsion import per_point_reference, writer_elements
+
+    for x in writer_elements(delta):
+        dense = per_point_reference(x)
+        for y in (x, dense, dense.translate(1, delta - 1)):
+            for as_json in (True, False):
+                _emit_element(y, argparse.Namespace(json=as_json, table=not as_json))
+                want = emit_reference(dense if y is x else y, as_json)
+                assert capsys.readouterr().out == want
+        assert x._dense is None
+
+
 def test_local_trivial_class():
     proc = run_cli(["local", "--a", "1", "--w1", "6", "--n", "2", "--delta", "3"])
     payload = json.loads(proc.stdout)

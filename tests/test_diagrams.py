@@ -491,6 +491,14 @@ def test_floor_cap_cuts_search(monkeypatch):
     assert _structure_candidates(10, (2, -2), monkeypatch, 2) == []
 
 
+@pytest.mark.parametrize("k", [2, 5, 12, 24])
+def test_closing_floor_builds_only_covering_subsets(k):
+    # k sources of weight 1 and one sink of weight k: the one floor must
+    # close the deficit, so it takes an edge from each of the k components.
+    # Listing every subset of the open edges first would build 2^k of them.
+    assert count_diagrams(1, 1, TangencyProfile((k,) + (-1,) * k)) == 2
+
+
 @pytest.mark.parametrize("degree", [2, 3])
 def test_classes_from_the_genus_share_one_search(degree):
     # From the genus on the floor cap is the genus, so templates_for and

@@ -131,6 +131,35 @@ def test_csv_output():
     assert buf.getvalue().strip() == "a"
 
 
+def csv_reference(series, fh):
+    """write_series_csv point by point: columns from the union of the
+    supports, one Fraction per cell; reads any element type."""
+    import csv
+
+    support = sorted({pt for c in series.coeffs for pt in c.support})
+    writer = csv.writer(fh)
+    writer.writerow(["a"] + [f"({u},{v})" for u, v in support])
+    for a in range(1, series.truncation + 1):
+        c = series.coefficient(a)
+        cells = [c.coefficient(u, v) for u, v in support]
+        writer.writerow([str(a)] + [f"{x.numerator}/{x.denominator}" for x in cells])
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 24, 36, 60])
+def test_csv_matches_per_point_reference(delta):
+    from test_torsion import per_point_reference, writer_elements
+
+    xs = writer_elements(delta)
+    cases = [xs, xs[:1], [xs[0], xs[4], xs[0]], xs[::-1]]
+    for coeffs in cases:
+        got, want = io.StringIO(), io.StringIO()
+        write_series_csv(GASeries(delta, tuple(coeffs)), got)
+        dense = tuple(per_point_reference(x) for x in coeffs)
+        csv_reference(GASeries(delta, dense), want)
+        assert got.getvalue() == want.getvalue()
+    assert all(x._dense is None for x in xs)
+
+
 def test_factorization_precondition():
     # A series at a level that does not divide the profile gcd is rejected,
     # not reported as a mismatch; so is an empty series.

@@ -465,3 +465,71 @@ def test_elements_copy_and_pickle(build):
         assert repr(y) == repr(x) and y.to_json() == x.to_json()
         with pytest.raises(AttributeError):
             y.delta = 2
+
+
+# -- writers by order class against the per-point reference ------------------
+
+WRITER_LEVELS = [*range(1, 13), 24, 36, 60]
+
+
+def writer_elements(delta):
+    """Fresh elements at level delta (no dense map built yet): zero, a
+    negative unit, a refined divisor sum with non-integral values, and
+    signed non-integral projector combinations."""
+    divs = level_divisors(delta)
+    coords = {d: Fraction((-1) ** i * (2 * i + 1), 1 + i % 4) for i, d in enumerate(divs)}
+    return [
+        ProjectorElement.zero(delta),
+        ProjectorElement.unit(delta) * -3,
+        copy.copy(bold_sigma(delta, 12)),
+        ProjectorElement(delta, coords),
+        ProjectorElement(delta, {divs[-1]: Fraction(-5, 7), 1: 2}),
+    ]
+
+
+def per_point_reference(x):
+    """x as a dense element summed point by point from theta(delta, d), one
+    projector per coordinate: no order-class code is involved."""
+    dense = GroupAlgebraElement.zero(x.delta)
+    for d, c in theta_coordinates(x).items():
+        dense = dense + theta(x.delta, d) * c
+    return dense
+
+
+@pytest.mark.parametrize("delta", WRITER_LEVELS)
+def test_order_class_writers_match_per_point(delta):
+    def triple(v, r, c):
+        return v, r, c
+
+    for x in writer_elements(delta):
+        dense = per_point_reference(x)
+        assert x._dense is None
+        assert x.to_json() == dense.to_json()
+        assert x.to_json() == json.dumps(dense.to_json_dict(), separators=(",", ":"))
+        spaced = (", ", ": ")
+        assert x.to_json(separators=spaced) == dense.to_json(separators=spaced)
+        assert x.to_json(separators=spaced) == json.dumps(dense.to_json_dict())
+        assert x.support == dense.support
+        assert x.rows(triple) == dense.rows(triple)
+        for u in range(-1, delta + 1):
+            for v in (-delta, -1, *range(delta)):
+                assert x.coefficient(u, v) == dense.coefficient(u, v)
+                assert type(x.coefficient(u, v)) is Fraction
+        # None of the reads above builds the delta^2 map.
+        assert x._dense is None
+        assert x.to_dense() == dense and dict(x.items()) == dict(dense.items())
+        assert x._dense is not None
+
+
+def test_order_rows_are_shared_by_gcd():
+    # The level cache holds tau(delta) rows of delta orders, never delta^2.
+    from corgw.torsion import _order_rows
+
+    for delta in WRITER_LEVELS:
+        row_of, rows = _order_rows(delta)
+        assert len(rows) == len(level_divisors(delta)) and len(row_of) == delta
+        for u in range(delta):
+            assert rows[row_of[u]] == tuple(
+                point_order(delta, u, v) for v in range(delta)
+            )
+    assert _order_rows.cache_info().maxsize is not None
