@@ -8,13 +8,18 @@ quasi-modularity factorization), and `polyfit` runs the exact polynomial
 fit for a diagram template.
 
 Exit codes: 0 success, 2 usage or precondition violation, 3 verification
-failure, 1 internal error.
+failure, 1 internal error, 141 stdout closed by its reader (what a shell
+reports for a process killed by SIGPIPE).
+
+`run` is the program entry; `main` is the same command for in-process
+callers.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
+import os
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -27,6 +32,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
+EXIT_PIPE = 141
 
 
 class VerificationFailure(Exception):
@@ -154,7 +160,7 @@ def cmd_series(args) -> int:
         for t in templates:
             print(
                 f"template W={t.weight_monomial} delta_gcd={t.delta_gcd(args.delta)} "
-                f"{json.dumps(t.to_json_dict())}",
+                f"{t.to_json(separators=(', ', ': '))}",
                 file=sys.stderr,
             )
         if mismatch is not None:
@@ -169,6 +175,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_polyfit(args) -> int:
+    import json  # the one subcommand that parses JSON; polyfit loads it too
+
     from . import polyfit
 
     try:
@@ -273,10 +281,26 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # stdout's reader has gone; run() reports it
+        raise
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 
 
+def run() -> int:
+    """main() on sys.argv as a program: the exit status, EXIT_PIPE when the
+    reader of stdout has gone."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; let that write go nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    gc.freeze()  # exit skips collecting the heap: no corgw object has a finalizer
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

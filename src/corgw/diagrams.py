@@ -30,7 +30,6 @@ structure without building them.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
@@ -100,6 +99,7 @@ class TangencyProfile(Frozen):
 
 class FloorDiagram(Frozen):
     __slots__ = ("levels", "edges")
+    _json_weights = True  # whether to_json writes each edge's "w"
 
     def __init__(self, levels: tuple[int, ...], edges: tuple[Edge, ...]) -> None:
         # Checked before sorting: the sort key compares endpoints as ints.
@@ -204,8 +204,24 @@ class FloorDiagram(Frozen):
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+    def to_json(self, separators: tuple[str, str] = (",", ":")) -> str:
+        """json.dumps(self.to_json_dict(), separators=separators)."""
+        comma, colon = separators
+        name = {BOTTOM: '"B"', len(self.levels): '"T"'}
+        levels = comma.join(
+            f'{{"kind"{colon}"floor"{comma}"a"{colon}{a}}}' if a
+            else f'{{"kind"{colon}"flat"}}'
+            for a in self.levels
+        )
+        edges = []
+        for e in self.edges:
+            lo, hi = name.get(e.lo, e.lo), name.get(e.hi, e.hi)
+            w = f'{comma}"w"{colon}{e.w}' if self._json_weights else ""
+            edges.append(f'{{"lo"{colon}{lo}{comma}"hi"{colon}{hi}{w}}}')
+        return (
+            f'{{"levels"{colon}[{levels}]{comma}'
+            f'"edges"{colon}[{comma.join(edges)}]}}'
+        )
 
 
 def _level_from_json(lv: dict) -> int:
@@ -218,15 +234,14 @@ def _level_from_json(lv: dict) -> int:
     return lv["a"]
 
 
-def _from_json(text: str) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Levels and (lo, hi) edge pairs of a diagram's JSON text.
+def _from_json(data: dict) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Levels and (lo, hi) edge pairs of a diagram's parsed JSON.
 
     "B" and "T" read as BOTTOM and the top.  An integer endpoint must be a
     level index, so neither boundary enters as one, and a floor label must
     be >= 1, so no flat enters as a floor.  Other endpoints are left to the
     FloorDiagram check.
     """
-    data = json.loads(text)
     levels = tuple(map(_level_from_json, data["levels"]))
     n = len(levels)
 

@@ -20,6 +20,7 @@ need the full chamber complex, which is out of scope.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -52,6 +53,7 @@ class DiagramTemplate(FloorDiagram):
     """
 
     __slots__ = ()
+    _json_weights = False
 
     def __init__(self, levels: tuple, edges: tuple[tuple, ...]) -> None:
         super().__init__(levels, tuple(Edge(lo, hi, 1) for lo, hi in edges))
@@ -80,7 +82,7 @@ class DiagramTemplate(FloorDiagram):
 
     @classmethod
     def from_json(cls, text: str) -> "DiagramTemplate":
-        return cls(*_from_json(text))
+        return cls(*_from_json(json.loads(text)))
 
 
 def weightings(

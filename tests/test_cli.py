@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import subprocess
@@ -356,15 +357,35 @@ def test_cli_import_skips_thread_pool():
 
 
 def test_cli_import_loads_no_layer():
-    # Each subcommand imports the layers it needs when it runs.
+    # Each subcommand imports the layers it needs when it runs, and only
+    # polyfit, which parses a template, loads json.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, corgw.cli; print(sorted(m for m in sys.modules "
-         "if m.startswith('corgw.')))"],
+         "if m.startswith('corgw.') or m == 'json'))"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['corgw.cli']\n"
+
+
+def modules_after_main(argv, watched):
+    """The exit code of main(argv) in a fresh interpreter, with its stdout
+    and stderr discarded, and which of the watched modules it loaded."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from corgw.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        f"print(code, [m for m in {watched!r} if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.split(" ", 1)
+    return int(code), loaded.strip()
 
 
 ALGEBRA = ["corgw.refined", "corgw.torsion", "fractions"]
@@ -375,20 +396,25 @@ ALGEBRA = ["corgw.refined", "corgw.torsion", "fractions"]
 ])
 def test_diagrams_mode_loads_algebra_only_to_sum(mode, loaded):
     # The structure modes never touch the group algebra, so a cold job
-    # skips compiling it.
-    code = (
-        "import contextlib, io, sys\n"
-        "from corgw.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main(['diagrams', '--g', '2', '--a', '2', '--profile', "
-        f"'2,-2', '{mode}'])\n"
-        f"print(code, [m for m in {ALGEBRA!r} if m in sys.modules])"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"0 {loaded!r}\n"
+    # skips compiling it; no mode loads json.
+    argv = ["diagrams", "--g", "2", "--a", "2", "--profile", "2,-2", mode]
+    assert modules_after_main(argv, ALGEBRA + ["json"]) == (0, repr(loaded))
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["local", "--a", "2", "--w1", "2", "--n", "2", "--delta", "2", "--json"], []),
+    (["oracle-verify", "--a-max", "2", "--delta-max", "2"], []),
+    (["series", "--g", "2", "--profile", "2,-2", "--delta", "2",
+      "--n-trunc", "4", "--check-factorization"], []),
+    (["polyfit", "--template", "{chain}", "--delta", "1", "--samples",
+      "1,2,3,4,5,6"], ["json"]),
+])
+def test_only_polyfit_loads_json(argv, loaded, tmp_path):
+    # JSON is written directly; the json module is loaded only to parse it.
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN_TEMPLATE))
+    argv = [a.format(chain=path) for a in argv]
+    assert modules_after_main(argv, ["json"]) == (0, repr(loaded))
 
 
 def test_polyfit_cli(tmp_path):
@@ -855,3 +881,74 @@ def test_leading_minus_value_equals_form(argv, plain, equals, capsys):
         run(equals.split("="))
     assert exc.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+# One job per subcommand, an exit-2 input, an argparse error and a 2.6 MB
+# output; {chain} stands for the chain template path.
+ENTRY_JOBS = {
+    "local": ["local", "--a", "2", "--w1", "6", "--n", "2", "--delta", "6",
+              "--shift", "1,4"],
+    "local table": ["local", "--a", "2", "--w1", "2", "--n", "3", "--delta",
+                    "4", "--table"],
+    "oracle-verify": ["oracle-verify", "--a-max", "3", "--delta-max", "2"],
+    "diagrams list": ["diagrams", "--g", "2", "--a", "2", "--profile=2,-2",
+                      "--list"],
+    "diagrams count": ["diagrams", "--g", "3", "--a", "2",
+                       "--profile=2,2,-2,-2", "--count"],
+    "diagrams sum": ["diagrams", "--g", "2", "--a", "2", "--profile=2,-2",
+                     "--sum", "--delta", "2"],
+    "series": ["series", "--g", "2", "--profile=2,-2", "--delta", "2",
+               "--n-trunc", "6", "--check-factorization"],
+    "polyfit": ["polyfit", "--template", "{chain}", "--delta", "1",
+                "--samples", "1,2,3,4,5,6"],
+    "exit 2": ["local", "--a", "2", "--w1", "2", "--n", "2", "--delta", "3"],
+    "argparse error": ["local", "--a", "x", "--w1", "2", "--n", "2",
+                       "--delta", "2"],
+    "large output": ["series", "--g", "2", "--profile=120,-120", "--delta",
+                     "120", "--n-trunc", "12"],
+}
+
+
+@pytest.mark.parametrize("case", list(ENTRY_JOBS))
+def test_program_entry_matches_main(case, tmp_path, capsys, monkeypatch):
+    # `python -m corgw.cli` goes through run(), which freezes the heap
+    # before exit; its bytes and status are those of main(), which never
+    # freezes.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN_TEMPLATE))
+    argv = [a.format(chain=path) for a in ENTRY_JOBS[case]]
+    proc = subprocess.run(
+        [sys.executable, "-m", "corgw.cli", *argv], capture_output=True
+    )
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
+    assert proc.returncode == code
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagrams", "--g", "4", "--a", "4", "--profile=2,2,-2,-2", "--list"],
+    ["local", "--a", "1", "--w1", "300", "--n", "2", "--delta", "300", "--json"],
+    ["series", "--g", "2", "--profile=120,-120", "--delta", "120",
+     "--n-trunc", "12"],
+])
+def test_closed_stdout_exits_pipe_status_quietly(argv):
+    # Each job writes 1-4 MB, more than a pipe holds, so the reader closes
+    # the pipe while the job still writes, as `| head -1` does: one line,
+    # or its first 4 KB.  141 is the documented status.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "corgw.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline(4096)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""

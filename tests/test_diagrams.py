@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter
 from itertools import product
 
@@ -465,6 +466,20 @@ def test_structures_order_pinned(genus, weights):
     assert hashlib.sha256(text.encode()).hexdigest() == STRUCTURE_DIGESTS[
         (genus, weights)
     ]
+
+
+@pytest.mark.parametrize(
+    "genus,weights",
+    list(STRUCTURE_DIGESTS) + [(g, w) for g, _a, w in BRUTE_FORCE_CASES],
+)
+def test_to_json_is_json_dumps_of_dict(genus, weights):
+    # to_json writes its text directly; to_json_dict through json is the
+    # reference.
+    from corgw.diagrams import _structures
+
+    for d in _structures(genus, tuple(sorted(weights)), genus):
+        for sep in ((",", ":"), (", ", ": ")):
+            assert d.to_json(sep) == json.dumps(d.to_json_dict(), separators=sep)
 
 
 @pytest.mark.parametrize(

@@ -379,6 +379,22 @@ def test_flow_dimension_is_incidence_corank(genus, weights):
         assert flow_degrees_of_freedom(t) == rank_flow_dimension(t), t.to_json()
 
 
+@pytest.mark.parametrize(
+    "genus,weights",
+    list(STRUCTURE_DIGESTS) + [(g, w) for g, _a, w in BRUTE_FORCE_CASES],
+)
+def test_template_json_omits_weights_and_round_trips(genus, weights):
+    from corgw.diagrams import _structures
+
+    for struct in _structures(genus, tuple(sorted(weights)), genus):
+        t = template_of(struct)
+        for sep in ((",", ":"), (", ", ": ")):
+            text = t.to_json(sep)
+            assert text == json.dumps(t.to_json_dict(), separators=sep)
+            assert '"w"' not in text
+            assert DiagramTemplate.from_json(text) == t
+
+
 def test_template_edges_held_in_canonical_order():
     t = second_kind_template(2, 2)
     pairs = [(e.lo, e.hi) for e in t.edges]
