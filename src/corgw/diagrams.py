@@ -20,12 +20,11 @@ monomial in the edge weights.  The average is a projector times the same
 product at level delta (_floor_core), so multiplicities and invariants lie
 in the span of the projectors and are carried in that basis.
 
-A multiplicity depends only on delta_D (the gcd of delta and the edge
-weights), the multiset of (label, valency) over the floors, and the integer
-weight monomial W.  So invariant tallies the labelled diagrams as integers
-by that class and runs the algebra once per class; multiplicity stays the
-per-diagram definition, and count_diagrams counts the labellings per
-structure without building them.
+Their characters depend on delta only through e = delta/m: with delta_D
+the gcd of delta and the edge weights, chi_m(theta(delta, delta/delta_D))
+= [e | delta_D], and chi_m(bold_sigma(delta, a)) = sigma(a/e) if e | a,
+else 0.  So invariant adds plain integers per e until its output, while
+multiplicity stays the per-diagram definition.
 """
 
 from __future__ import annotations
@@ -37,9 +36,10 @@ from math import comb, gcd, prod
 from operator import attrgetter, or_
 from typing import TYPE_CHECKING, Iterator
 
-from .arith import Frozen, divisors
+from .arith import Frozen, divisors, sigma
 
-# refined and torsion are imported where used, so the structure modes load neither.
+# torsion is imported where used, so the structure modes load no algebra;
+# refined only by multiplicity, the per-diagram reference.
 if TYPE_CHECKING:
     from .torsion import ProjectorElement
 
@@ -147,7 +147,7 @@ class FloorDiagram(Frozen):
     def floor_info(self) -> tuple[tuple[int, int], ...]:
         """Sorted multiset of (label, valency) over the floors."""
         labels = (a for a in self.levels if a)
-        return _floor_multiset(labels, self.floor_valencies)
+        return tuple(sorted(zip(labels, self.floor_valencies)))
 
     def delta_gcd(self, delta: int) -> int:
         return gcd(delta, *[e.w for e in self.edges])
@@ -470,19 +470,12 @@ def _floor_core(delta: int, delta_d: int, floors: tuple[tuple[int, int], ...]):
     return core
 
 
-def _floor_multiset(labels, valencies) -> tuple[tuple[int, int], ...]:
-    """Sorted multiset of the (label, valency) pairs zip(labels, valencies)."""
-    return tuple(sorted(zip(labels, valencies)))
-
-
 def multiplicity(diagram: FloorDiagram, delta: int) -> ProjectorElement:
     """Correlated multiplicity of a floor diagram at refinement level delta.
 
     The division-averaged floor product of _floor_core at delta_D, scaled
     by the weight monomial: bounded edges contribute w_e, and edges without
-    a flat endpoint contribute w_e^2 on top.  This is the per-diagram
-    definition; invariant sums the same products once per multiplicity
-    class.
+    a flat endpoint contribute w_e^2 on top.
     """
     TangencyProfile(diagram.profile()).check_delta(delta)
     core = _floor_core(delta, diagram.delta_gcd(delta), diagram.floor_info)
@@ -804,9 +797,10 @@ def enumerate_diagrams(
     """Every valid floor diagram for the given genus, class and profile.
 
     Floor labels run over the compositions of the class on each structure
-    of _class_structures, which touches no validity clause.  Output order
-    is deterministic: structure discovery order, then labels ascending
-    lexicographically.
+    of _class_structures, which touches no validity clause, and keep its
+    checked, sorted edges, so they skip the FloorDiagram check.  Output
+    order is deterministic: structure discovery order, then labels
+    ascending lexicographically.
     """
     out: list[FloorDiagram] = []
     for struct in _class_structures(genus, degree, profile.weights):
@@ -815,7 +809,9 @@ def enumerate_diagrams(
             levels = list(struct.levels)
             for i, a_v in zip(idx, labels):
                 levels[i] = a_v
-            out.append(FloorDiagram(tuple(levels), struct.edges))
+            diagram = object.__new__(FloorDiagram)
+            Frozen.__init__(diagram, tuple(levels), struct.edges)
+            out.append(diagram)
     return out
 
 
@@ -830,42 +826,40 @@ def count_diagrams(genus: int, degree: int, profile: TangencyProfile) -> int:
 
 
 @lru_cache(maxsize=None)
-def _invariant_cached(
-    genus: int, degree: int, weights: tuple[int, ...], delta: int
-) -> ProjectorElement:
-    from .refined import bold_sigma
-    from .torsion import ProjectorElement
-
-    # Integer tallies first.  A labelling of a structure pairs the labels
-    # with the floor valencies in level order; over all compositions of the
-    # class the paired multisets do not depend on that order, so structures
-    # with equal delta_D and sorted valencies share their W.
+def _shapes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
+    """((gcd of the edge weights, sorted floor valencies), summed W) per
+    shape of the structures of _structures(genus, weights, max_floors)."""
     shapes: Counter = Counter()
-    for struct in _class_structures(genus, degree, weights):
-        valencies = tuple(sorted(struct.floor_valencies))
-        shapes[struct.delta_gcd(delta), valencies] += struct.weight_monomial
-    classes: Counter = Counter()
-    for (delta_d, valencies), w_sum in shapes.items():
-        for labels in _compositions_asc(degree, len(valencies)):
-            classes[delta_d, _floor_multiset(labels, valencies)] += w_sum
-    # Then integer characters, as _floor_core computes them: a class's row
-    # is W where k = delta/delta_D divides m and 0 elsewhere, times each
-    # floor's a_V^(val-1) chi_m(bold_sigma(delta, a_V)), cached in rows.
-    divs = divisors(delta)
-    chi = dict.fromkeys(divs, 0)
-    rows: dict = {}
-    for (delta_d, floors), w_sum in classes.items():
-        k = delta // delta_d
-        prod_row = [0 if m % k else w_sum for m in divs]
-        for a_v, val in floors:
-            row = rows.get((a_v, val))
-            if row is None:
-                x = bold_sigma(delta, a_v)
-                row = rows[a_v, val] = [a_v ** (val - 1) * x.character(m) for m in divs]
-            prod_row = [p * r for p, r in zip(prod_row, row)]
-        for m, c in zip(divs, prod_row):
-            chi[m] += c
-    return ProjectorElement.from_characters(delta, chi)
+    for struct in _structures(genus, weights, max_floors):
+        edge_gcd = gcd(*[e.w for e in struct.edges])
+        shapes[edge_gcd, tuple(sorted(struct.floor_valencies))] += struct.weight_monomial
+    return tuple(shapes.items())
+
+
+@lru_cache(maxsize=None)
+def _invariant_cached(genus: int, degree: int, weights: tuple[int, ...], e: int) -> int:
+    """chi_m of the invariant at every level delta = e m: 0 unless e divides
+    the class, else the sum over the shapes whose edge gcd e divides of W
+    times the sum over the compositions x of degree/e of the products of
+    rows (e x_i)^(v_i - 1) sigma(x_i), read off their Cauchy product."""
+    _check_genus_and_degree(genus, degree)
+    if degree % e:
+        return 0
+    top = degree // e
+    shapes = [(vals, w_sum) for (edge_gcd, vals), w_sum
+              in _shapes(genus, weights, min(degree, genus)) if edge_gcd % e == 0]
+    rows = {v: [0] + [(e * x) ** (v - 1) * sigma(x) for x in range(1, top + 1)]
+            for v in {v for vals, _w in shapes for v in vals}}
+    total = 0
+    for vals, w_sum in shapes:
+        # Rows vanish at 0, as every part of a composition is >= 1.
+        head = rows[vals[0]]
+        for v in vals[1:]:
+            row = rows[v]
+            head = [sum(head[j] * row[i - j] for j in range(1, i))
+                    for i in range(top + 1)]
+        total += w_sum * head[top]
+    return total
 
 
 def invariant(
@@ -873,11 +867,16 @@ def invariant(
 ) -> ProjectorElement:
     """Correlated count: sum of multiplicities over all floor diagrams.
 
-    The sum runs over multiplicity classes, not diagrams: the labelled
-    diagrams are tallied as integers W by (delta_D, floor multiset), and
-    each class adds W times the integer characters of its _floor_core,
-    read off the characters of bold_sigma(delta, a_V), to one integer
-    character table.  The element is built once, from that table.
+    chi_m(theta(delta, delta/delta_D)) = [e | delta_D] and
+    chi_m(bold_sigma(delta, a)) = sigma(a/e) if e | a, else 0, e = delta/m;
+    so character m is the integer _invariant_cached keyed by e, and the
+    element is built once, from those integers.
     """
+    from .torsion import ProjectorElement
+
     profile.check_delta(delta)
-    return _invariant_cached(genus, degree, tuple(sorted(profile.weights)), delta)
+    weights = tuple(sorted(profile.weights))
+    return ProjectorElement.from_characters(
+        delta, {delta // e: _invariant_cached(genus, degree, weights, e)
+                for e in divisors(delta)}
+    )

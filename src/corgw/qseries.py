@@ -96,10 +96,10 @@ def _template_route(
     as in diagrams._floor_core, that is W theta(delta, delta/delta_T) times
     the product of the level-delta blocks.  So templates with equal sorted
     valencies share one Cauchy chain, weighted by the sum of their W
-    theta(delta, delta/delta_T).  The chains multiply ProjectorElements,
-    while invariant sums integer character tables over label compositions,
-    so the two routes factorization_check compares share no arithmetic
-    past bold_sigma.
+    theta(delta, delta/delta_T).  The chains multiply ProjectorElements
+    of bold_sigma, while invariant adds integer divisor sums per
+    character, so the two routes factorization_check compares share no
+    arithmetic.
     """
     shapes: dict[tuple[int, ...], ProjectorElement] = {}
     for t in templates:

@@ -523,6 +523,7 @@ def test_classes_from_the_genus_share_one_search(degree):
 
     genus, profile = 2, TangencyProfile((2, -2))
     diagrams._structures.cache_clear()
+    diagrams._shapes.cache_clear()
     diagrams._invariant_cached.cache_clear()
     templates_for(genus, profile)
     enumerate_diagrams(genus, degree, profile)
@@ -591,6 +592,16 @@ def test_count_equals_enumeration(genus, weights):
         ), degree
 
 
+@pytest.mark.parametrize("genus,weights", PINNED_PROFILES)
+def test_enumeration_equals_checked_construction(genus, weights):
+    # enumerate_diagrams relabels structures past the FloorDiagram check;
+    # the checked constructor builds the same diagrams.
+    profile = TangencyProfile(weights)
+    for degree in range(1, 5):
+        for d in enumerate_diagrams(genus, degree, profile):
+            assert d == FloorDiagram(d.levels, d.edges), d.to_json()
+
+
 def _refuse(*args):
     raise AssertionError("labelled diagram handled one at a time")
 
@@ -607,8 +618,9 @@ def test_count_builds_no_labelled_diagram(monkeypatch):
 
 def test_invariant_adds_once_per_class(monkeypatch):
     # The sum runs per class, as integer characters: no diagram is built or
-    # weighed on its own, and no element is multiplied or added.
-    from corgw import diagrams
+    # weighed on its own, no refined divisor sum is read, and no element is
+    # multiplied or added.
+    from corgw import diagrams, refined
 
     genus, degree, delta = 3, 4, 2
     profile = TangencyProfile((2, 2, -2, -2))
@@ -620,6 +632,7 @@ def test_invariant_adds_once_per_class(monkeypatch):
     diagrams._invariant_cached.cache_clear()
     monkeypatch.setattr(diagrams, "multiplicity", _refuse)
     monkeypatch.setattr(diagrams, "_floor_core", _refuse)
+    monkeypatch.setattr(refined, "bold_sigma", _refuse)
     monkeypatch.setattr(diagrams.FloorDiagram, "__init__", _refuse)
     for name in ("__add__", "__mul__", "__rmul__"):
         monkeypatch.setattr(ProjectorElement, name, _refuse)
@@ -918,3 +931,66 @@ def test_reflection_duality(genus, weights):
         for a in (1, 2, 3):
             assert invariant(genus, a, profile, delta) == invariant(
                 genus, a, dual_profile, delta), (delta, a)
+
+
+# -- the refinement as a multiple-cover formula ------------------------------
+
+
+def exponent_sum(diagram: FloorDiagram) -> int:
+    """Sum of the edge exponents k_e and of v - 1 over the floor valencies v.
+
+    It is c = 2(2g - 2 + n) on every valid diagram of genus g with n ends.
+    Let F be the floors, f the flats, L = F + f = n + g - 1 the levels, E_b
+    the bounded edges and ff the edges joining two flats.
+    - Genus: g = b1 + F with b1 = (|E_b| + n) - (L + n) + 1, so
+      |E_b| = g + f - 1.
+    - Forest: with the flats deleted, the floors and the n end vertices
+      form a forest of n trees, one per end, so it has F edges:
+      |E_b| + n - (2f - ff) = F.  With the genus count, ff = L - (n+g-1) = 0.
+    - So 2f edges touch a flat and |E_b| + n - 2f do not:
+      sum k_e = |E_b| + 2(|E_b| + n - 2f).  Every flat is bivalent, so the
+      floor valencies sum to 2|E_b| + n - 2f and sum (v - 1) to that less F.
+    - In all, 5|E_b| + 3n - 6f - F = 5g - 5 + 3n - L = 2(2g - 2 + n).
+    """
+    return sum(diagram.edge_exponents) + sum(v - 1 for v in diagram.floor_valencies)
+
+
+# Scalings left out for run time: each took 0.5-11 s on a 2-vCPU VM, most
+# of it searching every floor cap up to four.
+SLOW_SCALINGS = {
+    (6, (2, -2), 3), (6, (2, -2), 6), (4, (4, -2, -2), 6),
+    (3, (2, 2, 2, -6), 6), (4, (2, 2, -4), 6),
+}
+# Every pinned profile scaled by 2, 3 and 6, less SLOW_SCALINGS.
+MULTIPLE_COVER_CASES = [
+    (genus, tuple(scale * w for w in weights))
+    for genus, weights in PINNED_PROFILES
+    for scale in (2, 3, 6)
+    if (genus, weights, scale) not in SLOW_SCALINGS
+]
+
+
+@pytest.mark.parametrize("genus,weights", MULTIPLE_COVER_CASES)
+def test_refinement_is_a_multiple_cover_formula(genus, weights):
+    # chi_m(invariant(g, a, w, delta)) = e^c invariant(g, a/e, w/e, 1) with
+    # e = delta/m, and 0 when e does not divide a.  The two sides run the
+    # searches of w and of w/e.  Only the diagrams whose edge weights e
+    # divides reach chi_m; they are those of w/e scaled by e, and
+    # exponent_sum is why they scale by e^c.
+    from corgw.diagrams import _structures
+
+    c = 2 * (2 * genus - 2 + len(weights))
+    profile = TangencyProfile(weights)
+    # The structures the invariants below read: at a <= 4, those of at
+    # most four floors.
+    for s in _structures(genus, tuple(sorted(weights)), min(4, genus)):
+        assert exponent_sum(s) == c, s.to_json()
+    for delta in divisors(profile.gcd_abs):
+        for a in range(1, 5):
+            x = invariant(genus, a, profile, delta)
+            for m in divisors(delta):
+                e = delta // m
+                divided = TangencyProfile(tuple(w // e for w in weights))
+                want = 0 if a % e else e ** c * invariant(
+                    genus, a // e, divided, 1).total_mass
+                assert x.character(m) == want, (delta, a, m)
