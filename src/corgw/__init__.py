@@ -5,9 +5,11 @@ boundary configuration, computed through closed-form refined divisor sums
 and the floor-diagram calculus, entirely in exact rational arithmetic.
 
 The names live in the submodules, one per layer, and are imported from
-there (``from corgw.diagrams import invariant``): ``arith``, ``torsion``,
-``refined``, ``lattice``, ``diagrams``, ``qseries``, ``polyfit`` and the
-command-line front end ``cli``.  Importing the package loads none of them.
+there (``from corgw.diagrams import invariant``): ``arith``,
+``projector`` (the group-algebra elements the computation carries, by
+their characters), ``torsion`` (the dense reference), ``refined``,
+``lattice``, ``diagrams``, ``qseries``, ``polyfit`` and the command-line
+front end ``cli``.  Importing the package loads none of them.
 """
 
 __version__ = "0.1.0"

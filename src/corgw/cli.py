@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING
 
 # Each subcommand imports the layers it uses, so a job loads only what it needs.
 if TYPE_CHECKING:
-    from .torsion import GroupAlgebraElement, ProjectorElement
+    from .projector import ProjectorElement
+    from .torsion import GroupAlgebraElement
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1

@@ -38,10 +38,10 @@ from typing import TYPE_CHECKING, Iterator
 
 from .arith import Frozen, divisors, sigma
 
-# torsion is imported where used, so the structure modes load no algebra;
+# projector is imported where used, so the structure modes load no algebra;
 # refined only by multiplicity, the per-diagram reference.
 if TYPE_CHECKING:
-    from .torsion import ProjectorElement
+    from .projector import ProjectorElement
 
 BOTTOM = -1
 
@@ -461,8 +461,8 @@ def _floor_core(delta: int, delta_d: int, floors: tuple[tuple[int, int], ...]):
     chi_(m/k)(bold_sigma(delta_d, a)) = chi_m(bold_sigma(delta, a)), that is
     theta(delta, k) times the same product at level delta, computed here.
     """
+    from .projector import ProjectorElement
     from .refined import bold_sigma
-    from .torsion import ProjectorElement
 
     core = ProjectorElement(delta, {delta // delta_d: 1})
     for a_v, val in floors:
@@ -872,7 +872,7 @@ def invariant(
     so character m is the integer _invariant_cached keyed by e, and the
     element is built once, from those integers.
     """
-    from .torsion import ProjectorElement
+    from .projector import ProjectorElement
 
     profile.check_delta(delta)
     weights = tuple(sorted(profile.weights))

@@ -40,7 +40,7 @@ from .diagrams import (
     multiplicity,
     validate,
 )
-from .torsion import ProjectorElement, theta_coordinates
+from .projector import ProjectorElement, theta_coordinates
 
 
 class DiagramTemplate(FloorDiagram):

@@ -21,8 +21,8 @@ from functools import reduce
 
 from .arith import Frozen
 from .diagrams import FloorDiagram, TangencyProfile, _class_structures, invariant
+from .projector import ProjectorElement
 from .refined import bold_sigma
-from .torsion import ProjectorElement
 
 
 class GASeries(Frozen):

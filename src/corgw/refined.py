@@ -15,9 +15,13 @@ translated by a special correlator shift.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .arith import divisors, sigma_bar, upsilon
-from .torsion import GroupAlgebraElement, ProjectorElement
+from .projector import ProjectorElement
+
+if TYPE_CHECKING:
+    from .torsion import GroupAlgebraElement
 
 
 class ConsistencyError(RuntimeError):

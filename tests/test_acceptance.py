@@ -34,9 +34,10 @@ from corgw.polyfit import (
     poly_degree,
     polynomial_fit,
 )
+from corgw.projector import theta_coordinates
 from corgw.qseries import factorization_check, invariant_series
 from corgw.refined import bold_sigma, local_invariant
-from corgw.torsion import GroupAlgebraElement, theta, theta_coordinates, unrefine
+from corgw.torsion import GroupAlgebraElement, theta, unrefine
 
 
 def test_criterion_01_oracle_equivalence():

@@ -65,7 +65,7 @@ def test_local_table_orders(shift, capsys):
 def emit_reference(x, as_json):
     """The CLI output of an element, point by point, as _emit_element wrote
     it from x.to_json_dict(), x.support and x.coefficient."""
-    from corgw.torsion import point_order
+    from corgw.projector import point_order
 
     mass = x.total_mass
     if as_json:
@@ -285,7 +285,7 @@ CHECKED_SERIES = ["series", "--g", "1", "--profile", "2,-2", "--delta", "2",
 def test_series_factorization_mismatch_exit_3(monkeypatch, capsys):
     # A series one unit off at q^3 fails the certificate before any CSV.
     from corgw import qseries
-    from corgw.torsion import ProjectorElement
+    from corgw.projector import ProjectorElement
 
     true_series = qseries.invariant_series
 
@@ -388,18 +388,40 @@ def modules_after_main(argv, watched):
     return int(code), loaded.strip()
 
 
-ALGEBRA = ["corgw.refined", "corgw.torsion", "fractions"]
+ALGEBRA = ["corgw.refined", "corgw.projector", "corgw.torsion", "fractions"]
 
 
 @pytest.mark.parametrize("mode,loaded", [
-    ("--count", []), ("--list", []), ("--sum", ["corgw.torsion", "fractions"]),
+    ("--count", []), ("--list", []), ("--sum", ["corgw.projector", "fractions"]),
 ])
 def test_diagrams_mode_loads_algebra_only_to_sum(mode, loaded):
     # The structure modes never touch the group algebra, so a cold job
-    # skips compiling it.  The sum adds integers and loads torsion only to
-    # build its output, never refined; no mode loads json.
+    # skips compiling it.  The sum adds integers and loads projector only
+    # to build its output (fractions for its Fraction mass), never refined
+    # or the dense torsion; no mode loads json.
     argv = ["diagrams", "--g", "2", "--a", "2", "--profile", "2,-2", mode]
     assert modules_after_main(argv, ALGEBRA + ["json"]) == (0, repr(loaded))
+
+
+LOADS = ["corgw.projector", "corgw.torsion", "fractions", "decimal"]
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["series", "--g", "2", "--profile", "2,-2", "--delta", "2",
+      "--n-trunc", "4", "--check-factorization"], ["corgw.projector"]),
+    (["local", "--a", "2", "--w1", "2", "--n", "2", "--delta", "2", "--json"],
+     ["corgw.projector", "fractions", "decimal"]),
+    (["local", "--a", "2", "--w1", "2", "--n", "2", "--delta", "2",
+      "--shift", "1,0"], LOADS),
+    (["oracle-verify", "--a-max", "2", "--delta-max", "2"],
+     ["corgw.projector", "corgw.torsion"]),
+])
+def test_dense_reference_and_fractions_load_only_when_used(argv, loaded):
+    # The computation runs on characters (projector); the dense reference
+    # (torsion) is loaded by --shift and the oracle, and fractions (with
+    # decimal) only by the first Fraction: the series values and the
+    # oracle's counts are ints, while local prints a Fraction mass.
+    assert modules_after_main(argv, LOADS) == (0, repr(loaded))
 
 
 @pytest.mark.parametrize("argv,loaded", [

@@ -19,8 +19,9 @@ from corgw.diagrams import (
     multiplicity,
     validate,
 )
+from corgw.projector import ProjectorElement
 from corgw.refined import bold_sigma
-from corgw.torsion import GroupAlgebraElement, ProjectorElement, theta, unrefine
+from corgw.torsion import GroupAlgebraElement, theta, unrefine
 
 
 def test_profile_validation():
@@ -888,7 +889,7 @@ def test_balancing_and_profile_fix_cross_flow(data):
 def test_invariant_order_dependence():
     # with no correlator shift every term is a rational combination of the
     # projectors, so equal-order points carry equal coefficients
-    from corgw.torsion import point_order
+    from corgw.projector import point_order
 
     for (g, a, w, delta) in ((1, 2, 4, 4), (2, 2, 6, 6), (3, 2, 2, 2)):
         x = invariant(g, a, TangencyProfile((w, -w)), delta)

@@ -23,9 +23,10 @@ from corgw.lattice import (
 from corgw.polyfit import (
     CoordinateFit, DiagramTemplate, PolyFitReport, interpolate, polynomial_fit,
 )
+from corgw.projector import ProjectorElement
 from corgw.qseries import GASeries
 from corgw.refined import bold_sigma, local_invariant
-from corgw.torsion import GroupAlgebraElement, ProjectorElement, theta
+from corgw.torsion import GroupAlgebraElement, theta
 
 
 def test_package_import_loads_no_layer():

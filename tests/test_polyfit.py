@@ -26,14 +26,9 @@ from corgw.polyfit import (
     polynomial_fit,
     weightings,
 )
+from corgw.projector import ProjectorElement, theta_coordinates
 from corgw.refined import bold_sigma
-from corgw.torsion import (
-    GroupAlgebraElement,
-    ProjectorElement,
-    convolve,
-    theta,
-    theta_coordinates,
-)
+from corgw.torsion import GroupAlgebraElement, convolve, theta
 from test_diagrams import BRUTE_FORCE_CASES, STRUCTURE_DIGESTS
 from test_torsion import dense_theta_coordinates
 

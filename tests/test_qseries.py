@@ -5,6 +5,7 @@ import pytest
 
 from corgw.arith import divisors, jordan2, sigma, sigma_bar
 from corgw.diagrams import TangencyProfile, invariant
+from corgw.projector import ProjectorElement
 from corgw.qseries import (
     GASeries,
     _template_route,
@@ -14,7 +15,7 @@ from corgw.qseries import (
     write_series_csv,
 )
 from corgw.refined import bold_sigma, local_invariant
-from corgw.torsion import GroupAlgebraElement, ProjectorElement, theta
+from corgw.torsion import GroupAlgebraElement, theta
 from test_torsion import dense_theta_coordinates
 
 

@@ -14,20 +14,14 @@ from corgw.arith import (
     upsilon,
 )
 from corgw.lattice import oracle_local_invariant
+from corgw.projector import ProjectorElement, point_order
 from corgw.refined import (
     ConsistencyError,
     bold_sigma,
     local_invariant,
     theta_delta_d,
 )
-from corgw.torsion import (
-    GroupAlgebraElement,
-    ProjectorElement,
-    convolve,
-    point_order,
-    theta,
-    unrefine,
-)
+from corgw.torsion import GroupAlgebraElement, convolve, theta, unrefine
 
 
 @pytest.mark.parametrize("name, at", [("upsilon", 2), ("sigma_bar", 3)])

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,16 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corgw.arith import divisors
+from corgw.projector import ProjectorElement, point_order, theta_coordinates
 from corgw.refined import bold_sigma
-from corgw.torsion import (
-    GroupAlgebraElement,
-    ProjectorElement,
-    convolve,
-    theta,
-    point_order,
-    theta_coordinates,
-    unrefine,
-)
+from corgw.torsion import GroupAlgebraElement, convolve, theta, unrefine
 
 
 def brute_order(delta, u, v):
@@ -329,6 +323,35 @@ def test_mixed_addition_is_symmetric():
         ProjectorElement.unit(3) + ProjectorElement.unit(6)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ProjectorElement(6, {1: Fraction(1, 2), 6: 36}),
+    lambda: GroupAlgebraElement(6, {(0, 0): Fraction(1, 2), (1, 2): -1}),
+])
+def test_scalar_multiplication(build):
+    # int, bool and Fraction scale in either order, and an integral result
+    # is stored as an int; any other scalar, and the other element type,
+    # raises TypeError in either order.
+    x = build()
+    assert any(type(c) is Fraction for _pt, c in x.items())
+    for k in (3, -1, True, False, Fraction(4, 3), Fraction(2), 2):
+        for got in (x * k, k * x):
+            assert type(got) is type(x)
+            assert dict(got.items()) == {pt: c * k for pt, c in x.items() if c * k}
+            assert got.total_mass == x.total_mass * k
+            stored = [c for _pt, c in got.items()]
+            if type(got) is ProjectorElement:
+                stored += [got.character(m) for m in divisors(6)]
+            assert all(type(c) is int or c.denominator > 1 for c in stored)
+    # Scaling by 2 clears every denominator, so every stored value is an int.
+    assert all(type(c) is int for _pt, c in (Fraction(2) * x).items())
+    other = (GroupAlgebraElement.unit(6) if type(x) is ProjectorElement
+             else ProjectorElement.unit(6))
+    for k in (1.5, 2.0, Decimal(2), "2", other):
+        for op in (lambda: x * k, lambda: k * x):
+            with pytest.raises(TypeError):
+                op()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_projector_products_match_dense(data):
@@ -523,7 +546,7 @@ def test_order_class_writers_match_per_point(delta):
 
 def test_order_rows_are_shared_by_gcd():
     # The level cache holds tau(delta) rows of delta orders, never delta^2.
-    from corgw.torsion import _order_rows
+    from corgw.projector import _order_rows
 
     for delta in WRITER_LEVELS:
         row_of, rows = _order_rows(delta)
