@@ -12,4 +12,18 @@ their characters), ``torsion`` (the dense reference), ``refined``,
 front end ``cli``.  Importing the package loads none of them.
 """
 
+import sys
+
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every ``lru_cache`` defined in the corgw modules loaded so far.
+
+    Modules not yet imported stay unloaded: their caches are empty anyway.
+    """
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear") and value.__module__ == name:
+                    value.cache_clear()

@@ -76,7 +76,7 @@ def _parse_profile(text: str):
 
 
 def _emit_element(x: GroupAlgebraElement | ProjectorElement, args):
-    mass = x.total_mass
+    mass = x.mass  # an int when integral, so it prints without fractions
     if _want_json(args):
         # json.dumps of x.to_json_dict() with a "mass" entry appended.
         text = x.to_json(separators=(", ", ": "))
@@ -155,7 +155,10 @@ def cmd_series(args) -> int:
     if args.n_trunc < 0:
         raise ValueError(f"--n-trunc must be >= 0, got {args.n_trunc}")
     profile = _parse_profile(args.profile)
-    series = qseries.invariant_series(args.g, profile, args.delta, args.n_trunc)
+    series = qseries.invariant_series(
+        args.g, profile, args.delta, args.n_trunc,
+        all_floors=args.check_factorization,
+    )
     if args.check_factorization:
         templates, mismatch = qseries.factorization_check(args.g, profile, series)
         for t in templates:

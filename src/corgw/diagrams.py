@@ -839,18 +839,29 @@ def _shapes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
 @lru_cache(maxsize=None)
 def _invariant_cached(genus: int, degree: int, weights: tuple[int, ...], e: int) -> int:
     """chi_m of the invariant at every level delta = e m: 0 unless e divides
-    the class, else the sum over the shapes whose edge gcd e divides of W
-    times the sum over the compositions x of degree/e of the products of
-    rows (e x_i)^(v_i - 1) sigma(x_i), read off their Cauchy product."""
+    the class, else entry degree/e of _class_characters over the shapes of
+    the structures with at most min(degree, genus) floors."""
     _check_genus_and_degree(genus, degree)
     if degree % e:
         return 0
-    top = degree // e
-    shapes = [(vals, w_sum) for (edge_gcd, vals), w_sum
-              in _shapes(genus, weights, min(degree, genus)) if edge_gcd % e == 0]
+    shapes = _shapes(genus, weights, min(degree, genus))
+    return _class_characters(shapes, e, degree // e)[-1]
+
+
+def _class_characters(shapes: tuple, e: int, top: int) -> list[int]:
+    """Entry x, for x = 0 .. top: chi_m of the invariant of class e x at
+    every level delta = e m, from the _shapes entries of its structures.
+
+    That is the sum over the shapes whose edge gcd e divides of W times
+    the sum over the compositions of x of the products of rows
+    (e x_i)^(v_i - 1) sigma(x_i), read off one Cauchy product per shape
+    truncated at x = top.  Structures with more than x floors have no
+    composition of x and add 0, so one search serves every class."""
+    shapes = [(vals, w_sum) for (edge_gcd, vals), w_sum in shapes
+              if edge_gcd % e == 0]
     rows = {v: [0] + [(e * x) ** (v - 1) * sigma(x) for x in range(1, top + 1)]
             for v in {v for vals, _w in shapes for v in vals}}
-    total = 0
+    total = [0] * (top + 1)
     for vals, w_sum in shapes:
         # Rows vanish at 0, as every part of a composition is >= 1.
         head = rows[vals[0]]
@@ -858,7 +869,7 @@ def _invariant_cached(genus: int, degree: int, weights: tuple[int, ...], e: int)
             row = rows[v]
             head = [sum(head[j] * row[i - j] for j in range(1, i))
                     for i in range(top + 1)]
-        total += w_sum * head[top]
+        total = [t + w_sum * h for t, h in zip(total, head)]
     return total
 
 

@@ -174,6 +174,10 @@ def _gammas(
     return tuple(gammas.items())
 
 
+# polynomial_fit reads one value per sample, and a long-lived process refits
+# the same templates at the same or overlapping samples; the values are
+# immutable ProjectorElements, so the cached ones are shared as they are.
+@lru_cache(maxsize=256)
 def invariant_by_template(
     template: DiagramTemplate, profile: TangencyProfile, delta: int
 ) -> ProjectorElement:
@@ -182,6 +186,7 @@ def invariant_by_template(
     sum over d | delta of gamma_d times the weight-monomial sum over
     weightings omega with d | gcd(delta, omega), bucketed by that gcd.
     Equals the direct sum of multiplicities over the same weightings.
+    Cached by value: a template read again from JSON is the same key.
     """
     profile.check_delta(delta)
     exponents = template.edge_exponents

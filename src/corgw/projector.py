@@ -18,7 +18,8 @@ Values are stored exactly, as a Python int when integral and as a
 Fraction only when not: covers are counted and the characters of the
 refined divisor sums are integers, so most arithmetic stays on ints, and
 denominators enter only through the 1/d^2 of the projectors.  The public
-reads (coefficient, total_mass, theta_coordinates) still return Fraction.
+reads (coefficient, total_mass, theta_coordinates) still return Fraction;
+mass is the total mass as a stored value, for output.
 fractions, which loads decimal, is imported by the first Fraction built
 (_fraction), so a job whose values are all ints loads neither.
 
@@ -111,9 +112,10 @@ def _check_level(x, y) -> None:
 class _DenseSurface:
     """Read-only dense view and the members shared by both element types.
 
-    Subclasses provide ``delta`` and ``_terms``, the map (u, v) -> nonzero
-    value (int when integral, else Fraction) with reduced keys.  Equal dense
-    maps mean equal elements, whatever the representation.  Both types are
+    Subclasses provide ``delta``, ``_terms``, the map (u, v) -> nonzero
+    value (int when integral, else Fraction) with reduced keys, and
+    ``mass``, the total mass stored the same way.  Equal dense maps mean
+    equal elements, whatever the representation.  Both types are
     immutable, build their zero from the level alone and subtract as
     x + y * -1 through their own addition and scaling.  The writers here go
     point by point; ProjectorElement overrides them with writers that go by
@@ -134,6 +136,10 @@ class _DenseSurface:
 
     def coefficient(self, u: int, v: int) -> Fraction:
         return _fraction()(self._terms.get((u % self.delta, v % self.delta), 0))
+
+    @property
+    def total_mass(self) -> Fraction:
+        return _fraction()(self.mass)
 
     @property
     def support(self) -> list[tuple[int, int]]:
@@ -359,9 +365,10 @@ class ProjectorElement(_DenseSurface):
         return f'{{"delta"{colon}{self.delta}{comma}"terms"{colon}[{terms}]}}'
 
     @property
-    def total_mass(self) -> Fraction:
-        # Every projector has mass 1, and chi_delta sums every coordinate.
-        return _fraction()(self._chi.get(self.delta, 0))
+    def mass(self) -> int | Fraction:
+        """The total mass as a stored value: chi_delta, since every
+        projector has mass 1 and chi_delta sums every coordinate."""
+        return self._chi.get(self.delta, 0)
 
     def __bool__(self) -> bool:
         return bool(self._chi)

@@ -85,8 +85,9 @@ class GroupAlgebraElement(_DenseSurface):
     # -- inspection ---------------------------------------------------
 
     @property
-    def total_mass(self) -> Fraction:
-        return _fraction()(sum(self._terms.values()))
+    def mass(self) -> int | Fraction:
+        """The total mass as a stored value: an int when integral."""
+        return _integral(sum(self._terms.values()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)

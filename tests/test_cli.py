@@ -289,8 +289,8 @@ def test_series_factorization_mismatch_exit_3(monkeypatch, capsys):
 
     true_series = qseries.invariant_series
 
-    def off_at_q3(genus, profile, delta, truncation):
-        coeffs = list(true_series(genus, profile, delta, truncation).coeffs)
+    def off_at_q3(genus, profile, delta, truncation, **kwargs):
+        coeffs = list(true_series(genus, profile, delta, truncation, **kwargs).coeffs)
         coeffs[2] = coeffs[2] + ProjectorElement.unit(delta)
         return qseries.GASeries(delta, tuple(coeffs))
 
@@ -308,9 +308,9 @@ def test_series_check_builds_series_once(monkeypatch, capsys):
     calls = []
     true_series = qseries.invariant_series
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return true_series(*args)
+        return true_series(*args, **kwargs)
 
     monkeypatch.setattr(qseries, "invariant_series", counted)
     assert main(CHECKED_SERIES) == 0
@@ -392,13 +392,14 @@ ALGEBRA = ["corgw.refined", "corgw.projector", "corgw.torsion", "fractions"]
 
 
 @pytest.mark.parametrize("mode,loaded", [
-    ("--count", []), ("--list", []), ("--sum", ["corgw.projector", "fractions"]),
+    ("--count", []), ("--list", []), ("--sum", ["corgw.projector"]),
 ])
 def test_diagrams_mode_loads_algebra_only_to_sum(mode, loaded):
     # The structure modes never touch the group algebra, so a cold job
     # skips compiling it.  The sum adds integers and loads projector only
-    # to build its output (fractions for its Fraction mass), never refined
-    # or the dense torsion; no mode loads json.
+    # to build its output, never refined, the dense torsion or fractions
+    # (its mass is integral and printed as the stored int); no mode loads
+    # json.
     argv = ["diagrams", "--g", "2", "--a", "2", "--profile", "2,-2", mode]
     assert modules_after_main(argv, ALGEBRA + ["json"]) == (0, repr(loaded))
 
@@ -410,17 +411,20 @@ LOADS = ["corgw.projector", "corgw.torsion", "fractions", "decimal"]
     (["series", "--g", "2", "--profile", "2,-2", "--delta", "2",
       "--n-trunc", "4", "--check-factorization"], ["corgw.projector"]),
     (["local", "--a", "2", "--w1", "2", "--n", "2", "--delta", "2", "--json"],
-     ["corgw.projector", "fractions", "decimal"]),
+     ["corgw.projector"]),
     (["local", "--a", "2", "--w1", "2", "--n", "2", "--delta", "2",
-      "--shift", "1,0"], LOADS),
+      "--shift", "1,0"], ["corgw.projector", "corgw.torsion"]),
     (["oracle-verify", "--a-max", "2", "--delta-max", "2"],
      ["corgw.projector", "corgw.torsion"]),
+    (["local", "--a", "3", "--w1", "2", "--n", "2", "--delta", "2"],
+     ["corgw.projector"]),
 ])
 def test_dense_reference_and_fractions_load_only_when_used(argv, loaded):
     # The computation runs on characters (projector); the dense reference
     # (torsion) is loaded by --shift and the oracle, and fractions (with
-    # decimal) only by the first Fraction: the series values and the
-    # oracle's counts are ints, while local prints a Fraction mass.
+    # decimal) only by the first Fraction: the series values, the oracle's
+    # counts, the shifted values and the integral masses local prints are
+    # ints.
     assert modules_after_main(argv, LOADS) == (0, repr(loaded))
 
 

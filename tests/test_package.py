@@ -44,6 +44,43 @@ def test_package_import_loads_no_layer():
     assert proc.stdout == "[]\n"
 
 
+def test_clear_caches_empties_every_cache_and_imports_nothing():
+    # After a series, a fit, a local call, an invariant, an oracle call and
+    # a dense theta, every lru_cache of the loaded corgw modules holds
+    # entries; clear_caches empties each one and loads no further module.
+    code = (
+        "import sys\n"
+        "from corgw import clear_caches\n"
+        "from corgw.diagrams import TangencyProfile, invariant\n"
+        "from corgw.lattice import oracle_local_invariant\n"
+        "from corgw.polyfit import DiagramTemplate, polynomial_fit\n"
+        "from corgw.qseries import invariant_series\n"
+        "from corgw.refined import local_invariant\n"
+        "from corgw.torsion import theta\n"
+        "invariant_series(2, TangencyProfile((2, -2)), 2, 4)\n"
+        "invariant(2, 2, TangencyProfile((2, -2)), 2)\n"
+        "theta(2, 2)\n"
+        "chain = DiagramTemplate((1, 0), ((-1, 0), (0, 1), (1, 2)))\n"
+        "polynomial_fit(chain, 1, [1, 2, 3, 4, 5], [6, 7])\n"
+        "local_invariant(2, 2, 2, 2, (1, 0)).to_json()\n"
+        "oracle_local_invariant(2, 2, 2, 2)\n"
+        "caches = {f'{m}.{a}': f for m, mod in list(sys.modules.items())\n"
+        "          if m.startswith('corgw.') for a, f in vars(mod).items()\n"
+        "          if hasattr(f, 'cache_info') and f.__module__ == m}\n"
+        "sizes = lambda: {k: f.cache_info().currsize for k, f in caches.items()}\n"
+        "loaded = set(sys.modules)\n"
+        "empty = sorted(k for k, n in sizes().items() if not n)\n"
+        "clear_caches()\n"
+        "print(len(caches), empty, sorted(set(sizes().values())),\n"
+        "      set(sys.modules) == loaded)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "11 [] [0] True\n"
+
+
 def test_tracer_names_resolve():
     # perfbench/tracer.py patches its traced names through getattr; a name
     # removed from the library fails install here, not in a traced run.

@@ -408,19 +408,28 @@ def test_template_edges_held_in_canonical_order():
 def test_gammas_cache_keyed_by_template_value():
     # A template read from JSON and one rebuilt from its reversed edge
     # pairs are one cache key; another template is a different key, so
-    # fields read as () would make the first fit below a hit.
+    # fields read as () would make the first fit below a hit.  From empty
+    # caches the first fit computes the gammas once, and the rebuilt
+    # template's fit reads every sample's value from the per-sample cache.
+    from corgw import clear_caches
     from corgw.polyfit import _gammas
 
     t = DiagramTemplate.from_json(second_kind_template(2, 2).to_json())
     rebuilt = DiagramTemplate(
         t.levels, tuple((e.lo, e.hi) for e in reversed(t.edges))
     )
+    clear_caches()
     gamma_coeffs(chain_template(2), 2)
     misses = _gammas.cache_info().misses
     fit = list(range(2, 21, 2))
-    reports = [polynomial_fit(x, 2, fit, [22, 24], (2, 0)) for x in (t, rebuilt)]
+    first = polynomial_fit(t, 2, fit, [22, 24], (2, 0))
     assert _gammas.cache_info().misses == misses + 1
-    assert reports[0] == reports[1] and reports[0].ok
+    before = invariant_by_template.cache_info()
+    second = polynomial_fit(rebuilt, 2, fit, [22, 24], (2, 0))
+    after = invariant_by_template.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (12, 0)
+    assert _gammas.cache_info().misses == misses + 1
+    assert first == second and first.ok
 
 
 def test_template_shares_diagram_weight_monomial():
@@ -492,6 +501,63 @@ def test_polynomial_fit_chain():
     coord = rep.coordinates[0]
     # multiplicity of the chain is w^3: pure cubic
     assert coord.coeffs == (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+
+
+def second_kind_high_template(a1=2, a2=2):
+    # The second-kind template with the flats above their floors.
+    levels = (a1, 0, a2, 0)
+    edges = ((BOTTOM, 0), (0, 1), (0, 2), (1, 2), (2, 3), (3, 4))
+    return DiagramTemplate(levels, edges)
+
+
+ACCEPTANCE_TEMPLATES = [second_kind_template(), second_kind_high_template()]
+
+
+@pytest.mark.parametrize("delta", [1, 2, 4])
+@pytest.mark.parametrize("template", ACCEPTANCE_TEMPLATES)
+def test_cached_template_invariant_equals_cold_and_direct(template, delta):
+    # A stored value is what a cold resummation and the uncached direct
+    # route compute, whether the first or a later read fills the entry.
+    from corgw import clear_caches
+
+    clear_caches()
+    for w in (4, 8, 12, 4, 8):
+        profile = TangencyProfile((w, -w))
+        cached = invariant_by_template(template, profile, delta)
+        assert cached == invariant_by_template.__wrapped__(template, profile, delta)
+        assert cached == direct_sum_over_weightings(template, profile, delta)
+    info = invariant_by_template.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 3, 3)
+    assert not hasattr(direct_sum_over_weightings, "cache_info")
+
+
+@pytest.mark.parametrize("template", ACCEPTANCE_TEMPLATES)
+def test_polynomial_fit_json_same_cold_and_warm(template):
+    from corgw import clear_caches
+
+    def fit_json():
+        report = polynomial_fit(template, 2, list(range(2, 21, 2)), [22, 24], (2, 0))
+        return json.dumps(report.to_json_dict())
+
+    clear_caches()
+    cold = fit_json()
+    hits = invariant_by_template.cache_info().hits
+    assert fit_json() == cold
+    assert invariant_by_template.cache_info().hits == hits + 12
+
+
+def test_template_invariant_cache_stays_bounded():
+    # More distinct keys than the bound: the cache evicts, never grows past it.
+    from corgw import clear_caches
+
+    bound = invariant_by_template.cache_info().maxsize
+    assert bound == 256
+    clear_caches()
+    t = chain_template()
+    for w in range(1, bound + 40):
+        invariant_by_template(t, TangencyProfile((w, -w)), 1)
+        assert invariant_by_template.cache_info().currsize <= bound
+    assert invariant_by_template.cache_info().currsize == bound
 
 
 def test_polynomial_fit_second_kind_even_chamber():

@@ -1,4 +1,5 @@
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from corgw.qseries import (
 )
 from corgw.refined import bold_sigma, local_invariant
 from corgw.torsion import GroupAlgebraElement, theta
+from test_diagrams import STRUCTURE_DIGESTS
 from test_torsion import dense_theta_coordinates
 
 
@@ -63,6 +65,38 @@ def test_invariant_series_matches_pointwise():
     for a in range(1, 9):
         assert s.coefficient(a) == invariant(2, a, p, 2)
         assert s.coefficient(a).total_mass == invariant(2, a, p, 1).total_mass
+
+
+@pytest.mark.parametrize("genus,weights", list(STRUCTURE_DIGESTS))
+def test_invariant_series_equals_invariant_on_pinned_profiles(genus, weights):
+    # One structure search per series, capped at the truncation, the genus
+    # or neither: every coefficient is still the single-class invariant.
+    profile = TangencyProfile(weights)
+    for delta in sorted({1, math.gcd(*weights)}):
+        for truncation in sorted({max(genus - 1, 1), genus + 2}):
+            want = [invariant(genus, a, profile, delta)
+                    for a in range(1, truncation + 1)]
+            for all_floors in (False, True):
+                series = invariant_series(
+                    genus, profile, delta, truncation, all_floors=all_floors
+                )
+                assert list(series.coeffs) == want
+
+
+@pytest.mark.parametrize("truncation", [2, 6])
+def test_checked_series_searches_structures_once(truncation, capsys):
+    # From cold caches the series and its certificate share one search,
+    # below the genus (3) as well as past it.
+    from corgw import clear_caches
+    from corgw.cli import main
+    from corgw.diagrams import _structures
+
+    clear_caches()
+    argv = ["series", "--g", "3", "--profile", "2,2,-2,-2", "--delta", "2",
+            "--n-trunc", str(truncation), "--check-factorization"]
+    assert main(argv) == 0
+    assert "exact match" in capsys.readouterr().err
+    assert _structures.cache_info().misses == 1
 
 
 def test_gaseries_algebra():

@@ -425,14 +425,15 @@ def mixed_projector_elements(draw, delta):
 
 def assert_exact_and_fraction_reads(x):
     """Stored values are ints, or Fractions only where not integral; the
-    public reads return Fractions whatever is stored."""
-    stored = [c for _pt, c in x.items()]
+    public reads return Fractions whatever is stored.  mass is the stored
+    total mass that total_mass reads."""
+    stored = [c for _pt, c in x.items()] + [x.mass]
     if isinstance(x, ProjectorElement):
         stored += [x.character(m) for m in level_divisors(x.delta)]
         assert all(type(c) is Fraction for c in theta_coordinates(x).values())
     for c in stored:
         assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
-    assert type(x.total_mass) is Fraction
+    assert type(x.total_mass) is Fraction and x.total_mass == x.mass
     for u, v in x.support + [(0, 0), (x.delta - 1, 0)]:
         assert type(x.coefficient(u, v)) is Fraction
 
