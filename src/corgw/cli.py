@@ -155,10 +155,7 @@ def cmd_series(args) -> int:
     if args.n_trunc < 0:
         raise ValueError(f"--n-trunc must be >= 0, got {args.n_trunc}")
     profile = _parse_profile(args.profile)
-    series = qseries.invariant_series(
-        args.g, profile, args.delta, args.n_trunc,
-        all_floors=args.check_factorization,
-    )
+    series = qseries.invariant_series(args.g, profile, args.delta, args.n_trunc)
     if args.check_factorization:
         templates, mismatch = qseries.factorization_check(args.g, profile, series)
         for t in templates:

@@ -873,6 +873,16 @@ def _class_characters(shapes: tuple, e: int, top: int) -> list[int]:
     return total
 
 
+def _from_e(delta: int, by_e: dict[int, int]) -> ProjectorElement:
+    """The element at level delta whose character delta/e is by_e[e] (0
+    for an e | delta missing from by_e)."""
+    from .projector import ProjectorElement
+
+    return ProjectorElement.from_characters(
+        delta, {delta // e: x for e, x in by_e.items()}
+    )
+
+
 def invariant(
     genus: int, degree: int, profile: TangencyProfile, delta: int
 ) -> ProjectorElement:
@@ -883,11 +893,30 @@ def invariant(
     so character m is the integer _invariant_cached keyed by e, and the
     element is built once, from those integers.
     """
-    from .projector import ProjectorElement
-
     profile.check_delta(delta)
     weights = tuple(sorted(profile.weights))
-    return ProjectorElement.from_characters(
-        delta, {delta // e: _invariant_cached(genus, degree, weights, e)
-                for e in divisors(delta)}
-    )
+    return _from_e(delta, {e: _invariant_cached(genus, degree, weights, e)
+                           for e in divisors(delta)})
+
+
+def invariants(
+    genus: int, profile: TangencyProfile, delta: int, truncation: int
+) -> list[ProjectorElement]:
+    """invariant(genus, a, profile, delta) for a = 1 .. truncation.
+
+    One structure search, capped at min(truncation, genus) floors, serves
+    every class, and each e | delta costs one _class_characters product
+    per shape, truncated at class truncation/e.  The genus and delta are
+    checked first, so an empty list (truncation 0) still rejects bad input.
+    """
+    if genus < 1:
+        raise ValueError(f"expected genus >= 1, got {genus}")
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
+    profile.check_delta(delta)
+    if not truncation:
+        return []
+    shapes = _shapes(genus, tuple(sorted(profile.weights)), min(truncation, genus))
+    chi = {e: _class_characters(shapes, e, truncation // e) for e in divisors(delta)}
+    return [_from_e(delta, {e: row[a // e] for e, row in chi.items() if a % e == 0})
+            for a in range(1, truncation + 1)]

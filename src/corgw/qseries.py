@@ -19,14 +19,8 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .arith import Frozen, divisors
-from .diagrams import (
-    FloorDiagram,
-    TangencyProfile,
-    _class_characters,
-    _class_structures,
-    _shapes,
-)
+from .arith import Frozen
+from .diagrams import FloorDiagram, TangencyProfile, _class_structures, invariants
 from .projector import ProjectorElement
 from .refined import bold_sigma
 
@@ -64,40 +58,13 @@ class GASeries(Frozen):
 
 
 def invariant_series(
-    genus: int,
-    profile: TangencyProfile,
-    delta: int,
-    truncation: int,
-    *,
-    all_floors: bool = False,
+    genus: int, profile: TangencyProfile, delta: int, truncation: int
 ) -> GASeries:
     """Series of diagram-summed invariants in the class direction: the
-    coefficient of q^a is diagrams.invariant(genus, a, profile, delta).
-
-    One structure search serves every class, capped at min(truncation,
-    genus) floors.  all_floors caps it at the genus instead: that is the
-    search templates_for runs, so a caller that runs both (series
-    --check-factorization) searches once.  Each e | delta then costs one
-    truncated Cauchy product per shape (diagrams._class_characters).  The genus and delta are checked first,
-    so an empty series (truncation 0) still rejects bad input.
+    coefficient of q^a is diagrams.invariant(genus, a, profile, delta),
+    all read off one structure search (diagrams.invariants).
     """
-    if genus < 1:
-        raise ValueError(f"expected genus >= 1, got {genus}")
-    if truncation < 0:
-        raise ValueError(f"truncation must be >= 0, got {truncation}")
-    profile.check_delta(delta)
-    if not truncation:
-        return GASeries(delta, ())
-    cap = genus if all_floors else min(truncation, genus)
-    shapes = _shapes(genus, tuple(sorted(profile.weights)), cap)
-    chi = {e: _class_characters(shapes, e, truncation // e) for e in divisors(delta)}
-    coeffs = [
-        ProjectorElement.from_characters(
-            delta, {delta // e: row[a // e] for e, row in chi.items() if a % e == 0}
-        )
-        for a in range(1, truncation + 1)
-    ]
-    return GASeries(delta, tuple(coeffs))
+    return GASeries(delta, tuple(invariants(genus, profile, delta, truncation)))
 
 
 def templates_for(genus: int, profile: TangencyProfile) -> list[FloorDiagram]:

@@ -289,8 +289,8 @@ def test_series_factorization_mismatch_exit_3(monkeypatch, capsys):
 
     true_series = qseries.invariant_series
 
-    def off_at_q3(genus, profile, delta, truncation, **kwargs):
-        coeffs = list(true_series(genus, profile, delta, truncation, **kwargs).coeffs)
+    def off_at_q3(genus, profile, delta, truncation):
+        coeffs = list(true_series(genus, profile, delta, truncation).coeffs)
         coeffs[2] = coeffs[2] + ProjectorElement.unit(delta)
         return qseries.GASeries(delta, tuple(coeffs))
 
@@ -308,9 +308,9 @@ def test_series_check_builds_series_once(monkeypatch, capsys):
     calls = []
     true_series = qseries.invariant_series
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return true_series(*args, **kwargs)
+        return true_series(*args)
 
     monkeypatch.setattr(qseries, "invariant_series", counted)
     assert main(CHECKED_SERIES) == 0

@@ -408,17 +408,17 @@ def test_template_edges_held_in_canonical_order():
 def test_gammas_cache_keyed_by_template_value():
     # A template read from JSON and one rebuilt from its reversed edge
     # pairs are one cache key; another template is a different key, so
-    # fields read as () would make the first fit below a hit.  From empty
-    # caches the first fit computes the gammas once, and the rebuilt
-    # template's fit reads every sample's value from the per-sample cache.
-    from corgw import clear_caches
+    # fields read as () would make the first fit below a hit.  From an
+    # empty per-sample cache the first fit computes the gammas once, the
+    # rebuilt template's fit reads every sample's value from that cache,
+    # and its own gammas are a _gammas hit.
     from corgw.polyfit import _gammas
 
     t = DiagramTemplate.from_json(second_kind_template(2, 2).to_json())
     rebuilt = DiagramTemplate(
         t.levels, tuple((e.lo, e.hi) for e in reversed(t.edges))
     )
-    clear_caches()
+    invariant_by_template.cache_clear()
     gamma_coeffs(chain_template(2), 2)
     misses = _gammas.cache_info().misses
     fit = list(range(2, 21, 2))
@@ -428,8 +428,11 @@ def test_gammas_cache_keyed_by_template_value():
     second = polynomial_fit(rebuilt, 2, fit, [22, 24], (2, 0))
     after = invariant_by_template.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (12, 0)
-    assert _gammas.cache_info().misses == misses + 1
     assert first == second and first.ok
+    gammas = _gammas.cache_info()
+    assert gamma_coeffs(rebuilt, 2) == gamma_coeffs(t, 2)
+    assert _gammas.cache_info().hits == gammas.hits + 2
+    assert _gammas.cache_info().misses == misses + 1
 
 
 def test_template_shares_diagram_weight_monomial():
@@ -518,9 +521,7 @@ ACCEPTANCE_TEMPLATES = [second_kind_template(), second_kind_high_template()]
 def test_cached_template_invariant_equals_cold_and_direct(template, delta):
     # A stored value is what a cold resummation and the uncached direct
     # route compute, whether the first or a later read fills the entry.
-    from corgw import clear_caches
-
-    clear_caches()
+    invariant_by_template.cache_clear()
     for w in (4, 8, 12, 4, 8):
         profile = TangencyProfile((w, -w))
         cached = invariant_by_template(template, profile, delta)
@@ -533,13 +534,14 @@ def test_cached_template_invariant_equals_cold_and_direct(template, delta):
 
 @pytest.mark.parametrize("template", ACCEPTANCE_TEMPLATES)
 def test_polynomial_fit_json_same_cold_and_warm(template):
-    from corgw import clear_caches
+    from corgw.polyfit import _gammas
 
     def fit_json():
         report = polynomial_fit(template, 2, list(range(2, 21, 2)), [22, 24], (2, 0))
         return json.dumps(report.to_json_dict())
 
-    clear_caches()
+    invariant_by_template.cache_clear()
+    _gammas.cache_clear()
     cold = fit_json()
     hits = invariant_by_template.cache_info().hits
     assert fit_json() == cold
@@ -548,11 +550,9 @@ def test_polynomial_fit_json_same_cold_and_warm(template):
 
 def test_template_invariant_cache_stays_bounded():
     # More distinct keys than the bound: the cache evicts, never grows past it.
-    from corgw import clear_caches
-
     bound = invariant_by_template.cache_info().maxsize
     assert bound == 256
-    clear_caches()
+    invariant_by_template.cache_clear()
     t = chain_template()
     for w in range(1, bound + 40):
         invariant_by_template(t, TangencyProfile((w, -w)), 1)

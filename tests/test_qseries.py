@@ -69,34 +69,32 @@ def test_invariant_series_matches_pointwise():
 
 @pytest.mark.parametrize("genus,weights", list(STRUCTURE_DIGESTS))
 def test_invariant_series_equals_invariant_on_pinned_profiles(genus, weights):
-    # One structure search per series, capped at the truncation, the genus
-    # or neither: every coefficient is still the single-class invariant.
+    # One structure search per series, capped below the genus or at it:
+    # every coefficient is still the single-class invariant.
     profile = TangencyProfile(weights)
     for delta in sorted({1, math.gcd(*weights)}):
         for truncation in sorted({max(genus - 1, 1), genus + 2}):
             want = [invariant(genus, a, profile, delta)
                     for a in range(1, truncation + 1)]
-            for all_floors in (False, True):
-                series = invariant_series(
-                    genus, profile, delta, truncation, all_floors=all_floors
-                )
-                assert list(series.coeffs) == want
+            series = invariant_series(genus, profile, delta, truncation)
+            assert list(series.coeffs) == want
 
 
-@pytest.mark.parametrize("truncation", [2, 6])
-def test_checked_series_searches_structures_once(truncation, capsys):
-    # From cold caches the series and its certificate share one search,
-    # below the genus (3) as well as past it.
-    from corgw import clear_caches
+@pytest.mark.parametrize("truncation,searches", [(2, 2), (3, 1), (6, 1)])
+def test_checked_series_searches_structures_once(truncation, searches, capsys):
+    # From cold search caches, a series from the genus (3) on shares its
+    # one search with its certificate; below the genus the series search
+    # is capped at N floors and templates_for runs the uncapped one.
     from corgw.cli import main
-    from corgw.diagrams import _structures
+    from corgw.diagrams import _shapes, _structures
 
-    clear_caches()
+    _structures.cache_clear()
+    _shapes.cache_clear()
     argv = ["series", "--g", "3", "--profile", "2,2,-2,-2", "--delta", "2",
             "--n-trunc", str(truncation), "--check-factorization"]
     assert main(argv) == 0
     assert "exact match" in capsys.readouterr().err
-    assert _structures.cache_info().misses == 1
+    assert _structures.cache_info().misses == searches
 
 
 def test_gaseries_algebra():
