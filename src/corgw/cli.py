@@ -304,4 +304,9 @@ def run() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    # The program ends here: with both streams flushed, skip the teardown of
+    # the interpreter.  The corgw console script keeps sys.exit.
+    code = run()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate
-from math import comb, gcd, prod
+from itertools import accumulate, product
+from math import comb, factorial, gcd, prod
 from operator import attrgetter, or_
 from typing import TYPE_CHECKING, Iterator
 
@@ -533,10 +533,13 @@ def _with_parts(open_cnt: dict, parts, level: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _structures(
-    genus: int, weights: tuple[int, ...], max_floors: int
-) -> tuple[FloorDiagram, ...]:
-    """All diagram structures (floor labels stripped to 1) for a profile.
+def _closes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
+    """The branches of the structure search for a profile, each stopped at
+    the floor that brings the deficit to 0: one (levels, edges, opens,
+    surpluses) per branch, in discovery order, with that floor last in
+    levels and its in-edges last in edges.  opens holds (weight, origin,
+    count, floor component of the origin or None) per open class, sorted,
+    and surpluses the (floor component, surplus) pairs.
 
     Level-by-level transfer search: at each of the n + g - 1 levels (more
     than MAX_LEVELS raise ValueError) place a flat vertex or a floor,
@@ -588,26 +591,25 @@ def _structures(
       edge from one component.  There a block of the partial graph with three
       or more vertices and two flats cuts the branch; later levels only add.
 
-    Completed candidates still pass through validate.  Distinct branches
-    differ in the in-edges or the out-weights of the level where they part,
-    so they build distinct diagrams.
+    Distinct branches differ in the in-edges or the out-weights of the level
+    where they part, so they build distinct diagrams.
     """
     profile = TangencyProfile(weights)
     n_levels = len(profile.weights) + genus - 1
     _check_level_count(n_levels)
     n_sinks = len(profile.sinks)
     sink_count = Counter(profile.sinks)
-    results: list[FloorDiagram] = []
+    records = []
+    shared: dict = {}
+
+    def share(t):
+        """One stored tuple per value: branches repeat few levels, opens
+        and surpluses."""
+        return shared.setdefault(t, t)
+
     # The levels placed so far and the edges into them, as stacks.
     levels: list[int] = []
     edges: list[Edge] = []
-
-    def emit(open_cnt):
-        tops = [Edge(o, n_levels, w) for (w, o), c in open_cnt.items()
-                for _ in range(c)]
-        diagram = FloorDiagram(tuple(levels), tuple(edges + tops))
-        if validate(diagram, genus, diagram.degree, profile)[0]:
-            results.append(diagram)
 
     def missing_sinks(open_cnt):
         """The sinks not yet open; None when the open weights are not a
@@ -740,15 +742,42 @@ def _structures(
                     nxt = _with_parts(base, parts, level)
                     search(level + 1, nxt, comp2, left, root2, ends2)
             else:
-                fill(level + 1, _with_parts(base, parts, level), root2, surplus)
+                opens = sorted(_with_parts(base, parts, level).items())
+                records.append((
+                    share(tuple(levels)),
+                    tuple(edges),
+                    share(tuple((w, o, c, root2.get(o)) for (w, o), c in opens)),
+                    share(tuple(surplus.items())),
+                ))
             levels.pop()
             del edges[len(edges) - len(taken):]
 
-    # Deficit 0: only flats, each taking a floor-origin edge of a floor
-    # component with surplus left.
+    search(0, dict(Counter((w, BOTTOM) for w in profile.sources)), {}, genus, {}, {})
+    return tuple(records)
+
+
+@lru_cache(maxsize=None)
+def _structures(
+    genus: int, weights: tuple[int, ...], max_floors: int
+) -> tuple[FloorDiagram, ...]:
+    """All diagram structures (floor labels stripped to 1) for a profile.
+
+    Each branch of _closes, in its order, is completed by flats, each taking
+    a floor-origin edge of a floor component with surplus left, in sorted
+    order of the open classes.  Completed candidates still pass through
+    validate, which rejects none of them.
+    """
+    profile = TangencyProfile(weights)
+    n_levels = len(profile.weights) + genus - 1
+    results: list[FloorDiagram] = []
+
     def fill(level, open_cnt, floor_root, surplus):
         if level == n_levels:
-            emit(open_cnt)
+            tops = [Edge(o, n_levels, w) for (w, o), c in open_cnt.items()
+                    for _ in range(c)]
+            diagram = FloorDiagram(tuple(levels), tuple(edges + tops))
+            if validate(diagram, genus, diagram.degree, profile)[0]:
+                results.append(diagram)
             return
         for wo, _c in sorted(open_cnt.items()):
             w, origin = wo
@@ -765,7 +794,10 @@ def _structures(
             levels.pop()
             edges.pop()
 
-    search(0, dict(Counter((w, BOTTOM) for w in profile.sources)), {}, genus, {}, {})
+    for prefix, head, opens, surplus in _closes(genus, weights, max_floors):
+        levels, edges = list(prefix), list(head)
+        fill(len(levels), {(w, o): c for w, o, c, _r in opens},
+             {o: r for _w, o, _c, r in opens if r is not None}, dict(surplus))
     return tuple(results)
 
 
@@ -816,24 +848,60 @@ def enumerate_diagrams(
 
 
 def count_diagrams(genus: int, degree: int, profile: TangencyProfile) -> int:
-    """len(enumerate_diagrams(genus, degree, profile)), without building
-    the labelled diagrams: a structure with F floors carries C(degree - 1,
-    F - 1) labellings, one per composition of the class."""
-    return sum(
-        comb(degree - 1, len(struct.floor_indices) - 1)
-        for struct in _class_structures(genus, degree, profile.weights)
-    )
+    """len(enumerate_diagrams(genus, degree, profile)), without building a
+    diagram: a structure with F floors carries C(degree - 1, F - 1)
+    labellings, one per composition of the class, and _shapes counts the
+    structures by their F valencies."""
+    _check_genus_and_degree(genus, degree)
+    shapes = _shapes(genus, tuple(sorted(profile.weights)), min(degree, genus))
+    return sum(n * comb(degree - 1, len(vals) - 1) for _g, vals, n, _w in shapes)
 
 
 @lru_cache(maxsize=None)
 def _shapes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
-    """((gcd of the edge weights, sorted floor valencies), summed W) per
-    shape of the structures of _structures(genus, weights, max_floors)."""
-    shapes: Counter = Counter()
-    for struct in _structures(genus, weights, max_floors):
-        edge_gcd = gcd(*[e.w for e in struct.edges])
-        shapes[edge_gcd, tuple(sorted(struct.floor_valencies))] += struct.weight_monomial
-    return tuple(shapes.items())
+    """(gcd of the edge weights, sorted floor valencies, number N, summed W)
+    per shape of the structures of _structures(genus, weights, max_floors),
+    counted from the branches of _closes without building them.
+
+    Only flats follow a closing floor, and each of the k levels left takes
+    one open edge that starts at a floor; floor component r gives exactly
+    surplus[r] of them, as the surpluses add up to k.  A taken edge weighs
+    w (bounded, one flat end) and the flat's edge to the top 1; an untaken
+    one w^2, and an open edge from a flat 1.  So x_i edges taken from the
+    open class i of c_i edges of weight w_i stand for k!/prod x_i!
+    structures of monomial W prod w_i^(2c_i - x_i), W that of the branch's
+    edges as in FloorDiagram.edge_exponents.  Flats change no valency and
+    repeat an open weight, so the valencies and the gcd are the branch's.
+    """
+    n_levels = len(weights) + genus - 1
+    shapes: dict = {}
+    for levels, edges, opens, surplus in _closes(genus, weights, max_floors):
+        val = [0] * (len(levels) + 1)  # the last slot counts BOTTOM
+        w_branch = 1
+        for e in edges:
+            val[e.lo] += 1
+            val[e.hi] += 1
+            flat_end = e.lo >= 0 and not levels[e.lo] or not levels[e.hi]
+            w_branch *= e.w ** ((e.lo >= 0) + 2 * (not flat_end))
+        for _w, o, c, _r in opens:
+            val[o] += c
+        key = (gcd(*[e.w for e in edges], *[w for w, *_ in opens]),
+               tuple(sorted(v for v, a in zip(val, levels) if a)))
+        k = n_levels - len(levels)
+        taken = [(w, c, r) for w, _o, c, r in opens if r is not None]
+        need = dict(surplus)
+        n = w_sum = 0
+        for xs in product(*[range(c + 1) for _w, c, _r in taken]):
+            used = dict.fromkeys(need, 0)
+            for x, (_w, _c, r) in zip(xs, taken):
+                used[r] += x
+            if used == need:
+                ways = factorial(k) // prod(map(factorial, xs))
+                n += ways
+                w_sum += ways * prod(w ** (2 * c - x) for x, (w, c, _r) in zip(xs, taken))
+        old = shapes.get(key, (0, 0))
+        shapes[key] = (old[0] + n, old[1] + w_branch * w_sum)
+    return tuple(key + tot for key, tot in shapes.items())
 
 
 @lru_cache(maxsize=None)
@@ -857,7 +925,7 @@ def _class_characters(shapes: tuple, e: int, top: int) -> list[int]:
     (e x_i)^(v_i - 1) sigma(x_i), read off one Cauchy product per shape
     truncated at x = top.  Structures with more than x floors have no
     composition of x and add 0, so one search serves every class."""
-    shapes = [(vals, w_sum) for (edge_gcd, vals), w_sum in shapes
+    shapes = [(vals, w_sum) for edge_gcd, vals, _n, w_sum in shapes
               if edge_gcd % e == 0]
     rows = {v: [0] + [(e * x) ** (v - 1) * sigma(x) for x in range(1, top + 1)]
             for v in {v for vals, _w in shapes for v in vals}}

@@ -427,11 +427,13 @@ def test_enumeration_matches_brute_force(genus, degree, weights):
 
 
 def test_enumeration_is_deterministic():
-    from corgw.diagrams import _structures
+    from corgw.diagrams import _closes, _structures
 
+    _closes.cache_clear()
     _structures.cache_clear()
     p = TangencyProfile((4, -4))
     first = [d.to_json() for d in enumerate_diagrams(2, 3, p)]
+    _closes.cache_clear()
     _structures.cache_clear()
     second = [d.to_json() for d in enumerate_diagrams(2, 3, p)]
     assert first == second
@@ -518,11 +520,13 @@ def test_closing_floor_builds_only_covering_subsets(k):
 @pytest.mark.parametrize("degree", [2, 3])
 def test_classes_from_the_genus_share_one_search(degree):
     # From the genus on the floor cap is the genus, so templates_for and
-    # every class reading _class_structures fill one cache entry.
+    # every class reading _class_structures or _shapes fill one cache entry
+    # each, and all of them run one search.
     from corgw import diagrams
     from corgw.qseries import templates_for
 
     genus, profile = 2, TangencyProfile((2, -2))
+    diagrams._closes.cache_clear()
     diagrams._structures.cache_clear()
     diagrams._shapes.cache_clear()
     diagrams._invariant_cached.cache_clear()
@@ -531,6 +535,7 @@ def test_classes_from_the_genus_share_one_search(degree):
     count_diagrams(genus, degree, profile)
     invariant(genus, degree, profile, 2)
     assert diagrams._structures.cache_info().currsize == 1
+    assert diagrams._closes.cache_info().currsize == 1
 
 
 # -- the class tally against the sum over labelled diagrams ----------------
@@ -559,6 +564,52 @@ def test_invariant_equals_sum_over_diagrams(genus, weights):
             assert invariant(genus, degree, profile, delta) == (
                 invariant_by_diagrams(genus, degree, profile, delta)
             ), (delta, degree)
+
+
+@pytest.mark.parametrize("genus,weights", PINNED_PROFILES)
+def test_closed_form_totals_equal_the_listing(genus, weights):
+    # _shapes counts the completions of each closing branch in closed form;
+    # the reference tallies the validated structures one at a time, on both
+    # orientations of the profile and at every floor cap.
+    from math import gcd
+
+    from corgw.diagrams import _shapes, _structures
+
+    for ws in (weights, tuple(-w for w in weights)):
+        ws = tuple(sorted(ws))
+        for cap in range(1, genus + 1):
+            by_floors, sums = Counter(), Counter()
+            for s in _structures(genus, ws, cap):
+                by_floors[len(s.floor_indices)] += 1
+                edge_gcd = gcd(*[e.w for e in s.edges])
+                sums[edge_gcd, tuple(sorted(s.floor_valencies))] += s.weight_monomial
+            shapes = _shapes(genus, ws, cap)
+            closed = Counter()
+            for _g, vals, n, _w in shapes:
+                closed[len(vals)] += n
+            assert closed == by_floors, (ws, cap)
+            assert {(g, vals): w for g, vals, _n, w in shapes} == sums, (ws, cap)
+
+
+def test_totals_build_no_diagram(monkeypatch):
+    # From cold caches, the count and the invariant read the closing
+    # branches only: neither builds a FloorDiagram nor calls validate.
+    import corgw
+    from corgw import diagrams
+
+    profile = TangencyProfile((2, 2, -2, -2))
+    cases = [(a, delta) for a in (2, 3) for delta in (1, 2)]
+    counts = [len(enumerate_diagrams(3, a, profile)) for a, _d in cases]
+    sums = [invariant_by_diagrams(3, a, profile, delta) for a, delta in cases]
+    corgw.clear_caches()
+
+    def refuse(*args):
+        raise AssertionError("a diagram was built or validated")
+
+    monkeypatch.setattr(diagrams.FloorDiagram, "__init__", refuse)
+    monkeypatch.setattr(diagrams, "validate", refuse)
+    assert [count_diagrams(3, a, profile) for a, _d in cases] == counts
+    assert [invariant(3, a, profile, delta) for a, delta in cases] == sums
 
 
 def multiplicity_by_floor_walk(diagram, delta):
@@ -761,8 +812,9 @@ def _structure_candidates(genus, weights, monkeypatch, max_floors, block_tests=N
     when given, collects (pairs, flats, verdict) of every two-flat test,
     the search's own on partial graphs and validate's."""
     from corgw import diagrams
-    from corgw.diagrams import _has_two_flat_cycle, _structures
+    from corgw.diagrams import _closes, _has_two_flat_cycle, _structures
 
+    _closes.cache_clear()  # so the search runs and its block tests are seen
     built = []
 
     def recording(diagram, *args):

@@ -45,13 +45,14 @@ def test_package_import_loads_no_layer():
 
 
 def test_clear_caches_empties_every_cache_and_imports_nothing():
-    # After a series, a fit, a local call, an invariant, an oracle call and
-    # a dense theta, every lru_cache of the loaded corgw modules holds
-    # entries; clear_caches empties each one and loads no further module.
+    # After a series, an invariant, a listing, a dense theta, a fit, a local
+    # call and an oracle call, every lru_cache of the loaded corgw modules
+    # holds entries; clear_caches empties each one and loads no further
+    # module.
     code = (
         "import sys\n"
         "from corgw import clear_caches\n"
-        "from corgw.diagrams import TangencyProfile, invariant\n"
+        "from corgw.diagrams import TangencyProfile, enumerate_diagrams, invariant\n"
         "from corgw.lattice import oracle_local_invariant\n"
         "from corgw.polyfit import DiagramTemplate, polynomial_fit\n"
         "from corgw.qseries import invariant_series\n"
@@ -59,6 +60,7 @@ def test_clear_caches_empties_every_cache_and_imports_nothing():
         "from corgw.torsion import theta\n"
         "invariant_series(2, TangencyProfile((2, -2)), 2, 4)\n"
         "invariant(2, 2, TangencyProfile((2, -2)), 2)\n"
+        "enumerate_diagrams(2, 2, TangencyProfile((2, -2)))\n"
         "theta(2, 2)\n"
         "chain = DiagramTemplate((1, 0), ((-1, 0), (0, 1), (1, 2)))\n"
         "polynomial_fit(chain, 1, [1, 2, 3, 4, 5], [6, 7])\n"
@@ -78,7 +80,7 @@ def test_clear_caches_empties_every_cache_and_imports_nothing():
         [sys.executable, "-c", code], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "11 [] [0] True\n"
+    assert proc.stdout == "12 [] [0] True\n"
 
 
 def test_tracer_names_resolve():
