@@ -18,11 +18,10 @@ callers.
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import re
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 # Each subcommand imports the layers it uses, so a job loads only what it needs.
 if TYPE_CHECKING:
@@ -289,24 +288,20 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
-def run() -> int:
-    """main() on sys.argv as a program: the exit status, EXIT_PIPE when the
-    reader of stdout has gone."""
+def run() -> NoReturn:
+    """main() on sys.argv as a program: exits with its status, EXIT_PIPE
+    when the reader of stdout has gone.  Once both streams are flushed it
+    ends with os._exit, skipping the interpreter's teardown, which would
+    only free the heap the command built; no atexit handler runs, and corgw
+    registers none.  Usage errors and --help leave main() as SystemExit."""
     try:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
-        # The interpreter flushes stdout again at exit; let that write go nowhere.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_PIPE
-    gc.freeze()  # exit skips collecting the heap: no corgw object has a finalizer
-    return code
+        code = EXIT_PIPE  # what stdout still buffers is never written
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    # The program ends here: with both streams flushed, skip the teardown of
-    # the interpreter.  The corgw console script keeps sys.exit.
-    code = run()
-    sys.stdout.flush()
-    sys.stderr.flush()
-    os._exit(code)
+    run()

@@ -938,9 +938,9 @@ ENTRY_JOBS = {
 
 @pytest.mark.parametrize("case", list(ENTRY_JOBS))
 def test_program_entry_matches_main(case, tmp_path, capsys, monkeypatch):
-    # `python -m corgw.cli` goes through run(), which freezes the heap
-    # before exit; its bytes and status are those of main(), which never
-    # freezes.
+    # `python -m corgw.cli` goes through run(), which ends with os._exit;
+    # its bytes and status are those of main(), which returns them and
+    # never freezes the heap.
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(CHAIN_TEMPLATE))

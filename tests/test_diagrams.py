@@ -591,27 +591,6 @@ def test_closed_form_totals_equal_the_listing(genus, weights):
             assert {(g, vals): w for g, vals, _n, w in shapes} == sums, (ws, cap)
 
 
-def test_totals_build_no_diagram(monkeypatch):
-    # From cold caches, the count and the invariant read the closing
-    # branches only: neither builds a FloorDiagram nor calls validate.
-    import corgw
-    from corgw import diagrams
-
-    profile = TangencyProfile((2, 2, -2, -2))
-    cases = [(a, delta) for a in (2, 3) for delta in (1, 2)]
-    counts = [len(enumerate_diagrams(3, a, profile)) for a, _d in cases]
-    sums = [invariant_by_diagrams(3, a, profile, delta) for a, delta in cases]
-    corgw.clear_caches()
-
-    def refuse(*args):
-        raise AssertionError("a diagram was built or validated")
-
-    monkeypatch.setattr(diagrams.FloorDiagram, "__init__", refuse)
-    monkeypatch.setattr(diagrams, "validate", refuse)
-    assert [count_diagrams(3, a, profile) for a, _d in cases] == counts
-    assert [invariant(3, a, profile, delta) for a, delta in cases] == sums
-
-
 def multiplicity_by_floor_walk(diagram, delta):
     """Reference for multiplicity: each floor's label and valency read off
     its own level, the product taken floor by floor in level order."""
@@ -659,13 +638,21 @@ def _refuse(*args):
 
 
 def test_count_builds_no_labelled_diagram(monkeypatch):
+    # From cold search caches, the count and the invariant read the closing
+    # branches only: neither builds a FloorDiagram nor calls validate.
     from corgw import diagrams
 
     profile = TangencyProfile((2, 2, -2, -2))
     want = len(enumerate_diagrams(3, 5, profile))
+    sums = {delta: invariant_by_diagrams(3, 5, profile, delta) for delta in (1, 2)}
+    for cached in (diagrams._closes, diagrams._shapes, diagrams._structures,
+                   diagrams._invariant_cached):
+        cached.cache_clear()
     monkeypatch.setattr(diagrams, "enumerate_diagrams", _refuse)
     monkeypatch.setattr(diagrams.FloorDiagram, "__init__", _refuse)
+    monkeypatch.setattr(diagrams, "validate", _refuse)
     assert count_diagrams(3, 5, profile) == want
+    assert {delta: invariant(3, 5, profile, delta) for delta in (1, 2)} == sums
 
 
 def test_invariant_adds_once_per_class(monkeypatch):
