@@ -756,28 +756,29 @@ def _closes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
     return tuple(records)
 
 
-@lru_cache(maxsize=None)
 def _structures(
     genus: int, weights: tuple[int, ...], max_floors: int
-) -> tuple[FloorDiagram, ...]:
+) -> Iterator[FloorDiagram]:
     """All diagram structures (floor labels stripped to 1) for a profile.
 
     Each branch of _closes, in its order, is completed by flats, each taking
     a floor-origin edge of a floor component with surplus left, in sorted
-    order of the open classes.  Completed candidates still pass through
-    validate, which rejects none of them.
+    order of the open classes, and its completions are yielded, not kept.
+    The search cuts every clause, so validate rejecting one is a defect of
+    the search: it raises AssertionError naming the clause.
     """
     profile = TangencyProfile(weights)
     n_levels = len(profile.weights) + genus - 1
-    results: list[FloorDiagram] = []
 
     def fill(level, open_cnt, floor_root, surplus):
         if level == n_levels:
             tops = [Edge(o, n_levels, w) for (w, o), c in open_cnt.items()
                     for _ in range(c)]
             diagram = FloorDiagram(tuple(levels), tuple(edges + tops))
-            if validate(diagram, genus, diagram.degree, profile)[0]:
-                results.append(diagram)
+            ok, why = validate(diagram, genus, diagram.degree, profile)
+            if not ok:
+                raise AssertionError(f"search built {diagram.to_json()}, failing {why}")
+            results.append(diagram)
             return
         for wo, _c in sorted(open_cnt.items()):
             w, origin = wo
@@ -796,9 +797,10 @@ def _structures(
 
     for prefix, head, opens, surplus in _closes(genus, weights, max_floors):
         levels, edges = list(prefix), list(head)
+        results: list[FloorDiagram] = []
         fill(len(levels), {(w, o): c for w, o, c, _r in opens},
              {o: r for _w, o, _c, r in opens if r is not None}, dict(surplus))
-    return tuple(results)
+        yield from results
 
 
 def _check_genus_and_degree(genus: int, degree: int) -> None:
@@ -808,11 +810,9 @@ def _check_genus_and_degree(genus: int, degree: int) -> None:
         raise ValueError(f"expected degree >= 1, got {degree}")
 
 
-def _class_structures(
-    genus: int, degree: int, weights: tuple[int, ...]
-) -> tuple[FloorDiagram, ...]:
-    """Structures (floor labels stripped) that carry a labelling of class
-    degree.
+def _search_key(genus: int, degree: int, weights: tuple[int, ...]) -> tuple:
+    """(genus, sorted profile, floor cap): the structure search that serves
+    class degree, in _closes, _shapes and _structures; checks genus and class.
 
     The floor cap is min(degree, genus): every floor label is >= 1, and no
     structure has more floors than the genus.  From the genus on the cap is
@@ -820,7 +820,7 @@ def _class_structures(
     search per genus and profile.
     """
     _check_genus_and_degree(genus, degree)
-    return _structures(genus, tuple(sorted(weights)), min(degree, genus))
+    return genus, tuple(sorted(weights)), min(degree, genus)
 
 
 def enumerate_diagrams(
@@ -829,13 +829,13 @@ def enumerate_diagrams(
     """Every valid floor diagram for the given genus, class and profile.
 
     Floor labels run over the compositions of the class on each structure
-    of _class_structures, which touches no validity clause, and keep its
-    checked, sorted edges, so they skip the FloorDiagram check.  Output
-    order is deterministic: structure discovery order, then labels
-    ascending lexicographically.
+    _structures yields, which touches no validity clause, and keep its
+    checked, sorted edges, so they skip the FloorDiagram check; a structure
+    validate rejects raises AssertionError.  Output order is deterministic:
+    structure discovery order, then labels ascending lexicographically.
     """
     out: list[FloorDiagram] = []
-    for struct in _class_structures(genus, degree, profile.weights):
+    for struct in _structures(*_search_key(genus, degree, profile.weights)):
         idx = struct.floor_indices
         for labels in _compositions_asc(degree, len(idx)):
             levels = list(struct.levels)
@@ -852,8 +852,7 @@ def count_diagrams(genus: int, degree: int, profile: TangencyProfile) -> int:
     diagram: a structure with F floors carries C(degree - 1, F - 1)
     labellings, one per composition of the class, and _shapes counts the
     structures by their F valencies."""
-    _check_genus_and_degree(genus, degree)
-    shapes = _shapes(genus, tuple(sorted(profile.weights)), min(degree, genus))
+    shapes = _shapes(*_search_key(genus, degree, profile.weights))
     return sum(n * comb(degree - 1, len(vals) - 1) for _g, vals, n, _w in shapes)
 
 
@@ -908,12 +907,11 @@ def _shapes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
 def _invariant_cached(genus: int, degree: int, weights: tuple[int, ...], e: int) -> int:
     """chi_m of the invariant at every level delta = e m: 0 unless e divides
     the class, else entry degree/e of _class_characters over the shapes of
-    the structures with at most min(degree, genus) floors."""
-    _check_genus_and_degree(genus, degree)
+    the search _search_key gives the class."""
+    key = _search_key(genus, degree, weights)
     if degree % e:
         return 0
-    shapes = _shapes(genus, weights, min(degree, genus))
-    return _class_characters(shapes, e, degree // e)[-1]
+    return _class_characters(_shapes(*key), e, degree // e)[-1]
 
 
 def _class_characters(shapes: tuple, e: int, top: int) -> list[int]:
@@ -972,19 +970,19 @@ def invariants(
 ) -> list[ProjectorElement]:
     """invariant(genus, a, profile, delta) for a = 1 .. truncation.
 
-    One structure search, capped at min(truncation, genus) floors, serves
-    every class, and each e | delta costs one _class_characters product
-    per shape, truncated at class truncation/e.  The genus and delta are
-    checked first, so an empty list (truncation 0) still rejects bad input.
+    One structure search, _search_key's for class truncation, serves every
+    class, and each e | delta costs one _class_characters product per
+    shape, truncated at class truncation/e.  The genus (through the key of
+    class 1 at truncation 0), truncation and delta are checked first, so an
+    empty list still rejects bad input.
     """
-    if genus < 1:
-        raise ValueError(f"expected genus >= 1, got {genus}")
+    key = _search_key(genus, max(truncation, 1), profile.weights)
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     profile.check_delta(delta)
     if not truncation:
         return []
-    shapes = _shapes(genus, tuple(sorted(profile.weights)), min(truncation, genus))
+    shapes = _shapes(*key)
     chi = {e: _class_characters(shapes, e, truncation // e) for e in divisors(delta)}
     return [_from_e(delta, {e: row[a // e] for e, row in chi.items() if a % e == 0})
             for a in range(1, truncation + 1)]

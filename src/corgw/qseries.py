@@ -20,7 +20,8 @@ from __future__ import annotations
 from functools import reduce
 
 from .arith import Frozen
-from .diagrams import FloorDiagram, TangencyProfile, _class_structures, invariants
+from .diagrams import FloorDiagram, TangencyProfile, invariants
+from .diagrams import _search_key, _structures
 from .projector import ProjectorElement
 from .refined import bold_sigma
 
@@ -68,14 +69,14 @@ def invariant_series(
 
 
 def templates_for(genus: int, profile: TangencyProfile) -> list[FloorDiagram]:
-    """Weight-carrying templates: the diagram structures of the profile,
-    floor labels all 1, stably sorted by floor count.
+    """Weight-carrying templates: the structures _structures yields for the
+    profile, floor labels all 1, stably sorted by floor count.
 
     The structures are those of class genus, which carries every one.  A
     template with F floors is valid for every labeling with a_V >= 1, so
     each labelled diagram of the profile comes from exactly one template.
     """
-    structures = _class_structures(genus, genus, profile.weights)
+    structures = _structures(*_search_key(genus, genus, profile.weights))
     return sorted(structures, key=lambda s: len(s.floor_indices))
 
 

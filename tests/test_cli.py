@@ -938,24 +938,28 @@ ENTRY_JOBS = {
 
 @pytest.mark.parametrize("case", list(ENTRY_JOBS))
 def test_program_entry_matches_main(case, tmp_path, capsys, monkeypatch):
-    # `python -m corgw.cli` goes through run(), which ends with os._exit;
-    # its bytes and status are those of main(), which returns them and
+    # `python -m corgw.cli` and the `corgw` console script, whose wrapper
+    # is sys.exit(run()), both go through run(), which ends with os._exit;
+    # their bytes and status are those of main(), which returns them and
     # never freezes the heap.
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(CHAIN_TEMPLATE))
     argv = [a.format(chain=path) for a in ENTRY_JOBS[case]]
-    proc = subprocess.run(
-        [sys.executable, "-m", "corgw.cli", *argv], capture_output=True
-    )
+    script = "import sys; from corgw.cli import run; sys.exit(run())"
+    procs = [
+        subprocess.run([sys.executable, *entry, *argv], capture_output=True)
+        for entry in (["-m", "corgw.cli"], ["-c", script])
+    ]
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
-    assert proc.stdout == captured.out.encode()
-    assert proc.stderr == captured.err.encode()
-    assert proc.returncode == code
+    for proc in procs:
+        assert proc.stdout == captured.out.encode()
+        assert proc.stderr == captured.err.encode()
+        assert proc.returncode == code
     assert gc.get_freeze_count() == 0
 
 

@@ -427,14 +427,12 @@ def test_enumeration_matches_brute_force(genus, degree, weights):
 
 
 def test_enumeration_is_deterministic():
-    from corgw.diagrams import _closes, _structures
+    from corgw.diagrams import _closes
 
     _closes.cache_clear()
-    _structures.cache_clear()
     p = TangencyProfile((4, -4))
     first = [d.to_json() for d in enumerate_diagrams(2, 3, p)]
     _closes.cache_clear()
-    _structures.cache_clear()
     second = [d.to_json() for d in enumerate_diagrams(2, 3, p)]
     assert first == second
 
@@ -464,7 +462,7 @@ STRUCTURE_DIGESTS = {
 def test_structures_order_pinned(genus, weights):
     from corgw.diagrams import _structures
 
-    found = _structures(genus, tuple(sorted(weights)), genus)
+    found = tuple(_structures(genus, tuple(sorted(weights)), genus))
     text = "\n".join(d.to_json() for d in found)
     assert hashlib.sha256(text.encode()).hexdigest() == STRUCTURE_DIGESTS[
         (genus, weights)
@@ -493,9 +491,9 @@ def test_floor_cap_equals_filtering(genus, weights):
     from corgw.diagrams import _structures
 
     weights = tuple(sorted(weights))
-    full = _structures(genus, weights, genus)
+    full = tuple(_structures(genus, weights, genus))
     for cap in range(1, genus + 1):
-        assert _structures(genus, weights, cap) == tuple(
+        assert tuple(_structures(genus, weights, cap)) == tuple(
             s for s in full if len(s.floor_indices) <= cap
         ), cap
 
@@ -505,7 +503,7 @@ def test_floor_cap_cuts_search(monkeypatch):
 
     # Every structure of (10; 2, -2) has more than two floors: the cut is
     # in the search, so no candidate reaches validate.
-    assert _structures(10, (-2, 2), 2) == ()
+    assert tuple(_structures(10, (-2, 2), 2)) == ()
     assert _structure_candidates(10, (2, -2), monkeypatch, 2) == []
 
 
@@ -520,22 +518,21 @@ def test_closing_floor_builds_only_covering_subsets(k):
 @pytest.mark.parametrize("degree", [2, 3])
 def test_classes_from_the_genus_share_one_search(degree):
     # From the genus on the floor cap is the genus, so templates_for and
-    # every class reading _class_structures or _shapes fill one cache entry
-    # each, and all of them run one search.
+    # every class reading _structures or _shapes share one search, the one
+    # cached entry of _closes; the listing keeps no cache of its own.
     from corgw import diagrams
     from corgw.qseries import templates_for
 
     genus, profile = 2, TangencyProfile((2, -2))
     diagrams._closes.cache_clear()
-    diagrams._structures.cache_clear()
     diagrams._shapes.cache_clear()
     diagrams._invariant_cached.cache_clear()
     templates_for(genus, profile)
     enumerate_diagrams(genus, degree, profile)
     count_diagrams(genus, degree, profile)
     invariant(genus, degree, profile, 2)
-    assert diagrams._structures.cache_info().currsize == 1
     assert diagrams._closes.cache_info().currsize == 1
+    assert not hasattr(diagrams._structures, "cache_info")
 
 
 # -- the class tally against the sum over labelled diagrams ----------------
@@ -645,8 +642,7 @@ def test_count_builds_no_labelled_diagram(monkeypatch):
     profile = TangencyProfile((2, 2, -2, -2))
     want = len(enumerate_diagrams(3, 5, profile))
     sums = {delta: invariant_by_diagrams(3, 5, profile, delta) for delta in (1, 2)}
-    for cached in (diagrams._closes, diagrams._shapes, diagrams._structures,
-                   diagrams._invariant_cached):
+    for cached in (diagrams._closes, diagrams._shapes, diagrams._invariant_cached):
         cached.cache_clear()
     monkeypatch.setattr(diagrams, "enumerate_diagrams", _refuse)
     monkeypatch.setattr(diagrams.FloorDiagram, "__init__", _refuse)
@@ -816,7 +812,7 @@ def _structure_candidates(genus, weights, monkeypatch, max_floors, block_tests=N
     monkeypatch.setattr(diagrams, "validate", recording)
     if block_tests is not None:
         monkeypatch.setattr(diagrams, "_has_two_flat_cycle", block_test)
-    _structures.__wrapped__(genus, tuple(sorted(weights)), max_floors)
+    tuple(_structures(genus, tuple(sorted(weights)), max_floors))
     monkeypatch.undo()
     return built
 
@@ -852,6 +848,22 @@ def test_search_hands_validate_only_two_flat_cycles(genus, weights, monkeypatch)
     for d in built:
         ok, why = validate(d, genus, len(d.floor_indices), profile)
         assert ok, (why, d.to_json())
+
+
+def test_listing_raises_on_a_structure_validate_rejects(monkeypatch, capsys):
+    # validate gates the listing while the counts read the search alone, so
+    # a structure it rejects is a search defect: the listing raises, naming
+    # the clause, and the CLI reports an internal error, not a shorter list.
+    from corgw import diagrams
+    from corgw.cli import main
+
+    monkeypatch.setattr(diagrams, "validate", lambda *args: (False, "connectivity"))
+    with pytest.raises(AssertionError, match="failing connectivity"):
+        enumerate_diagrams(2, 2, TangencyProfile((2, -2)))
+    argv = ["diagrams", "--g", "2", "--a", "2", "--profile=2,-2", "--list"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert not out and "failing connectivity" in err
 
 
 def test_two_flat_cycle_hand_built():
@@ -963,7 +975,7 @@ def test_reflection_duality(genus, weights):
     from corgw.diagrams import _structures
 
     dual = tuple(-w for w in weights)
-    found = _structures(genus, tuple(sorted(weights)), genus)
+    found = tuple(_structures(genus, tuple(sorted(weights)), genus))
     assert {reflect(s) for s in found} == set(
         _structures(genus, tuple(sorted(dual)), genus))
     profile, dual_profile = TangencyProfile(weights), TangencyProfile(dual)
