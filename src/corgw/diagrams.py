@@ -29,7 +29,7 @@ multiplicity stays the per-diagram definition.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, factorial, gcd, prod
@@ -45,7 +45,7 @@ if TYPE_CHECKING:
 
 BOTTOM = -1
 
-# Most levels a diagram may have: the searches recurse once per level.
+# Most levels a diagram may have: _walk recurses once per level.
 MAX_LEVELS = 500
 
 
@@ -524,27 +524,36 @@ def _without(open_cnt: dict, taken) -> dict:
     return out
 
 
-def _with_parts(open_cnt: dict, parts, level: int) -> dict:
-    """A copy of the open multiset plus one edge from level per part."""
-    out = dict(open_cnt)
-    for p in parts:
-        out[(p, level)] = out.get((p, level), 0) + 1
-    return out
+def _missing_sinks(open_cnt: dict, sinks: dict) -> list[int] | None:
+    """The sinks not yet open; None when the open weights are not a
+    sub-multiset of the sinks."""
+    rest = dict(sinks)
+    for (w, _o), c in open_cnt.items():
+        if rest.get(w, 0) < c:
+            return None
+        rest[w] -= c
+    return [w for w, c in rest.items() for _ in range(c)]
 
 
-@lru_cache(maxsize=None)
-def _closes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
-    """The branches of the structure search for a profile, each stopped at
-    the floor that brings the deficit to 0: one (levels, edges, opens,
-    surpluses) per branch, in discovery order, with that floor last in
-    levels and its in-edges last in edges.  opens holds (weight, origin,
-    count, floor component of the origin or None) per open class, sorted,
-    and surpluses the (floor component, surplus) pairs.
+# A node of the structure search: the levels (1 a floor, 0 a flat), the
+# (lo, hi, w) edges into them, the open edges as sorted ((w, origin), count)
+# classes and, each named by a level, the component comp[i] of level i, the
+# floor component roots[i] of floor i (None at a flat) and the ends[r] of
+# floor component r (None where r names none); then the deficit, and the
+# surplus pairs, None before the closing floor.  A tuple, not a Frozen: the
+# search builds one per node.
+_State = namedtuple("_State", "levels edges opens comp roots ends deficit surplus")
 
-    Level-by-level transfer search: at each of the n + g - 1 levels (more
-    than MAX_LEVELS raise ValueError) place a flat vertex or a floor,
-    threading the multiset of open upward edges (whose total weight always
-    equals b).  Flats are tried before floors,
+
+def _children(
+    state: _State, n_levels: int, max_floors: int, sinks: dict
+) -> Iterator[_State]:
+    """The states one level above state, in the search's order; sinks
+    counts the profile's sinks.
+
+    Level-by-level transfer search: at each of the n + g - 1 levels place a
+    flat vertex or a floor, threading the multiset of open upward edges
+    (whose total weight always equals b).  Flats are tried before floors,
     a floor's consumed sub-multisets come in a fixed order and its flow
     partitions descend, so discovery order is deterministic.
 
@@ -577,9 +586,11 @@ def _closes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
       take an edge from every component, leaving none open from BOTTOM.
       A floor that must close (last level or floor cap) builds only the
       sub-multisets that can still do so.
-    - Sinks: flats keep the open weights, so that floor emits exactly the
-      sinks still missing from the open multiset, one partition instead of
-      all of them.  Both closing tests run before its state is built.
+    - Sinks: flats keep the open weights, so that floor leaves only sinks
+      open and emits exactly the sinks still missing, one partition instead
+      of all of them.  A floor that must close builds only the sub-multisets
+      that take every open edge of a weight no sink has.  Both closing tests
+      run before its state is built.
     - One infinite end per floor component: after the closing floor a floor
       component ends with its end count plus its open floor-origin edges,
       less those later flats take.  Its surplus, ends + open edges - 1,
@@ -594,213 +605,193 @@ def _closes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
     Distinct branches differ in the in-edges or the out-weights of the level
     where they part, so they build distinct diagrams.
     """
+    levels, edges, opens, comp, roots, ends, deficit, surplus = state
+    open_cnt = dict(opens)
+    level = len(levels)
+    last = level == n_levels - 1
+    spare = None if surplus is None else dict(surplus)
+    # Flat vertex: pass one open edge through.  Consuming a flat-emitted
+    # edge would create a flat-flat edge, impossible at this level count.
+    # From the closing floor on, the edge's floor component needs surplus.
+    for wo, _c in () if last and deficit else opens:
+        w, origin = wo
+        fc = None if origin < 0 else roots[origin]
+        if origin >= 0 and fc is None:
+            continue
+        rest = None
+        if spare is not None:
+            if not spare.get(fc):
+                continue
+            rest = tuple([(r, s - (r == fc)) for r, s in surplus])
+        nxt = _without(open_cnt, (wo,))
+        nxt[w, level] = 1
+        yield _State(
+            levels + (0,), edges + ((origin, level, w),), tuple(sorted(nxt.items())),
+            comp + (level if origin < 0 else comp[origin],), roots + (None,),
+            ends + (None,), deficit, rest,
+        )
+    if not deficit:
+        return
+
+    # Floor: consume a sub-multiset of open edges, re-emit its flow.
+    # Candidates are (classes taken, flow, merged components, joined
+    # floor components, cycles closed, infinite ends, components
+    # touched), grown from the last class so that they come in the order
+    # of a counter whose first class turns fastest.  Every test on the
+    # way only gets worse as edges are added.  A floor that must close
+    # the deficit must take an edge from every component and leave only
+    # sinks open, so it passes over a class only when the class's weight is
+    # a sink's and a class taken or still to come shares its component; an
+    # edge from BOTTOM shares its own with none.
+    # comps[i] is 0 for an edge from BOTTOM, else the bit of the class's
+    # component, and before[i] the components of the classes before i,
+    # which come later.  Sets of components are bit masks.
+    closing = last or sum(levels) + 1 >= max_floors
+    comps = [0 if o < 0 else 1 << comp[o] for (_w, o), _c in opens]
+    before = list(accumulate(comps, or_, initial=0))
+    choices = [((), 0, 0, 0, 0, 0, 0)]
+    for i in reversed(range(len(opens))):
+        wo = opens[i][0]
+        w, origin = wo
+        bit = comps[i]
+        fc = None if origin < 0 else roots[origin]
+        later = before[i]
+        sink = w in sinks
+        grown = []
+        for choice in choices:
+            taken, flow, merged, joined, cycles, n_ends, touched = choice
+            if not closing or sink and (merged | later) & bit:
+                grown.append(choice)
+            if not bit:
+                n_ends += 1
+                touched += 1
+            elif merged & bit:
+                cycles += 1
+            else:
+                merged |= bit
+                touched += 1
+            if fc is not None:
+                if joined >> fc & 1:
+                    continue
+                joined |= 1 << fc
+                n_ends += ends[fc]
+            if n_ends > 1 or cycles >= deficit:
+                continue
+            grown.append(
+                ((wo,) + taken, flow + w, merged, joined, cycles, n_ends, touched)
+            )
+        choices = grown
+
+    n_comps = len(set(comp)) + sum(c for (_w, o), c in opens if o < 0)
+    n_open = sum(c for _wo, c in opens)
+    n_sinks = sum(sinks.values())
+    for taken, flow, merged, joined, cycles, n_ends, touched in choices:
+        if not taken:
+            continue
+        left = deficit - 1 - cycles
+        if left and closing:
+            continue
+        # The closing floor must take an edge from every component and
+        # leave only sinks open; both are tested before its state is built.
+        if not left and touched != n_comps:
+            continue
+        base = _without(open_cnt, taken)
+        parts = () if left else _missing_sinks(base, sinks)
+        if parts is None:
+            continue
+        roots2 = tuple([
+            level if r is not None and joined >> r & 1 else r for r in roots
+        ]) + (level,)
+        if not left:
+            surplus2 = {r: e - 1 for r, e in enumerate(ends)
+                        if e is not None and not joined >> r & 1}
+            surplus2[level] = n_ends - 1 + len(parts)
+            # No edge from BOTTOM is left open, so every origin is a level.
+            for (_w, o), c in base.items():
+                if roots2[o] is not None:
+                    surplus2[roots2[o]] += c
+            if min(surplus2.values()) < 0:
+                continue
+        if cycles and _has_two_flat_cycle(
+            level + 1,
+            [(lo, hi) for lo, hi, _w in edges if lo >= 0]
+            + [(o, level) for _w, o in taken if o >= 0],
+            {i for i, a in enumerate(levels) if not a},
+        ):
+            continue
+        head = (levels + (1,), edges + tuple([(o, level, w) for w, o in taken]))
+        tail = (tuple([level if merged >> c & 1 else c for c in comp]) + (level,),
+                roots2, tuple([None if e is None or joined >> r & 1 else e
+                               for r, e in enumerate(ends)]) + (n_ends,),
+                left, None if left else tuple(surplus2.items()))
+        most = left + n_sinks - 1 - n_open + len(taken) + n_comps - touched
+        for parts in _partitions_desc(flow, flow, most) if left else (parts,):
+            nxt = dict(base)
+            for p in parts:
+                nxt[p, level] = nxt.get((p, level), 0) + 1
+            yield _State(*head, tuple(sorted(nxt.items())), *tail)
+
+
+def _walk(state: _State, stop, context: tuple, visit) -> None:
+    """Call visit on each state at or below state where stop holds, in
+    search order, going no deeper there; context is the rest of
+    _children's arguments."""
+    if stop(state):
+        visit(state)
+    else:
+        for child in _children(state, *context):
+            _walk(child, stop, context, visit)
+
+
+@lru_cache(maxsize=None)
+def _closes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
+    """The states of the structure search for a profile at the floor that
+    brings the deficit to 0, in discovery order; more than MAX_LEVELS levels
+    raise ValueError.  Branches repeat few values of each field but the
+    edges, and few edges, so each of those values is stored once."""
     profile = TangencyProfile(weights)
     n_levels = len(profile.weights) + genus - 1
     _check_level_count(n_levels)
-    n_sinks = len(profile.sinks)
-    sink_count = Counter(profile.sinks)
-    records = []
-    shared: dict = {}
+    opens = tuple(sorted(Counter((w, BOTTOM) for w in profile.sources).items()))
+    start = _State((), (), opens, (), (), (), genus, None)
+    context = (n_levels, max_floors, dict(Counter(profile.sinks)))
+    closed: list[_State] = []
+    share = {}.setdefault
 
-    def share(t):
-        """One stored tuple per value: branches repeat few levels, opens
-        and surpluses."""
-        return shared.setdefault(t, t)
+    def keep(s: _State) -> None:
+        closed.append(_State._make(
+            tuple(map(share, v, v)) if field == "edges" else share(v, v)
+            for field, v in zip(_State._fields, s)
+        ))
 
-    # The levels placed so far and the edges into them, as stacks.
-    levels: list[int] = []
-    edges: list[Edge] = []
-
-    def missing_sinks(open_cnt):
-        """The sinks not yet open; None when the open weights are not a
-        sub-multiset of the sinks."""
-        rest = dict(sink_count)
-        for (w, _o), c in open_cnt.items():
-            if rest.get(w, 0) < c:
-                return None
-            rest[w] -= c
-        return [w for w, c in rest.items() for _ in range(c)]
-
-    # Open edge classes: (weight, origin) -> count.  comp_of: level -> its
-    # component.  floor_root: floor level -> its floor component (the
-    # partial graph with the flats deleted), and ends: floor component ->
-    # infinite ends it carries so far.  Components are named by a level;
-    # sets of them are bit masks.
-    def search(level, open_cnt, comp_of, deficit, floor_root, ends):
-        classes = sorted(open_cnt.items())
-        last = level == n_levels - 1
-        # Flat vertex: pass one open edge through.  Consuming a flat-emitted
-        # edge would create a flat-flat edge, impossible at this level count.
-        # The deficit here is positive, so the last level takes no flat.
-        for wo, _c in [] if last else classes:
-            w, origin = wo
-            if origin >= 0 and origin not in floor_root:
-                continue
-            comp2 = dict(comp_of)
-            comp2[level] = level if origin < 0 else comp_of[origin]
-            nxt = _without(open_cnt, (wo,))
-            nxt[(w, level)] = 1
-            levels.append(0)
-            edges.append(Edge(origin, level, w))
-            search(level + 1, nxt, comp2, deficit, floor_root, ends)
-            levels.pop()
-            edges.pop()
-
-        # Floor: consume a sub-multiset of open edges, re-emit its flow.
-        # Candidates are (classes taken, flow, merged components, joined
-        # floor components, cycles closed, infinite ends, components
-        # touched), grown from the last class so that they come in the order
-        # of a counter whose first class turns fastest.  Every test on the
-        # way only gets worse as edges are added.  A floor that must close
-        # the deficit must take an edge from every component, so it passes
-        # over a class only when a class taken or still to come shares its
-        # component; an edge from BOTTOM shares its own with none.
-        # comps[i] is 0 for an edge from BOTTOM, else the bit of the class's
-        # component, and before[i] the components of the classes before i,
-        # which come later.  floor_root holds one key per floor placed so far.
-        closing = last or len(floor_root) + 1 >= max_floors
-        comps = [0 if o < 0 else 1 << comp_of[o] for (_w, o), _c in classes]
-        before = list(accumulate(comps, or_, initial=0))
-        choices = [((), 0, 0, 0, 0, 0, 0)]
-        for i in reversed(range(len(classes))):
-            wo = classes[i][0]
-            w, origin = wo
-            comp = comps[i]
-            fc = None if origin < 0 else floor_root.get(origin)
-            rest = before[i]
-            grown = []
-            for choice in choices:
-                taken, flow, merged, joined, cycles, n_ends, touched = choice
-                if not closing or (merged | rest) & comp:
-                    grown.append(choice)
-                if not comp:
-                    n_ends += 1
-                    touched += 1
-                elif merged & comp:
-                    cycles += 1
-                else:
-                    merged |= comp
-                    touched += 1
-                if fc is not None:
-                    if joined >> fc & 1:
-                        continue
-                    joined |= 1 << fc
-                    n_ends += ends[fc]
-                if n_ends > 1 or cycles >= deficit:
-                    continue
-                grown.append(
-                    ((wo,) + taken, flow + w, merged, joined, cycles, n_ends, touched)
-                )
-            choices = grown
-
-        n_comps = len(set(comp_of.values())) + sum(
-            c for (_w, o), c in classes if o < 0
-        )
-        n_open = sum(c for _wo, c in classes)
-        for taken, flow, merged, joined, cycles, n_ends, touched in choices:
-            if not taken:
-                continue
-            left = deficit - 1 - cycles
-            if left and closing:
-                continue
-            # The closing floor must take an edge from every component and
-            # leave only sinks open; both are tested before its state is built.
-            if not left and touched != n_comps:
-                continue
-            base = _without(open_cnt, taken)
-            parts = () if left else missing_sinks(base)
-            if parts is None:
-                continue
-            root2 = {v: level if joined >> r & 1 else r for v, r in floor_root.items()}
-            root2[level] = level
-            if not left:
-                surplus = {r: e - 1 for r, e in ends.items() if not joined >> r & 1}
-                surplus[level] = n_ends - 1 + len(parts)
-                for (_w, o), c in base.items():
-                    if o in root2:
-                        surplus[root2[o]] += c
-                if min(surplus.values()) < 0:
-                    continue
-            if cycles and _has_two_flat_cycle(
-                level + 1,
-                [(e.lo, e.hi) for e in edges if e.lo >= 0]
-                + [(o, level) for _w, o in taken if o >= 0],
-                {i for i, a in enumerate(levels) if not a},
-            ):
-                continue
-            levels.append(1)
-            edges.extend(Edge(o, level, w) for w, o in taken)
-            if left:
-                most = left + n_sinks - 1 - n_open + len(taken) + n_comps - touched
-                comp2 = {
-                    v: (level if merged >> c & 1 else c) for v, c in comp_of.items()
-                }
-                comp2[level] = level
-                ends2 = {r: e for r, e in ends.items() if not joined >> r & 1}
-                ends2[level] = n_ends
-                for parts in _partitions_desc(flow, flow, most):
-                    nxt = _with_parts(base, parts, level)
-                    search(level + 1, nxt, comp2, left, root2, ends2)
-            else:
-                opens = sorted(_with_parts(base, parts, level).items())
-                records.append((
-                    share(tuple(levels)),
-                    tuple(edges),
-                    share(tuple((w, o, c, root2.get(o)) for (w, o), c in opens)),
-                    share(tuple(surplus.items())),
-                ))
-            levels.pop()
-            del edges[len(edges) - len(taken):]
-
-    search(0, dict(Counter((w, BOTTOM) for w in profile.sources)), {}, genus, {}, {})
-    return tuple(records)
+    _walk(start, lambda s: s.surplus is not None, context, keep)
+    return tuple(closed)
 
 
 def _structures(
     genus: int, weights: tuple[int, ...], max_floors: int
 ) -> Iterator[FloorDiagram]:
-    """All diagram structures (floor labels stripped to 1) for a profile.
-
-    Each branch of _closes, in its order, is completed by flats, each taking
-    a floor-origin edge of a floor component with surplus left, in sorted
-    order of the open classes, and its completions are yielded, not kept.
-    The search cuts every clause, so validate rejecting one is a defect of
-    the search: it raises AssertionError naming the clause.
-    """
+    """All diagram structures (floor labels stripped to 1) for a profile:
+    the completions of each closing state of _closes, in order, walked by
+    _children to the last level.  The search cuts every clause, so validate
+    rejecting one is a defect of the search: it raises AssertionError
+    naming the clause."""
     profile = TangencyProfile(weights)
     n_levels = len(profile.weights) + genus - 1
-
-    def fill(level, open_cnt, floor_root, surplus):
-        if level == n_levels:
-            tops = [Edge(o, n_levels, w) for (w, o), c in open_cnt.items()
-                    for _ in range(c)]
-            diagram = FloorDiagram(tuple(levels), tuple(edges + tops))
+    context = (n_levels, max_floors, {})  # flats read no sinks
+    edge: dict = {}  # one Edge per (lo, hi, w): the structures share most
+    for closed in _closes(genus, weights, max_floors):
+        done: list[_State] = []
+        _walk(closed, lambda s: len(s.levels) == n_levels, context, done.append)
+        for s in done:
+            tops = [(o, n_levels, w) for (w, o), c in s.opens for _ in range(c)]
+            diagram = FloorDiagram(s.levels, tuple(
+                [edge.get(e) or edge.setdefault(e, Edge(*e)) for e in (*s.edges, *tops)]
+            ))
             ok, why = validate(diagram, genus, diagram.degree, profile)
             if not ok:
                 raise AssertionError(f"search built {diagram.to_json()}, failing {why}")
-            results.append(diagram)
-            return
-        for wo, _c in sorted(open_cnt.items()):
-            w, origin = wo
-            fc = floor_root.get(origin)
-            if fc is None or not surplus[fc]:
-                continue
-            surplus2 = dict(surplus)
-            surplus2[fc] -= 1
-            nxt = _without(open_cnt, (wo,))
-            nxt[(w, level)] = 1
-            levels.append(0)
-            edges.append(Edge(origin, level, w))
-            fill(level + 1, nxt, floor_root, surplus2)
-            levels.pop()
-            edges.pop()
-
-    for prefix, head, opens, surplus in _closes(genus, weights, max_floors):
-        levels, edges = list(prefix), list(head)
-        results: list[FloorDiagram] = []
-        fill(len(levels), {(w, o): c for w, o, c, _r in opens},
-             {o: r for _w, o, _c, r in opens if r is not None}, dict(surplus))
-        yield from results
+            yield diagram
 
 
 def _check_genus_and_degree(genus: int, degree: int) -> None:
@@ -860,35 +851,39 @@ def count_diagrams(genus: int, degree: int, profile: TangencyProfile) -> int:
 def _shapes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
     """(gcd of the edge weights, sorted floor valencies, number N, summed W)
     per shape of the structures of _structures(genus, weights, max_floors),
-    counted from the branches of _closes without building them.
+    counted from the closing states of _closes without completing them.
 
     Only flats follow a closing floor, and each of the k levels left takes
-    one open edge that starts at a floor; floor component r gives exactly
-    surplus[r] of them, as the surpluses add up to k.  A taken edge weighs
-    w (bounded, one flat end) and the flat's edge to the top 1; an untaken
-    one w^2, and an open edge from a flat 1.  So x_i edges taken from the
-    open class i of c_i edges of weight w_i stand for k!/prod x_i!
-    structures of monomial W prod w_i^(2c_i - x_i), W that of the branch's
+    one open edge that starts at a floor (its roots entry is not None);
+    floor component r gives exactly its surplus of them, as the surpluses
+    add up to k.  A taken edge weighs w (bounded, one flat end) and the
+    flat's edge to the top 1; an untaken one w^2, and an open edge from a
+    flat 1.  So x_i edges taken from the open class i of c_i edges of
+    weight w_i stand for k!/prod x_i!
+    structures of monomial W prod w_i^(2c_i - x_i), W that of the state's
     edges as in FloorDiagram.edge_exponents.  Flats change no valency and
-    repeat an open weight, so the valencies and the gcd are the branch's.
+    repeat an open weight, so the valencies and the gcd are the state's.
     """
     n_levels = len(weights) + genus - 1
     shapes: dict = {}
-    for levels, edges, opens, surplus in _closes(genus, weights, max_floors):
+    for state in _closes(genus, weights, max_floors):
+        levels, edges, opens = state.levels, state.edges, state.opens
         val = [0] * (len(levels) + 1)  # the last slot counts BOTTOM
         w_branch = 1
-        for e in edges:
-            val[e.lo] += 1
-            val[e.hi] += 1
-            flat_end = e.lo >= 0 and not levels[e.lo] or not levels[e.hi]
-            w_branch *= e.w ** ((e.lo >= 0) + 2 * (not flat_end))
-        for _w, o, c, _r in opens:
+        for lo, hi, w in edges:
+            val[lo] += 1
+            val[hi] += 1
+            flat_end = lo >= 0 and not levels[lo] or not levels[hi]
+            w_branch *= w ** ((lo >= 0) + 2 * (not flat_end))
+        # No edge from BOTTOM is open, so every origin is a level.
+        for (_w, o), c in opens:
             val[o] += c
-        key = (gcd(*[e.w for e in edges], *[w for w, *_ in opens]),
+        key = (gcd(*[w for _lo, _hi, w in edges], *[w for (w, _o), _c in opens]),
                tuple(sorted(v for v, a in zip(val, levels) if a)))
         k = n_levels - len(levels)
-        taken = [(w, c, r) for w, _o, c, r in opens if r is not None]
-        need = dict(surplus)
+        taken = [(w, c, state.roots[o]) for (w, o), c in opens
+                 if state.roots[o] is not None]
+        need = dict(state.surplus)
         n = w_sum = 0
         for xs in product(*[range(c + 1) for _w, c, _r in taken]):
             used = dict.fromkeys(need, 0)
