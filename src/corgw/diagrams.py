@@ -30,7 +30,7 @@ multiplicity stays the per-diagram definition.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, product
 from math import comb, factorial, gcd, prod
 from operator import attrgetter, or_
@@ -45,7 +45,8 @@ if TYPE_CHECKING:
 
 BOTTOM = -1
 
-# Most levels a diagram may have: _walk recurses once per level.
+# Most levels a diagram may have.  _walk keeps its own stack, so the bound
+# holds however deep the caller is.
 MAX_LEVELS = 500
 
 
@@ -487,7 +488,8 @@ def multiplicity(diagram: FloorDiagram, delta: int) -> ProjectorElement:
 
 def _partitions_desc(m: int, cap: int, most: int) -> Iterator[tuple[int, ...]]:
     """Partitions of m into at most `most` parts, each in [1, cap], in
-    decreasing-lex order."""
+    decreasing-lex order.  Recursing once per part is safe: the parts are
+    one floor's out-edges, and an input with many would never finish."""
     if m == 0:
         yield ()
         return
@@ -499,7 +501,9 @@ def _partitions_desc(m: int, cap: int, most: int) -> Iterator[tuple[int, ...]]:
 
 
 def _compositions_asc(total: int, k: int):
-    """Ordered k-tuples of positive integers summing to total, lex ascending."""
+    """Ordered k-tuples of positive integers summing to total, lex ascending.
+    Recursing once per entry is safe: k counts one structure's floors or one
+    level's out-edges, and an input with many would never finish."""
     if k == 0:
         if total == 0:
             yield ()
@@ -546,7 +550,7 @@ _State = namedtuple("_State", "levels edges opens comp roots ends deficit surplu
 
 
 def _children(
-    state: _State, n_levels: int, max_floors: int, sinks: dict
+    n_levels: int, max_floors: int, sinks: dict, state: _State
 ) -> Iterator[_State]:
     """The states one level above state, in the search's order; sinks
     counts the profile's sinks.
@@ -634,22 +638,24 @@ def _children(
         return
 
     # Floor: consume a sub-multiset of open edges, re-emit its flow.
-    # Candidates are (classes taken, flow, merged components, joined
-    # floor components, cycles closed, infinite ends, components
-    # touched), grown from the last class so that they come in the order
-    # of a counter whose first class turns fastest.  Every test on the
-    # way only gets worse as edges are added.  A floor that must close
-    # the deficit must take an edge from every component and leave only
-    # sinks open, so it passes over a class only when the class's weight is
-    # a sink's and a class taken or still to come shares its component; an
-    # edge from BOTTOM shares its own with none.
+    # Candidates are (classes taken, merged components, joined floor
+    # components, cycles closed, infinite ends), grown from the last class
+    # so that they come in the order of a counter whose first class turns
+    # fastest.  Each taken edge either touches a component for the first
+    # time or closes a cycle, so a candidate touches len(taken) - cycles
+    # components, and its flow is summed only where partitions need it.
+    # Every test on the way only gets worse as edges are added.  A floor
+    # that must close the deficit must take an edge from every component
+    # and leave only sinks open, so it passes over a class only when the
+    # class's weight is a sink's and a class taken or still to come shares
+    # its component; an edge from BOTTOM shares its own with none.
     # comps[i] is 0 for an edge from BOTTOM, else the bit of the class's
     # component, and before[i] the components of the classes before i,
     # which come later.  Sets of components are bit masks.
     closing = last or sum(levels) + 1 >= max_floors
     comps = [0 if o < 0 else 1 << comp[o] for (_w, o), _c in opens]
     before = list(accumulate(comps, or_, initial=0))
-    choices = [((), 0, 0, 0, 0, 0, 0)]
+    choices = [((), 0, 0, 0, 0)]
     for i in reversed(range(len(opens))):
         wo = opens[i][0]
         w, origin = wo
@@ -659,17 +665,15 @@ def _children(
         sink = w in sinks
         grown = []
         for choice in choices:
-            taken, flow, merged, joined, cycles, n_ends, touched = choice
+            taken, merged, joined, cycles, n_ends = choice
             if not closing or sink and (merged | later) & bit:
                 grown.append(choice)
             if not bit:
                 n_ends += 1
-                touched += 1
             elif merged & bit:
                 cycles += 1
             else:
                 merged |= bit
-                touched += 1
             if fc is not None:
                 if joined >> fc & 1:
                     continue
@@ -677,15 +681,13 @@ def _children(
                 n_ends += ends[fc]
             if n_ends > 1 or cycles >= deficit:
                 continue
-            grown.append(
-                ((wo,) + taken, flow + w, merged, joined, cycles, n_ends, touched)
-            )
+            grown.append(((wo,) + taken, merged, joined, cycles, n_ends))
         choices = grown
 
     n_comps = len(set(comp)) + sum(c for (_w, o), c in opens if o < 0)
     n_open = sum(c for _wo, c in opens)
     n_sinks = sum(sinks.values())
-    for taken, flow, merged, joined, cycles, n_ends, touched in choices:
+    for taken, merged, joined, cycles, n_ends in choices:
         if not taken:
             continue
         left = deficit - 1 - cycles
@@ -693,7 +695,7 @@ def _children(
             continue
         # The closing floor must take an edge from every component and
         # leave only sinks open; both are tested before its state is built.
-        if not left and touched != n_comps:
+        if not left and len(taken) - cycles != n_comps:
             continue
         base = _without(open_cnt, taken)
         parts = () if left else _missing_sinks(base, sinks)
@@ -724,7 +726,9 @@ def _children(
                 roots2, tuple([None if e is None or joined >> r & 1 else e
                                for r, e in enumerate(ends)]) + (n_ends,),
                 left, None if left else tuple(surplus2.items()))
-        most = left + n_sinks - 1 - n_open + len(taken) + n_comps - touched
+        if left:
+            flow = sum([w for w, _o in taken])
+            most = left + n_sinks - 1 - n_open + cycles + n_comps
         for parts in _partitions_desc(flow, flow, most) if left else (parts,):
             nxt = dict(base)
             for p in parts:
@@ -732,15 +736,21 @@ def _children(
             yield _State(*head, tuple(sorted(nxt.items())), *tail)
 
 
-def _walk(state: _State, stop, context: tuple, visit) -> None:
-    """Call visit on each state at or below state where stop holds, in
-    search order, going no deeper there; context is the rest of
-    _children's arguments."""
-    if stop(state):
-        visit(state)
-    else:
-        for child in _children(state, *context):
-            _walk(child, stop, context, visit)
+def _walk(start, children, stop) -> Iterator:
+    """The states at or below start where stop holds, in depth-first order,
+    going no deeper there; children(state) gives the states one level up.
+    The walk keeps its own stack of child iterators, so a level costs no
+    Python frame and MAX_LEVELS holds from any caller's depth."""
+    stack = [iter((start,))]
+    while stack:
+        for state in stack[-1]:
+            if stop(state):
+                yield state
+            else:
+                stack.append(children(state))
+                break
+        else:
+            stack.pop()
 
 
 @lru_cache(maxsize=None)
@@ -754,18 +764,13 @@ def _closes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
     _check_level_count(n_levels)
     opens = tuple(sorted(Counter((w, BOTTOM) for w in profile.sources).items()))
     start = _State((), (), opens, (), (), (), genus, None)
-    context = (n_levels, max_floors, dict(Counter(profile.sinks)))
-    closed: list[_State] = []
+    children = partial(_children, n_levels, max_floors, dict(Counter(profile.sinks)))
     share = {}.setdefault
-
-    def keep(s: _State) -> None:
-        closed.append(_State._make(
-            tuple(map(share, v, v)) if field == "edges" else share(v, v)
-            for field, v in zip(_State._fields, s)
-        ))
-
-    _walk(start, lambda s: s.surplus is not None, context, keep)
-    return tuple(closed)
+    return tuple(
+        _State._make(tuple(map(share, v, v)) if field == "edges" else share(v, v)
+                     for field, v in zip(_State._fields, s))
+        for s in _walk(start, children, lambda state: state.surplus is not None)
+    )
 
 
 def _structures(
@@ -778,12 +783,10 @@ def _structures(
     naming the clause."""
     profile = TangencyProfile(weights)
     n_levels = len(profile.weights) + genus - 1
-    context = (n_levels, max_floors, {})  # flats read no sinks
+    children = partial(_children, n_levels, max_floors, {})  # flats read no sinks
     edge: dict = {}  # one Edge per (lo, hi, w): the structures share most
     for closed in _closes(genus, weights, max_floors):
-        done: list[_State] = []
-        _walk(closed, lambda s: len(s.levels) == n_levels, context, done.append)
-        for s in done:
+        for s in _walk(closed, children, lambda state: len(state.levels) == n_levels):
             tops = [(o, n_levels, w) for (w, o), c in s.opens for _ in range(c)]
             diagram = FloorDiagram(s.levels, tuple(
                 [edge.get(e) or edge.setdefault(e, Edge(*e)) for e in (*s.edges, *tops)]

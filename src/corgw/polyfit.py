@@ -37,6 +37,7 @@ from .diagrams import (
     _compositions_asc,
     _floor_core,
     _from_json,
+    _walk,
     multiplicity,
     validate,
 )
@@ -114,35 +115,30 @@ def _weightings(
             top_cols.append(j)
         else:
             in_cols[e.hi].append(j)
-    if len(bottom_cols) != len(profile.sources) or len(top_cols) != len(
-        profile.sinks
-    ):
+    if (len(bottom_cols), len(top_cols)) != (len(profile.sources), len(profile.sinks)):
         return
 
-    def propagate(level: int, omega: list) -> Iterator[tuple[int, ...]]:
-        if level == n:
-            yield tuple(omega)
-            return
+    def children(level: int) -> Iterator[int]:
+        # The walk is depth first, so omega holds every weight below level.
         get = omega.__getitem__
         rest = sum(map(get, in_cols[level])) - sum(map(get, out_top[level]))
         cols = out_bounded[level]
         if not cols:
             if rest == 0:
-                yield from propagate(level + 1, omega)
+                yield level + 1
             return
         for parts in _compositions_asc(rest, len(cols)):
             for j, w in zip(cols, parts):
                 omega[j] = w
-            yield from propagate(level + 1, omega)
-        for j in cols:
-            omega[j] = 0
+            yield level + 1
 
     for src in set(permutations(profile.sources)):
         for snk in set(permutations(profile.sinks)):
             omega = [0] * len(template.edges)
             for j, w in zip(bottom_cols + top_cols, src + snk):
                 omega[j] = w
-            yield from propagate(0, omega)
+            for _ in _walk(0, children, n.__eq__):
+                yield tuple(omega)
 
 
 def gamma_coeffs(

@@ -813,23 +813,47 @@ def test_bad_arguments_exit_2(case, tmp_path, capsys):
     assert f"error: {message}" in captured.err
 
 
-@pytest.mark.parametrize("sign", [1, -1], ids=["one source", "one sink"])
-def test_profile_at_the_level_bound(sign, capsys):
+def call_at_depth(depth, f, *args):
+    """f(*args) called depth frames below the caller, under CPython's
+    default recursion limit of 1000."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return _nest(depth, f, args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _nest(depth, f, args):
+    return _nest(depth - 1, f, args) if depth else f(*args)
+
+
+@pytest.mark.parametrize("sign,depth", [
+    pytest.param(1, 0, id="one source"),
+    pytest.param(-1, 0, id="one sink"),
+    pytest.param(1, 600, id="one source from 600 frames"),
+    pytest.param(-1, 600, id="one sink from 600 frames"),
+])
+def test_profile_at_the_level_bound(sign, depth, capsys):
     # Genus 1 and MAX_LEVELS ends give exactly MAX_LEVELS levels, the most
     # the bound allows; the deep profiles above exceed it.  Both diagrams
     # have one floor: the --list of the one-source profile completes
     # MAX_LEVELS - 1 flats after it, and the search of the one-sink profile
-    # passes as many before it.
+    # passes as many before it.  The walks keep their own stacks, so the
+    # bound holds from a caller 600 frames deep; the caches are emptied so
+    # that each run searches.
+    import corgw
     from corgw.diagrams import MAX_LEVELS
 
+    corgw.clear_caches()
     ends = [-sign * (MAX_LEVELS - 1)] + [sign] * (MAX_LEVELS - 1)
     argv = ["diagrams", "--g", "1", "--a", "1",
             "--profile=" + ",".join(map(str, ends))]
-    assert main(argv + ["--count"]) == 0
+    assert call_at_depth(depth, main, argv + ["--count"]) == 0
     assert capsys.readouterr().out == "2\n"
-    assert main(argv + ["--list"]) == 0
+    assert call_at_depth(depth, main, argv + ["--list"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
-    assert main(argv + ["--sum"]) == 0
+    assert call_at_depth(depth, main, argv + ["--sum"]) == 0
 
 
 # An integer option reads an optional sign and ASCII digits only; argparse

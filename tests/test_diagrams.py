@@ -788,6 +788,32 @@ def test_enumeration_below_genus_pinned(genus, degree, weights):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# Profiles where some floors that must close pass over an open class of two
+# edges of a sink weight (two 1s): (count, SHA-256 of the newline-joined
+# to_json of enumerate_diagrams, character 1 of the invariant at delta = 1).
+# Each listing equals the brute force of brute_force_candidates, and each
+# invariant the sum of multiplicity over it; the brute force took 24.5 s and
+# 25.1 s per orientation on a 2-vCPU VM (Python 3.11.7), too slow for
+# test_totals_match_brute_force, so it ran once and its results are pinned.
+CLOSING_PASS_OVER_PINS = {
+    (2, 2, (-3, 1, 1, 1)): (
+        37, "f97a5a3090b538919afde3ccf9a790a4dbd00a371c162b6a8f69e538d096bae5", 1080),
+    (2, 2, (3, -1, -1, -1)): (
+        37, "5539fde48a72c367cb44e11a16df6be04ce639f47fda77af9a61ff22182f7140", 1080),
+}
+
+
+@pytest.mark.parametrize("genus,degree,weights", list(CLOSING_PASS_OVER_PINS))
+def test_closing_floor_passing_over_a_sink_class_pinned(genus, degree, weights):
+    profile = TangencyProfile(weights)
+    found = enumerate_diagrams(genus, degree, profile)
+    text = "\n".join(d.to_json() for d in found)
+    count, digest, character = CLOSING_PASS_OVER_PINS[(genus, degree, weights)]
+    assert len(found) == count_diagrams(genus, degree, profile) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert invariant(genus, degree, profile, 1).character(1) == character
+
+
 # -- two-flat cycle test against path enumeration ---------------------------
 
 

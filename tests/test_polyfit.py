@@ -153,6 +153,18 @@ def test_weightings_chain_unique():
         assert got == [(w, w, w)]
 
 
+def test_weightings_at_the_level_bound():
+    # One floor, then MAX_LEVELS - 1 flats: the walk over the levels keeps
+    # its own stack, so it holds from a caller 600 frames deep.
+    from corgw.diagrams import MAX_LEVELS
+    from test_cli import call_at_depth
+
+    pairs = ((BOTTOM, 0),) + tuple((i, i + 1) for i in range(MAX_LEVELS))
+    t = DiagramTemplate((1,) + (0,) * (MAX_LEVELS - 1), pairs)
+    got = call_at_depth(600, weightings, t, TangencyProfile((3, -3)))
+    assert got == [(3,) * (MAX_LEVELS + 1)]
+
+
 def brute_weightings(t, profile):
     b = profile.b
     n_edges = len(t.edges)
