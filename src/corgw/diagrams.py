@@ -532,21 +532,21 @@ def _missing_sinks(open_cnt: dict, sinks: dict) -> list[int] | None:
     """The sinks not yet open; None when the open weights are not a
     sub-multiset of the sinks."""
     rest = dict(sinks)
-    for (w, _o), c in open_cnt.items():
-        if rest.get(w, 0) < c:
+    for key, c in open_cnt.items():
+        if rest.get(key[0], 0) < c:
             return None
-        rest[w] -= c
+        rest[key[0]] -= c
     return [w for w, c in rest.items() for _ in range(c)]
 
 
 # A node of the structure search: the levels (1 a floor, 0 a flat), the
-# (lo, hi, w) edges into them, the open edges as sorted ((w, origin), count)
-# classes and, each named by a level, the component comp[i] of level i, the
-# floor component roots[i] of floor i (None at a flat) and the ends[r] of
-# floor component r (None where r names none); then the deficit, and the
-# surplus pairs, None before the closing floor.  A tuple, not a Frozen: the
-# search builds one per node.
-_State = namedtuple("_State", "levels edges opens comp roots ends deficit surplus")
+# (lo, hi, w) edges into them, the open edges as sorted ((w, origin, comp,
+# floor), count) classes, with comp the origin's component (-1 at BOTTOM)
+# and floor its floor component (None at BOTTOM and flats), each named by a
+# level, one (floor component, ends) pair per floor component in level
+# order, the deficit, and the surplus pairs, None before the closing floor.
+# A tuple, not a Frozen: the search builds one per node.
+_State = namedtuple("_State", "levels edges opens ends deficit surplus")
 
 
 def _children(
@@ -609,7 +609,7 @@ def _children(
     Distinct branches differ in the in-edges or the out-weights of the level
     where they part, so they build distinct diagrams.
     """
-    levels, edges, opens, comp, roots, ends, deficit, surplus = state
+    levels, edges, opens, ends, deficit, surplus = state
     open_cnt = dict(opens)
     level = len(levels)
     last = level == n_levels - 1
@@ -617,9 +617,8 @@ def _children(
     # Flat vertex: pass one open edge through.  Consuming a flat-emitted
     # edge would create a flat-flat edge, impossible at this level count.
     # From the closing floor on, the edge's floor component needs surplus.
-    for wo, _c in () if last and deficit else opens:
-        w, origin = wo
-        fc = None if origin < 0 else roots[origin]
+    for key, _n in () if last and deficit else opens:
+        w, origin, c, fc = key
         if origin >= 0 and fc is None:
             continue
         rest = None
@@ -627,13 +626,10 @@ def _children(
             if not spare.get(fc):
                 continue
             rest = tuple([(r, s - (r == fc)) for r, s in surplus])
-        nxt = _without(open_cnt, (wo,))
-        nxt[w, level] = 1
-        yield _State(
-            levels + (0,), edges + ((origin, level, w),), tuple(sorted(nxt.items())),
-            comp + (level if origin < 0 else comp[origin],), roots + (None,),
-            ends + (None,), deficit, rest,
-        )
+        nxt = _without(open_cnt, (key,))
+        nxt[w, level, level if origin < 0 else c, None] = 1
+        yield _State(levels + (0,), edges + ((origin, level, w),),
+                     tuple(sorted(nxt.items())), ends, deficit, rest)
     if not deficit:
         return
 
@@ -653,14 +649,14 @@ def _children(
     # component, and before[i] the components of the classes before i,
     # which come later.  Sets of components are bit masks.
     closing = last or sum(levels) + 1 >= max_floors
-    comps = [0 if o < 0 else 1 << comp[o] for (_w, o), _c in opens]
+    comps = [0 if c < 0 else 1 << c for (_w, _o, c, _f), _n in opens]
     before = list(accumulate(comps, or_, initial=0))
+    ends_of = dict(ends)
     choices = [((), 0, 0, 0, 0)]
     for i in reversed(range(len(opens))):
-        wo = opens[i][0]
-        w, origin = wo
+        key = opens[i][0]
+        w, fc = key[0], key[3]
         bit = comps[i]
-        fc = None if origin < 0 else roots[origin]
         later = before[i]
         sink = w in sinks
         grown = []
@@ -678,14 +674,15 @@ def _children(
                 if joined >> fc & 1:
                     continue
                 joined |= 1 << fc
-                n_ends += ends[fc]
+                n_ends += ends_of[fc]
             if n_ends > 1 or cycles >= deficit:
                 continue
-            grown.append(((wo,) + taken, merged, joined, cycles, n_ends))
+            grown.append(((key,) + taken, merged, joined, cycles, n_ends))
         choices = grown
 
-    n_comps = len(set(comp)) + sum(c for (_w, o), c in opens if o < 0)
-    n_open = sum(c for _wo, c in opens)
+    # Till the deficit closes, floors emit and flats re-emit: all components stay open.
+    n_comps = before[-1].bit_count() + sum([n for key, n in opens if key[1] < 0])
+    n_open = sum(n for _key, n in opens)
     n_sinks = sum(sinks.values())
     for taken, merged, joined, cycles, n_ends in choices:
         if not taken:
@@ -701,38 +698,37 @@ def _children(
         parts = () if left else _missing_sinks(base, sinks)
         if parts is None:
             continue
-        roots2 = tuple([
-            level if r is not None and joined >> r & 1 else r for r in roots
-        ]) + (level,)
+        # The classes left and the floor components not joined, relabelled:
+        # what the floor merged or joined is named by its level.
+        base = {(w, o, level if c >= 0 and merged >> c & 1 else c,
+                 level if f is not None and joined >> f & 1 else f): n
+                for (w, o, c, f), n in base.items()}
+        ends2 = (*[(r, e) for r, e in ends if not joined >> r & 1], (level, n_ends))
         if not left:
-            surplus2 = {r: e - 1 for r, e in enumerate(ends)
-                        if e is not None and not joined >> r & 1}
-            surplus2[level] = n_ends - 1 + len(parts)
-            # No edge from BOTTOM is left open, so every origin is a level.
-            for (_w, o), c in base.items():
-                if roots2[o] is not None:
-                    surplus2[roots2[o]] += c
+            surplus2 = {r: e - 1 for r, e in ends2}
+            surplus2[level] += len(parts)
+            for (_w, _o, _c, f), n in base.items():
+                if f is not None:
+                    surplus2[f] += n
             if min(surplus2.values()) < 0:
                 continue
         if cycles and _has_two_flat_cycle(
             level + 1,
             [(lo, hi) for lo, hi, _w in edges if lo >= 0]
-            + [(o, level) for _w, o in taken if o >= 0],
+            + [(key[1], level) for key in taken if key[1] >= 0],
             {i for i, a in enumerate(levels) if not a},
         ):
             continue
-        head = (levels + (1,), edges + tuple([(o, level, w) for w, o in taken]))
-        tail = (tuple([level if merged >> c & 1 else c for c in comp]) + (level,),
-                roots2, tuple([None if e is None or joined >> r & 1 else e
-                               for r, e in enumerate(ends)]) + (n_ends,),
-                left, None if left else tuple(surplus2.items()))
+        head = (levels + (1,), edges + tuple([(key[1], level, key[0]) for key in taken]))
+        tail = (ends2, left, None if left else tuple(surplus2.items()))
         if left:
-            flow = sum([w for w, _o in taken])
+            flow = sum([key[0] for key in taken])
             most = left + n_sinks - 1 - n_open + cycles + n_comps
         for parts in _partitions_desc(flow, flow, most) if left else (parts,):
             nxt = dict(base)
             for p in parts:
-                nxt[p, level] = nxt.get((p, level), 0) + 1
+                key = (p, level, level, level)
+                nxt[key] = nxt.get(key, 0) + 1
             yield _State(*head, tuple(sorted(nxt.items())), *tail)
 
 
@@ -762,8 +758,8 @@ def _closes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
     profile = TangencyProfile(weights)
     n_levels = len(profile.weights) + genus - 1
     _check_level_count(n_levels)
-    opens = tuple(sorted(Counter((w, BOTTOM) for w in profile.sources).items()))
-    start = _State((), (), opens, (), (), (), genus, None)
+    opens = tuple(sorted(Counter((w, BOTTOM, -1, None) for w in profile.sources).items()))
+    start = _State((), (), opens, (), genus, None)
     children = partial(_children, n_levels, max_floors, dict(Counter(profile.sinks)))
     share = {}.setdefault
     return tuple(
@@ -787,7 +783,7 @@ def _structures(
     edge: dict = {}  # one Edge per (lo, hi, w): the structures share most
     for closed in _closes(genus, weights, max_floors):
         for s in _walk(closed, children, lambda state: len(state.levels) == n_levels):
-            tops = [(o, n_levels, w) for (w, o), c in s.opens for _ in range(c)]
+            tops = [(key[1], n_levels, key[0]) for key, c in s.opens for _ in range(c)]
             diagram = FloorDiagram(s.levels, tuple(
                 [edge.get(e) or edge.setdefault(e, Edge(*e)) for e in (*s.edges, *tops)]
             ))
@@ -857,7 +853,7 @@ def _shapes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
     counted from the closing states of _closes without completing them.
 
     Only flats follow a closing floor, and each of the k levels left takes
-    one open edge that starts at a floor (its roots entry is not None);
+    one open edge that starts at a floor (its class names a floor component);
     floor component r gives exactly its surplus of them, as the surpluses
     add up to k.  A taken edge weighs w (bounded, one flat end) and the
     flat's edge to the top 1; an untaken one w^2, and an open edge from a
@@ -879,13 +875,12 @@ def _shapes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
             flat_end = lo >= 0 and not levels[lo] or not levels[hi]
             w_branch *= w ** ((lo >= 0) + 2 * (not flat_end))
         # No edge from BOTTOM is open, so every origin is a level.
-        for (_w, o), c in opens:
+        for (_w, o, _c, _f), c in opens:
             val[o] += c
-        key = (gcd(*[w for _lo, _hi, w in edges], *[w for (w, _o), _c in opens]),
+        key = (gcd(*[w for _lo, _hi, w in edges], *[w for (w, _o, _c, _f), _n in opens]),
                tuple(sorted(v for v, a in zip(val, levels) if a)))
         k = n_levels - len(levels)
-        taken = [(w, c, state.roots[o]) for (w, o), c in opens
-                 if state.roots[o] is not None]
+        taken = [(w, c, f) for (w, _o, _c, f), c in opens if f is not None]
         need = dict(state.surplus)
         n = w_sum = 0
         for xs in product(*[range(c + 1) for _w, c, _r in taken]):
@@ -902,27 +897,20 @@ def _shapes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _invariant_cached(genus: int, degree: int, weights: tuple[int, ...], e: int) -> int:
-    """chi_m of the invariant at every level delta = e m: 0 unless e divides
-    the class, else entry degree/e of _class_characters over the shapes of
-    the search _search_key gives the class."""
-    key = _search_key(genus, degree, weights)
-    if degree % e:
-        return 0
-    return _class_characters(_shapes(*key), e, degree // e)[-1]
-
-
-def _class_characters(shapes: tuple, e: int, top: int) -> list[int]:
+def _invariant_cached(
+    genus: int, weights: tuple[int, ...], max_floors: int, e: int, top: int
+) -> tuple[int, ...]:
     """Entry x, for x = 0 .. top: chi_m of the invariant of class e x at
-    every level delta = e m, from the _shapes entries of its structures.
+    every level delta = e m, from the _shapes entries of the structure
+    search (genus, weights, max_floors).
 
     That is the sum over the shapes whose edge gcd e divides of W times
     the sum over the compositions of x of the products of rows
     (e x_i)^(v_i - 1) sigma(x_i), read off one Cauchy product per shape
     truncated at x = top.  Structures with more than x floors have no
     composition of x and add 0, so one search serves every class."""
-    shapes = [(vals, w_sum) for edge_gcd, vals, _n, w_sum in shapes
-              if edge_gcd % e == 0]
+    shapes = [(vals, w_sum) for edge_gcd, vals, _n, w_sum
+              in _shapes(genus, weights, max_floors) if edge_gcd % e == 0]
     rows = {v: [0] + [(e * x) ** (v - 1) * sigma(x) for x in range(1, top + 1)]
             for v in {v for vals, _w in shapes for v in vals}}
     total = [0] * (top + 1)
@@ -934,7 +922,7 @@ def _class_characters(shapes: tuple, e: int, top: int) -> list[int]:
             head = [sum(head[j] * row[i - j] for j in range(1, i))
                     for i in range(top + 1)]
         total = [t + w_sum * h for t, h in zip(total, head)]
-    return total
+    return tuple(total)
 
 
 def _from_e(delta: int, by_e: dict[int, int]) -> ProjectorElement:
@@ -954,13 +942,13 @@ def invariant(
 
     chi_m(theta(delta, delta/delta_D)) = [e | delta_D] and
     chi_m(bold_sigma(delta, a)) = sigma(a/e) if e | a, else 0, e = delta/m;
-    so character m is the integer _invariant_cached keyed by e, and the
-    element is built once, from those integers.
+    so character m is 0 unless e divides the class, else entry degree/e of
+    the _invariant_cached row of e, and the element is built from those.
     """
     profile.check_delta(delta)
-    weights = tuple(sorted(profile.weights))
-    return _from_e(delta, {e: _invariant_cached(genus, degree, weights, e)
-                           for e in divisors(delta)})
+    key = _search_key(genus, degree, profile.weights)
+    return _from_e(delta, {e: _invariant_cached(*key, e, degree // e)[-1]
+                           for e in divisors(delta) if degree % e == 0})
 
 
 def invariants(
@@ -969,10 +957,10 @@ def invariants(
     """invariant(genus, a, profile, delta) for a = 1 .. truncation.
 
     One structure search, _search_key's for class truncation, serves every
-    class, and each e | delta costs one _class_characters product per
-    shape, truncated at class truncation/e.  The genus (through the key of
-    class 1 at truncation 0), truncation and delta are checked first, so an
-    empty list still rejects bad input.
+    class, and each e | delta costs one _invariant_cached row, truncated at
+    class truncation/e.  The genus (through the key of class 1 at
+    truncation 0), truncation and delta are checked first, so an empty list
+    still rejects bad input.
     """
     key = _search_key(genus, max(truncation, 1), profile.weights)
     if truncation < 0:
@@ -980,7 +968,6 @@ def invariants(
     profile.check_delta(delta)
     if not truncation:
         return []
-    shapes = _shapes(*key)
-    chi = {e: _class_characters(shapes, e, truncation // e) for e in divisors(delta)}
+    chi = {e: _invariant_cached(*key, e, truncation // e) for e in divisors(delta)}
     return [_from_e(delta, {e: row[a // e] for e, row in chi.items() if a % e == 0})
             for a in range(1, truncation + 1)]

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
@@ -132,13 +131,26 @@ def _weightings(
                 omega[j] = w
             yield level + 1
 
-    for src in set(permutations(profile.sources)):
-        for snk in set(permutations(profile.sinks)):
+    for src in _orders(profile.sources):
+        for snk in _orders(profile.sinks):
             omega = [0] * len(template.edges)
             for j, w in zip(bottom_cols + top_cols, src + snk):
                 omega[j] = w
             for _ in _walk(0, children, n.__eq__):
                 yield tuple(omega)
+
+
+def _orders(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The distinct orders of the multiset values, lexicographically: each
+    step of the walk places one of the distinct values left."""
+    def children(state):
+        placed, left = state
+        for v in dict.fromkeys(left):
+            i = left.index(v)
+            yield placed + (v,), left[:i] + left[i + 1:]
+
+    start = ((), tuple(sorted(values)))
+    return (placed for placed, _left in _walk(start, children, lambda s: not s[1]))
 
 
 def gamma_coeffs(

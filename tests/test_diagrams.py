@@ -581,11 +581,64 @@ def test_closing_states_store_each_value_once():
 
     states = _closes(6, (-2, 2), 6)
     assert len({s.levels for s in states}) < len(states)
-    for field in ("levels", "opens", "comp", "roots", "ends", "surplus"):
+    for field in ("levels", "opens", "ends", "surplus"):
         values = [getattr(s, field) for s in states]
         assert len({id(v) for v in values}) == len(set(values)), field
     edges = [e for s in states for e in s.edges]
     assert len({id(e) for e in edges}) == len(set(edges))
+
+
+def check_labels(state):
+    """Every claim of the _State comment about the labels, recomputed from
+    the levels and edges placed."""
+    from corgw.diagrams import _components
+
+    levels, edges = state.levels, state.edges
+    n = len(levels)
+    comp = _components(n, [(lo, hi) for lo, hi, _w in edges if lo >= 0])
+    floor = _components(n, [(lo, hi) for lo, hi, _w in edges
+                            if lo >= 0 and levels[lo] and levels[hi]])
+    for (_w, origin, c, f), _n in state.opens:
+        if origin == BOTTOM:
+            assert (c, f) == (-1, None)
+            continue
+        assert comp[c] == comp[origin]
+        if levels[origin]:
+            assert levels[f] and floor[f] == floor[origin]
+        else:
+            assert f is None
+    names = [r for r, _e in state.ends]
+    assert names == sorted(set(names)) and all(levels[r] for r in names)
+    assert sorted(floor[r] for r in names) == sorted({floor[i] for i in range(n)
+                                                      if levels[i]})
+    ends = Counter(floor[hi] for lo, hi, _w in edges if lo == BOTTOM and levels[hi])
+    assert [e for _r, e in state.ends] == [ends[floor[r]] for r in names]
+    if state.deficit:
+        assert {comp[o] for (_w, o, _c, _f), _n in state.opens if o >= 0} == set(comp)
+
+
+@pytest.mark.parametrize(
+    "genus,weights", list(STRUCTURE_DIGESTS) + [(2, (-3, 1, 1, 1))]
+)
+def test_search_state_labels_are_components(genus, weights):
+    # Each open class names its origin's component and floor component,
+    # the ends pairs each floor component's edges from BOTTOM, and until
+    # the deficit closes every component keeps an open edge: that is what
+    # lets _children count the components from the open classes alone.
+    from corgw.diagrams import _children, _State
+
+    profile = TangencyProfile(weights)
+    n_levels = len(weights) + genus - 1
+    sinks = dict(Counter(profile.sinks))
+    opens = tuple(sorted(Counter((w, BOTTOM, -1, None) for w in profile.sources).items()))
+
+    def walk(state):
+        check_labels(state)
+        if len(state.levels) < n_levels:
+            for child in _children(n_levels, genus, sinks, state):
+                walk(child)
+
+    walk(_State((), (), opens, (), genus, None))
 
 
 # -- the class tally against the sum over labelled diagrams ----------------

@@ -165,6 +165,25 @@ def test_weightings_at_the_level_bound():
     assert got == [(3,) * (MAX_LEVELS + 1)]
 
 
+@pytest.mark.parametrize("values", [
+    (), (1,), (1, 1), (2, 1), (1, 1, 2), (3, 1, 2), (2, 2, 1, 1), (1, 3, 1, 2, 1),
+    (4, 4, 4), (5, 1, 5, 1, 3), (1, 2, 3, 4, 5), (2, 1, 2, 1, 2, 1),
+])
+def test_orders_are_the_distinct_permutations(values):
+    from itertools import permutations
+
+    from corgw.polyfit import _orders
+
+    assert list(_orders(values)) == sorted(set(permutations(values)))
+
+
+@pytest.mark.parametrize("k", [12, 40])
+def test_weightings_with_many_equal_sources(k):
+    # k sources of weight 1 into one floor have one order, not k! orders.
+    t = DiagramTemplate((1,), ((BOTTOM, 0),) * k + ((0, 1),))
+    assert weightings(t, TangencyProfile((-1,) * k + (k,))) == [(1,) * k + (k,)]
+
+
 def brute_weightings(t, profile):
     b = profile.b
     n_edges = len(t.edges)

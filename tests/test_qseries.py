@@ -86,10 +86,11 @@ def test_checked_series_searches_structures_once(truncation, searches, capsys):
     # one search with its certificate; below the genus the series search
     # is capped at N floors and templates_for runs the uncapped one.
     from corgw.cli import main
-    from corgw.diagrams import _closes, _shapes
+    from corgw.diagrams import _closes, _invariant_cached, _shapes
 
     _closes.cache_clear()
     _shapes.cache_clear()
+    _invariant_cached.cache_clear()
     argv = ["series", "--g", "3", "--profile", "2,2,-2,-2", "--delta", "2",
             "--n-trunc", str(truncation), "--check-factorization"]
     assert main(argv) == 0
