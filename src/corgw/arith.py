@@ -108,10 +108,6 @@ def _over_primes(term, *ns: int) -> int:
     divide one of ns: the value of a multiplicative function of ns, read
     straight off the factorize tuples."""
     out = 1
-    if len(ns) == 1:
-        for p, e in factorize(ns[0]):
-            out *= term(p, e)
-        return out
     rows: dict[int, list[int]] = {}
     for k, n in enumerate(ns):
         for p, e in factorize(n):

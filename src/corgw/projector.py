@@ -10,7 +10,8 @@ the group-algebra product pointwise.
 The dense reference, GroupAlgebraElement in corgw.torsion, shares the
 read-only dense surface defined here (coefficients, support, rows, JSON,
 equality, also across the types), so output does not depend on the
-representation; a ProjectorElement writes it from its order classes.
+representation.  Each type supplies its own rows, a ProjectorElement from
+its order classes, and every writer on the surface reads them.
 Only to_dense and translate, which return a dense element, import
 corgw.torsion.
 
@@ -117,9 +118,9 @@ class _DenseSurface:
     ``mass``, the total mass stored the same way.  Equal dense maps mean
     equal elements, whatever the representation.  Both types are
     immutable, build their zero from the level alone and subtract as
-    x + y * -1 through their own addition and scaling.  The writers here go
-    point by point; ProjectorElement overrides them with writers that go by
-    order class, and these stay their reference.
+    x + y * -1 through their own addition and scaling.  support and
+    to_json read rows, which ProjectorElement overrides; to_json_dict reads
+    the map point by point and stays their reference.
     """
 
     __slots__ = ()
@@ -143,7 +144,7 @@ class _DenseSurface:
 
     @property
     def support(self) -> list[tuple[int, int]]:
-        return sorted(self._terms)
+        return [(u, v) for u, vs in self.rows(lambda v, _r, _c: v) for v in vs]
 
     def items(self) -> Iterable[tuple[tuple[int, int], int | Fraction]]:
         return self._terms.items()
@@ -154,9 +155,10 @@ class _DenseSurface:
         """The nonzero points row by row: (u, [cell(v, order, value) for
         each nonzero point (u, v), v ascending]) for each row u that has
         one, u ascending."""
+        row_of, orders = _order_rows(self.delta)
         out: dict[int, list[T]] = {}
         for (u, v), c in sorted(self._terms.items()):
-            out.setdefault(u, []).append(cell(v, point_order(self.delta, u, v), c))
+            out.setdefault(u, []).append(cell(v, orders[row_of[u]][v], c))
         return list(out.items())
 
     def __eq__(self, other) -> bool:
@@ -177,12 +179,16 @@ class _DenseSurface:
         }
 
     def to_json(self, separators: tuple[str, str] = (",", ":")) -> str:
-        """json.dumps(self.to_json_dict(), separators=separators)."""
+        """json.dumps(self.to_json_dict(), separators=separators), from
+        rows: each cell's text built once, the cells joined once per row."""
         comma, colon = separators
+        rows = self.rows(
+            lambda v, _r, c: f'"v"{colon}{v}{comma}"num"{colon}{c.numerator}'
+            f'{comma}"den"{colon}{c.denominator}}}'
+        )
         terms = comma.join(
-            f'{{"u"{colon}{u}{comma}"v"{colon}{v}{comma}'
-            f'"num"{colon}{c.numerator}{comma}"den"{colon}{c.denominator}}}'
-            for (u, v), c in sorted(self._terms.items())
+            f'{{"u"{colon}{u}{comma}' + f'{comma}{{"u"{colon}{u}{comma}'.join(cells)
+            for u, cells in rows
         )
         return f'{{"delta"{colon}{self.delta}{comma}"terms"{colon}[{terms}]}}'
 
@@ -204,10 +210,10 @@ class ProjectorElement(_DenseSurface):
     Coordinates are recovered by Moebius inversion only for repr and
     theta_coordinates; order_values reads one exact value per order class
     straight from the characters, through the level's integer kernel.
-    The writers (rows, coefficient, support, JSON) work from those values
-    and the tau(delta) distinct rows of orders, never point by point; the
-    dense map (items, == against a dense element, hash, translate) is
-    built from them once, on first use.
+    rows and coefficient work from those values and the tau(delta)
+    distinct rows of orders, never point by point, and so do support and
+    JSON, which read rows; the dense map (items, == against a dense
+    element, hash, translate) is built from rows once, on first use.
     """
 
     __slots__ = ("delta", "_chi", "_by_order", "_dense")
@@ -327,42 +333,13 @@ class ProjectorElement(_DenseSurface):
     def _terms(self) -> dict[tuple[int, int], int | Fraction]:
         terms = self._dense
         if terms is None:
-            # As rows, inlined: the map has a key per point anyway, and a
-            # call per cell would cost more than it saves at small delta.
-            values = self.order_values()
-            row_of, rows = _order_rows(self.delta)
-            terms = {
-                (u, v): values[r]
-                for u, i in enumerate(row_of)
-                for v, r in enumerate(rows[i])
-                if values[r]
-            }
+            rows = self.rows(lambda v, _r, c: (v, c))
+            terms = {(u, v): c for u, cells in rows for v, c in cells}
             object.__setattr__(self, "_dense", terms)
         return terms
 
     def coefficient(self, u: int, v: int) -> Fraction:
         return _fraction()(self.order_values()[point_order(self.delta, u, v)])
-
-    @property
-    def support(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, vs in self.rows(lambda v, _r, _c: v) for v in vs]
-
-    def to_json(self, separators: tuple[str, str] = (",", ":")) -> str:
-        """json.dumps(self.to_json_dict(), separators=separators), written
-        from the order classes: each class's num/den text once, each term
-        text once per distinct row."""
-        comma, colon = separators
-        tail = {
-            r: f'"num"{colon}{c.numerator}{comma}"den"{colon}{c.denominator}}}'
-            for r, c in self.order_values().items()
-            if c
-        }
-        rows = self.rows(lambda v, r, _c: f'"v"{colon}{v}{comma}{tail[r]}', tail)
-        terms = comma.join(
-            f'{{"u"{colon}{u}{comma}' + f'{comma}{{"u"{colon}{u}{comma}'.join(cells)
-            for u, cells in rows
-        )
-        return f'{{"delta"{colon}{self.delta}{comma}"terms"{colon}[{terms}]}}'
 
     @property
     def mass(self) -> int | Fraction:

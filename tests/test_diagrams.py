@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from functools import partial
 from itertools import product
 
 import pytest
@@ -865,6 +866,33 @@ def test_closing_floor_passing_over_a_sink_class_pinned(genus, degree, weights):
     assert len(found) == count_diagrams(genus, degree, profile) == count
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert invariant(genus, degree, profile, 1).character(1) == character
+
+
+SURPLUS_PROFILES = list(dict.fromkeys(
+    (genus, tuple(sorted(sign * w for w in weights)))
+    for genus, weights in [*STRUCTURE_DIGESTS,
+                           *((g, w) for g, _a, w in CLOSING_PASS_OVER_PINS)]
+    for sign in (1, -1)
+))
+
+
+@pytest.mark.parametrize("genus,weights", SURPLUS_PROFILES)
+def test_closing_surpluses_add_up_to_the_levels_left(genus, weights):
+    # _children tests no sum of surpluses: once the closing floor has joined
+    # every component they add up to the levels left, so the flats that
+    # follow, each taking one from a positive surplus, end them all at 0.
+    from corgw.diagrams import _children, _closes, _walk
+
+    n_levels = len(weights) + genus - 1
+    for cap in range(1, genus + 1):
+        children = partial(_children, n_levels, cap, {})
+        for closed in _closes(genus, weights, cap):
+            surplus = dict(closed.surplus)
+            assert min(surplus.values()) >= 0
+            assert sum(surplus.values()) == n_levels - len(closed.levels)
+            last = _walk(closed, children, lambda state: len(state.levels) == n_levels)
+            for s in last:
+                assert not any(e for _r, e in s.surplus)
 
 
 # -- two-flat cycle test against path enumeration ---------------------------

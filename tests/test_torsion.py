@@ -534,6 +534,7 @@ def test_order_class_writers_match_per_point(delta):
         assert x.to_json(separators=spaced) == dense.to_json(separators=spaced)
         assert x.to_json(separators=spaced) == json.dumps(dense.to_json_dict())
         assert x.support == dense.support
+        assert dense.support == sorted(dict(dense.items()))
         assert x.rows(triple) == dense.rows(triple)
         for u in range(-1, delta + 1):
             for v in (-delta, -1, *range(delta)):
