@@ -5,11 +5,13 @@ boundary configuration, computed through closed-form refined divisor sums
 and the floor-diagram calculus, entirely in exact rational arithmetic.
 
 The names live in the submodules, one per layer, and are imported from
-there (``from corgw.diagrams import invariant``): ``arith``,
+there (``from corgw.search import invariant``): ``arith``,
 ``projector`` (the group-algebra elements the computation carries, by
 their characters), ``torsion`` (the dense reference), ``refined``,
-``lattice``, ``diagrams``, ``qseries``, ``polyfit`` and the command-line
-front end ``cli``.  Importing the package loads none of them.
+``lattice``, ``search`` (the structure search and the totals read off
+it), ``diagrams`` (the diagrams, their validity and multiplicities, and
+the listing), ``qseries``, ``polyfit`` and the command-line front end
+``cli``.  Importing the package loads none of them.
 """
 
 import sys

@@ -69,7 +69,7 @@ def _parse_ints(
 
 
 def _parse_profile(text: str):
-    from .diagrams import TangencyProfile
+    from .search import TangencyProfile
 
     return TangencyProfile(_parse_ints(text, "profile"))
 
@@ -130,20 +130,23 @@ def cmd_oracle_verify(args) -> int:
 
 
 def cmd_diagrams(args) -> int:
-    from . import diagrams as fd
+    # The totals are read off the structure search; only --list loads diagrams.
+    from . import search
 
     profile = _parse_profile(args.profile)
     if args.sum:
         delta = 1 if args.delta is None else args.delta
-        total = fd.invariant(args.g, args.a, profile, delta)
+        total = search.invariant(args.g, args.a, profile, delta)
         _emit_element(total, args)
         return EXIT_OK
     if args.delta is not None or args.json or args.table:
         raise ValueError("--delta, --json and --table apply only with --sum")
     if args.count:
-        print(fd.count_diagrams(args.g, args.a, profile))
+        print(search.count_diagrams(args.g, args.a, profile))
         return EXIT_OK
-    for diagram in fd.enumerate_diagrams(args.g, args.a, profile):
+    from .diagrams import enumerate_diagrams
+
+    for diagram in enumerate_diagrams(args.g, args.a, profile):
         print(diagram.to_json())
     return EXIT_OK
 

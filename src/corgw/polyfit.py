@@ -30,17 +30,19 @@ from .arith import Frozen, divisors
 from .diagrams import (
     Edge,
     FloorDiagram,
-    TangencyProfile,
-    _check_genus_and_degree,
     _components,
-    _compositions_asc,
     _floor_core,
     _from_json,
-    _walk,
     multiplicity,
     validate,
 )
 from .projector import ProjectorElement, theta_coordinates
+from .search import (
+    TangencyProfile,
+    _check_genus_and_degree,
+    _compositions_asc,
+    _walk,
+)
 
 
 class DiagramTemplate(FloorDiagram):

@@ -20,10 +20,10 @@ from __future__ import annotations
 from functools import reduce
 
 from .arith import Frozen
-from .diagrams import FloorDiagram, TangencyProfile, invariants
-from .diagrams import _search_key, _structures
+from .diagrams import FloorDiagram, _structures
 from .projector import ProjectorElement
 from .refined import bold_sigma
+from .search import TangencyProfile, _search_key, invariants
 
 
 class GASeries(Frozen):
@@ -62,8 +62,8 @@ def invariant_series(
     genus: int, profile: TangencyProfile, delta: int, truncation: int
 ) -> GASeries:
     """Series of diagram-summed invariants in the class direction: the
-    coefficient of q^a is diagrams.invariant(genus, a, profile, delta),
-    all read off one structure search (diagrams.invariants).
+    coefficient of q^a is search.invariant(genus, a, profile, delta),
+    all read off one structure search (search.invariants).
     """
     return GASeries(delta, tuple(invariants(genus, profile, delta, truncation)))
 

@@ -392,16 +392,20 @@ ALGEBRA = ["corgw.refined", "corgw.projector", "corgw.torsion", "fractions"]
 
 
 @pytest.mark.parametrize("mode,loaded", [
-    ("--count", []), ("--list", []), ("--sum", ["corgw.projector"]),
+    ("--count", ["corgw.search"]),
+    ("--list", ["corgw.search", "corgw.diagrams"]),
+    ("--sum", ["corgw.projector", "corgw.search"]),
 ])
 def test_diagrams_mode_loads_algebra_only_to_sum(mode, loaded):
     # The structure modes never touch the group algebra, so a cold job
     # skips compiling it.  The sum adds integers and loads projector only
     # to build its output, never refined, the dense torsion or fractions
     # (its mass is integral and printed as the stored int); no mode loads
-    # json.
+    # json.  The count and the sum are read off the structure search, so
+    # only the listing compiles diagrams.
     argv = ["diagrams", "--g", "2", "--a", "2", "--profile", "2,-2", mode]
-    assert modules_after_main(argv, ALGEBRA + ["json"]) == (0, repr(loaded))
+    watched = ALGEBRA + ["json", "corgw.search", "corgw.diagrams"]
+    assert modules_after_main(argv, watched) == (0, repr(loaded))
 
 
 LOADS = ["corgw.projector", "corgw.torsion", "fractions", "decimal"]
@@ -843,7 +847,7 @@ def test_profile_at_the_level_bound(sign, depth, capsys):
     # bound holds from a caller 600 frames deep; the caches are emptied so
     # that each run searches.
     import corgw
-    from corgw.diagrams import MAX_LEVELS
+    from corgw.search import MAX_LEVELS
 
     corgw.clear_caches()
     ends = [-sign * (MAX_LEVELS - 1)] + [sign] * (MAX_LEVELS - 1)

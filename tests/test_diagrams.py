@@ -466,7 +466,7 @@ def test_totals_match_brute_force(genus, degree, weights):
 
 
 def test_enumeration_is_deterministic():
-    from corgw.diagrams import _closes
+    from corgw.search import _closes
 
     _closes.cache_clear()
     p = TangencyProfile((4, -4))
@@ -559,18 +559,18 @@ def test_classes_from_the_genus_share_one_search(degree):
     # From the genus on the floor cap is the genus, so templates_for and
     # every class reading _structures or _shapes share one search, the one
     # cached entry of _closes; the listing keeps no cache of its own.
-    from corgw import diagrams
+    from corgw import diagrams, search
     from corgw.qseries import templates_for
 
     genus, profile = 2, TangencyProfile((2, -2))
-    diagrams._closes.cache_clear()
-    diagrams._shapes.cache_clear()
-    diagrams._invariant_cached.cache_clear()
+    search._closes.cache_clear()
+    search._shapes.cache_clear()
+    search._invariant_cached.cache_clear()
     templates_for(genus, profile)
     enumerate_diagrams(genus, degree, profile)
     count_diagrams(genus, degree, profile)
     invariant(genus, degree, profile, 2)
-    assert diagrams._closes.cache_info().currsize == 1
+    assert search._closes.cache_info().currsize == 1
     assert not hasattr(diagrams._structures, "cache_info")
 
 
@@ -578,7 +578,7 @@ def test_closing_states_store_each_value_once():
     # _closes keeps every closing state, and branches repeat few values of
     # each field but the edges, and few edges, so each value is one object.
     # Copies per state doubled the peak memory of a (10; 2, -2) count.
-    from corgw.diagrams import _closes
+    from corgw.search import _closes
 
     states = _closes(6, (-2, 2), 6)
     assert len({s.levels for s in states}) < len(states)
@@ -626,7 +626,7 @@ def test_search_state_labels_are_components(genus, weights):
     # the ends pairs each floor component's edges from BOTTOM, and until
     # the deficit closes every component keeps an open edge: that is what
     # lets _children count the components from the open classes alone.
-    from corgw.diagrams import _children, _State
+    from corgw.search import _children, _State
 
     profile = TangencyProfile(weights)
     n_levels = len(weights) + genus - 1
@@ -677,7 +677,8 @@ def test_closed_form_totals_equal_the_listing(genus, weights):
     # orientations of the profile and at every floor cap.
     from math import gcd
 
-    from corgw.diagrams import _shapes, _structures
+    from corgw.diagrams import _structures
+    from corgw.search import _shapes
 
     for ws in (weights, tuple(-w for w in weights)):
         ws = tuple(sorted(ws))
@@ -744,12 +745,12 @@ def _refuse(*args):
 def test_count_builds_no_labelled_diagram(monkeypatch):
     # From cold search caches, the count and the invariant read the closing
     # branches only: neither builds a FloorDiagram nor calls validate.
-    from corgw import diagrams
+    from corgw import diagrams, search
 
     profile = TangencyProfile((2, 2, -2, -2))
     want = len(enumerate_diagrams(3, 5, profile))
     sums = {delta: invariant_by_diagrams(3, 5, profile, delta) for delta in (1, 2)}
-    for cached in (diagrams._closes, diagrams._shapes, diagrams._invariant_cached):
+    for cached in (search._closes, search._shapes, search._invariant_cached):
         cached.cache_clear()
     monkeypatch.setattr(diagrams, "enumerate_diagrams", _refuse)
     monkeypatch.setattr(diagrams.FloorDiagram, "__init__", _refuse)
@@ -762,7 +763,7 @@ def test_invariant_adds_once_per_class(monkeypatch):
     # The sum runs per class, as integer characters: no diagram is built or
     # weighed on its own, no refined divisor sum is read, and no element is
     # multiplied or added.
-    from corgw import diagrams, refined
+    from corgw import diagrams, refined, search
 
     genus, degree, delta = 3, 4, 2
     profile = TangencyProfile((2, 2, -2, -2))
@@ -771,7 +772,7 @@ def test_invariant_adds_once_per_class(monkeypatch):
     classes = {(d.delta_gcd(delta), d.floor_info) for d in found}
     assert len(classes) < len(found)
 
-    diagrams._invariant_cached.cache_clear()
+    search._invariant_cached.cache_clear()
     monkeypatch.setattr(diagrams, "multiplicity", _refuse)
     monkeypatch.setattr(diagrams, "_floor_core", _refuse)
     monkeypatch.setattr(refined, "bold_sigma", _refuse)
@@ -881,7 +882,7 @@ def test_closing_surpluses_add_up_to_the_levels_left(genus, weights):
     # _children tests no sum of surpluses: once the closing floor has joined
     # every component they add up to the levels left, so the flats that
     # follow, each taking one from a positive surplus, end them all at 0.
-    from corgw.diagrams import _children, _closes, _walk
+    from corgw.search import _children, _closes, _walk
 
     n_levels = len(weights) + genus - 1
     for cap in range(1, genus + 1):
@@ -944,7 +945,7 @@ def two_flat_cycle_in_graph(pairs, flats):
 
 def has_two_flat_cycle(diagram):
     """_has_two_flat_cycle on the graph of a diagram, as validate calls it."""
-    from corgw.diagrams import _has_two_flat_cycle
+    from corgw.search import _has_two_flat_cycle
 
     n, pairs = diagram._vertices_and_edges()
     return _has_two_flat_cycle(n, pairs, set(diagram.flat_indices))
@@ -952,10 +953,13 @@ def has_two_flat_cycle(diagram):
 
 def _structure_candidates(genus, weights, monkeypatch, max_floors, block_tests=None):
     """Every diagram the structure search hands to validate.  block_tests,
-    when given, collects (pairs, flats, verdict) of every two-flat test,
-    the search's own on partial graphs and validate's."""
-    from corgw import diagrams
-    from corgw.diagrams import _closes, _has_two_flat_cycle, _structures
+    when given, maps the name of the calling module to the (pairs, flats,
+    verdict) of each of its two-flat tests: corgw.search's on partial
+    graphs and corgw.diagrams' in validate.  Each module reads the name
+    from its own globals, so both are patched."""
+    from corgw import diagrams, search
+    from corgw.diagrams import _structures
+    from corgw.search import _closes, _has_two_flat_cycle
 
     _closes.cache_clear()  # so the search runs and its block tests are seen
     built = []
@@ -964,14 +968,18 @@ def _structure_candidates(genus, weights, monkeypatch, max_floors, block_tests=N
         built.append(diagram)
         return validate(diagram, *args)
 
-    def block_test(n, pairs, flats):
-        verdict = _has_two_flat_cycle(n, pairs, flats)
-        block_tests.append((list(pairs), set(flats), verdict))
-        return verdict
+    def block_test(caller):
+        def test(n, pairs, flats):
+            verdict = _has_two_flat_cycle(n, pairs, flats)
+            block_tests.setdefault(caller, []).append((list(pairs), set(flats), verdict))
+            return verdict
+
+        return test
 
     monkeypatch.setattr(diagrams, "validate", recording)
     if block_tests is not None:
-        monkeypatch.setattr(diagrams, "_has_two_flat_cycle", block_test)
+        for module in (search, diagrams):
+            monkeypatch.setattr(module, "_has_two_flat_cycle", block_test(module.__name__))
     tuple(_structures(genus, tuple(sorted(weights)), max_floors))
     monkeypatch.undo()
     return built
@@ -982,7 +990,7 @@ def _structure_candidates(genus, weights, monkeypatch, max_floors, block_tests=N
 )
 def test_two_flat_cycle_matches_path_oracle(genus, degree, weights, monkeypatch):
     profile = TangencyProfile(weights)
-    block_tests = []
+    block_tests = {}
     built = _structure_candidates(genus, weights, monkeypatch, genus, block_tests)
     if (genus, degree, weights) in BRUTE_FORCE_CASES:
         built += list(brute_force_candidates(genus, degree, profile))
@@ -990,8 +998,12 @@ def test_two_flat_cycle_matches_path_oracle(genus, degree, weights, monkeypatch)
     for d in built:
         assert has_two_flat_cycle(d) == two_flat_cycle_by_paths(d), d.to_json()
     # The search's cut on partial graphs, at the floors that close a cycle.
-    for pairs, flats, verdict in block_tests:
-        assert verdict == two_flat_cycle_in_graph(pairs, flats), (pairs, flats)
+    # No brute-force case closes one; the added case is there to reach it.
+    if (genus, degree, weights) not in BRUTE_FORCE_CASES:
+        assert block_tests.get("corgw.search"), "no partial-graph test seen"
+    for tests in block_tests.values():
+        for pairs, flats, verdict in tests:
+            assert verdict == two_flat_cycle_in_graph(pairs, flats), (pairs, flats)
 
 
 @pytest.mark.parametrize(

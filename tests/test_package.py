@@ -95,6 +95,34 @@ def test_tracer_names_resolve():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_tracer_times_the_invariant_through_diagrams():
+    # The tracer patches diagrams.invariant and reads the cache counters of
+    # diagrams._invariant_cached, names that diagrams re-exports from
+    # search, while --sum calls search.invariant.  Only the same objects
+    # under both names give the span its call and its two cache misses
+    # (e = 1, 2); copies would read 0 and zero the per-layer metric.
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(str(root / d) for d in ("src", "perfbench"))
+    argv = ["diagrams", "--g", "3", "--a", "2", "--profile=2,2,-2,-2", "--sum",
+            "--delta", "2"]
+    code = (
+        "import contextlib, io, tracer\n"
+        "from corgw.cli import main\n"
+        "t = tracer.Tracer()\n"
+        "tracer.install(t)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "span = t.summary().get('diagrams.invariant', {})\n"
+        "print(code, span.get('calls'), span.get('misses'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 1 2\n"
+
+
 def test_outputs_match_benchmark_digests():
     # Every job the benchmark can draw, run in one process from the repo
     # root: each CLI job's stdout and each session call's output must hash

@@ -156,7 +156,7 @@ def test_weightings_chain_unique():
 def test_weightings_at_the_level_bound():
     # One floor, then MAX_LEVELS - 1 flats: the walk over the levels keeps
     # its own stack, so it holds from a caller 600 frames deep.
-    from corgw.diagrams import MAX_LEVELS
+    from corgw.search import MAX_LEVELS
     from test_cli import call_at_depth
 
     pairs = ((BOTTOM, 0),) + tuple((i, i + 1) for i in range(MAX_LEVELS))

@@ -86,7 +86,7 @@ def test_checked_series_searches_structures_once(truncation, searches, capsys):
     # one search with its certificate; below the genus the series search
     # is capped at N floors and templates_for runs the uncapped one.
     from corgw.cli import main
-    from corgw.diagrams import _closes, _invariant_cached, _shapes
+    from corgw.search import _closes, _invariant_cached, _shapes
 
     _closes.cache_clear()
     _shapes.cache_clear()
