@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import attrgetter
 
 
 class Frozen:
@@ -22,8 +23,10 @@ class Frozen:
     them back in it; a subclass that checks or normalises its arguments
     ends its own ``__init__`` in one ``super().__init__(...)``.  Later
     assignment raises AttributeError.  Equality (same class, equal
-    fields), the hash and the ``Name(field=value, ...)`` repr read the
-    fields.
+    fields) and the hash read the fields through one
+    ``operator.attrgetter``, ``_key``, bound per class, so they read the
+    fields in C with no Python loop; the ``Name(field=value, ...)`` repr
+    reads them by name.
 
     The value classes are written out by hand on this base rather than
     generated by the standard library's class decorator: loading that
@@ -39,6 +42,9 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         if cls.__slots__:
             cls._fields = cls.__slots__
+            # Not a descriptor, so it is called as self._key(self): the
+            # field itself for one field, the tuple of fields for more.
+            cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *values) -> None:
         fields = self._fields
@@ -53,11 +59,11 @@ class Frozen:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._key(self) == other._key(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -36,7 +36,7 @@ from .diagrams import (
     multiplicity,
     validate,
 )
-from .projector import ProjectorElement, theta_coordinates
+from .projector import ProjectorElement
 from .search import (
     TangencyProfile,
     _check_genus_and_degree,
@@ -257,17 +257,27 @@ def _check_shape(template: DiagramTemplate, samples: Sequence[int]) -> None:
 
 
 def interpolate(points: Sequence[tuple[int, Fraction]]) -> list[Fraction]:
-    """Monomial coefficients of the unique minimal-degree interpolant, in
-    Lagrange form over one integer denominator: basis numerator i is
-    prod_j (x - x_j) divided synthetically by (x - x_i), over the weight
-    prod_{j != i} (x_i - x_j)."""
+    """Monomial coefficients of the unique minimal-degree interpolant, as
+    Fractions: the integer numerators of _lagrange over its denominator."""
     xs = [x for x, _ in points]
     bad = [x for x in xs if not isinstance(x, int)]
     if bad:
         raise ValueError(f"interpolation nodes must be ints, got {bad}")
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    ys = [Fraction(y) for _, y in points]
+    nums, den = _lagrange(xs, [Fraction(y) for _, y in points])
+    return [Fraction(c, den) for c in nums]
+
+
+def _lagrange(
+    xs: Sequence[int], ys: Sequence[int | Fraction]
+) -> tuple[list[int], int]:
+    """The interpolant through the distinct int nodes xs and the exact
+    values ys, as integer numerators of its monomial coefficients (lowest
+    degree first, trailing zeros dropped down to one) over one positive
+    integer denominator.  Lagrange form: basis numerator i is
+    prod_j (x - x_j) divided synthetically by (x - x_i), over the weight
+    prod_{j != i} (x_i - x_j)."""
     master = [1]  # coefficients, lowest degree first
     for xj in xs:
         master = [a - xj * b for a, b in zip([0, *master], [*master, 0])]
@@ -284,18 +294,25 @@ def interpolate(points: Sequence[tuple[int, Fraction]]) -> list[Fraction]:
             coeffs[k] += scale * carry
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
-    return [Fraction(c, den) for c in coeffs]
+    return coeffs, den
 
 
 def poly_eval(coeffs: Sequence[Fraction], x: int) -> Fraction:
     den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    return Fraction(_horner(nums, x), den)
+
+
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    """The integer polynomial with coefficients coeffs, lowest degree
+    first, at x."""
     acc = 0
     for c in reversed(coeffs):
-        acc = acc * x + c.numerator * (den // c.denominator)
-    return Fraction(acc, den)
+        acc = acc * x + c
+    return acc
 
 
-def poly_degree(coeffs: Sequence[Fraction]) -> int:
+def poly_degree(coeffs: Sequence[int | Fraction]) -> int:
     deg = -1
     for k, c in enumerate(coeffs):
         if c:
@@ -380,26 +397,26 @@ def polynomial_fit(
     _check_shape(template, samples)
     bound = template.monomial_degree + flow_degrees_of_freedom(template)
 
-    def coords_at(w: int) -> dict[int, Fraction]:
+    def coords_at(w: int) -> dict[int, int | Fraction]:
         value = invariant_by_template(
             template, TangencyProfile((w, -w)), delta
         )
-        return theta_coordinates(value)
+        return value._coords()
 
-    fit_data = {w: coords_at(w) for w in fit_ws}
-    holdout_data = {w: coords_at(w) for w in holdout_ws}
+    fit_data = [coords_at(w) for w in fit_ws]
+    holdout_data = [coords_at(w) for w in holdout_ws]
     fits = []
     ok = True
     for d in divisors(delta):
-        pts = [(w, fit_data[w].get(d, Fraction(0))) for w in fit_ws]
-        coeffs = interpolate(pts)
-        degree = poly_degree(coeffs)
+        nums, den = _lagrange(fit_ws, [c[d] for c in fit_data])
+        degree = poly_degree(nums)
         good = degree <= bound and all(
-            poly_eval(coeffs, w) == holdout_data[w].get(d, Fraction(0))
-            for w in holdout_ws
+            _horner(nums, w) * c[d].denominator == c[d].numerator * den
+            for w, c in zip(holdout_ws, holdout_data)
         )
         ok = ok and good
-        fits.append(CoordinateFit(d, tuple(coeffs), degree, good))
+        coeffs = tuple(Fraction(c, den) for c in nums)
+        fits.append(CoordinateFit(d, coeffs, degree, good))
     return PolyFitReport(
         ok, delta, chamber, bound, tuple(fit_ws), tuple(holdout_ws), tuple(fits)
     )

@@ -100,9 +100,13 @@ def _integral(c: int | Fraction) -> int | Fraction:
 
 
 def _exact(c) -> int | Fraction:
-    """Any input value as a stored value.  Anything but an int goes
-    through Fraction, so floats and decimal strings are read exactly."""
-    return c if type(c) is int else _integral(_fraction()(c))
+    """Any input value as a stored value.  Anything but an int or a
+    Fraction goes through Fraction, so floats and decimal strings are read
+    exactly; a Fraction is kept as the same object."""
+    if type(c) is int:
+        return c
+    fraction = _fraction()
+    return _integral(c if type(c) is fraction else fraction(c))
 
 
 def _check_level(x, y) -> None:
@@ -180,15 +184,28 @@ class _DenseSurface:
 
     def to_json(self, separators: tuple[str, str] = (",", ":")) -> str:
         """json.dumps(self.to_json_dict(), separators=separators), from
-        rows: each cell's text built once, the cells joined once per row."""
+        rows: each value's text built once, the cells joined once per row.
+
+        Values are memoised by identity, which is sound because the element
+        holds every value it writes for the whole call: a ProjectorElement
+        passes one object per order class, so its values are formatted
+        once per class, not once per point."""
         comma, colon = separators
-        rows = self.rows(
-            lambda v, _r, c: f'"v"{colon}{v}{comma}"num"{colon}{c.numerator}'
-            f'{comma}"den"{colon}{c.denominator}}}'
-        )
+        texts: dict[int, str] = {}
+
+        def cell(v: int, _r: int, c: int | Fraction) -> str:
+            key = id(c)
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = (
+                    f'{comma}"num"{colon}{c.numerator}'
+                    f'{comma}"den"{colon}{c.denominator}}}'
+                )
+            return f'"v"{colon}{v}{text}'
+
         terms = comma.join(
             f'{{"u"{colon}{u}{comma}' + f'{comma}{{"u"{colon}{u}{comma}'.join(cells)
-            for u, cells in rows
+            for u, cells in self.rows(cell)
         )
         return f'{{"delta"{colon}{self.delta}{comma}"terms"{colon}[{terms}]}}'
 

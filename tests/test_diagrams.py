@@ -744,7 +744,10 @@ def _refuse(*args):
 
 def test_count_builds_no_labelled_diagram(monkeypatch):
     # From cold search caches, the count and the invariant read the closing
-    # branches only: neither builds a FloorDiagram nor calls validate.
+    # branches only and build no FloorDiagram.  corgw.search never imports
+    # corgw.diagrams, so the listing (enumerate_diagrams, validate) is out
+    # of its reach; test_cli's test_diagrams_mode_loads_algebra_only_to_sum
+    # checks that --count and --sum load no corgw.diagrams.
     from corgw import diagrams, search
 
     profile = TangencyProfile((2, 2, -2, -2))
@@ -752,9 +755,7 @@ def test_count_builds_no_labelled_diagram(monkeypatch):
     sums = {delta: invariant_by_diagrams(3, 5, profile, delta) for delta in (1, 2)}
     for cached in (search._closes, search._shapes, search._invariant_cached):
         cached.cache_clear()
-    monkeypatch.setattr(diagrams, "enumerate_diagrams", _refuse)
     monkeypatch.setattr(diagrams.FloorDiagram, "__init__", _refuse)
-    monkeypatch.setattr(diagrams, "validate", _refuse)
     assert count_diagrams(3, 5, profile) == want
     assert {delta: invariant(3, 5, profile, delta) for delta in (1, 2)} == sums
 

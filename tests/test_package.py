@@ -284,10 +284,25 @@ def test_value_is_immutable(name):
 
 @pytest.mark.parametrize("name", VALUES)
 def test_value_copy_and_pickle(name):
+    # One-field classes (TangencyProfile) key on the field itself, the
+    # others on the tuple of their fields: both survive a round trip.
     x = VALUES[name][0]()
-    assert copy.copy(x) == x
-    assert copy.deepcopy(x) == x
-    assert pickle.loads(pickle.dumps(x)) == x
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x)
+        assert y == x and x == y
+        assert hash(y) == hash(x)
+
+
+def test_value_classes_with_equal_fields_differ():
+    # A template and a diagram with the same levels and edges (weights all
+    # 1) are read through the same fields, yet differ in class: unequal
+    # both ways, and two keys in one dict.
+    template = DiagramTemplate(LEVELS, EDGES)
+    diagram = FloorDiagram(template.levels, template.edges)
+    assert (diagram.levels, diagram.edges) == (template.levels, template.edges)
+    assert template != diagram and diagram != template
+    assert not template == diagram and not diagram == template
+    assert len({template: 0, diagram: 1}) == 2
 
 
 def test_value_reprs():

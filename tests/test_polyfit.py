@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -621,3 +622,46 @@ def test_template_json_round_trip():
     d = t.with_weights((4, 4, 1, 3, 1, 4))
     assert isinstance(d, FloorDiagram)
     assert multiplicity(d, 2) is not None
+
+
+BENCH_TEMPLATES = Path(__file__).parents[1] / "perfbench" / "templates"
+
+# (template file, delta, fit samples, holdout samples, chamber).  The last
+# case is the underdetermined fit of the CLI's exit-3 test: its holdout fails.
+ROUTE_CASES = [
+    (name, delta, fit, holdout, chamber)
+    for name in ("second_kind_low", "second_kind_high")
+    for delta in (1, 2)
+    for fit, holdout, chamber in (
+        (list(range(2, 21, 2)), [22, 24], (2, 0)),
+        (list(range(2, 40, 4)), [42, 46], (4, 2)),
+    )
+] + [("second_kind_low", 2, list(range(4, 21, 2)), [22, 24], None)]
+
+
+@pytest.mark.parametrize("name, delta, fit, holdout, chamber", ROUTE_CASES)
+def test_polynomial_fit_matches_public_route(name, delta, fit, holdout, chamber):
+    # The integer fit reports what the public Fraction route reads: interpolate
+    # on theta_coordinates, then poly_eval at the holdout points.
+    template = DiagramTemplate.from_json((BENCH_TEMPLATES / f"{name}.json").read_text())
+    report = polynomial_fit(template, delta, fit, holdout, chamber)
+
+    def coords(w):
+        profile = TangencyProfile((w, -w))
+        return theta_coordinates(invariant_by_template(template, profile, delta))
+
+    fit_coords = [coords(w) for w in fit]
+    holdout_coords = [coords(w) for w in holdout]
+    verdicts = []
+    for got, d in zip(report.coordinates, divisors(delta), strict=True):
+        coeffs = interpolate([(w, c[d]) for w, c in zip(fit, fit_coords)])
+        degree = poly_degree(coeffs)
+        ok = degree <= report.degree_bound and all(
+            poly_eval(coeffs, w) == c[d] for w, c in zip(holdout, holdout_coords)
+        )
+        assert (got.divisor, got.coeffs, got.degree) == (d, tuple(coeffs), degree)
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert got.holdout_ok is ok
+        verdicts.append(ok)
+    assert report.ok is all(verdicts)
+    assert report.ok is (chamber is not None)

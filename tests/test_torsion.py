@@ -195,6 +195,22 @@ def test_to_json_is_compact_dumps(build):
     assert x.to_json() == json.dumps(x.to_json_dict(), separators=(",", ":"))
 
 
+@pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")])
+@pytest.mark.parametrize("delta", [12, 24, 36])
+def test_to_json_is_dumps_at_composite_levels(delta, separators):
+    # to_json formats each value object once; the values here include
+    # Fractions, equal values held by distinct objects (the dense map built
+    # point by point) and one object shared by a whole order class.
+    spread = {
+        (u, v): Fraction(u - v, 1 + (u + v) % 5)
+        for u in range(delta) for v in range(0, delta, 5)
+    }
+    projector = writer_elements(delta)
+    dense = [x.to_dense() for x in projector] + [GroupAlgebraElement(delta, spread)]
+    for x in projector + dense:
+        assert x.to_json(separators) == json.dumps(x.to_json_dict(), separators=separators)
+
+
 small_delta = st.sampled_from([1, 2, 3, 4, 6, 12])
 
 
