@@ -9,9 +9,11 @@ so a diagram for genus g and an n-end profile has exactly n + g - 1
 ordered levels, one vertex per level.
 
 A diagram is plain integers.  A level is its floor label, or 0 for a flat
-vertex.  An edge endpoint is a position: BOTTOM = -1 for the bottom
-boundary, 0..n-1 for the levels and n for the top.  Only the JSON form names
-the boundaries, as "B" and "T".
+vertex.  An edge is a (lo, hi, w) tuple of ints, as in the structure
+search: endpoints BOTTOM <= lo < hi <= n and a weight w >= 1.  An endpoint
+is a position: BOTTOM = -1 for the bottom boundary, 0..n-1 for the levels
+and n for the top.  Only the JSON form names the boundaries, as "B" and
+"T".
 
 This module holds the diagram value, its validity clauses, the per-diagram
 multiplicity and the listing, which completes the states of the structure
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 from functools import partial
 from math import gcd, prod
-from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
 from .arith import Frozen
@@ -53,22 +54,15 @@ if TYPE_CHECKING:
     from .projector import ProjectorElement
 
 
-class Edge(Frozen):
-    """Weighted edge between the positions BOTTOM <= lo < hi <= n of a
-    diagram with n levels."""
-
-    __slots__ = ("lo", "hi", "w")
-
-
 class FloorDiagram(Frozen):
     __slots__ = ("levels", "edges")
     _json_weights = True  # whether to_json writes each edge's "w"
 
-    def __init__(self, levels: tuple[int, ...], edges: tuple[Edge, ...]) -> None:
-        # Checked before sorting: the sort key compares endpoints as ints.
+    def __init__(self, levels: tuple[int, ...], edges: tuple) -> None:
+        # Checked before sorting, which compares the edges' ints.
         _structural_check(levels, edges)
         # Canonical edge order so that equal diagrams compare equal.
-        super().__init__(levels, tuple(sorted(edges, key=attrgetter("lo", "hi", "w"))))
+        super().__init__(levels, tuple(sorted(edges)))
 
     # -- basic derived data -------------------------------------------
 
@@ -89,11 +83,11 @@ class FloorDiagram(Frozen):
         """Induced tangency multiset, positives for sinks, sorted."""
         n = len(self.levels)
         out = []
-        for e in self.edges:
-            if e.lo < 0:
-                out.append(-e.w)
-            if e.hi == n:
-                out.append(e.w)
+        for lo, hi, w in self.edges:
+            if lo < 0:
+                out.append(-w)
+            if hi == n:
+                out.append(w)
         return tuple(sorted(out))
 
     @property
@@ -101,9 +95,9 @@ class FloorDiagram(Frozen):
         """Valency of each floor, in level order."""
         # Slots n and n + 1 (index -1) count the ends at the top and bottom.
         val = [0] * (len(self.levels) + 2)
-        for e in self.edges:
-            val[e.lo] += 1
-            val[e.hi] += 1
+        for lo, hi, _ in self.edges:
+            val[lo] += 1
+            val[hi] += 1
         return tuple(val[i] for i in self.floor_indices)
 
     @property
@@ -113,13 +107,13 @@ class FloorDiagram(Frozen):
         return tuple(sorted(zip(labels, self.floor_valencies)))
 
     def delta_gcd(self, delta: int) -> int:
-        return gcd(delta, *[e.w for e in self.edges])
+        return gcd(delta, *[w for _, _, w in self.edges])
 
     @property
-    def bounded_edges(self) -> tuple[Edge, ...]:
+    def bounded_edges(self) -> tuple[tuple[int, int, int], ...]:
         """Edges with both endpoints at levels."""
         n = len(self.levels)
-        return tuple(e for e in self.edges if e.lo >= 0 and e.hi < n)
+        return tuple(e for e in self.edges if e[0] >= 0 and e[1] < n)
 
     @property
     def edge_exponents(self) -> tuple[int, ...]:
@@ -128,14 +122,14 @@ class FloorDiagram(Frozen):
         n = len(self.levels)
         flats = set(self.flat_indices)
         return tuple(
-            (e.lo >= 0 and e.hi < n) + 2 * (e.lo not in flats and e.hi not in flats)
-            for e in self.edges
+            (lo >= 0 and hi < n) + 2 * (lo not in flats and hi not in flats)
+            for lo, hi, _ in self.edges
         )
 
     @property
     def weight_monomial(self) -> int:
         """Product of w_e ** k_e over the edges, k_e from edge_exponents."""
-        return prod(e.w ** k for e, k in zip(self.edges, self.edge_exponents))
+        return prod(w ** k for (_, _, w), k in zip(self.edges, self.edge_exponents))
 
     # -- graph structure ------------------------------------------------
 
@@ -143,8 +137,7 @@ class FloorDiagram(Frozen):
         """Vertex count and edges as id pairs: levels 0..n-1, then one per end."""
         top = n = len(self.levels)
         pairs = []
-        for e in self.edges:
-            lo, hi = e.lo, e.hi
+        for lo, hi, _ in self.edges:
             if lo < 0:
                 lo, n = n, n + 1
             if hi == top:
@@ -156,15 +149,15 @@ class FloorDiagram(Frozen):
 
     def to_json_dict(self) -> dict:
         """A level is {"kind": "floor", "a": label} or {"kind": "flat"}; an
-        endpoint is a level index, "B" for the bottom or "T" for the top."""
+        endpoint is a level index, "B" for the bottom or "T" for the top.
+        An edge's "w" is written when _json_weights is set."""
         name = {BOTTOM: "B", len(self.levels): "T"}
+        keys = ("lo", "hi", "w") if self._json_weights else ("lo", "hi")
         return {
             "levels": [{"kind": "floor", "a": a} if a else {"kind": "flat"}
                        for a in self.levels],
-            "edges": [
-                {"lo": name.get(e.lo, e.lo), "hi": name.get(e.hi, e.hi), "w": e.w}
-                for e in self.edges
-            ],
+            "edges": [dict(zip(keys, (name.get(lo, lo), name.get(hi, hi), w)))
+                      for lo, hi, w in self.edges],
         }
 
     def to_json(self, separators: tuple[str, str] = (",", ":")) -> str:
@@ -177,9 +170,9 @@ class FloorDiagram(Frozen):
             for a in self.levels
         )
         edges = []
-        for e in self.edges:
-            lo, hi = name.get(e.lo, e.lo), name.get(e.hi, e.hi)
-            w = f'{comma}"w"{colon}{e.w}' if self._json_weights else ""
+        for lo, hi, w in self.edges:
+            lo, hi = name.get(lo, lo), name.get(hi, hi)
+            w = f'{comma}"w"{colon}{w}' if self._json_weights else ""
             edges.append(f'{{"lo"{colon}{lo}{comma}"hi"{colon}{hi}{w}}}')
         return (
             f'{{"levels"{colon}[{levels}]{comma}'
@@ -240,7 +233,7 @@ def _components(n: int, pairs) -> list[int]:
 # -- validation ----------------------------------------------------------
 
 
-def _structural_check(levels: tuple, edges: tuple[Edge, ...]) -> None:
+def _structural_check(levels: tuple, edges: tuple) -> None:
     """Raise on malformed input (bad references, bad data, too many levels)."""
     n = len(levels)
     if n == 0:
@@ -250,15 +243,18 @@ def _structural_check(levels: tuple, edges: tuple[Edge, ...]) -> None:
         if type(a) is not int or a < 0:
             raise ValueError(f"level label must be an integer >= 0, got {a!r}")
     for e in edges:
-        for end in (e.lo, e.hi):
+        if type(e) is not tuple or len(e) != 3:
+            raise ValueError(f"an edge must be a (lo, hi, w) tuple, got {e!r}")
+        lo, hi, w = e
+        for end in (lo, hi):
             if type(end) is not int:
                 raise ValueError(f"bad endpoint {end!r}")
             if not BOTTOM <= end <= n:
                 raise ValueError(f"edge endpoint {end} out of range")
-        if e.w < 1:
-            raise ValueError(f"edge weight must be >= 1, got {e.w}")
-        if e.lo >= e.hi:
-            raise ValueError(f"edge {e} must go strictly upward")
+        if type(w) is not int or w < 1:
+            raise ValueError(f"edge weight must be an integer >= 1, got {w!r}")
+        if lo >= hi:
+            raise ValueError(f"edge from {lo} to {hi} must go strictly upward")
 
 
 def validate(
@@ -287,17 +283,17 @@ def validate(
     n_in = [0] * n_levels
     n_out = [0] * n_levels
     ends = []
-    for e in diagram.edges:
-        if e.lo < 0:
-            ends.append(-e.w)
+    for lo, hi, w in diagram.edges:
+        if lo < 0:
+            ends.append(-w)
         else:
-            net[e.lo] -= e.w
-            n_out[e.lo] += 1
-        if e.hi == n_levels:
-            ends.append(e.w)
+            net[lo] -= w
+            n_out[lo] += 1
+        if hi == n_levels:
+            ends.append(w)
         else:
-            net[e.hi] += e.w
-            n_in[e.hi] += 1
+            net[hi] += w
+            n_in[hi] += 1
 
     for i in range(n_levels):
         if net[i]:
@@ -395,13 +391,12 @@ def _structures(
     profile = TangencyProfile(weights)
     n_levels = len(profile.weights) + genus - 1
     children = partial(_children, n_levels, max_floors, {})  # flats read no sinks
-    edge: dict = {}  # one Edge per (lo, hi, w): the structures share most
+    share = {}.setdefault  # one tuple per distinct edge: the structures share most
     for closed in _closes(genus, weights, max_floors):
         for s in _walk(closed, children, lambda state: len(state.levels) == n_levels):
             tops = [(key[1], n_levels, key[0]) for key, c in s.opens for _ in range(c)]
-            diagram = FloorDiagram(s.levels, tuple(
-                [edge.get(e) or edge.setdefault(e, Edge(*e)) for e in (*s.edges, *tops)]
-            ))
+            edges = (*s.edges, *tops)
+            diagram = FloorDiagram(s.levels, tuple(map(share, edges, edges)))
             ok, why = validate(diagram, genus, diagram.degree, profile)
             if not ok:
                 raise AssertionError(f"search built {diagram.to_json()}, failing {why}")

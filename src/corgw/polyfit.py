@@ -28,7 +28,6 @@ from typing import Iterator, Sequence
 
 from .arith import Frozen, divisors
 from .diagrams import (
-    Edge,
     FloorDiagram,
     _components,
     _floor_core,
@@ -49,38 +48,32 @@ class DiagramTemplate(FloorDiagram):
     """Floor diagram whose edge weights all read 1, standing for the family
     of its positive weightings; orientation and labels are kept.
 
-    Built from (lo, hi) endpoint pairs, which are checked as a diagram's
-    edges are (ValueError otherwise) and held in its canonical order; its
-    JSON is a diagram's without the weights.
+    Built from (lo, hi) endpoint pairs and held as (lo, hi, 1) edges, which
+    are checked as a diagram's are (ValueError otherwise) and kept in its
+    canonical order; its JSON is a diagram's without the "w"s.
     """
 
     __slots__ = ()
     _json_weights = False
 
     def __init__(self, levels: tuple, edges: tuple[tuple, ...]) -> None:
-        super().__init__(levels, tuple(Edge(lo, hi, 1) for lo, hi in edges))
+        super().__init__(levels, tuple((lo, hi, 1) for lo, hi in edges))
 
     def __reduce__(self):
-        # __init__ takes (lo, hi) pairs, not the Edges it stores.
-        return type(self), (self.levels, tuple((e.lo, e.hi) for e in self.edges))
+        # __init__ takes (lo, hi) pairs, not the (lo, hi, 1) edges it stores.
+        return type(self), (self.levels, tuple((lo, hi) for lo, hi, _ in self.edges))
 
     def with_weights(self, omega: Sequence[int]) -> FloorDiagram:
         if len(omega) != len(self.edges):
             raise ValueError("weight vector length mismatch")
         return FloorDiagram(
             self.levels,
-            tuple(Edge(e.lo, e.hi, w) for e, w in zip(self.edges, omega)),
+            tuple((lo, hi, w) for (lo, hi, _), w in zip(self.edges, omega)),
         )
 
     @property
     def monomial_degree(self) -> int:
         return sum(self.edge_exponents)
-
-    def to_json_dict(self) -> dict:
-        data = super().to_json_dict()
-        for e in data["edges"]:
-            del e["w"]
-        return data
 
     @classmethod
     def from_json(cls, text: str) -> "DiagramTemplate":
@@ -107,15 +100,15 @@ def _weightings(
     bottom_cols, top_cols = [], []
     # Per level: the edges into it, its bounded out-edges, its edges to the top.
     in_cols, out_bounded, out_top = ([[] for _ in range(n)] for _ in range(3))
-    for j, e in enumerate(template.edges):
-        if e.lo < 0:
+    for j, (lo, hi, _) in enumerate(template.edges):
+        if lo < 0:
             bottom_cols.append(j)
         else:
-            (out_top if e.hi == n else out_bounded)[e.lo].append(j)
-        if e.hi == n:
+            (out_top if hi == n else out_bounded)[lo].append(j)
+        if hi == n:
             top_cols.append(j)
         else:
-            in_cols[e.hi].append(j)
+            in_cols[hi].append(j)
     if (len(bottom_cols), len(top_cols)) != (len(profile.sources), len(profile.sinks)):
         return
 
@@ -232,7 +225,7 @@ def flow_degrees_of_freedom(template: DiagramTemplate) -> int:
     """
     bounded = template.bounded_edges
     n = len(template.levels)
-    roots = _components(n, [(e.lo, e.hi) for e in bounded])
+    roots = _components(n, [(lo, hi) for lo, hi, _ in bounded])
     return len(bounded) - n + len(set(roots))
 
 

@@ -146,7 +146,7 @@ def _stripped_templates(w):
         for d in enumerate_diagrams(3, n_floors, p):
             stripped = DiagramTemplate(
                 tuple(min(a, 1) for a in d.levels),
-                tuple((e.lo, e.hi) for e in d.edges),
+                tuple((lo, hi) for lo, hi, _ in d.edges),
             )
             out.add(stripped.to_json())
     return out
@@ -168,12 +168,12 @@ def test_criterion_07_template_census_and_second_kind():
                         continue
                     flats = set(d.flat_indices)
                     direct = [
-                        e
-                        for e in d.bounded_edges
-                        if e.lo not in flats and e.hi not in flats
+                        w
+                        for lo, hi, w in d.bounded_edges
+                        if lo not in flats and hi not in flats
                     ]
                     assert len(direct) == 1
-                    w2 = direct[0].w
+                    w2 = direct[0]
                     w1 = w - w2
                     if w1 % 2 == 0:
                         continue  # odd-splitting case only

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from corgw.arith import divisors, sigma
 from corgw.diagrams import (
     BOTTOM,
-    Edge,
     FloorDiagram,
     TangencyProfile,
     count_diagrams,
@@ -41,7 +40,7 @@ def chain_g1(w, floor_first=True, a_v=1):
         levels = (a_v, 0)
     else:
         levels = (0, a_v)
-    edges = (Edge(BOTTOM, 0, w), Edge(0, 1, w), Edge(1, 2, w))
+    edges = ((BOTTOM, 0, w), (0, 1, w), (1, 2, w))
     return FloorDiagram(levels, edges)
 
 
@@ -51,7 +50,7 @@ def test_validate_g1_examples():
     assert ok, why
     # two flats, no floor: genus comes out 0
     d = FloorDiagram(
-        (0, 0), (Edge(BOTTOM, 0, 2), Edge(0, 1, 2), Edge(1, 2, 2))
+        (0, 0), ((BOTTOM, 0, 2), (0, 1, 2), (1, 2, 2))
     )
     ok, why = validate(d, 1, 1, p)
     assert not ok and why == "genus"
@@ -63,22 +62,22 @@ def second_kind(a1=1, a2=1, w=2, w_flat=1, low_flat=True):
     if low_flat:
         levels = (0, a1, 0, a2)
         edges = (
-            Edge(BOTTOM, 0, w),
-            Edge(0, 1, w),
-            Edge(1, 3, w_dir),
-            Edge(1, 2, w_flat),
-            Edge(2, 3, w_flat),
-            Edge(3, 4, w),
+            (BOTTOM, 0, w),
+            (0, 1, w),
+            (1, 3, w_dir),
+            (1, 2, w_flat),
+            (2, 3, w_flat),
+            (3, 4, w),
         )
     else:
         levels = (a1, 0, a2, 0)
         edges = (
-            Edge(BOTTOM, 0, w),
-            Edge(0, 2, w_dir),
-            Edge(0, 1, w_flat),
-            Edge(1, 2, w_flat),
-            Edge(2, 3, w),
-            Edge(3, 4, w),
+            (BOTTOM, 0, w),
+            (0, 2, w_dir),
+            (0, 1, w_flat),
+            (1, 2, w_flat),
+            (2, 3, w),
+            (3, 4, w),
         )
     return FloorDiagram(levels, edges)
 
@@ -96,12 +95,12 @@ def test_validate_rejects_pinned_cycle():
     # the cycle is pinned, so the configuration carries no count
     levels = (1, 0, 0, 1)
     edges = (
-        Edge(BOTTOM, 0, 2),
-        Edge(0, 1, 1),
-        Edge(0, 2, 1),
-        Edge(1, 3, 1),
-        Edge(2, 3, 1),
-        Edge(3, 4, 2),
+        (BOTTOM, 0, 2),
+        (0, 1, 1),
+        (0, 2, 1),
+        (1, 3, 1),
+        (2, 3, 1),
+        (3, 4, 2),
     )
     d = FloorDiagram(levels, edges)
     ok, why = validate(d, 3, 2, TangencyProfile((2, -2)))
@@ -111,12 +110,12 @@ def test_validate_rejects_pinned_cycle():
 def test_validate_rejects_bare_double_edge():
     levels = (0, 1, 1, 0)
     edges = (
-        Edge(BOTTOM, 0, 2),
-        Edge(0, 1, 2),
-        Edge(1, 2, 1),
-        Edge(1, 2, 1),
-        Edge(2, 3, 2),
-        Edge(3, 4, 2),
+        (BOTTOM, 0, 2),
+        (0, 1, 2),
+        (1, 2, 1),
+        (1, 2, 1),
+        (2, 3, 2),
+        (3, 4, 2),
     )
     d = FloorDiagram(levels, edges)
     ok, why = validate(d, 3, 2, TangencyProfile((2, -2)))
@@ -128,13 +127,13 @@ def test_validate_rejects_disconnected():
     # component carries a flat-flat edge
     levels = (0, 1, 0, 0, 1)
     edges = (
-        Edge(BOTTOM, 0, 2),
-        Edge(0, 1, 2),
-        Edge(1, 5, 2),
-        Edge(BOTTOM, 2, 2),
-        Edge(2, 3, 2),
-        Edge(3, 4, 2),
-        Edge(4, 5, 2),
+        (BOTTOM, 0, 2),
+        (0, 1, 2),
+        (1, 5, 2),
+        (BOTTOM, 2, 2),
+        (2, 3, 2),
+        (3, 4, 2),
+        (4, 5, 2),
     )
     d = FloorDiagram(levels, edges)
     ok, why = validate(d, 2, 2, TangencyProfile((2, 2, -2, -2)))
@@ -143,13 +142,13 @@ def test_validate_rejects_disconnected():
 
 def test_validate_malformed_raises():
     with pytest.raises(ValueError):
-        FloorDiagram((1,), (Edge(BOTTOM, 3, 1),))
+        FloorDiagram((1,), ((BOTTOM, 3, 1),))
     with pytest.raises(ValueError):
-        FloorDiagram((1,), (Edge(0, 0, 1),))
+        FloorDiagram((1,), ((0, 0, 1),))
     with pytest.raises(ValueError):
-        FloorDiagram((1,), (Edge(BOTTOM, 0, 0),))
+        FloorDiagram((1,), ((BOTTOM, 0, 0),))
     with pytest.raises(ValueError):
-        FloorDiagram((-1,), (Edge(BOTTOM, 0, 1),))
+        FloorDiagram((-1,), ((BOTTOM, 0, 1),))
 
 
 def _hand_built(levels, edges):
@@ -157,7 +156,7 @@ def _hand_built(levels, edges):
     (lo, hi, w) triples."""
     return FloorDiagram(
         tuple(int(c == "F") for c in levels),
-        tuple(Edge(lo, hi, w) for lo, hi, w in edges),
+        tuple(edges),
     )
 
 
@@ -256,14 +255,14 @@ def test_enumerate_census_g3():
         for d in enumerate_diagrams(3, n_floors, p):
             stripped = DiagramTemplate(
                 tuple(min(a, 1) for a in d.levels),
-                tuple((e.lo, e.hi) for e in d.edges),
+                tuple((lo, hi) for lo, hi, _ in d.edges),
             )
             templates.add(stripped.to_json())
     assert len(templates) == 6
 
 
 def test_canonical_key():
-    p_edges = [Edge(BOTTOM, 0, 2), Edge(0, 1, 2), Edge(1, 2, 2)]
+    p_edges = [(BOTTOM, 0, 2), (0, 1, 2), (1, 2, 2)]
     d1 = FloorDiagram((1, 0), tuple(p_edges))
     d2 = FloorDiagram((1, 0), tuple(reversed(p_edges)))
     assert d1.to_json() == d2.to_json()
@@ -393,7 +392,7 @@ def brute_force_candidates(genus, degree, profile):
             continue
         for edge_map in assign(0):
             edges = tuple(
-                Edge(lo, hi, w) for (lo, hi), ws in edge_map.items() for w in ws
+                (lo, hi, w) for (lo, hi), ws in edge_map.items() for w in ws
             )
             yield FloorDiagram(pattern, edges)
 
@@ -589,6 +588,36 @@ def test_closing_states_store_each_value_once():
     assert len({id(e) for e in edges}) == len(set(edges))
 
 
+@pytest.mark.parametrize("genus,weights", list(STRUCTURE_DIGESTS))
+def test_structures_hold_the_search_edges(genus, weights):
+    # A diagram's edges are the search's (lo, hi, w) int tuples: each
+    # structure holds its walked state's edges and one (origin, n, w) per
+    # open edge, and the listing keeps one tuple per distinct edge, which
+    # keeps the memory of a long --list flat.
+    from corgw.diagrams import _structures
+    from corgw.search import _children, _closes, _walk
+
+    weights = tuple(sorted(weights))
+    n = len(weights) + genus - 1
+    children = partial(_children, n, genus, {})
+    states = [
+        state
+        for closed in _closes(genus, weights, genus)
+        for state in _walk(closed, children, lambda s: len(s.levels) == n)
+    ]
+    found = list(_structures(genus, weights, genus))
+    assert len(found) == len(states) > 0
+    for d, state in zip(found, states):
+        assert d.levels == state.levels
+        for e in d.edges:
+            assert type(e) is tuple and tuple(map(type, e)) == (int, int, int), e
+        tops = [(origin, n, w) for (w, origin, _c, _f), k in state.opens
+                for _ in range(k)]
+        assert Counter(d.edges) == Counter((*state.edges, *tops))
+    edges = [e for d in found for e in d.edges]
+    assert len({id(e) for e in edges}) == len(set(edges))
+
+
 def check_labels(state):
     """Every claim of the _State comment about the labels, recomputed from
     the levels and edges placed."""
@@ -686,7 +715,7 @@ def test_closed_form_totals_equal_the_listing(genus, weights):
             by_floors, sums = Counter(), Counter()
             for s in _structures(genus, ws, cap):
                 by_floors[len(s.floor_indices)] += 1
-                edge_gcd = gcd(*[e.w for e in s.edges])
+                edge_gcd = gcd(*[w for _, _, w in s.edges])
                 sums[edge_gcd, tuple(sorted(s.floor_valencies))] += s.weight_monomial
             shapes = _shapes(genus, ws, cap)
             closed = Counter()
@@ -703,7 +732,7 @@ def multiplicity_by_floor_walk(diagram, delta):
     core = ProjectorElement.unit(delta_d)
     for i, level in enumerate(diagram.levels):
         if level:
-            val = sum((e.lo == i) + (e.hi == i) for e in diagram.edges)
+            val = sum((lo == i) + (hi == i) for lo, hi, _ in diagram.edges)
             core = core * (level ** (val - 1) * bold_sigma(delta_d, level))
     lifted = core.to_dense().rebase(delta).divide(delta // delta_d)
     return lifted * diagram.weight_monomial
@@ -1043,7 +1072,7 @@ def test_two_flat_cycle_hand_built():
     def diagram(levels, edges):
         return FloorDiagram(
             tuple(int(c == "F") for c in levels),
-            tuple(Edge(lo, hi, w) for lo, hi, w in edges),
+            tuple(edges),
         )
 
     cases = [
@@ -1073,7 +1102,7 @@ def test_cross_flow_on_enumerated():
     for d in enumerate_diagrams(2, 2, p):
         n = len(d.levels)
         for gap in range(n + 1):
-            crossing = sum(e.w for e in d.edges if e.lo < gap <= e.hi)
+            crossing = sum(w for lo, hi, w in d.edges if lo < gap <= hi)
             assert crossing == p.b
 
 
@@ -1106,7 +1135,7 @@ def test_balancing_and_profile_fix_cross_flow(data):
     ok, why = validate(d, n - len(ends) + 1, d.degree, profile)
     assert ok or not why.startswith(("level-count", "balancing", "tangency"))
     for gap in range(n + 1):
-        crossing = sum(e.w for e in d.edges if e.lo < gap <= e.hi)
+        crossing = sum(w for lo, hi, w in d.edges if lo < gap <= hi)
         assert crossing == profile.b
 
 
@@ -1131,7 +1160,7 @@ def reflect(diagram: FloorDiagram) -> FloorDiagram:
     level i to level n - 1 - i, and the bottom -1 and the top n to each
     other."""
     n = len(diagram.levels)
-    edges = tuple(Edge(n - 1 - e.hi, n - 1 - e.lo, e.w) for e in diagram.edges)
+    edges = tuple((n - 1 - hi, n - 1 - lo, w) for lo, hi, w in diagram.edges)
     return FloorDiagram(diagram.levels[::-1], edges)
 
 

@@ -16,7 +16,7 @@ from corgw.arith import (
     dedekind_psi, jordan2, s_delta, s_delta_order, s_via_lattice, sigma_bar,
     upsilon,
 )
-from corgw.diagrams import BOTTOM, Edge, FloorDiagram, TangencyProfile
+from corgw.diagrams import BOTTOM, FloorDiagram, TangencyProfile
 from corgw.lattice import (
     Sublattice, enumerate_sublattices, oracle_local_invariant, torsion_image,
 )
@@ -187,7 +187,7 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 
 LEVELS = (1, 0)
 EDGES = ((BOTTOM, 0), (0, 1), (1, 2))
-CHAIN = tuple(Edge(lo, hi, 2) for lo, hi in EDGES)
+CHAIN = tuple((lo, hi, 2) for lo, hi in EDGES)
 FIT = CoordinateFit(1, (Fraction(1, 2),), 0, True)
 
 # name -> (positional construction, the same value built again, with
@@ -195,11 +195,6 @@ FIT = CoordinateFit(1, (Fraction(1, 2),), 0, True)
 # the same class).  The second forms also exercise the normalisation of the
 # canonical edge order.
 VALUES = {
-    "Edge": (
-        lambda: Edge(BOTTOM, 0, 2),
-        lambda: Edge(BOTTOM, 0, 2),
-        lambda: Edge(BOTTOM, 0, 4),
-    ),
     "TangencyProfile": (
         lambda: TangencyProfile((2, -2)),
         lambda: TangencyProfile(weights=(2, -2)),
@@ -239,7 +234,6 @@ VALUES = {
 
 
 FIELDS = {
-    "Edge": ("lo", "hi", "w"),
     "TangencyProfile": ("weights",),
     "FloorDiagram": ("levels", "edges"),
     "Sublattice": ("d1", "c", "d2"),
@@ -306,16 +300,13 @@ def test_value_classes_with_equal_fields_differ():
 
 
 def test_value_reprs():
-    assert repr(Edge(BOTTOM, 0, 2)) == "Edge(lo=-1, hi=0, w=2)"
     assert repr(Sublattice(2, 1, 3)) == "Sublattice(d1=2, c=1, d2=3)"
     assert repr(TangencyProfile((2, -2))) == "TangencyProfile(weights=(2, -2))"
     assert repr(FloorDiagram(LEVELS, CHAIN[::-1])) == (
-        "FloorDiagram(levels=(1, 0), edges=(Edge(lo=-1, hi=0, w=2), "
-        "Edge(lo=0, hi=1, w=2), Edge(lo=1, hi=2, w=2)))"
+        "FloorDiagram(levels=(1, 0), edges=((-1, 0, 2), (0, 1, 2), (1, 2, 2)))"
     )
     assert repr(DiagramTemplate(LEVELS, EDGES[::-1])) == (
-        "DiagramTemplate(levels=(1, 0), edges=(Edge(lo=-1, hi=0, w=1), "
-        "Edge(lo=0, hi=1, w=1), Edge(lo=1, hi=2, w=1)))"
+        "DiagramTemplate(levels=(1, 0), edges=((-1, 0, 1), (0, 1, 1), (1, 2, 1)))"
     )
     assert repr(FIT) == (
         "CoordinateFit(divisor=1, coeffs=(Fraction(1, 2),), degree=0, "
@@ -331,13 +322,16 @@ def test_value_reprs():
     lambda: TangencyProfile((2, 0, -2)),
     lambda: TangencyProfile((2, -1)),
     lambda: FloorDiagram((), ()),
-    lambda: FloorDiagram(LEVELS, (Edge(0, BOTTOM, 1),)),
-    lambda: FloorDiagram(LEVELS, (Edge(BOTTOM, 3, 1),)),
-    lambda: FloorDiagram(LEVELS, (Edge(BOTTOM, 0, 0),)),
+    lambda: FloorDiagram(LEVELS, ((0, BOTTOM, 1),)),
+    lambda: FloorDiagram(LEVELS, ((BOTTOM, 3, 1),)),
+    lambda: FloorDiagram(LEVELS, ((BOTTOM, 0, 0),)),
     lambda: Sublattice(0, 0, 1),
     lambda: Sublattice(2, 2, 1),
     lambda: DiagramTemplate(LEVELS, ((1, 0),)),
     lambda: GASeries(2, (ProjectorElement.unit(3),)),
+    # A weight is an int, as a level label is: neither 2.0 nor True.
+    lambda: FloorDiagram(LEVELS, tuple((lo, hi, 2.0) for lo, hi in EDGES)),
+    lambda: FloorDiagram(LEVELS, ((BOTTOM, 0, True), (0, 1, 1), (1, 2, 1))),
 ])
 def test_value_checks_raise(build):
     with pytest.raises(ValueError):
@@ -345,9 +339,9 @@ def test_value_checks_raise(build):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: Edge(BOTTOM, 0), "Edge takes 3 fields, got 2"),
-    (lambda: Edge(BOTTOM, 0, 2, 2), "Edge takes 3 fields, got 4"),
-    (lambda: Edge(lo=BOTTOM, hi=0, w=2), None),
+    (lambda: CoordinateFit(1, (), 0), "CoordinateFit takes 4 fields, got 3"),
+    (lambda: CoordinateFit(1, (), 0, True, 0), "CoordinateFit takes 4 fields, got 5"),
+    (lambda: CoordinateFit(divisor=1, coeffs=(), degree=0, holdout_ok=True), None),
 ], ids=["missing", "extra", "keyword"])
 def test_value_constructor_binds_fields(build, message):
     with pytest.raises(TypeError) as info:

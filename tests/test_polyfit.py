@@ -36,7 +36,7 @@ from test_torsion import dense_theta_coordinates
 
 def template_of(diagram: FloorDiagram) -> DiagramTemplate:
     """The template of a diagram: its levels and edges, weights erased."""
-    pairs = tuple((e.lo, e.hi) for e in diagram.edges)
+    pairs = tuple((lo, hi) for lo, hi, _ in diagram.edges)
     return DiagramTemplate(diagram.levels, pairs)
 
 
@@ -47,15 +47,14 @@ def adjacency_matrix(template: DiagramTemplate) -> list[list[int]]:
     n = len(template.levels)
     ends = [
         ("end", j)
-        for j, e in enumerate(template.edges)
-        for side in (e.lo, e.hi)
+        for j, (lo, hi, _) in enumerate(template.edges)
+        for side in (lo, hi)
         if side in (BOTTOM, n)
     ]
     rows = [("level", i) for i in range(n)] + ends
     index = {r: k for k, r in enumerate(rows)}
     mat = [[0] * len(template.edges) for _ in rows]
-    for j, e in enumerate(template.edges):
-        lo, hi = e.lo, e.hi
+    for j, (lo, hi, _) in enumerate(template.edges):
         lo_row = index[("level", lo)] if lo >= 0 else index[("end", j)]
         hi_row = index[("level", hi)] if hi < n else index[("end", j)]
         mat[lo_row][j] -= 1
@@ -68,7 +67,7 @@ def rank_flow_dimension(template: DiagramTemplate) -> int:
     rows of the incidence matrix restricted to them, by exact Gaussian
     elimination."""
     n = len(template.levels)
-    cols = [j for j, e in enumerate(template.edges) if e.lo >= 0 and e.hi < n]
+    cols = [j for j, (lo, hi, _) in enumerate(template.edges) if lo >= 0 and hi < n]
     full = adjacency_matrix(template)
     rows = [[Fraction(full[i][j]) for j in cols] for i in range(n)]
     rank = 0
@@ -190,8 +189,8 @@ def brute_weightings(t, profile):
     n_edges = len(t.edges)
     mat = adjacency_matrix(t)
     out = set()
-    bottoms = [j for j, e in enumerate(t.edges) if e.lo == BOTTOM]
-    tops = [j for j, e in enumerate(t.edges) if e.hi == len(t.levels)]
+    bottoms = [j for j, (lo, _, _) in enumerate(t.edges) if lo == BOTTOM]
+    tops = [j for j, (_, hi, _) in enumerate(t.edges) if hi == len(t.levels)]
     for omega in product(range(1, b + 1), repeat=n_edges):
         if sorted(omega[j] for j in bottoms) != list(profile.sources):
             continue
@@ -424,11 +423,11 @@ def test_template_json_omits_weights_and_round_trips(genus, weights):
 
 def test_template_edges_held_in_canonical_order():
     t = second_kind_template(2, 2)
-    pairs = [(e.lo, e.hi) for e in t.edges]
+    pairs = [(lo, hi) for lo, hi, _ in t.edges]
     shuffled = DiagramTemplate(t.levels, tuple(reversed(pairs)))
     assert shuffled == t and shuffled.edges == t.edges
-    assert [(e.lo, e.hi) for e in shuffled.edges] == pairs
-    assert isinstance(t, FloorDiagram) and {e.w for e in t.edges} == {1}
+    assert [(lo, hi) for lo, hi, _ in shuffled.edges] == pairs
+    assert isinstance(t, FloorDiagram) and {w for _, _, w in t.edges} == {1}
     fit = list(range(2, 21, 2))
     reports = [
         json.dumps(polynomial_fit(x, 2, fit, [22, 24], (2, 0)).to_json_dict())
@@ -448,7 +447,7 @@ def test_gammas_cache_keyed_by_template_value():
 
     t = DiagramTemplate.from_json(second_kind_template(2, 2).to_json())
     rebuilt = DiagramTemplate(
-        t.levels, tuple((e.lo, e.hi) for e in reversed(t.edges))
+        t.levels, tuple((lo, hi) for lo, hi, _ in reversed(t.edges))
     )
     invariant_by_template.cache_clear()
     gamma_coeffs(chain_template(2), 2)
