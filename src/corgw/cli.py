@@ -83,8 +83,9 @@ def _emit_element(x: GroupAlgebraElement | ProjectorElement, args):
         return
     print(f"ambient torsion level delta = {x.delta}")
     print(f"{'u':>4} {'v':>4} {'order':>6}  coefficient")
-    for u, cells in x.rows(lambda v, r, c: f"{v:>4} {r:>6}  {c}"):
-        print(f"{u:>4} " + f"\n{u:>4} ".join(cells))
+    points = x.points_text("{:>4} ", "{:>4} ", lambda r, c: f"{r:>6}  {c}", "\n")
+    if points:
+        print(points)
     print(f"mass {mass}")
 
 

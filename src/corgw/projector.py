@@ -8,10 +8,14 @@ each point of order dividing d), so it is carried as a
 the group-algebra product pointwise.
 
 The dense reference, GroupAlgebraElement in corgw.torsion, shares the
-read-only dense surface defined here (coefficients, support, rows, JSON,
+read-only dense surface defined here (coefficients, support, JSON,
 equality, also across the types), so output does not depend on the
-representation.  Each type supplies its own rows, a ProjectorElement from
-its order classes, and every writer on the surface reads them.
+representation.  Each type supplies points_text, which writes its
+nonzero points as one text: cached texts of u and v, and a text per
+value, which a ProjectorElement formats once per order class and lays out
+along the tau(delta) distinct rows of point orders (_class_text), and a
+dense element formats once per point.  The JSON writer and the CLI table
+read points_text; the series CSV calls _class_text itself.
 Only to_dense and translate, which return a dense element, import
 corgw.torsion.
 
@@ -32,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Container, Iterable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .arith import divisors
 
@@ -40,8 +44,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .torsion import GroupAlgebraElement
-
-T = TypeVar("T")
 
 _Fraction = None  # fractions.Fraction, bound by the first _fraction() call
 
@@ -70,6 +72,34 @@ def _order_rows(delta: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...
     order = {g: delta // g for g in divs}  # one int object per order
     rows = tuple(tuple(order[gcd(g, v)] for v in range(delta)) for g in divs)
     return tuple(index[gcd(u, delta)] for u in range(delta)), rows
+
+
+@lru_cache(maxsize=32)
+def _point_texts(
+    delta: int, u_format: str, v_format: str, sep: str
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """The texts a layout writes for the points of level delta, 3 * delta
+    in all: for u = 0 .. delta - 1, u_format.format(u) and sep before it,
+    and for v = 0 .. delta - 1, v_format.format(v)."""
+    heads = tuple(map(u_format.format, range(delta)))
+    v_texts = tuple(map(v_format.format, range(delta)))
+    return heads, tuple(sep + h for h in heads), v_texts
+
+
+def _class_text(
+    delta: int, texts: Mapping[int, str], u_format: str, v_format: str, sep: str
+) -> str:
+    """sep.join of u_format.format(u) + v_format.format(v) + texts[order]
+    over the points (u, v) whose order has a text, u then v ascending.
+
+    Each distinct row of orders is laid out once, by a comprehension over
+    the cached v texts; each row u then costs one join."""
+    heads, seps, v_texts = _point_texts(delta, u_format, v_format, sep)
+    row_of, rows = _order_rows(delta)
+    cells = [[t + texts[r] for t, r in zip(v_texts, row) if r in texts] for row in rows]
+    return sep.join(
+        [heads[u] + seps[u].join(cells[i]) for u, i in enumerate(row_of) if cells[i]]
+    )
 
 
 @lru_cache(maxsize=32)
@@ -122,9 +152,9 @@ class _DenseSurface:
     ``mass``, the total mass stored the same way.  Equal dense maps mean
     equal elements, whatever the representation.  Both types are
     immutable, build their zero from the level alone and subtract as
-    x + y * -1 through their own addition and scaling.  support and
-    to_json read rows, which ProjectorElement overrides; to_json_dict reads
-    the map point by point and stays their reference.
+    x + y * -1 through their own addition and scaling.  to_json reads
+    points_text; ProjectorElement overrides it and support.  to_json_dict
+    reads the map point by point and stays their reference.
     """
 
     __slots__ = ()
@@ -148,22 +178,29 @@ class _DenseSurface:
 
     @property
     def support(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, vs in self.rows(lambda v, _r, _c: v) for v in vs]
+        return sorted(self._terms)
 
     def items(self) -> Iterable[tuple[tuple[int, int], int | Fraction]]:
         return self._terms.items()
 
-    def rows(
-        self, cell: Callable[[int, int, int | Fraction], T]
-    ) -> list[tuple[int, list[T]]]:
-        """The nonzero points row by row: (u, [cell(v, order, value) for
-        each nonzero point (u, v), v ascending]) for each row u that has
-        one, u ascending."""
-        row_of, orders = _order_rows(self.delta)
-        out: dict[int, list[T]] = {}
-        for (u, v), c in sorted(self._terms.items()):
-            out.setdefault(u, []).append(cell(v, orders[row_of[u]][v], c))
-        return list(out.items())
+    def points_text(
+        self,
+        u_format: str,
+        v_format: str,
+        value: Callable[[int, int | Fraction], str],
+        sep: str,
+    ) -> str:
+        """sep.join of u_format.format(u) + v_format.format(v) + value(order,
+        c) over the nonzero points (u, v), u then v ascending, c the value at
+        the point.  The two formats are str.format templates of one field,
+        whose texts the level caches (_point_texts).  A dense element's
+        values differ point by point, so value runs once per point."""
+        heads, _seps, v_texts = _point_texts(self.delta, u_format, v_format, sep)
+        row_of, rows = _order_rows(self.delta)
+        return sep.join([
+            heads[u] + v_texts[v] + value(rows[row_of[u]][v], c)
+            for (u, v), c in sorted(self._terms.items())
+        ])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, _DenseSurface):
@@ -184,28 +221,17 @@ class _DenseSurface:
 
     def to_json(self, separators: tuple[str, str] = (",", ":")) -> str:
         """json.dumps(self.to_json_dict(), separators=separators), from
-        rows: each value's text built once, the cells joined once per row.
-
-        Values are memoised by identity, which is sound because the element
-        holds every value it writes for the whole call: a ProjectorElement
-        passes one object per order class, so its values are formatted
-        once per class, not once per point."""
+        points_text: the "u" and "v" texts come from the level's cache, and
+        the "num" and "den" text is formatted once per order class of a
+        ProjectorElement, once per point of a dense element."""
         comma, colon = separators
-        texts: dict[int, str] = {}
-
-        def cell(v: int, _r: int, c: int | Fraction) -> str:
-            key = id(c)
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = (
-                    f'{comma}"num"{colon}{c.numerator}'
-                    f'{comma}"den"{colon}{c.denominator}}}'
-                )
-            return f'"v"{colon}{v}{text}'
-
-        terms = comma.join(
-            f'{{"u"{colon}{u}{comma}' + f'{comma}{{"u"{colon}{u}{comma}'.join(cells)
-            for u, cells in self.rows(cell)
+        terms = self.points_text(
+            f'{{{{"u"{colon}{{}}{comma}',  # {"u":<u>, as a str.format template
+            f'"v"{colon}{{}}',
+            lambda _r, c: (
+                f'{comma}"num"{colon}{c.numerator}{comma}"den"{colon}{c.denominator}}}'
+            ),
+            comma,
         )
         return f'{{"delta"{colon}{self.delta}{comma}"terms"{colon}[{terms}]}}'
 
@@ -227,10 +253,11 @@ class ProjectorElement(_DenseSurface):
     Coordinates are recovered by Moebius inversion only for repr and
     theta_coordinates; order_values reads one exact value per order class
     straight from the characters, through the level's integer kernel.
-    rows and coefficient work from those values and the tau(delta)
-    distinct rows of orders, never point by point, and so do support and
-    JSON, which read rows; the dense map (items, == against a dense
-    element, hash, translate) is built from rows once, on first use.
+    points_text, support and coefficient work from those values and the
+    tau(delta) distinct rows of orders, never point by point, and so does
+    the JSON, which reads points_text; the dense map (items, == against a
+    dense element, hash, translate) is built from the rows of orders once,
+    on first use.
     """
 
     __slots__ = ("delta", "_chi", "_by_order", "_dense")
@@ -325,33 +352,38 @@ class ProjectorElement(_DenseSurface):
             object.__setattr__(self, "_by_order", values)
         return values
 
-    def rows(
+    def points_text(
         self,
-        cell: Callable[[int, int, int | Fraction], T],
-        orders: Container[int] | None = None,
-    ) -> list[tuple[int, list[T]]]:
-        """The points whose order lies in orders (by default the nonzero
-        points) row by row: (u, [cell(v, order, value) for each such point
-        (u, v), v ascending]) for each row u that has one, u ascending.
+        u_format: str,
+        v_format: str,
+        value: Callable[[int, int | Fraction], str],
+        sep: str,
+    ) -> str:
+        """_DenseSurface.points_text with value run once per order class:
+        the element is constant on each, so its text is laid out along the
+        tau(delta) distinct rows of orders (_class_text)."""
+        texts = {r: value(r, c) for r, c in self.order_values().items() if c}
+        return _class_text(self.delta, texts, u_format, v_format, sep)
 
-        Rows with equal gcd(u, delta) share one list, so cell runs once per
-        point of the tau(delta) distinct rows, not once per point."""
-        values = self.order_values()
-        if orders is None:
-            orders = {r for r, c in values.items() if c}
+    @property
+    def support(self) -> list[tuple[int, int]]:
+        nonzero = {r for r, c in self.order_values().items() if c}
         row_of, rows = _order_rows(self.delta)
-        cells = [
-            [cell(v, r, values[r]) for v, r in enumerate(row) if r in orders]
-            for row in rows
-        ]
-        return [(u, cells[i]) for u, i in enumerate(row_of) if cells[i]]
+        vs = [[v for v, r in enumerate(row) if r in nonzero] for row in rows]
+        return [(u, v) for u, i in enumerate(row_of) for v in vs[i]]
 
     @property
     def _terms(self) -> dict[tuple[int, int], int | Fraction]:
         terms = self._dense
         if terms is None:
-            rows = self.rows(lambda v, _r, c: (v, c))
-            terms = {(u, v): c for u, cells in rows for v, c in cells}
+            values = self.order_values()
+            row_of, rows = _order_rows(self.delta)
+            terms = {
+                (u, v): values[r]
+                for u, i in enumerate(row_of)
+                for v, r in enumerate(rows[i])
+                if values[r]
+            }
             object.__setattr__(self, "_dense", terms)
         return terms
 

@@ -21,7 +21,7 @@ from functools import reduce
 
 from .arith import Frozen
 from .diagrams import FloorDiagram, _structures
-from .projector import ProjectorElement
+from .projector import ProjectorElement, _class_text
 from .refined import bold_sigma
 from .search import TangencyProfile, _search_key, invariants
 
@@ -142,17 +142,20 @@ def write_series_csv(series: GASeries, fh) -> None:
     """One row per a; one column per support point; cells are num/den.
 
     A coefficient is constant on the points of each order, so the columns
-    are the points whose order is nonzero in some coefficient, and each row
-    is written from its order classes (ProjectorElement.rows): one cell
-    text per class, joined once per distinct row of orders.  The format is
+    are the points whose order is nonzero in some coefficient, and the
+    header and each row are laid out from one text per order class along
+    the distinct rows of orders (projector._class_text).  The format is
     that of csv.writer: "\r\n" line ends, and only the header's "(u,v)"
     cells, which hold a comma, in double quotes.
     """
+    delta = series.delta
     orders = {r for c in series.coeffs for r, x in c.order_values().items() if x}
-    columns = ProjectorElement.zero(series.delta).rows(lambda v, _r, _c: v, orders)
-    fh.write(",".join(["a"] + [f'"({u},{v})"' for u, vs in columns for v in vs]))
-    fh.write("\r\n")
+    # Every order r | delta has points, so the cells are empty only when
+    # orders is, and the header and rows are then "a" and a alone.
+    sep = "," if orders else ""
+    columns = _class_text(delta, dict.fromkeys(orders, ""), '"({},', '{})"', ",")
+    fh.write(f"a{sep}{columns}\r\n")
     for a, c in enumerate(series.coeffs, 1):
-        text = {r: f"{x.numerator}/{x.denominator}" for r, x in c.order_values().items()}
-        rows = c.rows(lambda _v, r, _c: text[r], orders)
-        fh.write(",".join([str(a)] + [",".join(cells) for _u, cells in rows]) + "\r\n")
+        values = c.order_values()
+        text = {r: f"{values[r].numerator}/{values[r].denominator}" for r in orders}
+        fh.write(f"{a}{sep}{_class_text(delta, text, '', '', ',')}\r\n")

@@ -80,7 +80,7 @@ def test_clear_caches_empties_every_cache_and_imports_nothing():
         [sys.executable, "-c", code], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "11 [] [0] True\n"
+    assert proc.stdout == "12 [] [0] True\n"
 
 
 def test_tracer_names_resolve():

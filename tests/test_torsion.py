@@ -195,20 +195,47 @@ def test_to_json_is_compact_dumps(build):
     assert x.to_json() == json.dumps(x.to_json_dict(), separators=(",", ":"))
 
 
-@pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")])
-@pytest.mark.parametrize("delta", [12, 24, 36])
-def test_to_json_is_dumps_at_composite_levels(delta, separators):
-    # to_json formats each value object once; the values here include
-    # Fractions, equal values held by distinct objects (the dense map built
-    # point by point) and one object shared by a whole order class.
+def table_reference(x):
+    """The --table lines of x, point by point from its dense map."""
+    return [
+        f"{u:>4} {v:>4} {point_order(x.delta, u, v):>6}  {c}"
+        for (u, v), c in sorted(x.items())
+    ]
+
+
+def composite_elements(delta):
+    """Both element types at level delta: fractional characters, the zero
+    element, and dense elements holding one value per order class,
+    distinct Fraction objects of equal value (a map built point by point)
+    and the values of a dense sum."""
     spread = {
         (u, v): Fraction(u - v, 1 + (u + v) % 5)
         for u in range(delta) for v in range(0, delta, 5)
     }
     projector = writer_elements(delta)
-    dense = [x.to_dense() for x in projector] + [GroupAlgebraElement(delta, spread)]
-    for x in projector + dense:
+    return projector + [x.to_dense() for x in projector] + [
+        GroupAlgebraElement(delta, spread),
+        GroupAlgebraElement(delta, spread) + projector[3].to_dense(),
+    ]
+
+
+@pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")])
+@pytest.mark.parametrize("delta", [1, 2, 12, 24, 36, 60, 300])
+def test_to_json_is_dumps_at_composite_levels(delta, separators, capsys):
+    # The projector writers format one text per order class, the dense ones
+    # one per point.  References, point by point: json.dumps of
+    # to_json_dict, the sorted dense map, and the table lines of the map.
+    import argparse
+
+    from corgw.cli import _emit_element
+
+    table = argparse.Namespace(json=False, table=True)
+    for x in composite_elements(delta):
         assert x.to_json(separators) == json.dumps(x.to_json_dict(), separators=separators)
+        if separators == (",", ":"):  # neither depends on the separators
+            assert x.support == sorted(dict(x.items()))
+            _emit_element(x, table)
+            assert capsys.readouterr().out.splitlines()[2:-1] == table_reference(x)
 
 
 small_delta = st.sampled_from([1, 2, 3, 4, 6, 12])
@@ -538,9 +565,8 @@ def per_point_reference(x):
 
 @pytest.mark.parametrize("delta", WRITER_LEVELS)
 def test_order_class_writers_match_per_point(delta):
-    def triple(v, r, c):
-        return v, r, c
-
+    # Every point as u, v, its order and the repr of its stored value.
+    layout = ("{} ", "{} ", lambda r, c: f"{r} {c!r}", ";")
     for x in writer_elements(delta):
         dense = per_point_reference(x)
         assert x._dense is None
@@ -551,7 +577,7 @@ def test_order_class_writers_match_per_point(delta):
         assert x.to_json(separators=spaced) == json.dumps(dense.to_json_dict())
         assert x.support == dense.support
         assert dense.support == sorted(dict(dense.items()))
-        assert x.rows(triple) == dense.rows(triple)
+        assert x.points_text(*layout) == dense.points_text(*layout)
         for u in range(-1, delta + 1):
             for v in (-delta, -1, *range(delta)):
                 assert x.coefficient(u, v) == dense.coefficient(u, v)
@@ -563,8 +589,9 @@ def test_order_class_writers_match_per_point(delta):
 
 
 def test_order_rows_are_shared_by_gcd():
-    # The level cache holds tau(delta) rows of delta orders, never delta^2.
-    from corgw.projector import _order_rows
+    # The level caches hold tau(delta) rows of delta orders and 3 delta
+    # texts per layout, never delta^2 entries.
+    from corgw.projector import _order_rows, _point_texts
 
     for delta in WRITER_LEVELS:
         row_of, rows = _order_rows(delta)
@@ -574,3 +601,8 @@ def test_order_rows_are_shared_by_gcd():
                 point_order(delta, u, v) for v in range(delta)
             )
     assert _order_rows.cache_info().maxsize is not None
+    # The texts of a layout are 3 delta per level, also bounded in number.
+    heads, seps, v_texts = _point_texts(12, "<{}", "{}>", ";")
+    assert heads[11] == "<11" and seps[11] == ";<11" and v_texts[11] == "11>"
+    assert len(heads) == len(seps) == len(v_texts) == 12
+    assert _point_texts.cache_info().maxsize is not None
