@@ -210,9 +210,17 @@ def _missing_sinks(open_cnt: dict, sinks: dict) -> list[int] | None:
 # floor), count) classes, with comp the origin's component (-1 at BOTTOM)
 # and floor its floor component (None at BOTTOM and flats), each named by a
 # level, one (floor component, ends) pair per floor component in level
-# order, the deficit, and the surplus pairs, None before the closing floor.
-# A tuple, not a Frozen: the search builds one per node.
-_State = namedtuple("_State", "levels edges opens ends deficit surplus")
+# order, and the deficit.  A tuple, not a Frozen: one is built per node.
+_State = namedtuple("_State", "levels edges opens ends deficit")
+
+
+def _reach(ends: tuple, opens: tuple) -> dict:
+    """Per floor component, its infinite ends plus its open edges."""
+    out = dict(ends)
+    for (_w, _o, _c, f), n in opens:
+        if f is not None:
+            out[f] += n
+    return out
 
 
 def _children(
@@ -261,13 +269,17 @@ def _children(
       of all of them.  A floor that must close builds only the sub-multisets
       that take every open edge of a weight no sink has.  Both closing tests
       run before its state is built.
-    - One infinite end per floor component: after the closing floor a floor
-      component ends with its end count plus its open floor-origin edges,
-      less those later flats take.  Its surplus, ends + open edges - 1,
-      must not be negative, and a flat there may take an edge only from a
-      component whose surplus is still positive.  Once the closing floor has
-      joined every component, counting vertices and edges shows that the
-      surpluses add up to the levels left, so that needs no test.
+    - One infinite end per floor component: a floor component ends with its
+      ends plus its open floor-origin edges, less those later flats take,
+      and that must be one.  So at every level a flat may take an edge of a
+      floor component only while it keeps another end or open edge, as
+      nothing could join it again.  Only flats lower that count, and a floor
+      that leaves d > 0 emits into the component it makes, so each holds an
+      end or an open edge.  The closing floor tests only the one it makes:
+      its ends, its parts and the open edges of the components it joined.
+      Once it has joined every component, counting vertices and edges shows
+      that the surpluses, ends + open edges - 1, add up to the levels left:
+      the flats end them at 0.
     - Two flats on a cycle: cycles close only at a floor that takes a second
       edge from one component.  There a block of the partial graph with three
       or more vertices and two flats cuts the branch; later levels only add.
@@ -275,27 +287,22 @@ def _children(
     Distinct branches differ in the in-edges or the out-weights of the level
     where they part, so they build distinct diagrams.
     """
-    levels, edges, opens, ends, deficit, surplus = state
+    levels, edges, opens, ends, deficit = state
     open_cnt = dict(opens)
     level = len(levels)
     last = level == n_levels - 1
-    spare = None if surplus is None else dict(surplus)
+    reach = _reach(ends, opens)
     # Flat vertex: pass one open edge through.  Consuming a flat-emitted
-    # edge would create a flat-flat edge, impossible at this level count.
-    # From the closing floor on, the edge's floor component needs surplus.
+    # edge would create a flat-flat edge, impossible at this level count,
+    # and the edge's floor component must keep another end or open edge.
     for key, _n in () if last and deficit else opens:
         w, origin, c, fc = key
-        if origin >= 0 and fc is None:
+        if origin >= 0 and (fc is None or reach[fc] < 2):
             continue
-        rest = None
-        if spare is not None:
-            if not spare.get(fc):
-                continue
-            rest = tuple([(r, s - (r == fc)) for r, s in surplus])
         nxt = _without(open_cnt, (key,))
         nxt[w, level, level if origin < 0 else c, None] = 1
         yield _State(levels + (0,), edges + ((origin, level, w),),
-                     tuple(sorted(nxt.items())), ends, deficit, rest)
+                     tuple(sorted(nxt.items())), ends, deficit)
     if not deficit:
         return
 
@@ -369,15 +376,9 @@ def _children(
         base = {(w, o, level if c >= 0 and merged >> c & 1 else c,
                  level if f is not None and joined >> f & 1 else f): n
                 for (w, o, c, f), n in base.items()}
-        ends2 = (*[(r, e) for r, e in ends if not joined >> r & 1], (level, n_ends))
-        if not left:
-            surplus2 = {r: e - 1 for r, e in ends2}
-            surplus2[level] += len(parts)
-            for (_w, _o, _c, f), n in base.items():
-                if f is not None:
-                    surplus2[f] += n
-            if min(surplus2.values()) < 0:
-                continue
+        # The floor component this floor makes keeps an end or an open edge.
+        if not (left or n_ends or parts or any(key[3] == level for key in base)):
+            continue
         if cycles and _has_two_flat_cycle(
             level + 1,
             [(lo, hi) for lo, hi, _w in edges if lo >= 0]
@@ -385,8 +386,8 @@ def _children(
             {i for i, a in enumerate(levels) if not a},
         ):
             continue
+        ends2 = (*[(r, e) for r, e in ends if not joined >> r & 1], (level, n_ends))
         head = (levels + (1,), edges + tuple([(key[1], level, key[0]) for key in taken]))
-        tail = (ends2, left, None if left else tuple(surplus2.items()))
         if left:
             flow = sum([key[0] for key in taken])
             most = left + n_sinks - 1 - n_open + cycles + n_comps
@@ -395,7 +396,7 @@ def _children(
             for p in parts:
                 key = (p, level, level, level)
                 nxt[key] = nxt.get(key, 0) + 1
-            yield _State(*head, tuple(sorted(nxt.items())), *tail)
+            yield _State(*head, tuple(sorted(nxt.items())), ends2, left)
 
 
 def _walk(start, children, stop) -> Iterator:
@@ -425,13 +426,13 @@ def _closes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
     n_levels = len(profile.weights) + genus - 1
     _check_level_count(n_levels)
     opens = tuple(sorted(Counter((w, BOTTOM, -1, None) for w in profile.sources).items()))
-    start = _State((), (), opens, (), genus, None)
+    start = _State((), (), opens, (), genus)
     children = partial(_children, n_levels, max_floors, dict(Counter(profile.sinks)))
     share = {}.setdefault
     return tuple(
         _State._make(tuple(map(share, v, v)) if field == "edges" else share(v, v)
                      for field, v in zip(_State._fields, s))
-        for s in _walk(start, children, lambda state: state.surplus is not None)
+        for s in _walk(start, children, lambda state: not state.deficit)
     )
 
 
@@ -477,15 +478,14 @@ def _shapes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
 
     Only flats follow a closing floor, and each of the k levels left takes
     one open edge that starts at a floor (its class names a floor component);
-    floor component r gives exactly its surplus of them, as the surpluses
-    add up to k.  A taken edge weighs w (bounded, one flat end) and the
-    flat's edge to the top 1; an untaken one w^2, and an open edge from a
-    flat 1.  So x_i edges taken from the open class i of c_i edges of
-    weight w_i stand for k!/prod x_i!
-    structures of monomial W prod w_i^(2c_i - x_i), W that of the state's
-    edges as in diagrams.FloorDiagram.edge_exponents.  Flats change no
-    valency and repeat an open weight, so the valencies and the gcd are the
-    state's.
+    floor component r gives exactly its surplus, ends + open edges - 1, of
+    them, as the surpluses add up to k.  A taken edge weighs w (bounded, one
+    flat end) and the flat's edge to the top 1; an untaken one w^2, and an
+    open edge from a flat 1.  So x_i edges taken from the open class i of
+    c_i edges of weight w_i stand for k!/prod x_i! structures of monomial
+    W prod w_i^(2c_i - x_i), W that of the state's edges as in
+    diagrams.FloorDiagram.edge_exponents.  Flats change no valency and
+    repeat an open weight, so the valencies and the gcd are the state's.
     """
     n_levels = len(weights) + genus - 1
     shapes: dict = {}
@@ -505,7 +505,7 @@ def _shapes(genus: int, weights: tuple[int, ...], max_floors: int) -> tuple:
                tuple(sorted(v for v, a in zip(val, levels) if a)))
         k = n_levels - len(levels)
         taken = [(w, c, f) for (w, _o, _c, f), c in opens if f is not None]
-        need = dict(state.surplus)
+        need = {r: n - 1 for r, n in _reach(state.ends, opens).items()}
         n = w_sum = 0
         for xs in product(*[range(c + 1) for _w, c, _r in taken]):
             used = dict.fromkeys(need, 0)

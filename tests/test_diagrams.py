@@ -581,7 +581,7 @@ def test_closing_states_store_each_value_once():
 
     states = _closes(6, (-2, 2), 6)
     assert len({s.levels for s in states}) < len(states)
-    for field in ("levels", "opens", "ends", "surplus"):
+    for field in ("levels", "opens", "ends"):
         values = [getattr(s, field) for s in states]
         assert len({id(v) for v in values}) == len(set(values)), field
     edges = [e for s in states for e in s.edges]
@@ -643,6 +643,10 @@ def check_labels(state):
                                                       if levels[i]})
     ends = Counter(floor[hi] for lo, hi, _w in edges if lo == BOTTOM and levels[hi])
     assert [e for _r, e in state.ends] == [ends[floor[r]] for r in names]
+    # Every floor component keeps an infinite end or an open edge, which
+    # the flat rule and the closing floor's one-component test rest on.
+    open_floors = {floor[o] for (_w, o, _c, _f), _n in state.opens if o >= 0 and levels[o]}
+    assert all(ends[floor[r]] or floor[r] in open_floors for r in names)
     if state.deficit:
         assert {comp[o] for (_w, o, _c, _f), _n in state.opens if o >= 0} == set(comp)
 
@@ -652,9 +656,10 @@ def check_labels(state):
 )
 def test_search_state_labels_are_components(genus, weights):
     # Each open class names its origin's component and floor component,
-    # the ends pairs each floor component's edges from BOTTOM, and until
-    # the deficit closes every component keeps an open edge: that is what
-    # lets _children count the components from the open classes alone.
+    # the ends pairs each floor component's edges from BOTTOM, every floor
+    # component keeps an end or an open edge, and until the deficit closes
+    # every component keeps an open edge: that is what lets _children count
+    # the components from the open classes alone.
     from corgw.search import _children, _State
 
     profile = TangencyProfile(weights)
@@ -668,7 +673,7 @@ def test_search_state_labels_are_components(genus, weights):
             for child in _children(n_levels, genus, sinks, state):
                 walk(child)
 
-    walk(_State((), (), opens, (), genus, None))
+    walk(_State((), (), opens, (), genus))
 
 
 # -- the class tally against the sum over labelled diagrams ----------------
@@ -909,21 +914,80 @@ SURPLUS_PROFILES = list(dict.fromkeys(
 
 @pytest.mark.parametrize("genus,weights", SURPLUS_PROFILES)
 def test_closing_surpluses_add_up_to_the_levels_left(genus, weights):
-    # _children tests no sum of surpluses: once the closing floor has joined
-    # every component they add up to the levels left, so the flats that
-    # follow, each taking one from a positive surplus, end them all at 0.
+    # _children tests no sum of surpluses, ends + open edges - 1 per floor
+    # component: once the closing floor has joined every component they add
+    # up to the levels left, so the flats that follow, each taking one from
+    # a positive surplus, end them all at 0.
     from corgw.search import _children, _closes, _walk
+
+    def surpluses(state):
+        out = {r: e - 1 for r, e in state.ends}
+        for (_w, _o, _c, f), n in state.opens:
+            if f is not None:
+                out[f] += n
+        return out
 
     n_levels = len(weights) + genus - 1
     for cap in range(1, genus + 1):
         children = partial(_children, n_levels, cap, {})
         for closed in _closes(genus, weights, cap):
-            surplus = dict(closed.surplus)
+            surplus = surpluses(closed)
             assert min(surplus.values()) >= 0
             assert sum(surplus.values()) == n_levels - len(closed.levels)
             last = _walk(closed, children, lambda state: len(state.levels) == n_levels)
             for s in last:
-                assert not any(e for _r, e in s.surplus)
+                assert not any(surpluses(s).values())
+
+
+# SHA-256 of repr(_shapes(genus, sorted weights, cap)) at floor caps 1, 2
+# and the genus, recorded before the search read each floor component's
+# surplus off its ends and open edges.  The totals of `--count`, `--sum` and
+# `series` come from _shapes alone, and no listing digest reaches these
+# profiles.  The grid is the candidates taken cheapest first while the whole
+# stayed within 2 s (1.1 s when recorded, Python 3.11 on one Xeon core);
+# (3; six -1s, 6) alone took 1.4 s and was left out.
+SHAPES_DIGESTS = {
+    (2, (-3, 1, 1, 1)): {
+        1: "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+        2: "39c98037b8b0ac6710dfdef4ed3e7184246404007e6905b3dcf9be967bc72dd9",
+    },
+    (2, (3, -1, -1, -1)): {
+        1: "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+        2: "39c98037b8b0ac6710dfdef4ed3e7184246404007e6905b3dcf9be967bc72dd9",
+    },
+    (2, (-3, -3, 2, 2, 2)): {
+        1: "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+        2: "9e75fd6d6dc4181162ed5e481a9c29281b9340346855a3d88bd85a4df2bf926e",
+    },
+    (3, (-2, -2, -2, 6)): {
+        1: "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+        2: "11c16fce7badca936d6577528b2a4a21b9acd7d397d305dcbd2f4c30a7b60010",
+        3: "7663ee67a16a2dc278123607a2c68d41275b1d9ead4761a36bffd395084cce32",
+    },
+    (2, (1,) * 12 + (-12,)): {
+        1: "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+        2: "34af313978f8c43048f3594586033de2d24b352ff0027e0e599da768445ae3d1",
+    },
+    (8, (2, -2)): {
+        1: "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+        2: "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+        8: "1d00a42bf5b10deb4871a655aa0af328ffa291bf096a7066192cfd3cf1147b67",
+    },
+    (3, (1,) * 6 + (-6,)): {
+        1: "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+        2: "25fa0e922fd5ebde9e5926dac8d203515fdec87756fedff23bbaa11c5380e627",
+        3: "f8d0986ccf3346cde838304ef38437a8bcc107370db16eaeebf708e91fd1c359",
+    },
+}
+
+
+@pytest.mark.parametrize("genus,weights", list(SHAPES_DIGESTS))
+def test_shapes_pinned(genus, weights):
+    from corgw.search import _shapes
+
+    for cap, digest in SHAPES_DIGESTS[(genus, weights)].items():
+        shapes = _shapes(genus, tuple(sorted(weights)), cap)
+        assert hashlib.sha256(repr(shapes).encode()).hexdigest() == digest, cap
 
 
 # -- two-flat cycle test against path enumeration ---------------------------
